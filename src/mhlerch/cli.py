@@ -135,9 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=parse_rational,
         help="exact rational shift P/Q; enables the exact-layer coefficient cross-check",
     )
-    p_eval.add_argument(
-        "--method", choices=("accelerated", "direct", "euler"), default="accelerated"
-    )
+    p_eval.add_argument("--method", choices=("accelerated", "direct"), default="accelerated")
     common(p_eval)
 
     p_zeta = sub.add_parser("zeta", help="evaluate zeta(s), s >= 2")
@@ -204,22 +202,9 @@ def cmd_eval(args) -> int:
     else:
         shift = ShiftParam(args.alpha)
 
-    if args.w is not None:
-        w, z = args.w, None
-    else:
-        z = args.z
-        w = series.disk_to_half_plane(z)
-
-    if args.method == "direct":
-        result = series.lerch_direct(w, shift, args.s, args.tol, args.max_terms)
-    elif args.method == "accelerated":
-        result = series.lerch_accelerated(w, shift, args.s, args.tol, args.max_terms)
-    else:  # euler: same series, so reuse the accelerated stopping point and bound
-        budget = series.lerch_accelerated(w, shift, args.s, args.tol, args.max_terms)
-        if z is None:
-            z = series.half_plane_to_disk(w)
-        value = series.euler_transform_eval(z, shift, args.s, budget.terms_used)
-        result = SeriesResult(value, budget.terms_used, budget.error_bound, budget.converged)
+    w = args.w if args.w is not None else series.disk_to_half_plane(args.z)
+    evaluate = series.lerch_direct if args.method == "direct" else series.lerch_accelerated
+    result = evaluate(w, shift, args.s, args.tol, args.max_terms)
 
     payload = _result_payload(result)
     if args.alpha_rat is not None:

@@ -24,8 +24,11 @@ recurrence
 
     S_a^n(t) = S_a^{n-1}(t) + f_n * S_a^n(t - 1),
 
-which costs O((b - a + 1) * t) rational multiplications.  The tuple
-enumerator is retained only as an independent oracle for tests.
+which costs O((b - a + 1) * t) multiplications.  `_depth_columns` is the only
+place in the package where this recurrence is written, and `_alternating_sum`
+the only place where L is summed: every layer (exact, series, verify, cli)
+calls them, with `Fraction`, float or complex numbers.  The tuple enumerator
+is retained only as an independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from typing import Iterator, Union
+from itertools import combinations_with_replacement, count, islice
+from typing import Iterator, Optional, Union
 
 from .errors import EnumerationCapError, InvalidShiftError
 
@@ -118,14 +121,49 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _depth_columns(x0, depth: int, n0: int = 1, stop: Optional[int] = None):
+    """Yield (n, prefactor, col) for n = n0, n0 + 1, ..., stop (without end
+    when `stop` is None), in the number type of x0 (Fraction, float, complex):
+
+        col[t]    = S_{n0}^n(t) with f_i = 1/(x0 + i),   t = 0 .. depth,
+        prefactor = (n - n0)! / (x0 + n0)_{n - n0 + 1}.
+
+    So R(q, beta) = prefactor * col[s - 1] at (x0, n0, n) = (beta, 0, q), and
+    c_p = -prefactor * col[s - 1] at (alpha, 1, p).  `col` is one list updated
+    in place; copy it to keep a value.  The weight at n is computed only when
+    item n is asked for, so a pole of 1/(x0 + n) past the last index taken is
+    never reached.  The loop is written out here, not composed from smaller
+    generators, because `series.lerch_accelerated` runs it once per term.
+    """
+    col = [1] + [0] * depth
+    prefactor = 1
+    for n in count(n0) if stop is None else range(n0, stop + 1):
+        d = x0 + n
+        f_n = 1 / d
+        prefactor *= (n - n0 or 1) / d
+        for t in range(1, depth + 1):
+            col[t] += f_n * col[t - 1]
+        yield n, prefactor, col
+
+
+def _alternating_sum(x0, n0: int, q: int, s: int, sign: int = 1):
+    """sum_{m=0}^{q} sign (-1)^m C(q, m) / (x0 + n)^s with n = n0 + m, in the
+    number type of x0; L(q, beta) is (x0, n0) = (beta, 0).
+
+    The denominators are formed as x0 + n, and the sign is carried into each
+    term, so float callers get the bits they would get summing in place.
+    """
+    total = 0
+    for m in range(q + 1):
+        total += sign * math.comb(q, m) / (x0 + (n0 + m)) ** s
+        sign = -sign
+    return total
+
+
 def multi_sum(spec: MultiSumSpec) -> Fraction:
     """S_a^b(t), exactly, via the triangular recurrence (never by enumeration)."""
-    col = [Fraction(1)] + [Fraction(0)] * spec.t
-    for n in range(spec.a, spec.b + 1):
-        f_n = Fraction(1) / (spec.beta + n)
-        for t in range(1, spec.t + 1):
-            col[t] += f_n * col[t - 1]
-    return col[spec.t]
+    *_, (_, _, col) = _depth_columns(spec.beta, spec.t, spec.a, spec.b)
+    return Fraction(col[spec.t])
 
 
 def multi_sum_bruteforce(
@@ -151,12 +189,7 @@ def multi_sum_bruteforce(
 
 def lemma_lhs(params: LemmaParams) -> Fraction:
     """L(q, beta) = sum_{m=0}^{q} C(q, m) (-1)^m / (beta + m)^s."""
-    total = Fraction(0)
-    sign = 1
-    for m in range(params.q + 1):
-        total += sign * binomial(params.q, m) / (params.beta + m) ** params.s
-        sign = -sign
-    return total
+    return _alternating_sum(params.beta, 0, params.q, params.s)
 
 
 def lemma_rhs(params: LemmaParams) -> Fraction:
@@ -165,8 +198,8 @@ def lemma_rhs(params: LemmaParams) -> Fraction:
     The depth-(s-1) sum degenerates to 1 at s = 1, so a single formula covers
     all s >= 1.
     """
-    prefactor = Fraction(math.factorial(params.q)) / pochhammer(params.beta, params.q + 1)
-    return prefactor * multi_sum(MultiSumSpec(0, params.q, params.s - 1, params.beta))
+    *_, (_, prefactor, col) = _depth_columns(params.beta, params.s - 1, 0, params.q)
+    return prefactor * col[params.s - 1]
 
 
 def coefficient_exact(p: int, alpha: RationalLike, s: int) -> Fraction:
@@ -178,12 +211,7 @@ def coefficient_exact(p: int, alpha: RationalLike, s: int) -> Fraction:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    alpha = Fraction(alpha)
-    _check_alpha(alpha)
-    prefactor = Fraction(math.factorial(p - 1)) / pochhammer(alpha + 1, p)
-    return -prefactor * multi_sum(MultiSumSpec(1, p, s - 1, alpha))
+    return next(islice(coefficient_stream(alpha, s), p - 1, None))
 
 
 def alternating_coefficient_sum(p: int, alpha: RationalLike, s: int) -> Fraction:
@@ -197,16 +225,7 @@ def alternating_coefficient_sum(p: int, alpha: RationalLike, s: int) -> Fraction
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    alpha = Fraction(alpha)
-    _check_alpha(alpha)
-    total = Fraction(0)
-    sign = -1
-    for n in range(1, p + 1):
-        total += sign * binomial(p - 1, n - 1) / (alpha + n) ** s
-        sign = -sign
-    return total
+    return -lemma_lhs(LemmaParams(p - 1, s, Fraction(alpha) + 1))
 
 
 def coefficient_stream(alpha: RationalLike, s: int) -> Iterator[Fraction]:
@@ -219,13 +238,6 @@ def coefficient_stream(alpha: RationalLike, s: int) -> Iterator[Fraction]:
         raise ValueError(f"s must be >= 1, got {s}")
     alpha = Fraction(alpha)
     _check_alpha(alpha)
-    col = [Fraction(1)] + [Fraction(0)] * (s - 1)
-    prefactor = Fraction(1)
-    p = 0
-    while True:
-        p += 1
-        prefactor *= Fraction(p - 1 if p > 1 else 1) / (alpha + p)
-        f_p = Fraction(1) / (alpha + p)
-        for t in range(1, s):
-            col[t] += f_p * col[t - 1]
+    for _, prefactor, col in _depth_columns(alpha, s - 1):
         yield -prefactor * col[s - 1]
+

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Tuple
 
+from . import exact
 from .errors import DomainError, InvalidShiftError, PrecisionError
 
 #: A shift closer than this to a forbidden negative integer is rejected;
@@ -80,9 +81,7 @@ def shift_gap(alpha: ComplexLike) -> float:
     candidates are examined.  Returns 0.0 when alpha is itself a forbidden
     negative integer.
     """
-    alpha = _require_finite(alpha, "alpha")
-    n0 = max(1, round(-alpha.real))
-    return min(abs(alpha + n) for n in (n0 - 1, n0, n0 + 1) if n >= 1)
+    return _tail_gap(_require_finite(alpha, "alpha"), 1)
 
 
 def _tail_gap(alpha: complex, n_min: int) -> float:
@@ -189,19 +188,11 @@ def alternating_direct(shift: ShiftParam, s: int, n_terms: int) -> complex:
 def _coefficient_stream(alpha: complex, s: int) -> Iterator[Tuple[int, complex, float]]:
     """Yield (p, c_p, |prefactor_p|) for p = 1, 2, ...
 
-    prefactor_p = (p-1)!/(alpha+1)_p is updated multiplicatively; the depth
-    column S_1^p(t) is updated in place, so a prefix of length P costs
+    prefactor_p = (p-1)!/(alpha+1)_p and the depth column S_1^p(t) come from
+    the shared kernel `exact._depth_columns`, so a prefix of length P costs
     O(P * s) operations in total.
     """
-    col = [1 + 0j] + [0j] * (s - 1)
-    prefactor = 1 + 0j
-    p = 0
-    while True:
-        p += 1
-        prefactor *= (p - 1 if p > 1 else 1) / (alpha + p)
-        f_p = 1 / (alpha + p)
-        for t in range(1, s):
-            col[t] += f_p * col[t - 1]
+    for p, prefactor, col in exact._depth_columns(alpha, s - 1):
         yield p, -prefactor * col[s - 1], abs(prefactor)
 
 
@@ -221,11 +212,8 @@ def coefficient_bound(p: int, shift: ShiftParam, s: int) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     s = _check_order(s)
-    alpha = shift.alpha
-    ratio = 1.0
-    for j in range(1, p + 1):
-        ratio *= (j - 1 if j > 1 else 1) / abs(alpha + j)
-    return ratio * (p / shift.gap) ** (s - 1)
+    *_, (_, prefactor, _) = exact._depth_columns(shift.alpha, 0, 1, p)
+    return abs(prefactor) * (p / shift.gap) ** (s - 1)
 
 
 def _tail_ratio_sup(abs_alpha: float, p: int, s: int) -> float:
@@ -277,11 +265,11 @@ def lerch_accelerated(
     total = 0j
     z_pow = 1 + 0j
     bound = math.inf
-    for p, c_p, prefactor_abs in _coefficient_stream(alpha, s):
+    for p, prefactor, col in exact._depth_columns(alpha, s - 1):
         z_pow *= z
-        total += c_p * z_pow
+        total += -prefactor * col[s - 1] * z_pow
         # majorant of |c_{p+1}|, from the running prefactor magnitude
-        b_next = prefactor_abs * p / abs(alpha + p + 1) * ((p + 1) / gap) ** (s - 1)
+        b_next = abs(prefactor) * p / abs(alpha + p + 1) * ((p + 1) / gap) ** (s - 1)
         rho = az * _tail_ratio_sup(abs_alpha, p, s)
         if rho < 1.0:
             bound = b_next * az ** (p + 1) / (1.0 - rho)
@@ -304,13 +292,7 @@ def euler_inner_sum(p: int, shift: ShiftParam, s: int) -> complex:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     s = _check_order(s)
-    alpha = shift.alpha
-    total = 0j
-    sign = -1.0
-    for n in range(1, p + 1):
-        total += sign * math.comb(p - 1, n - 1) / (alpha + n) ** s
-        sign = -sign
-    return total
+    return exact._alternating_sum(shift.alpha, 1, p - 1, s, sign=-1)
 
 
 def euler_transform_eval(z: ComplexLike, shift: ShiftParam, s: int, P: int) -> complex:
@@ -336,12 +318,8 @@ def ap_coefficient(p: int, s: int) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     s = _check_order(s)
-    col = [1.0] + [0.0] * (s - 1)
-    for n in range(1, p + 1):
-        f_n = 1.0 / n
-        for t in range(1, s):
-            col[t] += f_n * col[t - 1]
-    return col[s - 1]
+    *_, (_, _, col) = exact._depth_columns(0, s - 1, 1, p)
+    return float(col[s - 1])
 
 
 def zeta_accelerated(
@@ -363,15 +341,9 @@ def zeta_accelerated(
     tol = _check_tolerance(tol)
     max_terms = _check_max_terms(max_terms)
     factor = 1.0 / (1.0 - 2.0 ** (1 - s))
-    col = [1.0] + [0.0] * (s - 1)
     total = 0.0
-    bound = math.inf
-    for p in range(1, max_terms + 1):
-        f_p = 1.0 / p
-        for t in range(1, s):
-            col[t] += f_p * col[t - 1]
+    for p, _, col in exact._depth_columns(0, s - 1):
         total += math.ldexp(col[s - 1] / p, -p)
         bound = factor * (1.0 + math.log(p + 1)) ** (s - 1) * math.ldexp(2.0 / (p + 1), -p)
-        if bound <= tol:
-            return SeriesResult(complex(factor * total), p, bound, True)
-    return SeriesResult(complex(factor * total), max_terms, bound, False)
+        if bound <= tol or p >= max_terms:
+            return SeriesResult(complex(factor * total), p, bound, bound <= tol)

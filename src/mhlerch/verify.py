@@ -211,6 +211,19 @@ def verify_base_cases(
     return chk.report()
 
 
+def _step_check(
+    chk: _Check, side, qs: Iterable[int], s_max: int, betas: Tuple[Fraction, ...]
+) -> VerificationReport:
+    """side(q+1, beta) = side(q, beta) - side(q, beta+1) exactly, for q in qs."""
+    for q in qs:
+        for s in range(1, s_max + 1):
+            for beta in betas:
+                lhs = side(exact.LemmaParams(q + 1, s, beta))
+                rhs = side(exact.LemmaParams(q, s, beta)) - side(exact.LemmaParams(q, s, beta + 1))
+                chk.exact_case(lhs == rhs, (q, s, beta), lhs - rhs)
+    return chk.report()
+
+
 def verify_recurrence_L(
     q_max: int = DEFAULT_STEP_Q_MAX,
     s_max: int = DEFAULT_S_MAX,
@@ -219,15 +232,7 @@ def verify_recurrence_L(
     """L(q+1, beta) = L(q, beta) - L(q, beta+1) exactly, for 0 <= q <= q_max."""
     betas = _betas(betas)
     chk = _Check("recurrence_L", f"step q <= {q_max}, s <= {s_max}, {len(betas)} betas")
-    for q in range(q_max + 1):
-        for s in range(1, s_max + 1):
-            for beta in betas:
-                lhs = exact.lemma_lhs(exact.LemmaParams(q + 1, s, beta))
-                rhs = exact.lemma_lhs(exact.LemmaParams(q, s, beta)) - exact.lemma_lhs(
-                    exact.LemmaParams(q, s, beta + 1)
-                )
-                chk.exact_case(lhs == rhs, (q, s, beta), lhs - rhs)
-    return chk.report()
+    return _step_check(chk, exact.lemma_lhs, range(q_max + 1), s_max, betas)
 
 
 def verify_recurrence_R(
@@ -242,15 +247,7 @@ def verify_recurrence_R(
     """
     betas = _betas(betas)
     chk = _Check("recurrence_R", f"step 1 <= q <= {q_max}, s <= {s_max}, {len(betas)} betas")
-    for q in range(1, q_max + 1):
-        for s in range(1, s_max + 1):
-            for beta in betas:
-                lhs = exact.lemma_rhs(exact.LemmaParams(q + 1, s, beta))
-                rhs = exact.lemma_rhs(exact.LemmaParams(q, s, beta)) - exact.lemma_rhs(
-                    exact.LemmaParams(q, s, beta + 1)
-                )
-                chk.exact_case(lhs == rhs, (q, s, beta), lhs - rhs)
-    return chk.report()
+    return _step_check(chk, exact.lemma_rhs, range(1, q_max + 1), s_max, betas)
 
 
 def verify_recurrence_R_base(
@@ -260,14 +257,7 @@ def verify_recurrence_R_base(
     """R(1, beta) = R(0, beta) - R(0, beta+1): the unclaimed q = 0 step."""
     betas = _betas(betas)
     chk = _Check("recurrence_R_q0", f"q = 0, s <= {s_max}, {len(betas)} betas")
-    for s in range(1, s_max + 1):
-        for beta in betas:
-            lhs = exact.lemma_rhs(exact.LemmaParams(1, s, beta))
-            rhs = exact.lemma_rhs(exact.LemmaParams(0, s, beta)) - exact.lemma_rhs(
-                exact.LemmaParams(0, s, beta + 1)
-            )
-            chk.exact_case(lhs == rhs, (0, s, beta), lhs - rhs)
-    return chk.report()
+    return _step_check(chk, exact.lemma_rhs, [0], s_max, betas)
 
 
 def verify_splitting(
@@ -279,23 +269,30 @@ def verify_splitting(
 
         S_a^c(t) = sum_{u+v=t} S_a^b(u) S_{b+1}^c(v)          (0 <= a <= b < c)
         S_{a-1}^{b+1}(t) = sum_{u+v+w=t} f_{a-1}^u S_a^b(v) f_{b+1}^w   (1 <= a <= b)
+
+    Each beta gets one table of S_a^b(t) for 0 <= a <= b <= b_max, t <= t_max,
+    one depth column per start a; ZeroDivisionError names an n in [0, b_max]
+    at which beta + n vanishes.
     """
     betas = _betas(betas)
     chk = _Check(
         "splitting", f"0 <= a <= b < c <= {b_max}, t <= {t_max}, {len(betas)} betas"
     )
 
-    def S(a: int, b: int, t: int, beta: Fraction) -> Fraction:
-        return exact.multi_sum(exact.MultiSumSpec(a, b, t, beta))
-
     for beta in betas:
+        exact.MultiSumSpec(0, b_max, t_max, beta)  # rejects a pole before any table work
+        S = {
+            (a, b): tuple(col)
+            for a in range(b_max + 1)
+            for b, _, col in exact._depth_columns(beta, t_max, a, b_max)
+        }
         for t in range(t_max + 1):
             for a in range(b_max):
                 for b in range(a, b_max):
                     for c in range(b + 1, b_max + 1):
-                        lhs = S(a, c, t, beta)
+                        lhs = S[a, c][t]
                         rhs = sum(
-                            (S(a, b, u, beta) * S(b + 1, c, t - u, beta) for u in range(t + 1)),
+                            (S[a, b][u] * S[b + 1, c][t - u] for u in range(t + 1)),
                             Fraction(0),
                         )
                         chk.exact_case(lhs == rhs, ("two", a, b, c, t, beta), lhs - rhs)
@@ -303,12 +300,12 @@ def verify_splitting(
                 for b in range(a, b_max):
                     f_lo = Fraction(1) / (beta + a - 1)
                     f_hi = Fraction(1) / (beta + b + 1)
-                    lhs = S(a - 1, b + 1, t, beta)
+                    lhs = S[a - 1, b + 1][t]
                     rhs = Fraction(0)
                     for u in range(t + 1):
                         for v in range(t + 1 - u):
                             w = t - u - v
-                            rhs += f_lo**u * S(a, b, v, beta) * f_hi**w
+                            rhs += f_lo**u * S[a, b][v] * f_hi**w
                     chk.exact_case(lhs == rhs, ("three", a, b, t, beta), lhs - rhs)
     return chk.report()
 
@@ -333,19 +330,11 @@ def verify_lemma_complex(
     for beta in betas:
         for q in range(q_max + 1):
             for s in range(1, s_max + 1):
-                lhs = 0j
-                sign = 1.0
-                for m in range(q + 1):
-                    lhs += sign * math.comb(q, m) / (beta + m) ** s
-                    sign = -sign
+                lhs = exact._alternating_sum(beta, 0, q, s)
                 rising = 1 + 0j
                 for j in range(q + 1):
                     rising *= beta + j
-                col = [1 + 0j] + [0j] * (s - 1)
-                for n in range(q + 1):
-                    f_n = 1 / (beta + n)
-                    for t in range(1, s):
-                        col[t] += f_n * col[t - 1]
+                *_, (_, _, col) = exact._depth_columns(beta, s - 1, 0, q)
                 rhs = math.factorial(q) / rising * col[s - 1]
                 chk.float_case(float_residual(lhs, rhs), tol, (q, s, beta))
     return chk.report()
@@ -462,12 +451,8 @@ def verify_ap_bound(p_max: int = DEFAULT_P_MAX_FLOAT, s_max: int = 6) -> Verific
     """0 < a_p <= (1 + ln p)^{s-1}, and a_p nondecreasing in p."""
     chk = _Check("ap_bound", f"p <= {p_max}, s <= {s_max}")
     for s in range(1, s_max + 1):
-        col = [1.0] + [0.0] * (s - 1)
         previous = 0.0
-        for p in range(1, p_max + 1):
-            f_p = 1.0 / p
-            for t in range(1, s):
-                col[t] += f_p * col[t - 1]
+        for p, _, col in exact._depth_columns(0, s - 1, 1, p_max):
             a_p = col[s - 1]
             ok = 0.0 < a_p <= (1.0 + math.log(p)) ** (s - 1) and a_p >= previous
             chk.exact_case(ok, (p, s))

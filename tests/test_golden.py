@@ -4,10 +4,11 @@
 recorded once before the depth-column recurrence and the alternating binomial
 sum were merged into single helpers.  This test only reads the file; it never
 rewrites it.  Floats are stored as `float.hex`, complex numbers as a pair of
-them, `Fraction`s as `str` and integers as JSON integers, so a change of value
-or of type shows.  Every entry must match exactly, except `coefficient_bound`,
-which now reads |prefactor| from the shared coefficient stream instead of its
-own real product and is compared at relative 1e-13.
+them, `Fraction`s as `"F:"` plus their `str` and integers as JSON integers,
+so a change of value or of type shows.  Every entry must match exactly, except
+`coefficient_bound`, which now reads |prefactor| from the shared coefficient
+stream instead of its own real product (up to 12 ulp apart on this grid) and
+is compared at relative 1e-13.
 """
 
 import contextlib
@@ -56,7 +57,7 @@ CLI_COMMANDS = (
 
 def encode(value):
     """JSON form that keeps every bit and the type of a result."""
-    if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str):
+    if isinstance(value, (int, str)):  # bool is an int
         return value
     if isinstance(value, float):
         return float.hex(value)
@@ -167,11 +168,6 @@ def _cli_layer():
 
 
 LAYERS = {"exact": _exact_layer, "series": _series_layer, "verify": _verify_layer, "cli": _cli_layer}
-
-
-def collect():
-    """Every recorded output, encoded, by layer."""
-    return {name: {k: encode(v) for k, v in build().items()} for name, build in LAYERS.items()}
 
 
 def _close(recorded, current, rel):

@@ -47,6 +47,18 @@ def test_splitting_full_grid():
     assert report.cases_run > 0
 
 
+def test_splitting_pole_just_past_b_max():
+    # beta + n vanishes at n = 9, one index past b_max = 8: no sum reaches it.
+    report = verify.verify_splitting(betas=[F(-9)])
+    assert report.passed
+    assert report.cases_run == verify.verify_splitting(betas=[F(1)]).cases_run
+
+
+def test_splitting_pole_inside_range_names_it():
+    with pytest.raises(ZeroDivisionError, match=r"n = 2\b"):
+        verify.verify_splitting(betas=[F(-2)])
+
+
 def test_lemma_complex_spot():
     report = verify.verify_lemma_complex()
     assert report.passed
