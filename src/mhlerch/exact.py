@@ -133,7 +133,9 @@ def _depth_columns(x0, depth: int, n0: int = 1, stop: Optional[int] = None):
     in place; copy it to keep a value.  The weight at n is computed only when
     item n is asked for, so a pole of 1/(x0 + n) past the last index taken is
     never reached.  The loop is written out here, not composed from smaller
-    generators, because `series.lerch_accelerated` runs it once per term.
+    generators, because the float evaluators step it once for each new term:
+    `series.zeta_accelerated` on every call, `series.lerch_accelerated` past
+    the terms it keeps for its last (alpha, s).
     """
     col = [1] + [0] * depth
     prefactor = 1

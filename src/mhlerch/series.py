@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator, Tuple
 
 from . import exact
@@ -69,8 +70,8 @@ def _check_tolerance(tol: float) -> float:
 
 
 def _check_max_terms(max_terms: int) -> int:
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
+    if not isinstance(max_terms, int) or max_terms < 1:
+        raise ValueError(f"max_terms must be an integer >= 1, got {max_terms!r}")
     return max_terms
 
 
@@ -231,6 +232,16 @@ def _tail_ratio_sup(abs_alpha: float, p: int, s: int) -> float:
     return first * second
 
 
+#: The term stream of the last (alpha, s) that `lerch_accelerated` was called
+#: with, as the one item (key, terms) of this list: terms[p - 1] is
+#: (c_p, B(p+1), ratio_p) with B the coefficient majorant and ratio_p the
+#: value of `_tail_ratio_sup` at p.  Calls replace the item as a whole and
+#: never rebind the list, so the module's names stay fixed; only the call that
+#: published a terms list appends to it, so a reader never sees a half-built
+#: term.
+_kept_stream = [(None, [])]
+
+
 def lerch_accelerated(
     w: ComplexLike,
     shift: ShiftParam,
@@ -250,6 +261,18 @@ def lerch_accelerated(
     with B the coefficient majorant of `coefficient_bound` and the sup bounded
     as in `_tail_ratio_sup`.  Convergence is declared once this bound is <= tol;
     while rho >= 1 more terms are simply added.
+
+    The terms c_p, B(p+1) and the sup depend on (alpha, s) only, not on w, so
+    the term stream of one pair is kept across calls.  A call on another pair
+    than the last call's keeps nothing; from the second consecutive call on
+    the same (alpha, s) the terms computed are kept, and later calls on that
+    pair sum the kept prefix (one complex multiply-add and the bound test per
+    term) and compute new terms only past it (the depth-column recurrence is
+    stepped again over the prefix to reach its state).  Memory is bounded by
+    one pair: at most the largest `max_terms` used, about 150 bytes a term.
+    The kept stream is safe across threads: a call publishes a fresh list
+    holding the terms it summed and appends to that list alone.  Every result
+    is bit for bit the one a first call gives.
     """
     w = _require_finite(w, "w")
     s = _check_order(s)
@@ -265,12 +288,41 @@ def lerch_accelerated(
     total = 0j
     z_pow = 1 + 0j
     bound = math.inf
-    for p, prefactor, col in exact._depth_columns(alpha, s - 1):
+    key = (alpha, s)
+    kept_key, kept = _kept_stream[0]
+    if kept_key != key:
+        # First call on this pair: record it, keep nothing yet.
+        _kept_stream[0] = (key, [])
+        kept = None
+        columns = exact._depth_columns(alpha, s - 1)
+    else:
+        p = 0
+        for c_p, b_next, ratio in kept:
+            p += 1
+            z_pow *= z
+            total += c_p * z_pow
+            rho = az * ratio
+            if rho < 1.0:
+                bound = b_next * az ** (p + 1) / (1.0 - rho)
+                if bound <= tol:
+                    return SeriesResult(total, p, bound, True)
+            if p >= max_terms:
+                return SeriesResult(total, p, bound if rho < 1.0 else math.inf, False)
+        # Its publisher may still append to `kept`: copy exactly the p terms
+        # summed here, publish the copy, and extend only the copy.
+        kept = kept[:p]
+        _kept_stream[0] = (key, kept)
+        columns = islice(exact._depth_columns(alpha, s - 1), p, None)
+    for p, prefactor, col in columns:
+        c_p = -prefactor * col[s - 1]
         z_pow *= z
-        total += -prefactor * col[s - 1] * z_pow
+        total += c_p * z_pow
         # majorant of |c_{p+1}|, from the running prefactor magnitude
         b_next = abs(prefactor) * p / abs(alpha + p + 1) * ((p + 1) / gap) ** (s - 1)
-        rho = az * _tail_ratio_sup(abs_alpha, p, s)
+        ratio = _tail_ratio_sup(abs_alpha, p, s)
+        if kept is not None:
+            kept.append((c_p, b_next, ratio))
+        rho = az * ratio
         if rho < 1.0:
             bound = b_next * az ** (p + 1) / (1.0 - rho)
             if bound <= tol:

@@ -2,6 +2,11 @@
 
 import cmath
 import math
+import random
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -262,6 +267,141 @@ def test_accelerated_nonconvergence_flag():
 def test_accelerated_rejects_nonfinite():
     with pytest.raises(ValueError):
         series.lerch_accelerated(float("nan"), ShiftParam(0j), 2)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda m: series.lerch_accelerated(-1, ShiftParam(0j), 2, 1e-12, m),
+        lambda m: series.lerch_direct(0.5, ShiftParam(0j), 2, 1e-12, m),
+        lambda m: series.zeta_accelerated(2, 1e-12, m),
+    ],
+    ids=["accelerated", "direct", "zeta"],
+)
+def test_max_terms_must_be_an_integer(evaluate):
+    for bad in (2.5, 3.0, "3", 0, -1):
+        with pytest.raises(ValueError, match="max_terms"):
+            evaluate(bad)
+    assert evaluate(3).terms_used <= 3
+
+
+# ---------------------------------------------------------------------------
+# kept coefficient stream: a call must give the same bits whether or not the
+# stream of its (alpha, s) was kept by earlier calls
+# ---------------------------------------------------------------------------
+
+
+def _forget_stream():
+    # a call on a pair no case below uses replaces the kept stream
+    series.lerch_accelerated(0, ShiftParam(0.25 + 0j), 7)
+
+
+def _cold(call):
+    _forget_stream()
+    w, alpha, s, tol, max_terms = call
+    return repr(series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms))
+
+
+@pytest.mark.parametrize(
+    "earlier, later",
+    [
+        # stops inside the kept prefix, not converged, at the same bound
+        ((-1, 0j, 2, 1e-12, 10000), (-1, 0j, 2, 1e-12, 8)),
+        ((-0.7 + 0.3j, 1.3 + 0.7j, 3, 1e-12, 10000), (-0.7 + 0.3j, 1.3 + 0.7j, 3, 1e-6, 10000)),
+        # the first 48 kept terms have ratio = inf, so the bound is inf there
+        ((-0.5, 50 + 0j, 2, 1e-12, 10000), (-0.5, 50 + 0j, 2, 1e-12, 20)),
+        ((-0.5, 50 + 0j, 2, 1e-12, 10000), (0.3 - 0.2j, 50 + 0j, 2, 1e-6, 10000)),
+        ((-2, 0.5 + 0j, 1, 1e-12, 10000), (0.2 + 1j, 0.5 + 0j, 1, 1e-10, 10000)),
+        # keys that compare equal
+        ((-1, 0.5 + 0j, 2, 1e-12, 10000), (-3 + 1j, complex(0.5, -0.0), 2, 1e-12, 10000)),
+        # the later call needs more terms than are kept and extends them
+        ((-0.2, 1.3 + 0.7j, 3, 1e-6, 10000), (-4 + 2j, 1.3 + 0.7j, 3, 1e-12, 10000)),
+    ],
+)
+def test_kept_stream_gives_cold_bits(earlier, later):
+    expected = _cold(later)
+    _forget_stream()
+    w, alpha, s, tol, max_terms = earlier
+    for _ in range(2):  # the second consecutive call on the pair keeps its terms
+        kept_by = series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)
+    assert series._kept_stream[0][0] == (alpha, s)
+    assert len(series._kept_stream[0][1]) == kept_by.terms_used
+    w, alpha, s, tol, max_terms = later
+    assert repr(series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)) == expected
+
+
+def test_kept_stream_interleaved_pairs_give_cold_bits():
+    calls = [
+        (w, alpha, s, tol, 10000)
+        for w, tol in ((-1, 1e-12), (0.4 + 0.5j, 1e-6), (-6, 1e-12))
+        for alpha, s in ((0.5 + 0j, 2), (-0.5 + 0.5j, 4))
+    ]
+    expected = [_cold(call) for call in calls]
+    _forget_stream()
+    got = [
+        repr(series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms))
+        for w, alpha, s, tol, max_terms in calls
+    ]
+    assert got == expected
+
+
+def test_kept_stream_is_safe_across_threads():
+    # Four threads tabulate the same row of points at the same time, each in
+    # its own shuffled order, one pair after another, so they keep reading,
+    # replacing and extending the one kept stream under each other.  Besides
+    # the short switch interval, a tracer makes a thread nap at random byte
+    # codes of `lerch_accelerated`, so that it can lose the interpreter lock
+    # between any two of them.  Every result must be the serial cold one.
+    rows = []
+    for alpha, s in ((0.5 + 0j, 2), (1.3 + 0.7j, 3), (-0.5 + 0.5j, 4)):
+        zs = [cmath.rect(0.09 * k, 0.9 * k) for k in range(1, 11)]
+        rows.append([(series.disk_to_half_plane(z), alpha, s, 1e-12, 10000) for z in zs])
+    expected = {call: _cold(call) for row in rows for call in row}
+    barrier = threading.Barrier(4, timeout=60)
+    naps = random.Random(0)
+    code = series.lerch_accelerated.__code__
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return nap
+
+    def nap(frame, event, arg):
+        if event == "opcode" and naps.random() < 0.003:
+            time.sleep(1e-4)
+        return nap
+
+    def run(seed):
+        order = random.Random(seed)
+        results = []
+        try:
+            for row in rows * 6:
+                barrier.wait()
+                for call in order.sample(row, len(row)):
+                    w, alpha, s, tol, max_terms = call
+                    result = series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)
+                    results.append((call, repr(result)))
+        except BaseException:
+            barrier.abort()  # release the threads waiting for this one
+            raise
+        return results
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threading.settrace(tracer)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, seed) for seed in range(4)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        threading.settrace(None)
+        sys.setswitchinterval(interval)
+    for result in results:
+        assert len(result) == 6 * sum(map(len, rows))
+        for call, got in result:
+            assert got == expected[call], call
 
 
 # ---------------------------------------------------------------------------
