@@ -14,7 +14,8 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import exact, series, verify
 from .errors import DomainError, InvalidShiftError, PrecisionError
@@ -179,13 +180,11 @@ def _result_payload(result: SeriesResult) -> dict:
 
 def _exact_crosscheck(alpha: Fraction, s: int, p_max: int = 20) -> dict:
     """Compare the float coefficient stream against the exact one at this shift."""
-    shift = ShiftParam(complex(float(alpha)))
-    float_stream = series._coefficient_stream(shift.alpha, s)
-    worst = 0.0
-    for p, c_exact in zip(range(1, p_max + 1), exact.coefficient_stream(alpha, s)):
-        _, c_float, _ = next(float_stream)
-        worst = max(worst, abs(c_float - float(c_exact)) / abs(float(c_exact)))
-    return {"p_max": p_max, "max_rel_err": worst, "ok": worst <= 1e-12}
+    report = verify._coefficient_report(
+        "exact_crosscheck", f"p <= {p_max}, s = {s}", exact.coefficient_stream,
+        (alpha,), (s,), p_max, 1e-12,
+    )
+    return {"p_max": p_max, "max_rel_err": report.worst_residual, "ok": report.passed}
 
 
 def _emit_json(payload, path: Optional[str]) -> None:
@@ -236,6 +235,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_NOT_CONVERGED
 
 
+def _terms_to_reach(
+    partial_sums: Iterable[complex], scale: float, reference: float, tol: float, max_terms: int
+) -> Tuple[int, float]:
+    """(n, error) at the first of the first `max_terms` partial sums whose
+    scaled real part lies within tol of the reference, else at the last."""
+    for n, total in enumerate(islice(partial_sums, max_terms), 1):
+        error = abs(scale * total.real - reference)
+        if error <= tol:
+            break
+    return n, error
+
+
 def bench_rows(
     s_list: Sequence[int],
     tol_list: Sequence[float],
@@ -247,6 +258,10 @@ def bench_rows(
     count partial-sum terms until the error measured against the high-accuracy
     accelerated reference first falls below the tolerance (capped at
     `max_terms`, in which case the row's achieved_error exceeds its tol).
+    Their partial sums, scaled by -1/(1 - 2^{1-s}), are the generators behind
+    `euler_transform_eval` and `alternating_direct`:
+    `series._euler_partial_sums` at z = 1/2 and
+    `series._alternating_partial_sums` at alpha = 0.
 
     The `euler_transform` and `direct_alternating` counts are measured against
     a reference certified only to `REFERENCE_TOL`, so a count near the
@@ -257,12 +272,11 @@ def bench_rows(
     """
     rows: List[ConvergenceRow] = []
     notes: List[str] = []
-    shift = ShiftParam(0j)
     for s in s_list:
         if s < 2:
             notes.append(f"s={s} omitted: zeta(s) series needs s >= 2 (s = 1 is the pole)")
             continue
-        factor = 1.0 / (1.0 - 2.0 ** (1 - s))
+        scale = -1.0 / (1.0 - 2.0 ** (1 - s))
         reference = series.zeta_accelerated(s, REFERENCE_TOL, max(max_terms, 10000)).value.real
         for tol in tol_list:
             accelerated = series.zeta_accelerated(s, tol, max_terms)
@@ -272,27 +286,11 @@ def bench_rows(
                     accelerated.terms_used, abs(accelerated.value.real - reference),
                 )
             )
-
-            total = 0.0
-            z_pow = 1.0
-            error = None
-            for p in range(1, max_terms + 1):
-                z_pow *= 0.5
-                total += z_pow * series.euler_inner_sum(p, shift, s).real
-                error = abs(-factor * total - reference)
-                if error <= tol:
-                    break
+            euler = series._euler_partial_sums(0.5, 0j, s)
+            p, error = _terms_to_reach(euler, scale, reference, tol, max_terms)
             rows.append(ConvergenceRow("euler_transform", s, 0.5, 0.0, tol, p, error))
-
-            partial = 0.0
-            sign = -1.0
-            error = None
-            for n in range(1, max_terms + 1):
-                partial += sign / float(n) ** s
-                sign = -sign
-                error = abs(-factor * partial - reference)
-                if error <= tol:
-                    break
+            alternating = series._alternating_partial_sums(0.0, s)
+            n, error = _terms_to_reach(alternating, scale, reference, tol, max_terms)
             rows.append(ConvergenceRow("direct_alternating", s, -1.0, 0.0, tol, n, error))
 
     rows.sort(key=lambda r: (r.method, r.s, r.tol))

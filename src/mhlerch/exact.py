@@ -52,15 +52,16 @@ RationalLike = Union[Fraction, int]
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
+def _check_count(value: int, name: str, low: int = 1) -> None:
+    # A float index passes a comparison but is never met by a loop's integers.
+    if not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _check_beta(beta: Fraction) -> None:
     # beta must avoid {0, -1, -2, ...}: there the denominators beta + m vanish.
     if beta.denominator == 1 and beta <= 0:
         raise InvalidShiftError(f"beta = {beta} is a nonpositive integer")
-
-
-def _check_alpha(alpha: Fraction) -> None:
-    # alpha must avoid {-1, -2, ...} (equivalently beta = alpha + 1 is valid).
-    _check_beta(alpha + 1)
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,8 @@ class LemmaParams:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.q < 0:
-            raise ValueError(f"q must be >= 0, got {self.q}")
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
+        _check_count(self.q, "q", 0)
+        _check_count(self.s, "s")
         _check_beta(self.beta)
 
 
@@ -91,10 +90,9 @@ class MultiSumSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", Fraction(self.beta))
-        if not 0 <= self.a <= self.b:
-            raise ValueError(f"need 0 <= a <= b, got a={self.a}, b={self.b}")
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
+        _check_count(self.a, "a", 0)
+        _check_count(self.b, "b", self.a)
+        _check_count(self.t, "t", 0)
         if self.beta.denominator == 1 and self.a <= -self.beta <= self.b:
             raise ZeroDivisionError(
                 f"beta + n vanishes at n = {-self.beta} in [{self.a}, {self.b}]"
@@ -103,8 +101,7 @@ class MultiSumSpec:
 
 def pochhammer(x: RationalLike, p: int) -> Fraction:
     """Rising product x (x+1) ... (x+p-1); the empty product (p = 0) is 1."""
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
+    _check_count(p, "p", 0)
     x = Fraction(x)
     out = Fraction(1)
     for j in range(p):
@@ -114,8 +111,7 @@ def pochhammer(x: RationalLike, p: int) -> Fraction:
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) with the convention that out-of-range k (k < 0 or k > n) gives 0."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_count(n, "n", 0)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -211,8 +207,7 @@ def coefficient_exact(p: int, alpha: RationalLike, s: int) -> Fraction:
 
     Strictly negative for rational alpha > -1.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_count(p, "p")
     return next(islice(coefficient_stream(alpha, s), p - 1, None))
 
 
@@ -225,8 +220,7 @@ def alternating_coefficient_sum(p: int, alpha: RationalLike, s: int) -> Fraction
     but is computed by the alternating route, so the two form an exact
     cross-check of the identity.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_count(p, "p")
     return -lemma_lhs(LemmaParams(p - 1, s, Fraction(alpha) + 1))
 
 
@@ -236,10 +230,9 @@ def coefficient_stream(alpha: RationalLike, s: int) -> Iterator[Fraction]:
     Amortises the prefactor and the depth column across successive p, so a
     whole prefix costs O(p_max * s) rational operations instead of O(p_max^2 * s).
     """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    _check_count(s, "s")
     alpha = Fraction(alpha)
-    _check_alpha(alpha)
+    _check_beta(alpha + 1)  # alpha must avoid {-1, -2, ...}
     for _, prefactor, col in _depth_columns(alpha, s - 1):
         yield -prefactor * col[s - 1]
 

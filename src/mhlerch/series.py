@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator, Tuple
 
 from . import exact
@@ -54,12 +54,6 @@ def _require_finite(value, name: str) -> complex:
     return z
 
 
-def _check_order(s: int) -> int:
-    if not isinstance(s, int) or s < 1:
-        raise ValueError(f"order s must be an integer >= 1, got {s!r}")
-    return s
-
-
 def _check_tolerance(tol: float) -> float:
     tol = float(tol)
     if not math.isfinite(tol) or tol <= 0.0:
@@ -67,12 +61,6 @@ def _check_tolerance(tol: float) -> float:
     if tol < MIN_TOL:
         raise PrecisionError(f"tolerance {tol} is below the binary64 floor {MIN_TOL}")
     return tol
-
-
-def _check_max_terms(max_terms: int) -> int:
-    if not isinstance(max_terms, int) or max_terms < 1:
-        raise ValueError(f"max_terms must be an integer >= 1, got {max_terms!r}")
-    return max_terms
 
 
 def shift_gap(alpha: ComplexLike) -> float:
@@ -151,9 +139,9 @@ def lerch_direct(
     falls below `tol`, or at `max_terms` with converged = False.
     """
     w = _require_finite(w, "w")
-    s = _check_order(s)
+    exact._check_count(s, "order s")
     tol = _check_tolerance(tol)
-    max_terms = _check_max_terms(max_terms)
+    exact._check_count(max_terms, "max_terms")
     aw = abs(w)
     if aw >= 1.0:
         raise DomainError(f"|w| must be < 1 for the direct series, got |w| = {aw}")
@@ -171,19 +159,23 @@ def lerch_direct(
     return SeriesResult(total, max_terms, bound, False)
 
 
+def _alternating_partial_sums(alpha, s: int) -> Iterator[complex]:
+    """Yield sum_{n=1}^{N} (-1)^n / (alpha + n)^s for N = 1, 2, ...; the
+    powers are taken in the number type of alpha."""
+    total = 0j
+    sign = -1.0
+    for n in count(1):
+        total += sign / (alpha + n) ** s
+        sign = -sign
+        yield total
+
+
 def alternating_direct(shift: ShiftParam, s: int, n_terms: int) -> complex:
     """Partial sum sum_{n=1}^{N} (-1)^n / (alpha + n)^s (the n = 1 term is
     negative).  Slow baseline for the boundary point w = -1."""
-    s = _check_order(s)
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    alpha = shift.alpha
-    total = 0j
-    sign = -1.0
-    for n in range(1, n_terms + 1):
-        total += sign / (alpha + n) ** s
-        sign = -sign
-    return total
+    exact._check_count(s, "order s")
+    exact._check_count(n_terms, "n_terms")
+    return next(islice(_alternating_partial_sums(shift.alpha, s), n_terms - 1, None))
 
 
 def _coefficient_stream(alpha: complex, s: int) -> Iterator[Tuple[int, complex, float]]:
@@ -200,19 +192,16 @@ def _coefficient_stream(alpha: complex, s: int) -> Iterator[Tuple[int, complex, 
 def coefficient_float(p: int, shift: ShiftParam, s: int) -> complex:
     """Binary64 value of the series coefficient c_p (same recurrence as the
     exact layer, prefactor carried as a running ratio)."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    s = _check_order(s)
-    for q, c_q, _ in _coefficient_stream(shift.alpha, s):
-        if q == p:
-            return c_q
+    exact._check_count(p, "p")
+    exact._check_count(s, "order s")
+    _, c_p, _ = next(islice(_coefficient_stream(shift.alpha, s), p - 1, None))
+    return c_p
 
 
 def coefficient_bound(p: int, shift: ShiftParam, s: int) -> float:
     """Coefficient majorant (p-1)!/prod_{j<=p}|alpha+j| * (p/C(alpha))^{s-1}."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    s = _check_order(s)
+    exact._check_count(p, "p")
+    exact._check_count(s, "order s")
     *_, (_, prefactor, _) = exact._depth_columns(shift.alpha, 0, 1, p)
     return abs(prefactor) * (p / shift.gap) ** (s - 1)
 
@@ -275,9 +264,9 @@ def lerch_accelerated(
     is bit for bit the one a first call gives.
     """
     w = _require_finite(w, "w")
-    s = _check_order(s)
+    exact._check_count(s, "order s")
     tol = _check_tolerance(tol)
-    max_terms = _check_max_terms(max_terms)
+    exact._check_count(max_terms, "max_terms")
     if w.real >= 0.5:
         raise DomainError(f"Re(w) must be < 1/2, got Re(w) = {w.real}")
     z = w / (w - 1)
@@ -341,35 +330,38 @@ def euler_inner_sum(p: int, shift: ShiftParam, s: int) -> complex:
     grow like 2^p, so binary64 agreement degrades beyond p ~ 16; the exact
     layer carries the deep version of this check.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    s = _check_order(s)
+    exact._check_count(p, "p")
+    exact._check_count(s, "order s")
     return exact._alternating_sum(shift.alpha, 1, p - 1, s, sign=-1)
+
+
+def _euler_partial_sums(z, alpha, s: int) -> Iterator[complex]:
+    """Yield the double sum sum_{p<=P} z^p * (inner binomial sum at p) for
+    P = 1, 2, ..., each inner sum computed independently."""
+    total = 0j
+    z_pow = 1 + 0j
+    for p in count(1):
+        z_pow *= z
+        total += z_pow * exact._alternating_sum(alpha, 1, p - 1, s, sign=-1)
+        yield total
 
 
 def euler_transform_eval(z: ComplexLike, shift: ShiftParam, s: int, P: int) -> complex:
     """Truncation at p = P of the double sum sum_p z^p * (inner binomial sum),
     each inner sum computed independently."""
     z = _require_finite(z, "z")
-    s = _check_order(s)
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
+    exact._check_count(s, "order s")
+    exact._check_count(P, "P")
     if abs(z) >= 1.0:
         raise DomainError(f"|z| must be < 1, got |z| = {abs(z)}")
-    total = 0j
-    z_pow = 1 + 0j
-    for p in range(1, P + 1):
-        z_pow *= z
-        total += z_pow * euler_inner_sum(p, shift, s)
-    return total
+    return next(islice(_euler_partial_sums(z, shift.alpha, s), P - 1, None))
 
 
 def ap_coefficient(p: int, s: int) -> float:
     """Harmonic tuple coefficient a_p = sum over nondecreasing (s-1)-tuples in
     [1, p] of prod_r 1/i_r; a_p = 1 for s = 1."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    s = _check_order(s)
+    exact._check_count(p, "p")
+    exact._check_count(s, "order s")
     *_, (_, _, col) = exact._depth_columns(0, s - 1, 1, p)
     return float(col[s - 1])
 
@@ -391,7 +383,7 @@ def zeta_accelerated(
     if not isinstance(s, int) or s < 2:
         raise DomainError(f"zeta series needs integer s >= 2, got {s!r} (s = 1 is the pole)")
     tol = _check_tolerance(tol)
-    max_terms = _check_max_terms(max_terms)
+    exact._check_count(max_terms, "max_terms")
     factor = 1.0 / (1.0 - 2.0 ** (1 - s))
     total = 0.0
     for p, _, col in exact._depth_columns(0, s - 1):

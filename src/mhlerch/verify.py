@@ -16,7 +16,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import count
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import exact, series
 from .series import ShiftParam
@@ -75,9 +76,9 @@ class VerificationReport:
 
     identity_name: str
     grid_description: str
-    cases_run: int
-    cases_failed: int
-    worst_residual: float
+    cases_run: int = 0
+    cases_failed: int = 0
+    worst_residual: float = 0.0
     failing_cases: List[tuple] = field(default_factory=list)
 
     @property
@@ -97,6 +98,21 @@ class VerificationReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
+    def _exact_case(self, ok: bool, params: tuple, residual: Fraction = Fraction(0)) -> None:
+        # An exact check passes with residual 0, so only failures move the worst.
+        self.cases_run += 1
+        if not ok:
+            self.cases_failed += 1
+            self.failing_cases.append(params)
+            self.worst_residual = max(self.worst_residual, abs(float(residual)))
+
+    def _float_case(self, residual: float, tol: float, params: tuple) -> None:
+        self.cases_run += 1
+        self.worst_residual = max(self.worst_residual, residual)
+        if not residual <= tol:
+            self.cases_failed += 1
+            self.failing_cases.append(params)
+
 
 def merge_reports(
     reports: Sequence[VerificationReport], name: Optional[str] = None
@@ -115,37 +131,6 @@ def merge_reports(
     )
 
 
-class _Check:
-    """Accumulates case outcomes for one report."""
-
-    def __init__(self, name: str, grid: str):
-        self.name = name
-        self.grid = grid
-        self.run = 0
-        self.failed = 0
-        self.worst = 0.0
-        self.failing: List[tuple] = []
-
-    def exact_case(self, ok: bool, params: tuple, residual: Fraction = Fraction(0)):
-        self.run += 1
-        if not ok:
-            self.failed += 1
-            self.failing.append(params)
-            self.worst = max(self.worst, abs(float(residual)))
-
-    def float_case(self, residual: float, tol: float, params: tuple):
-        self.run += 1
-        self.worst = max(self.worst, residual)
-        if not residual <= tol:
-            self.failed += 1
-            self.failing.append(params)
-
-    def report(self) -> VerificationReport:
-        return VerificationReport(
-            self.name, self.grid, self.run, self.failed, self.worst, self.failing
-        )
-
-
 def float_residual(value: complex, reference: complex) -> float:
     """Absolute difference for |reference| <= 1, relative otherwise."""
     diff = abs(value - reference)
@@ -153,10 +138,8 @@ def float_residual(value: complex, reference: complex) -> float:
     return diff if magnitude <= 1.0 else diff / magnitude
 
 
-def _betas(betas: Optional[Iterable[Fraction]]) -> Tuple[Fraction, ...]:
-    if betas is None:
-        return DEFAULT_BETAS
-    return tuple(Fraction(b) for b in betas)
+def _rationals(values: Optional[Iterable], default: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
+    return default if values is None else tuple(Fraction(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +153,16 @@ def verify_lemma(
     betas: Optional[Iterable[Fraction]] = None,
 ) -> VerificationReport:
     """L(q, beta) = R(q, beta) exactly on the full (q, s, beta) grid."""
-    betas = _betas(betas)
-    chk = _Check("lemma", f"q <= {q_max}, s <= {s_max}, {len(betas)} betas")
+    betas = _rationals(betas, DEFAULT_BETAS)
+    report = VerificationReport("lemma", f"q <= {q_max}, s <= {s_max}, {len(betas)} betas")
     for q in range(q_max + 1):
         for s in range(1, s_max + 1):
             for beta in betas:
                 params = exact.LemmaParams(q, s, beta)
                 lhs = exact.lemma_lhs(params)
                 rhs = exact.lemma_rhs(params)
-                chk.exact_case(lhs == rhs, (q, s, beta), lhs - rhs)
-    return chk.report()
+                report._exact_case(lhs == rhs, (q, s, beta), lhs - rhs)
+    return report
 
 
 def verify_base_cases(
@@ -191,14 +174,14 @@ def verify_base_cases(
         L(1, beta) = 1/beta^s - 1/(beta+1)^s
                    = 1/(beta (beta+1)) * sum_{u+v=s-1} beta^{-u} (beta+1)^{-v}.
     """
-    betas = _betas(betas)
-    chk = _Check("lemma_base_cases", f"q in {{0, 1}}, s <= {s_max}, {len(betas)} betas")
+    betas = _rationals(betas, DEFAULT_BETAS)
+    report = VerificationReport("lemma_base_cases", f"q in {{0, 1}}, s <= {s_max}, {len(betas)} betas")
     for s in range(1, s_max + 1):
         for beta in betas:
             p0 = exact.LemmaParams(0, s, beta)  # validates beta before any division
             closed0 = 1 / beta**s
             ok0 = exact.lemma_lhs(p0) == closed0 == exact.lemma_rhs(p0)
-            chk.exact_case(ok0, (0, s, beta))
+            report._exact_case(ok0, (0, s, beta))
 
             p1 = exact.LemmaParams(1, s, beta)
             difference = 1 / beta**s - 1 / (beta + 1) ** s
@@ -207,12 +190,12 @@ def verify_base_cases(
                 Fraction(0),
             ) / (beta * (beta + 1))
             ok1 = exact.lemma_lhs(p1) == difference == middle == exact.lemma_rhs(p1)
-            chk.exact_case(ok1, (1, s, beta))
-    return chk.report()
+            report._exact_case(ok1, (1, s, beta))
+    return report
 
 
 def _step_check(
-    chk: _Check, side, qs: Iterable[int], s_max: int, betas: Tuple[Fraction, ...]
+    report: VerificationReport, side, qs: Iterable[int], s_max: int, betas: Tuple[Fraction, ...]
 ) -> VerificationReport:
     """side(q+1, beta) = side(q, beta) - side(q, beta+1) exactly, for q in qs."""
     for q in qs:
@@ -220,8 +203,8 @@ def _step_check(
             for beta in betas:
                 lhs = side(exact.LemmaParams(q + 1, s, beta))
                 rhs = side(exact.LemmaParams(q, s, beta)) - side(exact.LemmaParams(q, s, beta + 1))
-                chk.exact_case(lhs == rhs, (q, s, beta), lhs - rhs)
-    return chk.report()
+                report._exact_case(lhs == rhs, (q, s, beta), lhs - rhs)
+    return report
 
 
 def verify_recurrence_L(
@@ -230,9 +213,9 @@ def verify_recurrence_L(
     betas: Optional[Iterable[Fraction]] = None,
 ) -> VerificationReport:
     """L(q+1, beta) = L(q, beta) - L(q, beta+1) exactly, for 0 <= q <= q_max."""
-    betas = _betas(betas)
-    chk = _Check("recurrence_L", f"step q <= {q_max}, s <= {s_max}, {len(betas)} betas")
-    return _step_check(chk, exact.lemma_lhs, range(q_max + 1), s_max, betas)
+    betas = _rationals(betas, DEFAULT_BETAS)
+    report = VerificationReport("recurrence_L", f"step q <= {q_max}, s <= {s_max}, {len(betas)} betas")
+    return _step_check(report, exact.lemma_lhs, range(q_max + 1), s_max, betas)
 
 
 def verify_recurrence_R(
@@ -245,9 +228,9 @@ def verify_recurrence_R(
     The q = 0 step also holds but is asserted separately by
     `verify_recurrence_R_base` (the recurrence is only claimed from q = 1).
     """
-    betas = _betas(betas)
-    chk = _Check("recurrence_R", f"step 1 <= q <= {q_max}, s <= {s_max}, {len(betas)} betas")
-    return _step_check(chk, exact.lemma_rhs, range(1, q_max + 1), s_max, betas)
+    betas = _rationals(betas, DEFAULT_BETAS)
+    report = VerificationReport("recurrence_R", f"step 1 <= q <= {q_max}, s <= {s_max}, {len(betas)} betas")
+    return _step_check(report, exact.lemma_rhs, range(1, q_max + 1), s_max, betas)
 
 
 def verify_recurrence_R_base(
@@ -255,9 +238,9 @@ def verify_recurrence_R_base(
     betas: Optional[Iterable[Fraction]] = None,
 ) -> VerificationReport:
     """R(1, beta) = R(0, beta) - R(0, beta+1): the unclaimed q = 0 step."""
-    betas = _betas(betas)
-    chk = _Check("recurrence_R_q0", f"q = 0, s <= {s_max}, {len(betas)} betas")
-    return _step_check(chk, exact.lemma_rhs, [0], s_max, betas)
+    betas = _rationals(betas, DEFAULT_BETAS)
+    report = VerificationReport("recurrence_R_q0", f"q = 0, s <= {s_max}, {len(betas)} betas")
+    return _step_check(report, exact.lemma_rhs, [0], s_max, betas)
 
 
 def verify_splitting(
@@ -274,8 +257,8 @@ def verify_splitting(
     one depth column per start a; ZeroDivisionError names an n in [0, b_max]
     at which beta + n vanishes.
     """
-    betas = _betas(betas)
-    chk = _Check(
+    betas = _rationals(betas, DEFAULT_BETAS)
+    report = VerificationReport(
         "splitting", f"0 <= a <= b < c <= {b_max}, t <= {t_max}, {len(betas)} betas"
     )
 
@@ -295,7 +278,7 @@ def verify_splitting(
                             (S[a, b][u] * S[b + 1, c][t - u] for u in range(t + 1)),
                             Fraction(0),
                         )
-                        chk.exact_case(lhs == rhs, ("two", a, b, c, t, beta), lhs - rhs)
+                        report._exact_case(lhs == rhs, ("two", a, b, c, t, beta), lhs - rhs)
             for a in range(1, b_max):
                 for b in range(a, b_max):
                     f_lo = Fraction(1) / (beta + a - 1)
@@ -306,8 +289,8 @@ def verify_splitting(
                         for v in range(t + 1 - u):
                             w = t - u - v
                             rhs += f_lo**u * S[a, b][v] * f_hi**w
-                    chk.exact_case(lhs == rhs, ("three", a, b, t, beta), lhs - rhs)
-    return chk.report()
+                    report._exact_case(lhs == rhs, ("three", a, b, t, beta), lhs - rhs)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +309,7 @@ def verify_lemma_complex(
     The exact layer only covers rational beta; this closes the gap.  q stays
     small because the alternating sum loses ~2^q of precision to cancellation.
     """
-    chk = _Check("lemma_complex_spot", f"q <= {q_max}, s <= {s_max}, complex betas")
+    report = VerificationReport("lemma_complex_spot", f"q <= {q_max}, s <= {s_max}, complex betas")
     for beta in betas:
         for q in range(q_max + 1):
             for s in range(1, s_max + 1):
@@ -336,8 +319,8 @@ def verify_lemma_complex(
                     rising *= beta + j
                 *_, (_, _, col) = exact._depth_columns(beta, s - 1, 0, q)
                 rhs = math.factorial(q) / rising * col[s - 1]
-                chk.float_case(float_residual(lhs, rhs), tol, (q, s, beta))
-    return chk.report()
+                report._float_case(float_residual(lhs, rhs), tol, (q, s, beta))
+    return report
 
 
 def verify_proposition(
@@ -355,7 +338,7 @@ def verify_proposition(
     for z in z_grid:
         if abs(z) > 0.4:
             raise ValueError(f"z grid point {z} has |z| > 0.4")
-    chk = _Check(
+    report = VerificationReport(
         "proposition_oracle",
         f"{len(z_grid)} z points (|z| <= 0.4), {len(shifts)} shifts, s <= {s_max}",
     )
@@ -366,8 +349,26 @@ def verify_proposition(
                 accelerated = series.lerch_accelerated(w, shift, s, tol=1e-12)
                 direct = series.lerch_direct(w, shift, s, tol=1e-12)
                 residual = abs(accelerated.value - direct.value)
-                chk.float_case(residual, tol, (z, shift.alpha, s))
-    return chk.report()
+                report._float_case(residual, tol, (z, shift.alpha, s))
+    return report
+
+
+def _coefficient_report(
+    name: str, grid: str, exact_values: Callable[[Fraction, int], Iterable],
+    alphas: Iterable[Fraction], orders: Iterable[int], p_max: int, rel_tol: float,
+) -> VerificationReport:
+    """The float c_p against the p-th item of `exact_values(alpha, s)`,
+    relative, as one case (p, alpha, s) per p <= p_max, alpha and s in orders."""
+    report = VerificationReport(name, grid)
+    for alpha in alphas:
+        shift = ShiftParam(complex(float(alpha)))
+        for s in orders:
+            exact_stream = exact_values(alpha, s)
+            float_stream = series._coefficient_stream(shift.alpha, s)
+            for p, c_exact, (_, c_float, _) in zip(range(1, p_max + 1), exact_stream, float_stream):
+                c_exact = float(c_exact)
+                report._float_case(abs(c_float - c_exact) / abs(c_exact), rel_tol, (p, alpha, s))
+    return report
 
 
 def verify_coefficient_consistency(
@@ -377,22 +378,12 @@ def verify_coefficient_consistency(
     rel_tol: float = 1e-12,
 ) -> VerificationReport:
     """coefficient_float against coefficient_exact (relative, rational shifts)."""
-    alphas = tuple(Fraction(a) for a in alphas) if alphas is not None else DEFAULT_ALPHAS
-    chk = _Check(
+    alphas = _rationals(alphas, DEFAULT_ALPHAS)
+    return _coefficient_report(
         "coefficient_consistency",
         f"p <= {p_max}, s <= {s_max}, {len(alphas)} rational alphas",
+        exact.coefficient_stream, alphas, range(1, s_max + 1), p_max, rel_tol,
     )
-    for alpha in alphas:
-        shift = ShiftParam(complex(float(alpha)))
-        for s in range(1, s_max + 1):
-            exact_stream = exact.coefficient_stream(alpha, s)
-            float_stream = series._coefficient_stream(shift.alpha, s)
-            for p in range(1, p_max + 1):
-                c_exact = float(next(exact_stream))
-                _, c_float, _ = next(float_stream)
-                rel = abs(c_float - c_exact) / abs(c_exact)
-                chk.float_case(rel, rel_tol, (p, alpha, s))
-    return chk.report()
 
 
 def verify_euler_inner_sums(
@@ -408,21 +399,16 @@ def verify_euler_inner_sums(
     a 1e-12 comparison by p ~ 20); the float side is the product-form
     coefficient.  This is the numeric shadow of the L = R identity.
     """
-    alphas = tuple(Fraction(a) for a in alphas) if alphas is not None else DEFAULT_ALPHAS
-    chk = _Check(
+    alphas = _rationals(alphas, DEFAULT_ALPHAS)
+
+    def inner_sums(alpha, s):
+        return (exact.alternating_coefficient_sum(p, alpha, s) for p in count(1))
+
+    return _coefficient_report(
         "euler_inner_consistency",
         f"p <= {p_max}, s <= {s_max}, {len(alphas)} rational alphas",
+        inner_sums, alphas, range(1, s_max + 1), p_max, rel_tol,
     )
-    for alpha in alphas:
-        shift = ShiftParam(complex(float(alpha)))
-        for s in range(1, s_max + 1):
-            float_stream = series._coefficient_stream(shift.alpha, s)
-            for p in range(1, p_max + 1):
-                inner = float(exact.alternating_coefficient_sum(p, alpha, s))
-                _, c_float, _ = next(float_stream)
-                rel = abs(inner - c_float) / abs(inner)
-                chk.float_case(rel, rel_tol, (p, alpha, s))
-    return chk.report()
 
 
 def verify_coefficient_bound(
@@ -433,7 +419,7 @@ def verify_coefficient_bound(
 ) -> VerificationReport:
     """|c_p| <= coefficient majorant * (1 + slack) across the shift grid."""
     shifts = tuple(shifts) if shifts is not None else tuple(ShiftParam(a) for a in DEFAULT_SHIFTS)
-    chk = _Check(
+    report = VerificationReport(
         "coefficient_bound", f"p <= {p_max}, s <= {s_max}, {len(shifts)} shifts"
     )
     for shift in shifts:
@@ -443,21 +429,21 @@ def verify_coefficient_bound(
                 _, c_p, prefactor_abs = next(stream)
                 bound = prefactor_abs * (p / shift.gap) ** (s - 1)
                 excess = abs(c_p) / bound - 1.0 if bound > 0 else math.inf
-                chk.float_case(max(excess, 0.0), slack, (p, shift.alpha, s))
-    return chk.report()
+                report._float_case(max(excess, 0.0), slack, (p, shift.alpha, s))
+    return report
 
 
 def verify_ap_bound(p_max: int = DEFAULT_P_MAX_FLOAT, s_max: int = 6) -> VerificationReport:
     """0 < a_p <= (1 + ln p)^{s-1}, and a_p nondecreasing in p."""
-    chk = _Check("ap_bound", f"p <= {p_max}, s <= {s_max}")
+    report = VerificationReport("ap_bound", f"p <= {p_max}, s <= {s_max}")
     for s in range(1, s_max + 1):
         previous = 0.0
         for p, _, col in exact._depth_columns(0, s - 1, 1, p_max):
             a_p = col[s - 1]
             ok = 0.0 < a_p <= (1.0 + math.log(p)) ** (s - 1) and a_p >= previous
-            chk.exact_case(ok, (p, s))
+            report._exact_case(ok, (p, s))
             previous = a_p
-    return chk.report()
+    return report
 
 
 def verify_sondow_form(
@@ -469,25 +455,51 @@ def verify_sondow_form(
     the accelerated evaluator at w = -1 and with -(1 - 2^{1-s}) zeta(s)
     (with -ln 2 as the s = 1 reference)."""
     shift = ShiftParam(0j)
-    chk = _Check("sondow_special_case", f"s <= {s_max}, P = {P}, alpha = 0, z = 1/2")
+    report = VerificationReport("sondow_special_case", f"s <= {s_max}, P = {P}, alpha = 0, z = 1/2")
     for s in range(1, s_max + 1):
         euler = series.euler_transform_eval(0.5, shift, s, P)
         accelerated = series.lerch_accelerated(-1.0, shift, s, tol=1e-12)
-        chk.float_case(float_residual(euler, accelerated.value), tol, ("euler=accel", s))
+        report._float_case(float_residual(euler, accelerated.value), tol, ("euler=accel", s))
         if s == 1:
             reference = -math.log(2.0)
         else:
             zeta = series.zeta_accelerated(s, tol=1e-12)
             reference = -(1.0 - 2.0 ** (1 - s)) * zeta.value.real
-        chk.float_case(float_residual(euler, reference), tol, ("euler=zeta-ref", s))
-    return chk.report()
+        report._float_case(float_residual(euler, reference), tol, ("euler=zeta-ref", s))
+    return report
 
 
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = ("lemma", "recurrences", "splitting", "proposition", "bounds", "sondow")
+#: Each suite's checks, in report order, with the `run_suite` overrides that
+#: each check takes; an override not given leaves the check's own default.
+SUITES: Dict[str, Tuple[Tuple[Callable[..., VerificationReport], Tuple[str, ...]], ...]] = {
+    "lemma": (
+        (verify_base_cases, ("s_max", "betas")),
+        (verify_lemma, ("q_max", "s_max", "betas")),
+        (verify_lemma_complex, ("s_max",)),
+    ),
+    "recurrences": (
+        (verify_recurrence_L, ("q_max", "s_max", "betas")),
+        (verify_recurrence_R, ("q_max", "s_max", "betas")),
+        (verify_recurrence_R_base, ("s_max", "betas")),
+    ),
+    "splitting": ((verify_splitting, ("betas",)),),
+    "proposition": (
+        (verify_proposition, ("s_max", "tol")),
+        (verify_coefficient_consistency, ("p_max", "s_max")),
+        (verify_euler_inner_sums, ("p_max", "s_max")),
+    ),
+    "bounds": (
+        (verify_coefficient_bound, ("p_max", "s_max")),
+        (verify_ap_bound, ("p_max", "s_max")),
+    ),
+    "sondow": ((verify_sondow_form, ("s_max", "tol")),),
+}
+
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(
@@ -499,43 +511,16 @@ def run_suite(
     tol: Optional[float] = None,
 ) -> List[VerificationReport]:
     """Run one named suite with optional grid overrides."""
-
-    def pick(value, default):
-        return default if value is None else value
-
-    if name == "lemma":
-        return [
-            verify_base_cases(pick(s_max, DEFAULT_S_MAX), betas),
-            verify_lemma(pick(q_max, DEFAULT_Q_MAX), pick(s_max, DEFAULT_S_MAX), betas),
-            verify_lemma_complex(s_max=pick(s_max, 4)),
-        ]
-    if name == "recurrences":
-        return [
-            verify_recurrence_L(pick(q_max, DEFAULT_STEP_Q_MAX), pick(s_max, DEFAULT_S_MAX), betas),
-            verify_recurrence_R(pick(q_max, DEFAULT_STEP_Q_MAX), pick(s_max, DEFAULT_S_MAX), betas),
-            verify_recurrence_R_base(pick(s_max, DEFAULT_S_MAX), betas),
-        ]
-    if name == "splitting":
-        return [verify_splitting(betas=betas)]
-    if name == "proposition":
-        return [
-            verify_proposition(s_max=pick(s_max, 3), tol=pick(tol, DEFAULT_FLOAT_TOL)),
-            verify_coefficient_consistency(pick(p_max, DEFAULT_P_MAX_EXACT), None, pick(s_max, DEFAULT_S_MAX)),
-            verify_euler_inner_sums(pick(p_max, DEFAULT_P_MAX_INNER), None, pick(s_max, DEFAULT_S_MAX)),
-        ]
-    if name == "bounds":
-        return [
-            verify_coefficient_bound(pick(p_max, DEFAULT_P_MAX_FLOAT), None, pick(s_max, 6)),
-            verify_ap_bound(pick(p_max, DEFAULT_P_MAX_FLOAT), pick(s_max, 6)),
-        ]
-    if name == "sondow":
-        return [verify_sondow_form(pick(s_max, DEFAULT_S_MAX), tol=pick(tol, DEFAULT_FLOAT_TOL))]
+    given = dict(q_max=q_max, s_max=s_max, p_max=p_max, betas=betas, tol=tol)
+    given = {key: value for key, value in given.items() if value is not None}
     if name == "all":
-        out: List[VerificationReport] = []
-        for suite in SUITE_NAMES:
-            out.extend(run_suite(suite, q_max, s_max, p_max, betas, tol))
-        return out
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
+        return [report for suite in SUITES for report in run_suite(suite, **given)]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
+    return [
+        check(**{key: given[key] for key in takes if key in given})
+        for check, takes in SUITES[name]
+    ]
 
 
 def lemma_proof_coverage(reports: Sequence[VerificationReport]) -> Dict[str, bool]:

@@ -214,6 +214,25 @@ def test_lemma_params_validation():
     exact.LemmaParams(0, 1, F(-1, 2))  # non-integer negatives are fine
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: exact.LemmaParams(2.5, 2, 1), "q"),
+        (lambda: exact.LemmaParams(2, 2.5, 1), "s"),
+        (lambda: exact.LemmaParams(F(2), 2, 1), "q"),
+        (lambda: exact.MultiSumSpec(0.5, 2, 1, 1), "a"),
+        (lambda: exact.MultiSumSpec(0, 2.5, 1, 1), "b"),
+        (lambda: exact.MultiSumSpec(0, 2, 1.0, 1), "t"),
+    ],
+    ids=["LemmaParams.q", "LemmaParams.s", "LemmaParams.q-Fraction", "MultiSumSpec.a",
+         "MultiSumSpec.b", "MultiSumSpec.t"],
+)
+def test_non_integer_indices_are_rejected_at_construction(make, name):
+    # Accepted before, they failed later inside a sum with a bare TypeError.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        make()
+
+
 @settings(max_examples=40)
 @given(
     beta=rationals,

@@ -285,6 +285,28 @@ def test_max_terms_must_be_an_integer(evaluate):
     assert evaluate(3).terms_used <= 3
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda n: series.coefficient_float(n, ShiftParam(0j), 2), "p"),
+        (lambda n: series.coefficient_bound(n, ShiftParam(0j), 2), "p"),
+        (lambda n: series.euler_inner_sum(n, ShiftParam(0j), 2), "p"),
+        (lambda n: series.ap_coefficient(n, 2), "p"),
+        (lambda n: series.euler_transform_eval(0.5, ShiftParam(0j), 2, n), "P"),
+        (lambda n: series.alternating_direct(ShiftParam(0j), 2, n), "n_terms"),
+    ],
+    ids=["coefficient_float", "coefficient_bound", "euler_inner_sum", "ap_coefficient",
+         "euler_transform_eval", "alternating_direct"],
+)
+def test_index_and_count_arguments_must_be_integers(call, name):
+    # A float index used to be compared with the loop's integers and never met
+    # (coefficient_float(2.5, ...) searched forever) or fail later in range().
+    for bad in (2.5, 2.0, 0, -1):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            call(bad)
+    call(2)  # an integer is accepted
+
+
 # ---------------------------------------------------------------------------
 # kept coefficient stream: a call must give the same bits whether or not the
 # stream of its (alpha, s) was kept by earlier calls

@@ -185,6 +185,91 @@ def test_run_suite_overrides():
     assert lemma.cases_run == 3 * 2 * 6
 
 
+#: (grid, cases_run) of every report of run_suite("all") at the default grids.
+DEFAULT_GRIDS = {
+    "lemma_base_cases": ("q in {0, 1}, s <= 5, 6 betas", 60),
+    "lemma": ("q <= 12, s <= 5, 6 betas", 390),
+    "lemma_complex_spot": ("q <= 8, s <= 4, complex betas", 108),
+    "recurrence_L": ("step q <= 11, s <= 5, 6 betas", 360),
+    "recurrence_R": ("step 1 <= q <= 11, s <= 5, 6 betas", 330),
+    "recurrence_R_q0": ("q = 0, s <= 5, 6 betas", 30),
+    "splitting": ("0 <= a <= b < c <= 8, t <= 4, 6 betas", 4440),
+    "proposition_oracle": ("8 z points (|z| <= 0.4), 4 shifts, s <= 3", 96),
+    "coefficient_consistency": ("p <= 40, s <= 5, 6 rational alphas", 1200),
+    "euler_inner_consistency": ("p <= 30, s <= 5, 6 rational alphas", 900),
+    "coefficient_bound": ("p <= 200, s <= 6, 4 shifts", 4800),
+    "ap_bound": ("p <= 200, s <= 6", 1200),
+    "sondow_special_case": ("s <= 5, P = 60, alpha = 0, z = 1/2", 10),
+}
+
+#: Each override of run_suite and the reports it moves off their defaults.
+OVERRIDE_GRIDS = {
+    "q_max=3": (
+        {"q_max": 3},
+        {
+            "lemma": ("q <= 3, s <= 5, 6 betas", 120),
+            "recurrence_L": ("step q <= 3, s <= 5, 6 betas", 120),
+            "recurrence_R": ("step 1 <= q <= 3, s <= 5, 6 betas", 90),
+        },
+    ),
+    "s_max=2": (
+        {"s_max": 2},
+        {
+            "lemma_base_cases": ("q in {0, 1}, s <= 2, 6 betas", 24),
+            "lemma": ("q <= 12, s <= 2, 6 betas", 156),
+            "lemma_complex_spot": ("q <= 8, s <= 2, complex betas", 54),
+            "recurrence_L": ("step q <= 11, s <= 2, 6 betas", 144),
+            "recurrence_R": ("step 1 <= q <= 11, s <= 2, 6 betas", 132),
+            "recurrence_R_q0": ("q = 0, s <= 2, 6 betas", 12),
+            "proposition_oracle": ("8 z points (|z| <= 0.4), 4 shifts, s <= 2", 64),
+            "coefficient_consistency": ("p <= 40, s <= 2, 6 rational alphas", 480),
+            "euler_inner_consistency": ("p <= 30, s <= 2, 6 rational alphas", 360),
+            "coefficient_bound": ("p <= 200, s <= 2, 4 shifts", 1600),
+            "ap_bound": ("p <= 200, s <= 2", 400),
+            "sondow_special_case": ("s <= 2, P = 60, alpha = 0, z = 1/2", 4),
+        },
+    ),
+    "p_max=7": (
+        {"p_max": 7},
+        {
+            "coefficient_consistency": ("p <= 7, s <= 5, 6 rational alphas", 210),
+            "euler_inner_consistency": ("p <= 7, s <= 5, 6 rational alphas", 210),
+            "coefficient_bound": ("p <= 7, s <= 6, 4 shifts", 168),
+            "ap_bound": ("p <= 7, s <= 6", 42),
+        },
+    ),
+    "tol=1e-9": ({"tol": 1e-9}, {}),
+    "betas=(1/2, 2)": (
+        {"betas": (F(1, 2), F(2))},
+        {
+            "lemma_base_cases": ("q in {0, 1}, s <= 5, 2 betas", 20),
+            "lemma": ("q <= 12, s <= 5, 2 betas", 130),
+            "recurrence_L": ("step q <= 11, s <= 5, 2 betas", 120),
+            "recurrence_R": ("step 1 <= q <= 11, s <= 5, 2 betas", 110),
+            "recurrence_R_q0": ("q = 0, s <= 5, 2 betas", 10),
+            "splitting": ("0 <= a <= b < c <= 8, t <= 4, 2 betas", 1480),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("override, moved", OVERRIDE_GRIDS.values(), ids=list(OVERRIDE_GRIDS))
+def test_run_suite_routes_each_override_to_its_checks(override, moved):
+    expected = [(name, *moved.get(name, grid)) for name, grid in DEFAULT_GRIDS.items()]
+    reports = verify.run_suite("all", **override)
+    assert [(r.identity_name, r.grid_description, r.cases_run) for r in reports] == expected
+    assert all(r.passed for r in reports)
+
+
+def test_run_suite_routes_tol_to_the_oracle_and_sondow_checks_only():
+    # A tolerance no float check can meet fails exactly the checks it reaches;
+    # lemma_complex_spot keeps its own 1e-9.
+    reports = [r for suite in ("lemma", "proposition", "bounds", "sondow")
+               for r in verify.run_suite(suite, tol=1e-300)]
+    failed = {r.identity_name for r in reports if not r.passed}
+    assert failed == {"proposition_oracle", "sondow_special_case"}
+
+
 def test_every_displayed_identity_is_covered():
     reports = []
     for suite in ("lemma", "recurrences", "splitting"):
