@@ -19,7 +19,8 @@ majorant
 where C(alpha) = inf_{n>=1} |alpha + n| measures the distance of the shift
 orbit from zero.  The factorial/Pochhammer ratio is always carried
 multiplicatively: both factors overflow binary64 near p ~ 170 while their
-ratio stays O(1/p) for small shifts.
+ratio stays O(1/p) for small shifts.  The tail ratio B(m+1)/B(m) is bounded
+through |alpha+m+1| >= m+1+Re(alpha), so a large shift stops early.
 
 Contract: binary64 throughout; tolerances below 1e-13 are rejected.
 """
@@ -206,17 +207,19 @@ def coefficient_bound(p: int, shift: ShiftParam, s: int) -> float:
     return abs(prefactor) * (p / shift.gap) ** (s - 1)
 
 
-def _tail_ratio_sup(abs_alpha: float, p: int, s: int) -> float:
+def _tail_ratio_sup(re_alpha: float, p: int, s: int) -> float:
     """Upper bound on sup_{m > p} B(m+1)/B(m) for the coefficient majorant B.
 
-    The exact ratio is (m/|alpha+m+1|) * ((m+1)/m)^{s-1}.  For m > p the first
-    factor is <= max(1, (p+1)/(p+2-|alpha|)) (valid once p+2 > |alpha|, since
-    m/(m+1-|alpha|) is decreasing in m when |alpha| > 1 and <= 1 otherwise),
-    and the second is <= ((p+2)/(p+1))^{s-1}.
+    The exact ratio is (m/|alpha+m+1|) * ((m+1)/m)^{s-1}.  As |alpha+m+1| >=
+    m+1+Re(alpha), the first factor is <= m/(m+1+Re(alpha)): that is <= 1 if
+    Re(alpha) >= -1 and else decreasing in m, so for m > p it is
+    <= max(1, (p+1)/(p+2+Re(alpha))) once p+2+Re(alpha) > 0 (inf before).
+    The second is <= ((p+2)/(p+1))^{s-1}.  Re(alpha) >= -|alpha|, so this is
+    never looser than the triangle bound through m+1-|alpha|.
     """
-    if p + 2 <= abs_alpha:
+    if p + 2 + re_alpha <= 0:
         return math.inf
-    first = max(1.0, (p + 1) / (p + 2 - abs_alpha))
+    first = max(1.0, (p + 1) / (p + 2 + re_alpha))
     second = ((p + 2) / (p + 1)) ** (s - 1)
     return first * second
 
@@ -248,8 +251,8 @@ def lerch_accelerated(
         rho = |z| * sup_{p > P} B(p+1)/B(p),
 
     with B the coefficient majorant of `coefficient_bound` and the sup bounded
-    as in `_tail_ratio_sup`.  Convergence is declared once this bound is <= tol;
-    while rho >= 1 more terms are simply added.
+    through Re(alpha) as in `_tail_ratio_sup`.  Convergence is declared once
+    this bound is <= tol; while rho >= 1 more terms are simply added.
 
     The terms c_p, B(p+1) and the sup depend on (alpha, s) only, not on w, so
     the term stream of one pair is kept across calls.  A call on another pair
@@ -272,7 +275,7 @@ def lerch_accelerated(
     z = w / (w - 1)
     az = abs(z)
     alpha = shift.alpha
-    abs_alpha = abs(alpha)
+    re_alpha = alpha.real
     gap = shift.gap
     total = 0j
     z_pow = 1 + 0j
@@ -308,7 +311,7 @@ def lerch_accelerated(
         total += c_p * z_pow
         # majorant of |c_{p+1}|, from the running prefactor magnitude
         b_next = abs(prefactor) * p / abs(alpha + p + 1) * ((p + 1) / gap) ** (s - 1)
-        ratio = _tail_ratio_sup(abs_alpha, p, s)
+        ratio = _tail_ratio_sup(re_alpha, p, s)
         if kept is not None:
             kept.append((c_p, b_next, ratio))
         rho = az * ratio

@@ -72,7 +72,7 @@ LEMMA_PROOF_IDENTITIES: Dict[str, str] = {
 
 @dataclass
 class VerificationReport:
-    """Outcome of sweeping one identity over a grid."""
+    """Outcome of sweeping one identity over a grid; one that ran no case fails."""
 
     identity_name: str
     grid_description: str
@@ -83,7 +83,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return self.cases_failed == 0
+        return self.cases_run > 0 and self.cases_failed == 0
 
     def to_dict(self) -> dict:
         return {
@@ -314,11 +314,8 @@ def verify_lemma_complex(
         for q in range(q_max + 1):
             for s in range(1, s_max + 1):
                 lhs = exact._alternating_sum(beta, 0, q, s)
-                rising = 1 + 0j
-                for j in range(q + 1):
-                    rising *= beta + j
-                *_, (_, _, col) = exact._depth_columns(beta, s - 1, 0, q)
-                rhs = math.factorial(q) / rising * col[s - 1]
+                *_, (_, prefactor, col) = exact._depth_columns(beta, s - 1, 0, q)
+                rhs = prefactor * col[s - 1]
                 report._float_case(float_residual(lhs, rhs), tol, (q, s, beta))
     return report
 

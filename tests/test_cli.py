@@ -202,6 +202,16 @@ def test_verify_failure_exits_2(capsys):
     assert report["cases_failed"] == len(report["failing_cases"])
 
 
+def test_verify_empty_sweep_exits_2(capsys):
+    # these overrides empty every grid but splitting's; a report of 0 cases
+    # checked nothing and must not pass
+    code, reports, _ = run_json(
+        capsys, "verify", "--suite", "all", "--s-max", "0", "--p-max", "0", "--q-max=-1"
+    )
+    assert code == 2
+    assert sum(report["cases_run"] == 0 for report in reports) == 12
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
 """Golden grid: recorded outputs of every layer, compared bit for bit.
 
-`golden_grid.json` holds the outputs of the functions below on fixed grids,
-recorded once before the depth-column recurrence and the alternating binomial
-sum were merged into single helpers.  This test only reads the file; it never
-rewrites it.  Floats are stored as `float.hex`, complex numbers as a pair of
-them, `Fraction`s as `"F:"` plus their `str` and integers as JSON integers,
-so a change of value or of type shows.  Every entry must match exactly, except
-`coefficient_bound`, which now reads |prefactor| from the shared coefficient
-stream instead of its own real product (up to 12 ulp apart on this grid) and
-is compared at relative 1e-13.
+`golden_grid.json` holds the outputs of the functions below on fixed grids.
+The test only reads the file; it never rewrites it.  A change that moves
+recorded outputs on purpose re-records the grid with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+which rewrites the file from the current code and prints every key that
+moved, grouped by function and shift, so the change can state each group and
+why.  Floats are stored as `float.hex`, complex numbers as a pair of them,
+`Fraction`s as `"F:"` plus their `str` and integers as JSON integers, so a
+change of value or of type shows.  Every entry must match exactly, except
+`coefficient_bound`, which reads |prefactor| from the shared coefficient
+stream where it was first recorded from its own real product (up to 12 ulp
+apart on this grid) and is compared at relative 1e-13; re-recording keeps an
+entry that still matches this way.
 """
 
 import contextlib
@@ -34,6 +40,15 @@ Z_GRID = (0.5, -0.3 + 0.2j, 0.25j, -0.45)
 
 #: Entries compared at this relative tolerance instead of bit for bit.
 LOOSE = {"coefficient_bound": 1e-13}
+
+#: Position of the shift (alpha or beta) among the words of each function's
+#: keys; the summary of a re-recording groups moved keys by it.
+SHIFT_WORD = {
+    "multi_sum": 4, "multi_sum_bruteforce": 4, "lemma_lhs": 3, "lemma_rhs": 3,
+    "coefficient_stream": 1, "coefficient_exact": 2, "alternating_coefficient_sum": 2,
+    "shift_gap": 1, "_coefficient_stream": 1, "coefficient_float": 2, "coefficient_bound": 2,
+    "euler_inner_sum": 2, "euler_transform_eval": 2, "lerch_accelerated": 2,
+}
 
 CLI_COMMANDS = (
     ("eval", "--s", "2", "--w", "-1"),
@@ -183,6 +198,11 @@ def _close(recorded, current, rel):
     return recorded == current
 
 
+def _same(key, recorded, current):
+    rel = LOOSE.get(key.split(" ", 1)[0])
+    return _close(recorded, current, rel) if rel else recorded == current
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GRID_PATH.read_text())
@@ -193,10 +213,46 @@ def test_golden_grid(golden, layer):
     recorded = golden[layer]
     current = {k: encode(v) for k, v in LAYERS[layer]().items()}
     assert current.keys() == recorded.keys()
-    mismatched = []
-    for key, value in recorded.items():
-        rel = LOOSE.get(key.split(" ", 1)[0])
-        same = _close(value, current[key], rel) if rel else value == current[key]
-        if not same:
-            mismatched.append(key)
+    mismatched = [key for key, value in recorded.items() if not _same(key, value, current[key])]
     assert not mismatched, f"{len(mismatched)} of {len(recorded)} differ, first: {mismatched[:5]}"
+
+
+def rerecord():
+    """Rewrite `golden_grid.json` from the current code and print, layer by
+    layer, every key that moved (or is new), grouped by function and shift."""
+    grid = json.loads(GRID_PATH.read_text())
+    for layer, build in LAYERS.items():
+        recorded = grid.get(layer, {})
+        current = {k: encode(v) for k, v in build().items()}
+        groups = {}
+        for key, value in current.items():
+            if key in recorded and _same(key, recorded[key], value):
+                current[key] = recorded[key]
+                continue
+            function, *args = key.split(" ")
+            at = SHIFT_WORD.get(function)
+            groups.setdefault((function, args[at - 1] if at else "-"), []).append(key)
+        gone = recorded.keys() - current.keys()
+        moved = sum(map(len, groups.values()))
+        print(f"{layer}: {moved} of {len(current)} entries moved or new, {len(gone)} gone")
+        for (function, shift), keys in groups.items():
+            print(f"  {function}, shift {shift}: {len(keys)}")
+            for key in keys:
+                print(f"    {key}")
+        for key in sorted(gone):
+            print(f"  gone: {key}")
+        grid[layer] = current
+    GRID_PATH.write_text(
+        "{\n"
+        + ",\n".join(
+            f"{json.dumps(layer)}: {{\n"
+            + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in entries.items())
+            + "\n}"
+            for layer, entries in grid.items()
+        )
+        + "\n}\n"
+    )
+
+
+if __name__ == "__main__":
+    rerecord()

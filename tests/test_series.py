@@ -207,6 +207,39 @@ def test_coefficient_bound_validity():
                 assert abs(c) <= series.coefficient_bound(p, shift, s) * (1 + 1e-10)
 
 
+def _triangle_ratio_sup(abs_alpha, p, s):
+    # the earlier bound, through |alpha+m+1| >= m+1-|alpha|
+    if p + 2 <= abs_alpha:
+        return math.inf
+    return max(1.0, (p + 1) / (p + 2 - abs_alpha)) * ((p + 2) / (p + 1)) ** (s - 1)
+
+
+tail_shifts = st.one_of(
+    # near a pole -n, off it by at least 1e-9
+    st.builds(
+        lambda n, d: -n + d,
+        st.integers(1, 300),
+        st.complex_numbers(min_magnitude=1e-9, max_magnitude=1e-3),
+    ),
+    st.floats(min_value=-1e3, max_value=0.0).filter(lambda a: a != round(a) or a >= 0),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False).filter(
+        lambda a: a.imag != 0 or a.real != round(a.real) or a.real >= 0
+    ),
+    st.floats(min_value=10.0, max_value=1e3),
+)
+
+
+@settings(max_examples=300)
+@given(alpha=tail_shifts, p=st.integers(1, 200), s=st.integers(1, 6))
+def test_tail_ratio_sup_bounds_the_majorant_ratio(alpha, p, s):
+    alpha = complex(alpha)
+    sup = series._tail_ratio_sup(alpha.real, p, s)
+    ratios = (m / abs(alpha + m + 1) * ((m + 1) / m) ** (s - 1) for m in range(p + 1, p + 401))
+    # at real alpha < -1 the sup is attained at m = p + 1; allow its rounding
+    assert sup * (1 + 1e-12) >= max(ratios)
+    assert sup <= _triangle_ratio_sup(abs(alpha), p, s)
+
+
 # ---------------------------------------------------------------------------
 # accelerated evaluator
 # ---------------------------------------------------------------------------
@@ -245,6 +278,20 @@ def test_accelerated_bound_contract_vs_oracle():
                 assert result.converged
                 err = abs(result.value - ref_lerch(w, alpha, s))
                 assert err <= result.error_bound + 1e-15
+
+
+@pytest.mark.parametrize("alpha", [50 + 0j, 1000 + 0j, 1000j])
+def test_accelerated_large_shift_stops_early(alpha):
+    # c_p shrinks like |alpha|^-p, so a large shift needs few terms; the bound
+    # used to wait for p + 2 > |alpha| (99 to 5999 terms) and underflow to 0
+    shift = ShiftParam(alpha)
+    for w in (-1.0, 0.4, -5.0):
+        result = series.lerch_accelerated(w, shift, 2, tol=1e-12)
+        assert result.converged
+        assert result.terms_used <= 10
+        assert 0.0 < result.error_bound <= 1e-12
+        ref = ref_lerch(w, alpha, 2)
+        assert abs(result.value - ref) <= result.error_bound + 8 * 2.0**-53 * abs(ref)
 
 
 def test_accelerated_agrees_with_direct_inside_disk():
@@ -331,8 +378,8 @@ def _cold(call):
         ((-1, 0j, 2, 1e-12, 10000), (-1, 0j, 2, 1e-12, 8)),
         ((-0.7 + 0.3j, 1.3 + 0.7j, 3, 1e-12, 10000), (-0.7 + 0.3j, 1.3 + 0.7j, 3, 1e-6, 10000)),
         # the first 48 kept terms have ratio = inf, so the bound is inf there
-        ((-0.5, 50 + 0j, 2, 1e-12, 10000), (-0.5, 50 + 0j, 2, 1e-12, 20)),
-        ((-0.5, 50 + 0j, 2, 1e-12, 10000), (0.3 - 0.2j, 50 + 0j, 2, 1e-6, 10000)),
+        ((-0.5, -50.5 + 0j, 2, 1e-12, 10000), (-0.5, -50.5 + 0j, 2, 1e-12, 20)),
+        ((-0.5, -50.5 + 0j, 2, 1e-12, 10000), (-0.3 + 0.2j, -50.5 + 0j, 2, 1e-6, 10000)),
         ((-2, 0.5 + 0j, 1, 1e-12, 10000), (0.2 + 1j, 0.5 + 0j, 1, 1e-10, 10000)),
         # keys that compare equal
         ((-1, 0.5 + 0j, 2, 1e-12, 10000), (-3 + 1j, complex(0.5, -0.0), 2, 1e-12, 10000)),
@@ -346,8 +393,10 @@ def test_kept_stream_gives_cold_bits(earlier, later):
     w, alpha, s, tol, max_terms = earlier
     for _ in range(2):  # the second consecutive call on the pair keeps its terms
         kept_by = series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)
-    assert series._kept_stream[0][0] == (alpha, s)
-    assert len(series._kept_stream[0][1]) == kept_by.terms_used
+    key, kept = series._kept_stream[0]
+    assert key == (alpha, s)
+    assert len(kept) == kept_by.terms_used
+    assert sum(math.isinf(ratio) for *_, ratio in kept) == (48 if alpha == -50.5 else 0)
     w, alpha, s, tol, max_terms = later
     assert repr(series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)) == expected
 

@@ -140,6 +140,7 @@ def test_failing_report_shape():
     report = VerificationReport("demo", "grid", 3, 1, 0.25, [(1, F(1, 2))])
     assert not report.passed
     assert json.loads(report.to_json())["failing_cases"] == [["1", "1/2"]]
+    assert not VerificationReport("demo", "empty grid").passed
 
 
 def test_merge_reports_order_independent():
