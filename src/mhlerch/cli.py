@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -27,8 +27,6 @@ EXIT_NOT_CONVERGED = 2
 
 #: Tolerance used when computing the high-accuracy benchmark reference.
 REFERENCE_TOL = 1e-13
-
-CSV_HEADER = ("method", "s", "z_re", "z_im", "tol", "terms", "achieved_error")
 
 BENCH_METHODS = ("accelerated", "direct_alternating", "euler_transform")
 
@@ -46,43 +44,22 @@ class ConvergenceRow:
     achieved_error: float
 
 
+CSV_HEADER = tuple(f.name for f in fields(ConvergenceRow))
+
+
 def rows_to_csv(rows: Sequence[ConvergenceRow], notes: Sequence[str] = ()) -> str:
+    # csv writes a float as str(x), the shortest repr that reads back exactly.
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(CSV_HEADER)
     for note in notes:
         out.write(f"# {note}\r\n")
-    for r in rows:
-        writer.writerow(
-            [r.method, r.s, repr(r.z_re), repr(r.z_im), repr(r.tol), r.terms, repr(r.achieved_error)]
-        )
+    writer.writerows(astuple(r) for r in rows)
     return out.getvalue()
 
 
-def rows_from_csv(text: str) -> List[ConvergenceRow]:
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    reader = csv.reader(lines)
-    header = tuple(next(reader))
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {header}")
-    return [
-        ConvergenceRow(m, int(s), float(zr), float(zi), float(t), int(n), float(e))
-        for m, s, zr, zi, t, n, e in reader
-    ]
-
-
-def _row_dict(row: ConvergenceRow) -> dict:
-    return dict(
-        zip(CSV_HEADER, (row.method, row.s, row.z_re, row.z_im, row.tol, row.terms, row.achieved_error))
-    )
-
-
 def rows_to_json(rows: Sequence[ConvergenceRow], notes: Sequence[str] = ()) -> str:
-    return json.dumps({"notes": list(notes), "rows": [_row_dict(r) for r in rows]}, indent=2)
-
-
-def rows_from_json(text: str) -> List[ConvergenceRow]:
-    return [ConvergenceRow(**entry) for entry in json.loads(text)["rows"]]
+    return json.dumps({"notes": list(notes), "rows": [asdict(r) for r in rows]}, indent=2)
 
 
 def parse_complex(text: str) -> complex:
@@ -96,8 +73,11 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_rational(text: str) -> Fraction:
-    """'P/Q' or 'P' -> Fraction (exact)."""
-    return Fraction(text)
+    """'P/Q' or 'P' -> Fraction (exact); 'P/0' is a ValueError (usage error)."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_int_list(text: str) -> List[int]:

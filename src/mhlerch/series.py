@@ -323,21 +323,6 @@ def lerch_accelerated(
             return SeriesResult(total, p, bound if rho < 1.0 else math.inf, False)
 
 
-def euler_inner_sum(p: int, shift: ShiftParam, s: int) -> complex:
-    """Inner binomial sum of the transformed series at index p:
-
-        sum_{n=1}^{p} C(p-1, n-1) (-1)^n / (alpha + n)^s.
-
-    Deliberately redundant with `coefficient_float` - same value by the
-    alternating route, kept as a numerical cross-check.  The alternating terms
-    grow like 2^p, so binary64 agreement degrades beyond p ~ 16; the exact
-    layer carries the deep version of this check.
-    """
-    exact._check_count(p, "p")
-    exact._check_count(s, "order s")
-    return exact._alternating_sum(shift.alpha, 1, p - 1, s, sign=-1)
-
-
 def _euler_partial_sums(z, alpha, s: int) -> Iterator[complex]:
     """Yield the double sum sum_{p<=P} z^p * (inner binomial sum at p) for
     P = 1, 2, ..., each inner sum computed independently."""
@@ -351,12 +336,13 @@ def _euler_partial_sums(z, alpha, s: int) -> Iterator[complex]:
 
 def euler_transform_eval(z: ComplexLike, shift: ShiftParam, s: int, P: int) -> complex:
     """Truncation at p = P of the double sum sum_p z^p * (inner binomial sum),
-    each inner sum computed independently."""
+    each inner sum computed independently.  The inner sum at p cancels terms
+    of size ~2^p, so rounding grows like u (2|z|)^P: |z| > 1/2 is rejected."""
     z = _require_finite(z, "z")
     exact._check_count(s, "order s")
     exact._check_count(P, "P")
-    if abs(z) >= 1.0:
-        raise DomainError(f"|z| must be < 1, got |z| = {abs(z)}")
+    if abs(z) > 0.5:
+        raise DomainError(f"|z| must be <= 1/2, got |z| = {abs(z)}")
     return next(islice(_euler_partial_sums(z, shift.alpha, s), P - 1, None))
 
 

@@ -12,7 +12,6 @@ completeness meta-test rather than silently narrowing coverage.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,9 +94,6 @@ class VerificationReport:
             "failing_cases": [[str(x) for x in case] for case in self.failing_cases],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     def _exact_case(self, ok: bool, params: tuple, residual: Fraction = Fraction(0)) -> None:
         # An exact check passes with residual 0, so only failures move the worst.
         self.cases_run += 1
@@ -112,23 +108,6 @@ class VerificationReport:
         if not residual <= tol:
             self.cases_failed += 1
             self.failing_cases.append(params)
-
-
-def merge_reports(
-    reports: Sequence[VerificationReport], name: Optional[str] = None
-) -> VerificationReport:
-    """Combine per-case reports; associative and order-independent."""
-    if not reports:
-        raise ValueError("nothing to merge")
-    failing = sorted((case for r in reports for case in r.failing_cases), key=repr)
-    return VerificationReport(
-        identity_name=name or reports[0].identity_name,
-        grid_description="; ".join(sorted({r.grid_description for r in reports})),
-        cases_run=sum(r.cases_run for r in reports),
-        cases_failed=sum(r.cases_failed for r in reports),
-        worst_residual=max(r.worst_residual for r in reports),
-        failing_cases=failing,
-    )
 
 
 def float_residual(value: complex, reference: complex) -> float:

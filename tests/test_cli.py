@@ -1,9 +1,13 @@
 """CLI surface: subcommands, exit codes, JSON/CSV round-trips."""
 
+import csv
 import json
+import shlex
 import subprocess
 import sys
+import typing
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +221,18 @@ def test_verify_empty_sweep_exits_2(capsys):
 # ---------------------------------------------------------------------------
 
 
+def _read_csv_rows(text):
+    """Rows of a bench CSV read back with the stdlib alone, typed by field."""
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    reader = csv.reader(lines)
+    assert tuple(next(reader)) == cli.CSV_HEADER
+    types = typing.get_type_hints(cli.ConvergenceRow)
+    return [
+        cli.ConvergenceRow(*(types[name](cell) for name, cell in zip(cli.CSV_HEADER, cells)))
+        for cells in reader
+    ]
+
+
 def test_bench_rows_and_roundtrip(capsys, tmp_path):
     csv_path = tmp_path / "bench.csv"
     json_path = tmp_path / "bench.json"
@@ -230,13 +246,17 @@ def test_bench_rows_and_roundtrip(capsys, tmp_path):
         "--json", str(json_path),
     )
     assert code == 0
+    rows, notes = cli.bench_rows([1, 3], [1e-6, 1e-8], 5000)
+    assert out == cli.rows_to_csv(rows, notes)
+    assert csv_path.read_bytes() == out.encode()  # CRLF rows, as on stdout
+    assert json_path.read_bytes() == (cli.rows_to_json(rows, notes) + "\n").encode()
     assert "# s=1 omitted" in out
-    rows = cli.rows_from_csv(out)
     assert len(rows) == 6  # 3 methods x 2 tolerances, s=1 skipped
-    assert rows == cli.rows_from_csv(csv_path.read_text())
-    assert rows == cli.rows_from_csv(cli.rows_to_csv(rows))  # exact round-trip
-    assert rows == cli.rows_from_json(json_path.read_text())
-    assert rows == cli.rows_from_json(cli.rows_to_json(rows))
+    # exact round-trip through the stdlib readers alone
+    assert _read_csv_rows(out) == rows
+    data = json.loads(json_path.read_text())
+    assert data["notes"] == notes
+    assert [cli.ConvergenceRow(**entry) for entry in data["rows"]] == rows
     assert rows == sorted(rows, key=lambda r: (r.method, r.s, r.tol))
     assert {r.method for r in rows} == set(cli.BENCH_METHODS)
     for row in rows:
@@ -252,8 +272,7 @@ def test_bench_acceleration_wins_at_small_s(capsys):
         "--max-terms", "200000",
     )
     assert code == 0
-    rows = cli.rows_from_csv(out)
-    by_key = {(r.method, r.s, r.tol): r for r in rows}
+    by_key = {(r.method, r.s, r.tol): r for r in _read_csv_rows(out)}
     for s in (2, 3):
         for tol in (1e-6, 1e-10):
             accelerated = by_key[("accelerated", s, tol)]
@@ -298,6 +317,35 @@ def test_parse_complex():
 def test_parse_rational():
     assert cli.parse_rational("7/3") == F(7, 3)
     assert cli.parse_rational("4") == F(4)
+    with pytest.raises(ValueError):
+        cli.parse_rational("1/0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--s", "2", "--w", "-1", "--alpha-rat", "1/0"),
+        ("verify", "--suite", "lemma", "--beta", "1/0"),
+    ],
+    ids=["alpha-rat", "beta"],
+)
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "invalid parse_rational value: '1/0'" in err
+    assert "Traceback" not in err
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("mhlerch ")]
+    assert len(lines) == 8
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code = cli.main(shlex.split(line)[1:])
+        capsys.readouterr()
+        assert code == 0, line
 
 
 def test_module_entry_point():

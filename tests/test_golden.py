@@ -47,7 +47,7 @@ SHIFT_WORD = {
     "multi_sum": 4, "multi_sum_bruteforce": 4, "lemma_lhs": 3, "lemma_rhs": 3,
     "coefficient_stream": 1, "coefficient_exact": 2, "alternating_coefficient_sum": 2,
     "shift_gap": 1, "_coefficient_stream": 1, "coefficient_float": 2, "coefficient_bound": 2,
-    "euler_inner_sum": 2, "euler_transform_eval": 2, "lerch_accelerated": 2,
+    "euler_transform_eval": 2, "lerch_accelerated": 2,
 }
 
 CLI_COMMANDS = (
@@ -132,8 +132,6 @@ def _series_layer():
             for p in (1, 2, 5, 17, 60):
                 out[f"coefficient_float {p} {alpha} {s}"] = series.coefficient_float(p, shift, s)
                 out[f"coefficient_bound {p} {alpha} {s}"] = series.coefficient_bound(p, shift, s)
-            for p in (1, 2, 3, 8, 16, 24):
-                out[f"euler_inner_sum {p} {alpha} {s}"] = series.euler_inner_sum(p, shift, s)
             for z in Z_GRID:
                 for P in (1, 10, 30):
                     out[f"euler_transform_eval {z} {alpha} {s} {P}"] = (
