@@ -18,7 +18,6 @@ from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import exact, series, verify
-from .errors import DomainError, InvalidShiftError, PrecisionError
 from .series import SeriesResult, ShiftParam
 
 EXIT_OK = 0
@@ -299,7 +298,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {"eval": cmd_eval, "zeta": cmd_zeta, "verify": cmd_verify, "bench": cmd_bench}
     try:
         return handlers[args.command](args)
-    except (DomainError, InvalidShiftError, PrecisionError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        # ValueError covers mhlerch's DomainError, InvalidShiftError, PrecisionError
         print(f"mhlerch {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

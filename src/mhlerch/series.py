@@ -28,6 +28,7 @@ Contract: binary64 throughout; tolerances below 1e-13 are rejected.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from itertools import count, islice
 from typing import Iterator, Tuple
@@ -224,14 +225,13 @@ def _tail_ratio_sup(re_alpha: float, p: int, s: int) -> float:
     return first * second
 
 
-#: The term stream of the last (alpha, s) that `lerch_accelerated` was called
-#: with, as the one item (key, terms) of this list: terms[p - 1] is
-#: (c_p, B(p+1), ratio_p) with B the coefficient majorant and ratio_p the
-#: value of `_tail_ratio_sup` at p.  Calls replace the item as a whole and
-#: never rebind the list, so the module's names stay fixed; only the call that
-#: published a terms list appends to it, so a reader never sees a half-built
-#: term.
-_kept_stream = [(None, [])]
+#: [key, terms, columns] of the last (alpha, s) that `lerch_accelerated` was
+#: called with, updated in place under `_kept_lock`: terms[p - 1] is
+#: (c_p, B(p+1), ratio_p), B the coefficient majorant and ratio_p the value of
+#: `_tail_ratio_sup` at p; columns is the pair's `exact._depth_columns`
+#: generator, stepped exactly len(terms) times (None until terms are kept).
+_kept_stream = [None, [], None]
+_kept_lock = threading.Lock()
 
 
 def lerch_accelerated(
@@ -255,16 +255,16 @@ def lerch_accelerated(
     this bound is <= tol; while rho >= 1 more terms are simply added.
 
     The terms c_p, B(p+1) and the sup depend on (alpha, s) only, not on w, so
-    the term stream of one pair is kept across calls.  A call on another pair
-    than the last call's keeps nothing; from the second consecutive call on
-    the same (alpha, s) the terms computed are kept, and later calls on that
-    pair sum the kept prefix (one complex multiply-add and the bound test per
-    term) and compute new terms only past it (the depth-column recurrence is
-    stepped again over the prefix to reach its state).  Memory is bounded by
-    one pair: at most the largest `max_terms` used, about 150 bytes a term.
-    The kept stream is safe across threads: a call publishes a fresh list
-    holding the terms it summed and appends to that list alone.  Every result
-    is bit for bit the one a first call gives.
+    `_kept_stream` keeps the terms of one pair and the generator that computed
+    them.  A call on another pair than the last call's keeps nothing; from the
+    second consecutive call on the same (alpha, s) on, a call sums the kept
+    terms (one complex multiply-add and the bound test per term) and past them
+    steps the kept generator and appends, so no term is computed twice.
+    Memory is bounded by one pair: at most the largest `max_terms` used,
+    about 150 bytes a term.  Every call holds `_kept_lock`, and anything
+    raised while it is held (an `OverflowError` of the majorant at large s, an
+    interrupt) drops the entry, whose generator may then be a step ahead of
+    its terms.  Every result is bit for bit the one a first call gives.
     """
     w = _require_finite(w, "w")
     exact._check_count(s, "order s")
@@ -281,46 +281,39 @@ def lerch_accelerated(
     z_pow = 1 + 0j
     bound = math.inf
     key = (alpha, s)
-    kept_key, kept = _kept_stream[0]
-    if kept_key != key:
-        # First call on this pair: record it, keep nothing yet.
-        _kept_stream[0] = (key, [])
-        kept = None
-        columns = exact._depth_columns(alpha, s - 1)
-    else:
-        p = 0
-        for c_p, b_next, ratio in kept:
-            p += 1
-            z_pow *= z
-            total += c_p * z_pow
-            rho = az * ratio
-            if rho < 1.0:
-                bound = b_next * az ** (p + 1) / (1.0 - rho)
-                if bound <= tol:
-                    return SeriesResult(total, p, bound, True)
-            if p >= max_terms:
-                return SeriesResult(total, p, bound if rho < 1.0 else math.inf, False)
-        # Its publisher may still append to `kept`: copy exactly the p terms
-        # summed here, publish the copy, and extend only the copy.
-        kept = kept[:p]
-        _kept_stream[0] = (key, kept)
-        columns = islice(exact._depth_columns(alpha, s - 1), p, None)
-    for p, prefactor, col in columns:
-        c_p = -prefactor * col[s - 1]
-        z_pow *= z
-        total += c_p * z_pow
-        # majorant of |c_{p+1}|, from the running prefactor magnitude
-        b_next = abs(prefactor) * p / abs(alpha + p + 1) * ((p + 1) / gap) ** (s - 1)
-        ratio = _tail_ratio_sup(re_alpha, p, s)
-        if kept is not None:
-            kept.append((c_p, b_next, ratio))
-        rho = az * ratio
-        if rho < 1.0:
-            bound = b_next * az ** (p + 1) / (1.0 - rho)
-            if bound <= tol:
-                return SeriesResult(total, p, bound, True)
-        if p >= max_terms:
-            return SeriesResult(total, p, bound if rho < 1.0 else math.inf, False)
+    with _kept_lock:
+        keep = _kept_stream[0] == key
+        if not keep:
+            _kept_stream[:] = [key, [], None]  # first call on this pair
+        elif _kept_stream[2] is None:
+            _kept_stream[2] = exact._depth_columns(alpha, s - 1)
+        terms = _kept_stream[1]
+        columns = _kept_stream[2] if keep else exact._depth_columns(alpha, s - 1)
+        n_kept = len(terms)
+        try:
+            for p in count(1):
+                if p <= n_kept:
+                    c_p, b_next, ratio = terms[p - 1]
+                else:
+                    _, prefactor, col = next(columns)
+                    c_p = -prefactor * col[s - 1]
+                    # majorant of |c_{p+1}|, from the running prefactor magnitude
+                    b_next = abs(prefactor) * p / abs(alpha + p + 1) * ((p + 1) / gap) ** (s - 1)
+                    ratio = _tail_ratio_sup(re_alpha, p, s)
+                    if keep:
+                        terms.append((c_p, b_next, ratio))
+                z_pow *= z
+                total += c_p * z_pow
+                rho = az * ratio
+                if rho < 1.0:
+                    bound = b_next * az ** (p + 1) / (1.0 - rho)
+                    if bound <= tol:
+                        return SeriesResult(total, p, bound, True)
+                if p >= max_terms:
+                    return SeriesResult(total, p, bound if rho < 1.0 else math.inf, False)
+        except BaseException:
+            _kept_stream[:] = [None, [], None]
+            raise
 
 
 def _euler_partial_sums(z, alpha, s: int) -> Iterator[complex]:

@@ -487,6 +487,8 @@ def run_suite(
     tol: Optional[float] = None,
 ) -> List[VerificationReport]:
     """Run one named suite with optional grid overrides."""
+    if betas is not None:
+        betas = tuple(betas)  # every check of the suite reads the shifts
     given = dict(q_max=q_max, s_max=s_max, p_max=p_max, betas=betas, tol=tol)
     given = {key: value for key, value in given.items() if value is not None}
     if name == "all":

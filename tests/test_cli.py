@@ -336,6 +336,24 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--s", "2", "--w", "-1", "--alpha-rat", "1e400"),
+        ("eval", "--s", "400", "--w", "-1"),
+        ("zeta", "--s", "400"),
+    ],
+    ids=["alpha-rat", "eval-s", "zeta-s"],
+)
+def test_overflow_is_an_error_exit(capsys, argv):
+    # float(1e400 as a Fraction) and the majorant's float powers at s = 400
+    # overflow binary64
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"mhlerch {argv[0]}: error: ")
+    assert "Traceback" not in err
+
+
 def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

@@ -392,7 +392,7 @@ def test_kept_stream_gives_cold_bits(earlier, later):
     w, alpha, s, tol, max_terms = earlier
     for _ in range(2):  # the second consecutive call on the pair keeps its terms
         kept_by = series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)
-    key, kept = series._kept_stream[0]
+    key, kept, _ = series._kept_stream
     assert key == (alpha, s)
     assert len(kept) == kept_by.terms_used
     assert sum(math.isinf(ratio) for *_, ratio in kept) == (48 if alpha == -50.5 else 0)
@@ -413,6 +413,55 @@ def test_kept_stream_interleaved_pairs_give_cold_bits():
         for w, alpha, s, tol, max_terms in calls
     ]
     assert got == expected
+
+
+def test_kept_stream_steps_the_kernel_once_per_term(monkeypatch):
+    # A row in ascending |z| needs more terms at each point.  The first call
+    # on the pair keeps nothing; the later calls extend the one kept stream,
+    # so the kernel is stepped once per term of the largest of them.
+    steps = []
+    depth_columns = exact._depth_columns
+
+    def counted(*args):
+        for item in depth_columns(*args):
+            steps.append(item[0])
+            yield item
+
+    zs = [cmath.rect(0.06 * k, 0.7 * k) for k in range(1, 11)]
+    calls = [(series.disk_to_half_plane(z), 1.3 + 0.7j, 3, 1e-12, 10000) for z in zs]
+    expected = [_cold(call) for call in calls]
+    _forget_stream()
+    monkeypatch.setattr(exact, "_depth_columns", counted)
+    got = [
+        series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)
+        for w, alpha, s, tol, max_terms in calls
+    ]
+    assert [repr(result) for result in got] == expected
+    assert got[0].terms_used == 8 and max(r.terms_used for r in got[1:]) == 50
+    assert len(steps) == 58
+
+
+def test_kept_stream_is_dropped_when_an_extension_raises(monkeypatch):
+    # The kernel is stepped before the term's ratio is computed, so a raise
+    # between the two leaves the kept generator a step ahead of the kept
+    # terms; the entry must be dropped, not read by the next call.
+    call = (-0.7 + 0.3j, 1.3 + 0.7j, 3, 1e-12, 10000)
+    expected = _cold(call)
+    tail_ratio_sup = series._tail_ratio_sup
+
+    def interrupted(re_alpha, p, s):
+        if p == 20:
+            raise KeyboardInterrupt
+        return tail_ratio_sup(re_alpha, p, s)
+
+    _forget_stream()
+    series.lerch_accelerated(-4 + 2j, ShiftParam(1.3 + 0.7j), 3)
+    monkeypatch.setattr(series, "_tail_ratio_sup", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        series.lerch_accelerated(-4 + 2j, ShiftParam(1.3 + 0.7j), 3)
+    monkeypatch.undo()
+    w, alpha, s, tol, max_terms = call
+    assert repr(series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)) == expected
 
 
 def test_kept_stream_is_safe_across_threads():

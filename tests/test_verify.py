@@ -172,6 +172,13 @@ def test_run_suite_overrides():
     assert lemma.cases_run == 3 * 2 * 6
 
 
+def test_run_suite_reads_betas_once_for_every_check():
+    # a generator of shifts must reach every check of the suite, not the first only
+    betas = [1, F(1, 2)]
+    expected = [r.to_dict() for r in verify.run_suite("all", betas=betas)]
+    assert [r.to_dict() for r in verify.run_suite("all", betas=iter(betas))] == expected
+
+
 #: (grid, cases_run) of every report of run_suite("all") at the default grids.
 DEFAULT_GRIDS = {
     "lemma_base_cases": ("q in {0, 1}, s <= 5, 6 betas", 60),
