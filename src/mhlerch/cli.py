@@ -245,7 +245,7 @@ def bench_rows(
     The `euler_transform` and `direct_alternating` counts are measured against
     a reference certified only to `REFERENCE_TOL`, so a count near the
     threshold can be a few terms short.  At s = 2, tol = 1e-10 the
-    `direct_alternating` count is 99993: the reference is off by -2.2e-14
+    `direct_alternating` count is 99974: the reference is off by -9.2e-14
     (checked against mpmath at 40 digits), while the true error stays above
     1e-10 up to n = 99999.
     """

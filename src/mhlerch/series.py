@@ -11,16 +11,15 @@ plus the slow defining series on |w| < 1, the alternating boundary series at
 w = -1, the equivalent binomial double-sum form, and the accelerated zeta(s)
 series obtained at alpha = 0, z = 1/2.
 
-Every evaluator returns an a-posteriori error bound built from the coefficient
-majorant
+Every evaluator returns an a-posteriori error bound.  The series in z is
+bounded through the coefficient majorant
 
-    |c_p| <= (p-1)!/(|alpha+1| ... |alpha+p|) * (p / C(alpha))^{s-1},
+    |c_p| <= B(p) = (p-1)!/(|alpha+1| ... |alpha+p|) * H_p^{s-1},
+    H_p = sum_{i<=p} 1/|alpha+i|,
 
-where C(alpha) = inf_{n>=1} |alpha + n| measures the distance of the shift
-orbit from zero.  The factorial/Pochhammer ratio is always carried
-multiplicatively: both factors overflow binary64 near p ~ 170 while their
-ratio stays O(1/p) for small shifts.  The tail ratio B(m+1)/B(m) is bounded
-through |alpha+m+1| >= m+1+Re(alpha), so a large shift stops early.
+where H_p grows like ln p (see `coefficient_bound`).  The factorial/Pochhammer
+ratio is carried multiplicatively: both factors overflow binary64 near p ~ 170
+while their ratio stays O(1/p) for small shifts.
 
 Contract: binary64 throughout; tolerances below 1e-13 are rejected.
 """
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import count, islice
 from typing import Iterator, Tuple
 
@@ -180,58 +179,111 @@ def alternating_direct(shift: ShiftParam, s: int, n_terms: int) -> complex:
     return next(islice(_alternating_partial_sums(shift.alpha, s), n_terms - 1, None))
 
 
-def _coefficient_stream(alpha: complex, s: int) -> Iterator[Tuple[int, complex, float]]:
-    """Yield (p, c_p, |prefactor_p|) for p = 1, 2, ...
-
-    prefactor_p = (p-1)!/(alpha+1)_p and the depth column S_1^p(t) come from
-    the shared kernel `exact._depth_columns`, so a prefix of length P costs
-    O(P * s) operations in total.
-    """
-    for p, prefactor, col in exact._depth_columns(alpha, s - 1):
-        yield p, -prefactor * col[s - 1], abs(prefactor)
-
-
 def coefficient_float(p: int, shift: ShiftParam, s: int) -> complex:
     """Binary64 value of the series coefficient c_p (same recurrence as the
     exact layer, prefactor carried as a running ratio)."""
     exact._check_count(p, "p")
     exact._check_count(s, "order s")
-    _, c_p, _ = next(islice(_coefficient_stream(shift.alpha, s), p - 1, None))
-    return c_p
+    *_, (_, prefactor, col) = exact._depth_columns(shift.alpha, s - 1, 1, p)
+    return -prefactor * col[s - 1]
 
 
 def coefficient_bound(p: int, shift: ShiftParam, s: int) -> float:
-    """Coefficient majorant (p-1)!/prod_{j<=p}|alpha+j| * (p/C(alpha))^{s-1}."""
+    """Majorant B(p) = (p-1)!/prod_{j<=p}|alpha+j| * H_p^{s-1} of |c_p|, with
+    H_p = sum_{i<=p} 1/|alpha+i| <= p/C(alpha): every monomial of the complete
+    homogeneous polynomial S_1^p(s-1) in f_1..f_p appears in (sum |f_i|)^{s-1}.
+    B(1) = |alpha+1|^{-s} = |c_1|; B(p), p >= 2, is read from `_term_stream`."""
     exact._check_count(p, "p")
     exact._check_count(s, "order s")
-    *_, (_, prefactor, _) = exact._depth_columns(shift.alpha, 0, 1, p)
-    return abs(prefactor) * (p / shift.gap) ** (s - 1)
+    if p == 1:
+        return abs(shift.alpha + 1) ** -s
+    _, b_p, _ = next(islice(_term_stream(shift.alpha, s), p - 2, None))
+    return b_p
 
 
-def _tail_ratio_sup(re_alpha: float, p: int, s: int) -> float:
-    """Upper bound on sup_{m > p} B(m+1)/B(m) for the coefficient majorant B.
+def _tail_ratio_sup(re_alpha: float, p: int, s: int, abs_after: float, h_next: float) -> float:
+    """Upper bound on sup_{m > p} B(m+1)/B(m), given abs_after = |alpha+p+2|
+    and h_next = H_{p+1}.
 
-    The exact ratio is (m/|alpha+m+1|) * ((m+1)/m)^{s-1}.  As |alpha+m+1| >=
-    m+1+Re(alpha), the first factor is <= m/(m+1+Re(alpha)): that is <= 1 if
-    Re(alpha) >= -1 and else decreasing in m, so for m > p it is
-    <= max(1, (p+1)/(p+2+Re(alpha))) once p+2+Re(alpha) > 0 (inf before).
-    The second is <= ((p+2)/(p+1))^{s-1}.  Re(alpha) >= -|alpha|, so this is
-    never looser than the triangle bound through m+1-|alpha|.
+    The ratio is (m/|alpha+m+1|) * (1 + |f_{m+1}|/H_m)^{s-1}.  As |alpha+m+1|
+    >= m+1+Re(alpha), the first factor is <= m/(m+1+Re(alpha)): that is <= 1
+    if Re(alpha) >= -1 and else decreasing in m, so for m > p it is <=
+    max(1, (p+1)/(p+2+Re(alpha))) once p+2+Re(alpha) > 0 (inf before).  Then
+    |alpha+n|^2 = (n+Re(alpha))^2 + Im(alpha)^2 increases in n >= p+2 >
+    -Re(alpha), so |f_{m+1}| <= 1/|alpha+p+2|; with H_m >= H_{p+1} the second
+    factor is <= (1 + 1/(|alpha+p+2| H_{p+1}))^{s-1}.  It is not bounded by
+    ((p+2)/(p+1))^{s-1}: at alpha = -50.5, |f_51|/H_50 is about 0.31.
     """
     if p + 2 + re_alpha <= 0:
         return math.inf
-    first = max(1.0, (p + 1) / (p + 2 + re_alpha))
-    second = ((p + 2) / (p + 1)) ** (s - 1)
-    return first * second
+    second = (1.0 + 1.0 / (abs_after * h_next)) ** (s - 1)
+    return (p + 1) / (p + 2 + re_alpha) * second if re_alpha < -1.0 else second
 
 
-#: [key, terms, columns] of the last (alpha, s) that `lerch_accelerated` was
-#: called with, updated in place under `_kept_lock`: terms[p - 1] is
-#: (c_p, B(p+1), ratio_p), B the coefficient majorant and ratio_p the value of
-#: `_tail_ratio_sup` at p; columns is the pair's `exact._depth_columns`
-#: generator, stepped exactly len(terms) times (None until terms are kept).
+def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float]]:
+    """Yield (c_p, B(p+1), `_tail_ratio_sup` at p) for p = 1, 2, ..., one
+    `exact._depth_columns` step each, with H_p and |alpha+p+1|, |alpha+p+2|
+    carried: B(p+1) = |prefactor_p| * p/|alpha+p+1| * H_{p+1}^{s-1}."""
+    re_alpha = alpha.real
+    t = s - 1
+    h = 1.0 / abs(alpha + 1)
+    abs_next = abs(alpha + 2)
+    for p, prefactor, col in exact._depth_columns(alpha, t):
+        abs_after = abs(alpha + (p + 2))
+        h_next = h + 1.0 / abs_next
+        yield (
+            -prefactor * col[t],
+            abs(prefactor) * p / abs_next * h_next**t,
+            _tail_ratio_sup(re_alpha, p, s, abs_after, h_next),
+        )
+        h, abs_next = h_next, abs_after
+
+
+#: [key, terms, stream] of the last (alpha, s) summed, updated in place under
+#: `_kept_lock`: `stream` is the pair's `_term_stream`, None or len(terms) items on.
 _kept_stream = [None, [], None]
 _kept_lock = threading.Lock()
+
+
+def _summed(z, alpha, s: int, tol: float, max_terms: int, scale: float = 1.0) -> SeriesResult:
+    """Sum c_p z^p over the kept term stream of (alpha, s) until `scale` times
+    the tail bound is <= tol (see `lerch_accelerated`); the value is unscaled."""
+    az = abs(z)
+    total = 0.0
+    z_pow = 1.0
+    az_pow = az
+    bound = math.inf
+    key = (alpha, s)
+    with _kept_lock:
+        keep = _kept_stream[0] == key
+        if not keep:
+            _kept_stream[:] = [key, [], None]  # first call on this pair
+        elif _kept_stream[2] is None:
+            _kept_stream[2] = _term_stream(alpha, s)
+        terms = _kept_stream[1]
+        stream = _kept_stream[2] if keep else _term_stream(alpha, s)
+        n_kept = len(terms)
+        try:
+            for p in count(1):
+                if p <= n_kept:
+                    c_p, b_next, ratio = terms[p - 1]
+                else:
+                    c_p, b_next, ratio = term = next(stream)
+                    if keep:
+                        terms.append(term)
+                z_pow *= z
+                az_pow *= az
+                total += c_p * z_pow
+                rho = az * ratio
+                if rho < 1.0:
+                    bound = scale * b_next * az_pow / (1.0 - rho)
+                    if bound <= tol:
+                        return SeriesResult(total, p, bound, True)
+                if p >= max_terms:
+                    return SeriesResult(total, p, bound if rho < 1.0 else math.inf, False)
+        except BaseException:
+            _kept_stream[:] = [None, [], None]
+            raise
 
 
 def lerch_accelerated(
@@ -244,27 +296,22 @@ def lerch_accelerated(
     """Evaluate Li(w; alpha, s) for Re(w) < 1/2 through the series in
     z = w/(w-1) (|z| < 1 exactly on that half-plane).
 
-    Stopping rule: after summing P terms, the tail admits the geometric
-    majorant
+    Stopping rule: after P terms the tail is at most B(P+1) |z|^{P+1} /
+    (1 - rho), rho = |z| * sup_{p > P} B(p+1)/B(p), with B(p) = (p-1)!/
+    prod_{j<=p}|alpha+j| * H_p^{s-1} the majorant of `coefficient_bound`
+    (H_p = sum_{i<=p} 1/|alpha+i|, growing like ln p) and the sup bounded as
+    in `_tail_ratio_sup`.  Convergence is declared once this bound is <= tol;
+    while rho >= 1 more terms are added.
 
-        sum_{p > P} |c_p z^p| <= B(P+1) |z|^{P+1} / (1 - rho),
-        rho = |z| * sup_{p > P} B(p+1)/B(p),
-
-    with B the coefficient majorant of `coefficient_bound` and the sup bounded
-    through Re(alpha) as in `_tail_ratio_sup`.  Convergence is declared once
-    this bound is <= tol; while rho >= 1 more terms are simply added.
-
-    The terms c_p, B(p+1) and the sup depend on (alpha, s) only, not on w, so
-    `_kept_stream` keeps the terms of one pair and the generator that computed
-    them.  A call on another pair than the last call's keeps nothing; from the
-    second consecutive call on the same (alpha, s) on, a call sums the kept
-    terms (one complex multiply-add and the bound test per term) and past them
-    steps the kept generator and appends, so no term is computed twice.
-    Memory is bounded by one pair: at most the largest `max_terms` used,
-    about 150 bytes a term.  Every call holds `_kept_lock`, and anything
-    raised while it is held (an `OverflowError` of the majorant at large s, an
-    interrupt) drops the entry, whose generator may then be a step ahead of
-    its terms.  Every result is bit for bit the one a first call gives.
+    c_p, B(p+1) and the sup depend on (alpha, s) only, so `_kept_stream` keeps
+    the terms of one pair and the `_term_stream` generator that computed
+    them.  A call on another pair than the last call's keeps nothing; from
+    the second consecutive call on a pair on, a call sums the kept terms and
+    past them steps the kept generator and appends, so no term is computed
+    twice.  Memory: one pair, at most the largest `max_terms` used, about 150
+    bytes a term.  Every call holds `_kept_lock`, and anything raised while
+    it is held (an `OverflowError` of the majorant at very large s, an
+    interrupt) drops the entry.  Every result is bit for bit a first call's.
     """
     w = _require_finite(w, "w")
     exact._check_count(s, "order s")
@@ -272,48 +319,7 @@ def lerch_accelerated(
     exact._check_count(max_terms, "max_terms")
     if w.real >= 0.5:
         raise DomainError(f"Re(w) must be < 1/2, got Re(w) = {w.real}")
-    z = w / (w - 1)
-    az = abs(z)
-    alpha = shift.alpha
-    re_alpha = alpha.real
-    gap = shift.gap
-    total = 0j
-    z_pow = 1 + 0j
-    bound = math.inf
-    key = (alpha, s)
-    with _kept_lock:
-        keep = _kept_stream[0] == key
-        if not keep:
-            _kept_stream[:] = [key, [], None]  # first call on this pair
-        elif _kept_stream[2] is None:
-            _kept_stream[2] = exact._depth_columns(alpha, s - 1)
-        terms = _kept_stream[1]
-        columns = _kept_stream[2] if keep else exact._depth_columns(alpha, s - 1)
-        n_kept = len(terms)
-        try:
-            for p in count(1):
-                if p <= n_kept:
-                    c_p, b_next, ratio = terms[p - 1]
-                else:
-                    _, prefactor, col = next(columns)
-                    c_p = -prefactor * col[s - 1]
-                    # majorant of |c_{p+1}|, from the running prefactor magnitude
-                    b_next = abs(prefactor) * p / abs(alpha + p + 1) * ((p + 1) / gap) ** (s - 1)
-                    ratio = _tail_ratio_sup(re_alpha, p, s)
-                    if keep:
-                        terms.append((c_p, b_next, ratio))
-                z_pow *= z
-                total += c_p * z_pow
-                rho = az * ratio
-                if rho < 1.0:
-                    bound = b_next * az ** (p + 1) / (1.0 - rho)
-                    if bound <= tol:
-                        return SeriesResult(total, p, bound, True)
-                if p >= max_terms:
-                    return SeriesResult(total, p, bound if rho < 1.0 else math.inf, False)
-        except BaseException:
-            _kept_stream[:] = [None, [], None]
-            raise
+    return _summed(w / (w - 1), shift.alpha, s, tol, max_terms)
 
 
 def _euler_partial_sums(z, alpha, s: int) -> Iterator[complex]:
@@ -355,21 +361,15 @@ def zeta_accelerated(
 ) -> SeriesResult:
     """zeta(s) for integer s >= 2 from the tuple-harmonic series at z = 1/2:
 
-        zeta(s) = 1/(1 - 2^{1-s}) * sum_{p>=1} a_p / (p 2^p).
+        zeta(s) = 1/(1 - 2^{1-s}) * sum_{p>=1} a_p / (p 2^p),
 
-    Error bound after P terms (a_p <= (1 + ln p)^{s-1}, and the bounding terms
-    decay at worst by a factor ~0.51 per step for the p in play):
-
-        1/(1 - 2^{1-s}) * (1 + ln(P+1))^{s-1} * 2^{-P} / (P+1) * 2.
+    the alpha = 0 (a float), w = -1 sum of `lerch_accelerated` (c_p = -a_p/p)
+    times -1/(1 - 2^{1-s}), with its bound times 1/(1 - 2^{1-s}).
     """
     if not isinstance(s, int) or s < 2:
         raise DomainError(f"zeta series needs integer s >= 2, got {s!r} (s = 1 is the pole)")
     tol = _check_tolerance(tol)
     exact._check_count(max_terms, "max_terms")
     factor = 1.0 / (1.0 - 2.0 ** (1 - s))
-    total = 0.0
-    for p, _, col in exact._depth_columns(0, s - 1):
-        total += math.ldexp(col[s - 1] / p, -p)
-        bound = factor * (1.0 + math.log(p + 1)) ** (s - 1) * math.ldexp(2.0 / (p + 1), -p)
-        if bound <= tol or p >= max_terms:
-            return SeriesResult(complex(factor * total), p, bound, bound <= tol)
+    result = _summed(0.5, 0.0, s, tol, max_terms, factor)
+    return replace(result, value=complex(-factor * result.value.real))

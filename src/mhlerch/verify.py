@@ -340,9 +340,9 @@ def _coefficient_report(
         shift = ShiftParam(complex(float(alpha)))
         for s in orders:
             exact_stream = exact_values(alpha, s)
-            float_stream = series._coefficient_stream(shift.alpha, s)
-            for p, c_exact, (_, c_float, _) in zip(range(1, p_max + 1), exact_stream, float_stream):
-                c_exact = float(c_exact)
+            float_stream = exact._depth_columns(shift.alpha, s - 1)
+            for p, c_exact, (_, prefactor, col) in zip(range(1, p_max + 1), exact_stream, float_stream):
+                c_exact, c_float = float(c_exact), -prefactor * col[s - 1]
                 report._float_case(abs(c_float - c_exact) / abs(c_exact), rel_tol, (p, alpha, s))
     return report
 
@@ -393,19 +393,19 @@ def verify_coefficient_bound(
     s_max: int = 6,
     slack: float = 1e-10,
 ) -> VerificationReport:
-    """|c_p| <= coefficient majorant * (1 + slack) across the shift grid."""
+    """|c_p| <= coefficient majorant B(p) * (1 + slack) across the shift grid,
+    B(p) read from the series' own term stream."""
     shifts = tuple(shifts) if shifts is not None else tuple(ShiftParam(a) for a in DEFAULT_SHIFTS)
     report = VerificationReport(
         "coefficient_bound", f"p <= {p_max}, s <= {s_max}, {len(shifts)} shifts"
     )
     for shift in shifts:
         for s in range(1, s_max + 1):
-            stream = series._coefficient_stream(shift.alpha, s)
-            for p in range(1, p_max + 1):
-                _, c_p, prefactor_abs = next(stream)
-                bound = prefactor_abs * (p / shift.gap) ** (s - 1)
+            bound = series.coefficient_bound(1, shift, s)
+            for p, (c_p, b_next, _) in zip(range(1, p_max + 1), series._term_stream(shift.alpha, s)):
                 excess = abs(c_p) / bound - 1.0 if bound > 0 else math.inf
                 report._float_case(max(excess, 0.0), slack, (p, shift.alpha, s))
+                bound = b_next
     return report
 
 

@@ -17,14 +17,17 @@ by f = 1/(1 - 2^{1-s}).  The test derives three counts from closed forms:
       n_lo = ceil((f / (2(tol + r)))^(1/s)) - 1,
       n_hi = ceil((f / (2(tol - r)))^(1/s)).
   The bracket leaves the float rounding of the baseline's partial sums out:
-  at s = 2 it stays below 2.2e-14 up to n = 1e5 (checked against mpmath at
-  40 digits), and the reference's actual error there is -2.2e-14, so the two
-  together stay inside the widening r = 1e-13.
-* Accelerated ceiling n_acc: the smallest P at which the tail bound of
-  `series.zeta_accelerated`, built on the paper's majorant
-  a_p <= (1 + ln p)^{s-1},
+  at s = 2, scaled by f, it reaches 3.8e-14 near n = 1e5, and the
+  reference's actual error there is -9.2e-14 (both checked against mpmath at
+  40 digits).  Together they may exceed r = 1e-13, which can lower the true
+  n_lo from 99950 to 99935; the measured count, 99974, lies inside both.
+* Accelerated ceiling n_acc: the smallest P at which the tail bound built
+  on the paper's majorant a_p <= (1 + ln p)^{s-1},
       f (1 + ln(P+1))^{s-1} 2^{1-P} / (P+1),
-  meets tol.
+  meets tol.  `series.zeta_accelerated` stops through the majorant
+  a_p <= H_p^{s-1} (H_p the harmonic number, H_p <= 1 + ln p) and its own
+  tail ratio; at these s and tol its bound is the smaller one, and the
+  test asserts that its count is at most n_acc.
 * Series floor n_min: every coefficient satisfies a_p >= 1, so the error after
   N terms is at least the first omitted term f / ((N+1) 2^{N+1}), and no
   stopping rule can stop before the first N at which that meets tol.

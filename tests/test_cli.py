@@ -354,6 +354,15 @@ def test_overflow_is_an_error_exit(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_eval_at_large_order(capsys):
+    # the majorant (p/C(alpha))^{s-1} overflowed binary64 here ("Numerical
+    # result out of range", exit 1)
+    code, data, _ = run_json(capsys, "eval", "--s", "150", "--w", "-1")
+    assert code == 0
+    assert data["converged"] is True
+    assert data["value_re"] == pytest.approx(-1.0, abs=1e-12)
+
+
 def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

@@ -10,17 +10,12 @@ which rewrites the file from the current code and prints every key that
 moved, grouped by function and shift, so the change can state each group and
 why.  Floats are stored as `float.hex`, complex numbers as a pair of them,
 `Fraction`s as `"F:"` plus their `str` and integers as JSON integers, so a
-change of value or of type shows.  Every entry must match exactly, except
-`coefficient_bound`, which reads |prefactor| from the shared coefficient
-stream where it was first recorded from its own real product (up to 12 ulp
-apart on this grid) and is compared at relative 1e-13; re-recording keeps an
-entry that still matches this way.
+change of value or of type shows.  Every entry must match exactly.
 """
 
 import contextlib
 import io
 import json
-import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -38,15 +33,12 @@ GAP_ALPHAS = SHIFTS + (-0.5, -1.5, -2.7, 1e6, -1000.4, -0.999999, -3 + 1e-9j, -2
 W_GRID = (-1.0, 0.4, -0.3 + 0.4j, -5.0, 0.3 + 2j, 0.45 - 0.1j)
 Z_GRID = (0.5, -0.3 + 0.2j, 0.25j, -0.45)
 
-#: Entries compared at this relative tolerance instead of bit for bit.
-LOOSE = {"coefficient_bound": 1e-13}
-
 #: Position of the shift (alpha or beta) among the words of each function's
 #: keys; the summary of a re-recording groups moved keys by it.
 SHIFT_WORD = {
     "multi_sum": 4, "multi_sum_bruteforce": 4, "lemma_lhs": 3, "lemma_rhs": 3,
     "coefficient_stream": 1, "coefficient_exact": 2, "alternating_coefficient_sum": 2,
-    "shift_gap": 1, "_coefficient_stream": 1, "coefficient_float": 2, "coefficient_bound": 2,
+    "shift_gap": 1, "_term_stream": 1, "coefficient_float": 2, "coefficient_bound": 2,
     "euler_transform_eval": 2, "lerch_accelerated": 2,
 }
 
@@ -127,8 +119,8 @@ def _series_layer():
     for alpha in SHIFTS:
         shift = ShiftParam(alpha)
         for s in range(1, 6):
-            stream = series._coefficient_stream(shift.alpha, s)
-            out[f"_coefficient_stream {alpha} {s}"] = [next(stream) for _ in range(30)]
+            stream = series._term_stream(shift.alpha, s)
+            out[f"_term_stream {alpha} {s}"] = [next(stream) for _ in range(30)]
             for p in (1, 2, 5, 17, 60):
                 out[f"coefficient_float {p} {alpha} {s}"] = series.coefficient_float(p, shift, s)
                 out[f"coefficient_bound {p} {alpha} {s}"] = series.coefficient_bound(p, shift, s)
@@ -183,24 +175,6 @@ def _cli_layer():
 LAYERS = {"exact": _exact_layer, "series": _series_layer, "verify": _verify_layer, "cli": _cli_layer}
 
 
-def _close(recorded, current, rel):
-    if isinstance(recorded, list):
-        return (
-            isinstance(current, list)
-            and len(recorded) == len(current)
-            and all(_close(r, c, rel) for r, c in zip(recorded, current))
-        )
-    if isinstance(recorded, str) and isinstance(current, str) and recorded[:2] in ("0x", "-0"):
-        r, c = float.fromhex(recorded), float.fromhex(current)
-        return math.isclose(r, c, rel_tol=rel, abs_tol=0.0)
-    return recorded == current
-
-
-def _same(key, recorded, current):
-    rel = LOOSE.get(key.split(" ", 1)[0])
-    return _close(recorded, current, rel) if rel else recorded == current
-
-
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GRID_PATH.read_text())
@@ -211,7 +185,7 @@ def test_golden_grid(golden, layer):
     recorded = golden[layer]
     current = {k: encode(v) for k, v in LAYERS[layer]().items()}
     assert current.keys() == recorded.keys()
-    mismatched = [key for key, value in recorded.items() if not _same(key, value, current[key])]
+    mismatched = [key for key, value in recorded.items() if value != current[key]]
     assert not mismatched, f"{len(mismatched)} of {len(recorded)} differ, first: {mismatched[:5]}"
 
 
@@ -224,8 +198,7 @@ def rerecord():
         current = {k: encode(v) for k, v in build().items()}
         groups = {}
         for key, value in current.items():
-            if key in recorded and _same(key, recorded[key], value):
-                current[key] = recorded[key]
+            if recorded.get(key) == value:
                 continue
             function, *args = key.split(" ")
             at = SHIFT_WORD.get(function)

@@ -8,6 +8,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
+from itertools import islice
 
 import mpmath as mp
 import pytest
@@ -174,28 +175,33 @@ def test_coefficient_float_matches_exact():
 
 
 def test_coefficient_bound_alpha_zero_closed_form():
-    # bound simplifies to p^{s-2} at alpha = 0
+    # B(p) = H_p^{s-1} / p at alpha = 0, H_p the harmonic number
     shift = ShiftParam(0j)
     for s in (1, 2, 3, 5):
         for p in (1, 4, 30, 200):
-            expected = float(p) ** (s - 2)
+            expected = float(sum(F(1, i) for i in range(1, p + 1))) ** (s - 1) / p
             assert series.coefficient_bound(p, shift, s) == pytest.approx(expected, rel=1e-13)
 
 
 def test_coefficient_bound_first_index():
-    for alpha in SHIFTS_MIXED:
+    # B(1) = |alpha+1|^{-s}; at -2.5 the gap C(alpha) = 0.5 differs from |alpha+1|
+    for alpha in SHIFTS_MIXED + [-2.5 + 0j]:
         shift = ShiftParam(alpha)
         for s in (1, 2, 3):
-            expected = 1.0 / (abs(alpha + 1) * shift.gap ** (s - 1))
+            expected = abs(alpha + 1) ** -s
             assert series.coefficient_bound(1, shift, s) == pytest.approx(expected, rel=1e-14)
 
 
 def test_coefficient_bound_attained_at_s1_alpha0():
-    shift = ShiftParam(0j)
-    for p in (1, 3, 10):
-        assert abs(series.coefficient_float(p, shift, 1)) == pytest.approx(
-            series.coefficient_bound(p, shift, 1), rel=1e-13
-        )
+    # attained at p = 1, at s = 1 and, for real alpha > -1 (every f_i > 0), at s = 2
+    for alpha in SHIFTS_MIXED:
+        shift = ShiftParam(alpha)
+        for s in (1, 2, 3):
+            for p in (1, 3, 10):
+                attained = p == 1 or s == 1 or (s == 2 and alpha.imag == 0 and alpha.real > -1)
+                c_p = abs(series.coefficient_float(p, shift, s))
+                bound = series.coefficient_bound(p, shift, s)
+                assert (c_p == pytest.approx(bound, rel=1e-13)) == attained
 
 
 def test_coefficient_bound_validity():
@@ -207,11 +213,13 @@ def test_coefficient_bound_validity():
                 assert abs(c) <= series.coefficient_bound(p, shift, s) * (1 + 1e-10)
 
 
-def _triangle_ratio_sup(abs_alpha, p, s):
-    # the earlier bound, through |alpha+m+1| >= m+1-|alpha|
-    if p + 2 <= abs_alpha:
-        return math.inf
-    return max(1.0, (p + 1) / (p + 2 - abs_alpha)) * ((p + 2) / (p + 1)) ** (s - 1)
+def _majorant_ratios(alpha, s, stop):
+    # B(m+1)/B(m) = m/|alpha+m+1| * (H_{m+1}/H_m)^{s-1} for m = 1 .. stop - 1,
+    # with H_m = sum_{i<=m} 1/|alpha+i| summed here, apart from the series
+    h = [0.0]
+    for i in range(1, stop + 1):
+        h.append(h[-1] + 1 / abs(alpha + i))
+    return {m: m / abs(alpha + m + 1) * (h[m + 1] / h[m]) ** (s - 1) for m in range(1, stop)}
 
 
 tail_shifts = st.one_of(
@@ -232,12 +240,28 @@ tail_shifts = st.one_of(
 @settings(max_examples=300)
 @given(alpha=tail_shifts, p=st.integers(1, 200), s=st.integers(1, 6))
 def test_tail_ratio_sup_bounds_the_majorant_ratio(alpha, p, s):
-    alpha = complex(alpha)
-    sup = series._tail_ratio_sup(alpha.real, p, s)
-    ratios = (m / abs(alpha + m + 1) * ((m + 1) / m) ** (s - 1) for m in range(p + 1, p + 401))
+    alpha = complex(alpha)  # may lie closer to a pole than ShiftParam admits
+    stream = list(islice(series._term_stream(alpha, s), 200))
+    bounds = [abs(alpha + 1) ** -s] + [b_next for _, b_next, _ in stream]  # B(1) = |c_1|
+    for c_p, b_p in zip((c_p for c_p, _, _ in stream), bounds):
+        assert abs(c_p) <= b_p * (1 + 1e-12)
+    sup = stream[p - 1][2]
+    ratios = _majorant_ratios(alpha, s, p + 401)
+    for m in range(1, 200):  # bounds[m] = B(m+1)
+        assert bounds[m] == pytest.approx(bounds[m - 1] * ratios[m], rel=1e-12)
     # at real alpha < -1 the sup is attained at m = p + 1; allow its rounding
-    assert sup * (1 + 1e-12) >= max(ratios)
-    assert sup <= _triangle_ratio_sup(abs(alpha), p, s)
+    assert sup * (1 + 1e-12) >= max(ratios[m] for m in range(p + 1, p + 401))
+
+
+def test_tail_ratio_is_not_bounded_by_the_old_second_factor():
+    # At alpha = -50.5, |f_51| = 2 while H_50 is about 6.5, so B(51)/B(50) exceeds
+    # the first factor times ((p+2)/(p+1))^{s-1} at p = 49, the first finite ratio.
+    alpha, s, p = -50.5 + 0j, 3, 49
+    ratio = _majorant_ratios(alpha, s, 52)[50]
+    first = max(1.0, (p + 1) / (p + 2 + alpha.real))
+    assert ratio > 1.5 * first * ((p + 2) / (p + 1)) ** (s - 1)
+    ratios = [r for _, _, r in islice(series._term_stream(alpha, s), p)]
+    assert all(math.isinf(r) for r in ratios[:-1]) and ratios[-1] >= ratio
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +316,17 @@ def test_accelerated_large_shift_stops_early(alpha):
         assert 0.0 < result.error_bound <= 1e-12
         ref = ref_lerch(w, alpha, 2)
         assert abs(result.value - ref) <= result.error_bound + 8 * 2.0**-53 * abs(ref)
+
+
+@pytest.mark.parametrize("s, most", [(10, 54), (20, 78), (50, 155), (150, None), (300, None)])
+def test_accelerated_large_order_stops_early(s, most):
+    # The majorant through (p/C(alpha))^{s-1} took 93/175/466 terms at
+    # s = 10/20/50 and overflowed binary64 from s = 150 on.
+    result = series.lerch_accelerated(-1, ShiftParam(0j), s, tol=1e-12)
+    assert result.converged
+    assert most is None or result.terms_used <= most
+    reference = -(1 - mp.mpf(2) ** (1 - s)) * mp.zeta(s)
+    assert abs(result.value - complex(reference)) <= result.error_bound
 
 
 def test_accelerated_agrees_with_direct_inside_disk():
@@ -415,6 +450,24 @@ def test_kept_stream_interleaved_pairs_give_cold_bits():
     assert got == expected
 
 
+def test_zeta_and_lerch_share_the_alpha_zero_stream():
+    # zeta keeps the alpha = 0 terms computed in float, lerch reads them as
+    # its own complex ones: the real parts come from the same operations and
+    # a zero imaginary part stays +0.0, so the bits must be a cold call's
+    calls = [(w, 0j, s, 1e-12, 10000) for s in (2, 3) for w in (-1, 0.25, -0.5 + 0.5j)]
+    expected = [_cold(call) for call in calls]
+    cold_zeta = {}
+    for s in (2, 3):
+        _forget_stream()
+        cold_zeta[s] = repr(series.zeta_accelerated(s))
+    got = []
+    for w, alpha, s, tol, max_terms in calls:
+        for _ in range(2):  # the second call keeps the zeta terms, or reads lerch's
+            assert repr(series.zeta_accelerated(s, tol, max_terms)) == cold_zeta[s]
+        got.append(repr(series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)))
+    assert got == expected
+
+
 def test_kept_stream_steps_the_kernel_once_per_term(monkeypatch):
     # A row in ascending |z| needs more terms at each point.  The first call
     # on the pair keeps nothing; the later calls extend the one kept stream,
@@ -437,22 +490,22 @@ def test_kept_stream_steps_the_kernel_once_per_term(monkeypatch):
         for w, alpha, s, tol, max_terms in calls
     ]
     assert [repr(result) for result in got] == expected
-    assert got[0].terms_used == 8 and max(r.terms_used for r in got[1:]) == 50
-    assert len(steps) == 58
+    assert got[0].terms_used == 8 and max(r.terms_used for r in got[1:]) == 43
+    assert len(steps) == 51
 
 
 def test_kept_stream_is_dropped_when_an_extension_raises(monkeypatch):
-    # The kernel is stepped before the term's ratio is computed, so a raise
-    # between the two leaves the kept generator a step ahead of the kept
-    # terms; the entry must be dropped, not read by the next call.
+    # The term stream steps the kernel before it computes the term's ratio,
+    # so a raise between the two ends the kept generator after the last kept
+    # term; the entry must be dropped, not read by the next call.
     call = (-0.7 + 0.3j, 1.3 + 0.7j, 3, 1e-12, 10000)
     expected = _cold(call)
     tail_ratio_sup = series._tail_ratio_sup
 
-    def interrupted(re_alpha, p, s):
+    def interrupted(re_alpha, p, *args):
         if p == 20:
             raise KeyboardInterrupt
-        return tail_ratio_sup(re_alpha, p, s)
+        return tail_ratio_sup(re_alpha, p, *args)
 
     _forget_stream()
     series.lerch_accelerated(-4 + 2j, ShiftParam(1.3 + 0.7j), 3)
@@ -469,7 +522,8 @@ def test_kept_stream_is_safe_across_threads():
     # its own shuffled order, one pair after another, so they keep reading,
     # replacing and extending the one kept stream under each other.  Besides
     # the short switch interval, a tracer makes a thread nap at random byte
-    # codes of `lerch_accelerated`, so that it can lose the interpreter lock
+    # codes of `lerch_accelerated` and the summation loop `_summed` it calls,
+    # so that it can lose the interpreter lock
     # between any two of them.  Every result must be the serial cold one.
     rows = []
     for alpha, s in ((0.5 + 0j, 2), (1.3 + 0.7j, 3), (-0.5 + 0.5j, 4)):
@@ -478,10 +532,10 @@ def test_kept_stream_is_safe_across_threads():
     expected = {call: _cold(call) for row in rows for call in row}
     barrier = threading.Barrier(4, timeout=60)
     naps = random.Random(0)
-    code = series.lerch_accelerated.__code__
+    codes = (series.lerch_accelerated.__code__, series._summed.__code__)
 
     def tracer(frame, event, arg):
-        if frame.f_code is not code:
+        if frame.f_code not in codes:
             return None
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
