@@ -36,7 +36,6 @@ from .series import (
     coefficient_bound,
     coefficient_float,
     disk_to_half_plane,
-    euler_transform_eval,
     half_plane_to_disk,
     lerch_accelerated,
     lerch_direct,
@@ -70,7 +69,6 @@ __all__ = [
     "coefficient_bound",
     "coefficient_float",
     "disk_to_half_plane",
-    "euler_transform_eval",
     "half_plane_to_disk",
     "lerch_accelerated",
     "lerch_direct",

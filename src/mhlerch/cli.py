@@ -237,10 +237,9 @@ def bench_rows(
     count partial-sum terms until the error measured against the high-accuracy
     accelerated reference first falls below the tolerance (capped at
     `max_terms`, in which case the row's achieved_error exceeds its tol).
-    Their partial sums, scaled by -1/(1 - 2^{1-s}), are the generators behind
-    `euler_transform_eval` and `alternating_direct`:
-    `series._euler_partial_sums` at z = 1/2 and
-    `series._alternating_partial_sums` at alpha = 0.
+    Their partial sums, scaled by -1/(1 - 2^{1-s}), are the binomial double
+    sum `series._euler_partial_sums` (alpha = 0, z = 1/2) and the generator
+    behind `alternating_direct`, `series._alternating_partial_sums` at alpha = 0.
 
     The `euler_transform` and `direct_alternating` counts are measured against
     a reference certified only to `REFERENCE_TOL`, so a count near the
@@ -265,7 +264,7 @@ def bench_rows(
                     accelerated.terms_used, abs(accelerated.value.real - reference),
                 )
             )
-            euler = series._euler_partial_sums(0.5, 0j, s)
+            euler = series._euler_partial_sums(s)
             p, error = _terms_to_reach(euler, scale, reference, tol, max_terms)
             rows.append(ConvergenceRow("euler_transform", s, 0.5, 0.0, tol, p, error))
             alternating = series._alternating_partial_sums(0.0, s)

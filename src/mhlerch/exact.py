@@ -129,9 +129,9 @@ def _depth_columns(x0, depth: int, n0: int = 1, stop: Optional[int] = None):
     in place; copy it to keep a value.  The weight at n is computed only when
     item n is asked for, so a pole of 1/(x0 + n) past the last index taken is
     never reached.  The loop is written out here, not composed from smaller
-    generators, because the float evaluators step it once for each new term:
-    `series.zeta_accelerated` on every call, `series.lerch_accelerated` past
-    the terms it keeps for its last (alpha, s).
+    generators, because the float evaluators step it once for each term they
+    do not keep: `series.lerch_accelerated` and `series.zeta_accelerated` sum
+    one kept stream (see `series._summed`).
     """
     col = [1] + [0] * depth
     prefactor = 1
@@ -144,16 +144,14 @@ def _depth_columns(x0, depth: int, n0: int = 1, stop: Optional[int] = None):
         yield n, prefactor, col
 
 
-def _alternating_sum(x0, n0: int, q: int, s: int, sign: int = 1):
-    """sum_{m=0}^{q} sign (-1)^m C(q, m) / (x0 + n)^s with n = n0 + m, in the
-    number type of x0; L(q, beta) is (x0, n0) = (beta, 0).
-
-    The denominators are formed as x0 + n, and the sign is carried into each
-    term, so float callers get the bits they would get summing in place.
-    """
+def _alternating_sum(x0, q: int, s: int):
+    """L(q, x0) = sum_{m=0}^{q} C(q, m) (-1)^m / (x0 + m)^s in the number type
+    of x0.  `series` sums it at x0 = 1 + 0j only (the double sum at alpha = 0,
+    z = 1/2): complex, as a float or int x0 rounds otherwise past 2^53."""
     total = 0
+    sign = 1
     for m in range(q + 1):
-        total += sign * math.comb(q, m) / (x0 + (n0 + m)) ** s
+        total += sign * math.comb(q, m) / (x0 + m) ** s
         sign = -sign
     return total
 
@@ -187,7 +185,7 @@ def multi_sum_bruteforce(
 
 def lemma_lhs(params: LemmaParams) -> Fraction:
     """L(q, beta) = sum_{m=0}^{q} C(q, m) (-1)^m / (beta + m)^s."""
-    return _alternating_sum(params.beta, 0, params.q, params.s)
+    return _alternating_sum(params.beta, params.q, params.s)
 
 
 def lemma_rhs(params: LemmaParams) -> Fraction:

@@ -8,8 +8,8 @@ on the half-plane Re(w) < 1/2 via the power series in z = w/(w-1),
     c_p = -(p-1)!/(alpha+1)_p * S_1^p(s-1),  f_i = 1/(alpha + i),
 
 plus the slow defining series on |w| < 1, the alternating boundary series at
-w = -1, the equivalent binomial double-sum form, and the accelerated zeta(s)
-series obtained at alpha = 0, z = 1/2.
+w = -1, and, at alpha = 0, z = 1/2, the binomial double-sum form and the
+accelerated zeta(s) series.
 
 Every evaluator returns an a-posteriori error bound.  The series in z is
 bounded through the coefficient majorant
@@ -305,12 +305,14 @@ def lerch_accelerated(
 
     c_p, B(p+1) and the sup depend on (alpha, s) only, so `_kept_stream` keeps
     the terms of one pair and the `_term_stream` generator that computed
-    them.  A call on another pair than the last call's keeps nothing; from
-    the second consecutive call on a pair on, a call sums the kept terms and
-    past them steps the kept generator and appends, so no term is computed
-    twice.  Memory: one pair, at most the largest `max_terms` used, about 150
-    bytes a term.  Every call holds `_kept_lock`, and anything raised while
-    it is held (an `OverflowError` of the majorant at very large s, an
+    them.  A first call on a pair keeps nothing: on `eval-scattered`, a new
+    pair almost every call, near-pole and negative shifts at |z| > 0.98 sum
+    up to 10^4 terms (73% of its time); keeping them added 7.5-9.2% to peak
+    memory and took 1.3-5.0% off op/s.  Later consecutive calls sum the kept
+    terms, and past them step the kept generator and append: no term is
+    computed twice.  Memory: one pair, at most the largest `max_terms` used,
+    about 150 bytes a term.  Every call holds `_kept_lock`; anything raised
+    while it is held (an `OverflowError` of the majorant at very large s, an
     interrupt) drops the entry.  Every result is bit for bit a first call's.
     """
     w = _require_finite(w, "w")
@@ -322,27 +324,16 @@ def lerch_accelerated(
     return _summed(w / (w - 1), shift.alpha, s, tol, max_terms)
 
 
-def _euler_partial_sums(z, alpha, s: int) -> Iterator[complex]:
-    """Yield the double sum sum_{p<=P} z^p * (inner binomial sum at p) for
-    P = 1, 2, ..., each inner sum computed independently."""
+def _euler_partial_sums(s: int) -> Iterator[complex]:
+    """Yield sum_{p<=P} 2^{-p} sum_{m<p} C(p-1, m) (-1)^{m+1}/(m+1)^s, P = 1, 2, ...:
+    the series at alpha = 0, z = 1/2, each inner sum computed independently.  Its
+    rounding grows like u (2|z|)^P, so it is summed at z = 1/2 only."""
     total = 0j
     z_pow = 1 + 0j
     for p in count(1):
-        z_pow *= z
-        total += z_pow * exact._alternating_sum(alpha, 1, p - 1, s, sign=-1)
+        z_pow *= 0.5
+        total += z_pow * -exact._alternating_sum(1 + 0j, p - 1, s)
         yield total
-
-
-def euler_transform_eval(z: ComplexLike, shift: ShiftParam, s: int, P: int) -> complex:
-    """Truncation at p = P of the double sum sum_p z^p * (inner binomial sum),
-    each inner sum computed independently.  The inner sum at p cancels terms
-    of size ~2^p, so rounding grows like u (2|z|)^P: |z| > 1/2 is rejected."""
-    z = _require_finite(z, "z")
-    exact._check_count(s, "order s")
-    exact._check_count(P, "P")
-    if abs(z) > 0.5:
-        raise DomainError(f"|z| must be <= 1/2, got |z| = {abs(z)}")
-    return next(islice(_euler_partial_sums(z, shift.alpha, s), P - 1, None))
 
 
 def ap_coefficient(p: int, s: int) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import exact, series
@@ -56,6 +56,7 @@ DEFAULT_P_MAX_EXACT = 40
 DEFAULT_P_MAX_INNER = 30
 DEFAULT_P_MAX_FLOAT = 200
 DEFAULT_FLOAT_TOL = 1e-10
+SONDOW_P = 60
 
 #: Displayed identities of the combinatorial proof -> report that checks them.
 LEMMA_PROOF_IDENTITIES: Dict[str, str] = {
@@ -292,7 +293,7 @@ def verify_lemma_complex(
     for beta in betas:
         for q in range(q_max + 1):
             for s in range(1, s_max + 1):
-                lhs = exact._alternating_sum(beta, 0, q, s)
+                lhs = exact._alternating_sum(beta, q, s)
                 *_, (_, prefactor, col) = exact._depth_columns(beta, s - 1, 0, q)
                 rhs = prefactor * col[s - 1]
                 report._float_case(float_residual(lhs, rhs), tol, (q, s, beta))
@@ -424,17 +425,15 @@ def verify_ap_bound(p_max: int = DEFAULT_P_MAX_FLOAT, s_max: int = 6) -> Verific
 
 def verify_sondow_form(
     s_max: int = DEFAULT_S_MAX,
-    P: int = 60,
     tol: float = DEFAULT_FLOAT_TOL,
 ) -> VerificationReport:
-    """The alpha = 0, z = 1/2 special case: the binomial double sum agrees with
-    the accelerated evaluator at w = -1 and with -(1 - 2^{1-s}) zeta(s)
-    (with -ln 2 as the s = 1 reference)."""
-    shift = ShiftParam(0j)
-    report = VerificationReport("sondow_special_case", f"s <= {s_max}, P = {P}, alpha = 0, z = 1/2")
+    """The alpha = 0, z = 1/2 special case: the binomial double sum to
+    p = `SONDOW_P` agrees with the accelerated evaluator at w = -1 and with
+    -(1 - 2^{1-s}) zeta(s) (with -ln 2 as the s = 1 reference)."""
+    report = VerificationReport("sondow_special_case", f"s <= {s_max}, P = {SONDOW_P}, alpha = 0, z = 1/2")
     for s in range(1, s_max + 1):
-        euler = series.euler_transform_eval(0.5, shift, s, P)
-        accelerated = series.lerch_accelerated(-1.0, shift, s, tol=1e-12)
+        euler = next(islice(series._euler_partial_sums(s), SONDOW_P - 1, None))
+        accelerated = series.lerch_accelerated(-1.0, ShiftParam(0j), s, tol=1e-12)
         report._float_case(float_residual(euler, accelerated.value), tol, ("euler=accel", s))
         if s == 1:
             reference = -math.log(2.0)

@@ -31,7 +31,6 @@ ALPHAS = (F(0), F(1, 2), F(-1, 3), F(4), F(-7, 2))
 SHIFTS = (0j, 0.5 + 0j, 1j, -0.5 + 0.5j, -7.3 + 0.01j, 3 - 2j, -1.999)
 GAP_ALPHAS = SHIFTS + (-0.5, -1.5, -2.7, 1e6, -1000.4, -0.999999, -3 + 1e-9j, -2.0)
 W_GRID = (-1.0, 0.4, -0.3 + 0.4j, -5.0, 0.3 + 2j, 0.45 - 0.1j)
-Z_GRID = (0.5, -0.3 + 0.2j, 0.25j, -0.45)
 
 #: Position of the shift (alpha or beta) among the words of each function's
 #: keys; the summary of a re-recording groups moved keys by it.
@@ -39,7 +38,7 @@ SHIFT_WORD = {
     "multi_sum": 4, "multi_sum_bruteforce": 4, "lemma_lhs": 3, "lemma_rhs": 3,
     "coefficient_stream": 1, "coefficient_exact": 2, "alternating_coefficient_sum": 2,
     "shift_gap": 1, "_term_stream": 1, "coefficient_float": 2, "coefficient_bound": 2,
-    "euler_transform_eval": 2, "lerch_accelerated": 2,
+    "lerch_accelerated": 2,
 }
 
 CLI_COMMANDS = (
@@ -124,11 +123,6 @@ def _series_layer():
             for p in (1, 2, 5, 17, 60):
                 out[f"coefficient_float {p} {alpha} {s}"] = series.coefficient_float(p, shift, s)
                 out[f"coefficient_bound {p} {alpha} {s}"] = series.coefficient_bound(p, shift, s)
-            for z in Z_GRID:
-                for P in (1, 10, 30):
-                    out[f"euler_transform_eval {z} {alpha} {s} {P}"] = (
-                        series.euler_transform_eval(z, shift, s, P)
-                    )
             for w in W_GRID:
                 for tol, max_terms in ((1e-8, 10000), (1e-12, 10000), (1e-13, 15)):
                     out[f"lerch_accelerated {w} {alpha} {s} {tol} {max_terms}"] = (

@@ -373,11 +373,9 @@ def test_max_terms_must_be_an_integer(evaluate):
         (lambda n: series.coefficient_float(n, ShiftParam(0j), 2), "p"),
         (lambda n: series.coefficient_bound(n, ShiftParam(0j), 2), "p"),
         (lambda n: series.ap_coefficient(n, 2), "p"),
-        (lambda n: series.euler_transform_eval(0.5, ShiftParam(0j), 2, n), "P"),
         (lambda n: series.alternating_direct(ShiftParam(0j), 2, n), "n_terms"),
     ],
-    ids=["coefficient_float", "coefficient_bound", "ap_coefficient", "euler_transform_eval",
-         "alternating_direct"],
+    ids=["coefficient_float", "coefficient_bound", "ap_coefficient", "alternating_direct"],
 )
 def test_index_and_count_arguments_must_be_integers(call, name):
     # A float index used to be compared with the loop's integers and never met
@@ -582,45 +580,22 @@ def test_kept_stream_is_safe_across_threads():
 # ---------------------------------------------------------------------------
 
 
-def test_euler_single_term():
-    for alpha in SHIFTS_MIXED:
-        shift = ShiftParam(alpha)
-        z = 0.3 + 0.1j
-        expected = z * (-1) / (alpha + 1) ** 2
-        assert series.euler_transform_eval(z, shift, 2, 1) == pytest.approx(expected, rel=1e-15)
-
-
 def test_euler_eta2_at_half():
-    value = series.euler_transform_eval(0.5, ShiftParam(0j), 2, 60)
+    value = next(islice(series._euler_partial_sums(2), 59, None))
     assert value.real == pytest.approx(-PI2_12, abs=1e-12)
 
 
-def test_euler_domain_error():
-    with pytest.raises(DomainError):
-        series.euler_transform_eval(1.0, ShiftParam(0j), 2, 10)
-
-
-def test_euler_rejects_z_beyond_half():
-    # Rounding grows like u (2|z|)^P past |z| = 1/2: at s = 2, alpha = 0 and P
-    # the accelerated evaluator's count at tol 1e-12, the double sum was off
-    # from it by 5.4e5 at z = -0.8 (P = 131) and by 3.9e50 at z = 0.9i (P = 284).
-    shift = ShiftParam(0j)
-    for z in (-0.8, 0.9j, 0.5 + 1e-4j, -0.51):
-        with pytest.raises(DomainError, match="1/2"):
-            series.euler_transform_eval(z, shift, 2, 10)
-    for z in (0.5, -0.5, 0.5j, 0.3 + 0.4j):
-        series.euler_transform_eval(z, shift, 2, 10)  # |z| = 1/2 is inside
-
-
-def test_euler_matches_accelerated_on_disk():
-    for alpha in SHIFTS_MIXED:
-        shift = ShiftParam(alpha)
-        for s in (1, 3):
-            for z in (0.5, -0.5, 0.3 + 0.3j):
-                w = series.disk_to_half_plane(z)
-                a = series.lerch_accelerated(w, shift, s, tol=1e-12)
-                e = series.euler_transform_eval(z, shift, s, a.terms_used)
-                assert abs(a.value - e) <= a.error_bound + 1e-12
+def test_euler_partial_sums_stable_at_half():
+    # Each inner sum cancels terms of size ~2^p, and z^p = 2^{-p} offsets
+    # that: every partial sum stays within a few ulps of the exact one.
+    for s in range(1, 9):
+        exact_total = F(0)
+        sums = series._euler_partial_sums(s)
+        for P in range(1, 61):
+            exact_total += exact.alternating_coefficient_sum(P, 0, s) / 2**P
+            value = next(sums)
+            assert value.imag == 0.0
+            assert abs(F(value.real) - exact_total) <= F(1e-15) * abs(exact_total), (s, P)
 
 
 # ---------------------------------------------------------------------------
