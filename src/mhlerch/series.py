@@ -19,7 +19,10 @@ bounded through the coefficient majorant
 
 where H_p grows like ln p (see `coefficient_bound`).  The factorial/Pochhammer
 ratio is carried multiplicatively: both factors overflow binary64 near p ~ 170
-while their ratio stays O(1/p) for small shifts.
+while their ratio stays O(1/p) for small shifts.  Negative shifts are summed
+at alpha + K through the shift relation (Erdelyi, HTF I, 1.11)
+
+    Li(w; alpha, s) = sum_{n<=K} w^n/(alpha+n)^s + w^K Li(w; alpha+K, s).
 
 Contract: binary64 throughout; tolerances below 1e-13 are rejected.
 """
@@ -115,12 +118,16 @@ class SeriesResult:
 def half_plane_to_disk(w: ComplexLike) -> complex:
     """z = w/(w-1); maps the half-plane Re(w) < 1/2 onto the unit disk."""
     w = _require_finite(w, "w")
+    if w == 1:
+        raise DomainError("w = 1 is the pole of z = w/(w-1)")
     return w / (w - 1)
 
 
 def disk_to_half_plane(z: ComplexLike) -> complex:
     """w = -z/(1-z); inverse of `half_plane_to_disk`."""
     z = _require_finite(z, "z")
+    if z == 1:
+        raise DomainError("z = 1 is the pole of w = -z/(1-z)")
     return -z / (1 - z)
 
 
@@ -303,12 +310,20 @@ def lerch_accelerated(
     in `_tail_ratio_sup`.  Convergence is declared once this bound is <= tol;
     while rho >= 1 more terms are added.
 
+    Pole peeling: if Re(alpha) < -1/2, 0 < |w| <= 1 and K = floor(-Re alpha)
+    + 1 < max_terms, the K head terms w^n (1/(alpha+n))^s of the shift
+    relation are summed directly and the series in z at alpha+K, where
+    Re(alpha+K) > 0 makes the ratio's first factor 1 and no f_i is near a
+    pole, until |w|^K times its bound is <= tol.  `terms_used` counts the K
+    head terms plus the terms in z; the stream is kept under (alpha+K, s).  At
+    |w| > 1 the head would amplify rounding by |w|^K, which the bound does not
+    count, so there the series is summed at alpha.
+
     c_p, B(p+1) and the sup depend on (alpha, s) only, so `_kept_stream` keeps
     the terms of one pair and the `_term_stream` generator that computed
     them.  A first call on a pair keeps nothing: on `eval-scattered`, a new
-    pair almost every call, near-pole and negative shifts at |z| > 0.98 sum
-    up to 10^4 terms (73% of its time); keeping them added 7.5-9.2% to peak
-    memory and took 1.3-5.0% off op/s.  Later consecutive calls sum the kept
+    pair almost every call, keeping them added 7.5-9.2% to peak memory and
+    took 1.3-5.0% off op/s.  Later consecutive calls sum the kept
     terms, and past them step the kept generator and append: no term is
     computed twice.  Memory: one pair, at most the largest `max_terms` used,
     about 150 bytes a term.  Every call holds `_kept_lock`; anything raised
@@ -321,7 +336,17 @@ def lerch_accelerated(
     exact._check_count(max_terms, "max_terms")
     if w.real >= 0.5:
         raise DomainError(f"Re(w) must be < 1/2, got Re(w) = {w.real}")
-    return _summed(w / (w - 1), shift.alpha, s, tol, max_terms)
+    z, alpha = w / (w - 1), shift.alpha
+    if alpha.real < -0.5 and 0.0 < abs(w) <= 1.0 and -alpha.real < max_terms - 1:
+        k = math.floor(-alpha.real) + 1  # < max_terms by the test above
+        head = 0j
+        w_pow = 1 + 0j
+        for n in range(1, k + 1):
+            w_pow *= w
+            head += w_pow * (1 / (alpha + n)) ** s  # overflows, never divides by 0
+        inner = _summed(z, alpha + k, s, tol, max_terms - k, abs(w_pow))
+        return replace(inner, value=head + w_pow * inner.value, terms_used=k + inner.terms_used)
+    return _summed(z, alpha, s, tol, max_terms)
 
 
 def _euler_partial_sums(s: int) -> Iterator[complex]:

@@ -55,6 +55,13 @@ def test_eval_domain_error_exits_1(capsys):
     assert "Re(w)" in err
 
 
+def test_eval_at_z_one_exits_1(capsys):
+    code, _, err = run_cli(capsys, "eval", "--s", "2", "--z", "1")
+    assert code == 1
+    assert err.startswith("mhlerch eval: error: z = 1 is the pole")
+    assert "Traceback" not in err
+
+
 def test_eval_w_and_z_are_exclusive(capsys):
     code, _, err = run_cli(capsys, "eval", "--s", "2", "--w", "-1", "--z", "0.5")
     assert code == 1
@@ -342,12 +349,13 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
         ("eval", "--s", "2", "--w", "-1", "--alpha-rat", "1e400"),
         ("eval", "--s", "400", "--w", "-1"),
         ("zeta", "--s", "400"),
+        ("eval", "--s", "100", "--w=-0.5", "--alpha=-2.9999"),
     ],
-    ids=["alpha-rat", "eval-s", "zeta-s"],
+    ids=["alpha-rat", "eval-s", "zeta-s", "eval-peeled-s"],
 )
 def test_overflow_is_an_error_exit(capsys, argv):
-    # float(1e400 as a Fraction) and the majorant's float powers at s = 400
-    # overflow binary64
+    # float(1e400 as a Fraction), the majorant's float powers at s = 400 and
+    # the peeled head term (1/(alpha+3))^100, about 1e400, overflow binary64
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith(f"mhlerch {argv[0]}: error: ")

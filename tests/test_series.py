@@ -27,6 +27,9 @@ DILOG_HALF = 0.5822405264650125  # pi^2/12 - ln(2)^2/2
 
 ALPHAS_RATIONAL = [F(0), F(-1, 2), F(1, 2), F(1), F(4, 3), F(4)]
 SHIFTS_MIXED = [0j, 0.5 + 0j, 1j, -0.5 + 0.5j]
+#: Re(alpha) < -1/2: peeled at |w| <= 1, summed at alpha at |w| > 1.
+SHIFTS_NEGATIVE = [-0.7 + 0j, -3.5 + 0j, -7.3 + 0.01j, -1.999 + 0j]
+U = 2.0**-53  # unit roundoff of binary64
 
 
 def ref_lerch(w: complex, alpha: complex, s: int) -> complex:
@@ -292,16 +295,35 @@ def test_accelerated_domain_error():
             series.lerch_accelerated(w, ShiftParam(0j), 2)
 
 
+def _abs_terms(w, alpha, s, terms):
+    # sum_{p<=P} |c_p z^p|: P u times it bounds the rounding of the partial sum
+    az = abs(w / (w - 1))
+    stream = islice(series._term_stream(alpha, s), terms)
+    return sum(abs(c_p) * az**p for p, (c_p, _, _) in enumerate(stream, 1))
+
+
 def test_accelerated_bound_contract_vs_oracle():
-    # the certificate must cover the true error on the whole shift grid
-    for alpha in SHIFTS_MIXED + [4 + 0j, -0.5 + 0j]:
+    # The certificate must cover the true error on the whole shift grid, up to
+    # the rounding each branch states: it bounds truncation only.
+    for alpha in SHIFTS_MIXED + [4 + 0j, -0.5 + 0j] + SHIFTS_NEGATIVE:
         shift = ShiftParam(alpha)
         for s in (1, 2, 4):
             for w in (-1.0, -5.0, 0.3 + 2j, -0.4 - 0.4j, 0.45):
                 result = series.lerch_accelerated(w, shift, s, tol=1e-12)
                 assert result.converged
-                err = abs(result.value - ref_lerch(w, alpha, s))
-                assert err <= result.error_bound + 1e-15
+                ref = ref_lerch(w, alpha, s)
+                if alpha.real >= -0.5:
+                    rounding = 1e-15  # every |c_p z^p| and the value are O(1)
+                elif abs(w) <= 1:
+                    # peeled: the head holds the near-pole term's size, up to
+                    # 1e12 at alpha = -1.999, s = 4; measured at most 3.5 u |ref|
+                    rounding = 16 * U * abs(ref)
+                else:
+                    # summed at alpha, c_p z^p reach 1e14 against 1e12: the
+                    # recursive-sum rounding P u sum |c_p z^p| (ROADMAP item 2)
+                    terms = result.terms_used
+                    rounding = terms * U * _abs_terms(w, alpha, s, terms)
+                assert abs(result.value - ref) <= result.error_bound + rounding
 
 
 @pytest.mark.parametrize("alpha", [50 + 0j, 1000 + 0j, 1000j])
@@ -330,14 +352,65 @@ def test_accelerated_large_order_stops_early(s, most):
 
 
 def test_accelerated_agrees_with_direct_inside_disk():
-    for alpha in SHIFTS_MIXED:
+    for alpha in SHIFTS_MIXED + SHIFTS_NEGATIVE:
         shift = ShiftParam(alpha)
         for s in (1, 2, 3):
             for z in (0.4, -0.4, 0.2 + 0.2j, -0.1 - 0.3j):
                 w = series.disk_to_half_plane(z)
                 a = series.lerch_accelerated(w, shift, s, tol=1e-12)
                 d = series.lerch_direct(w, shift, s, tol=1e-12)
-                assert abs(a.value - d.value) <= 10 * (a.error_bound + d.error_bound)
+                # both sum the near-pole term w^n/(alpha+n)^s, up to 1e9 at
+                # alpha = -1.999, s = 3, each with its own rounding: measured
+                # at most 4.7 u |d| beyond the bounds
+                rounding = 16 * U * abs(d.value) if alpha.real < -0.5 else 0.0
+                assert abs(a.value - d.value) <= 10 * (a.error_bound + d.error_bound) + rounding
+
+
+@pytest.mark.parametrize("w, tol, unpeeled, most", [(-0.5, 1e-12, 74, 52), (-0.2 - 0.1j, 1e-6, 60, 52)])
+def test_peeling_skips_the_infinite_tail_ratios(w, tol, unpeeled, most):
+    # Summed at alpha = -50.5, the first 48 tail ratios are inf and the bound
+    # waits for them; peeled, the series in z runs at alpha + 51 = 0.5.
+    alpha = -50.5 + 0j
+    assert series._summed(w / (w - 1), alpha, 2, tol, 10000).terms_used == unpeeled
+    result = series.lerch_accelerated(w, ShiftParam(alpha), 2, tol)
+    assert result.converged
+    assert result.terms_used <= most
+    ref = ref_lerch(w, alpha, 2)
+    assert abs(result.value - ref) <= result.error_bound + 16 * U * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "w, alpha, max_terms",
+    [(0j, -3.5 + 0j, 10000), (-0.5, -7.3 + 0.01j, 8), (-2, -7.3 + 0.01j, 10000), (-1, -0.5 + 0j, 10000)],
+    ids=["w=0", "max_terms=K", "|w|>1", "alpha=-1/2"],
+)
+def test_calls_that_are_not_peeled_sum_at_alpha(w, alpha, max_terms):
+    w = complex(w)
+    expected = repr(series._summed(w / (w - 1), alpha, 3, 1e-12, max_terms))
+    assert repr(series.lerch_accelerated(w, ShiftParam(alpha), 3, 1e-12, max_terms)) == expected
+
+
+def test_peeled_terms_used_stays_within_max_terms():
+    # K = 8 head terms at alpha = -7.3 + 0.01i; from max_terms = 9 on the call is peeled
+    for max_terms in range(1, 13):
+        result = series.lerch_accelerated(-1, ShiftParam(-7.3 + 0.01j), 3, 1e-12, max_terms)
+        assert result.terms_used == max_terms and not result.converged
+
+
+def test_peeled_bound_stays_finite_when_w_to_the_k_underflows():
+    # |w|^4 = 1e-800 is 0 in binary64; the bound must be 0, not 0 * inf = nan
+    alpha = -3.5 + 0j
+    result = series.lerch_accelerated(-1e-200, ShiftParam(alpha), 2)
+    assert result.converged
+    assert result.error_bound == 0.0
+    assert result.value == pytest.approx(-1e-200 / (alpha + 1) ** 2, rel=4 * U)
+
+
+def test_peeled_head_overflow_raises_overflow_error():
+    # f = 1/(alpha + 3) is about 1e4, so f^100 overflows; (alpha + 3)^100
+    # would underflow to 0 and raise ZeroDivisionError instead
+    with pytest.raises(OverflowError):
+        series.lerch_accelerated(-0.5, ShiftParam(-2.9999 + 0j), 100)
 
 
 def test_accelerated_nonconvergence_flag():
@@ -410,8 +483,9 @@ def _cold(call):
         ((-1, 0j, 2, 1e-12, 10000), (-1, 0j, 2, 1e-12, 8)),
         ((-0.7 + 0.3j, 1.3 + 0.7j, 3, 1e-12, 10000), (-0.7 + 0.3j, 1.3 + 0.7j, 3, 1e-6, 10000)),
         # the first 48 kept terms have ratio = inf, so the bound is inf there
-        ((-0.5, -50.5 + 0j, 2, 1e-12, 10000), (-0.5, -50.5 + 0j, 2, 1e-12, 20)),
-        ((-0.5, -50.5 + 0j, 2, 1e-12, 10000), (-0.3 + 0.2j, -50.5 + 0j, 2, 1e-6, 10000)),
+        # (|w| > 1, so the calls are not peeled)
+        ((-2, -50.5 + 0j, 2, 1e-12, 10000), (-2, -50.5 + 0j, 2, 1e-12, 20)),
+        ((-2, -50.5 + 0j, 2, 1e-12, 10000), (-1.5 + 1j, -50.5 + 0j, 2, 1e-6, 10000)),
         ((-2, 0.5 + 0j, 1, 1e-12, 10000), (0.2 + 1j, 0.5 + 0j, 1, 1e-10, 10000)),
         # keys that compare equal
         ((-1, 0.5 + 0j, 2, 1e-12, 10000), (-3 + 1j, complex(0.5, -0.0), 2, 1e-12, 10000)),
@@ -429,6 +503,21 @@ def test_kept_stream_gives_cold_bits(earlier, later):
     assert key == (alpha, s)
     assert len(kept) == kept_by.terms_used
     assert sum(math.isinf(ratio) for *_, ratio in kept) == (48 if alpha == -50.5 else 0)
+    w, alpha, s, tol, max_terms = later
+    assert repr(series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)) == expected
+
+
+def test_peeled_call_keeps_the_stream_of_the_shifted_pair():
+    # K = 51 at alpha = -50.5: the kept key is (alpha + 51, s), which an
+    # unpeeled call at alpha = 0.5 then reads
+    later = (-1, 0.5 + 0j, 2, 1e-12, 10000)
+    expected = _cold(later)
+    _forget_stream()
+    for _ in range(2):
+        peeled = series.lerch_accelerated(-0.5, ShiftParam(-50.5 + 0j), 2)
+    key, kept, _ = series._kept_stream
+    assert key == (0.5 + 0j, 2)
+    assert len(kept) == peeled.terms_used - 51
     w, alpha, s, tol, max_terms = later
     assert repr(series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)) == expected
 
@@ -718,6 +807,16 @@ def test_half_plane_maps_into_disk(w):
 @given(z=disk_points)
 def test_disk_maps_into_half_plane(z):
     assert series.disk_to_half_plane(z).real < 0.5
+
+
+def test_half_plane_to_disk_rejects_the_pole():
+    with pytest.raises(DomainError):
+        series.half_plane_to_disk(1)
+
+
+def test_disk_to_half_plane_rejects_the_pole():
+    with pytest.raises(DomainError):
+        series.disk_to_half_plane(1)
 
 
 @given(w=half_plane_points)
