@@ -208,30 +208,17 @@ def coefficient_bound(p: int, shift: ShiftParam, s: int) -> float:
     return b_p
 
 
-def _tail_ratio_sup(re_alpha: float, p: int, s: int, abs_after: float, h_next: float) -> float:
-    """Upper bound on sup_{m > p} B(m+1)/B(m), given abs_after = |alpha+p+2|
-    and h_next = H_{p+1}.
-
-    The ratio is (m/|alpha+m+1|) * (1 + |f_{m+1}|/H_m)^{s-1}.  As |alpha+m+1|
-    >= m+1+Re(alpha), the first factor is <= m/(m+1+Re(alpha)): that is <= 1
-    if Re(alpha) >= -1 and else decreasing in m, so for m > p it is <=
-    max(1, (p+1)/(p+2+Re(alpha))) once p+2+Re(alpha) > 0 (inf before).  Then
-    |alpha+n|^2 = (n+Re(alpha))^2 + Im(alpha)^2 increases in n >= p+2 >
-    -Re(alpha), so |f_{m+1}| <= 1/|alpha+p+2|; with H_m >= H_{p+1} the second
-    factor is <= (1 + 1/(|alpha+p+2| H_{p+1}))^{s-1}.  It is not bounded by
-    ((p+2)/(p+1))^{s-1}: at alpha = -50.5, |f_51|/H_50 is about 0.31.
-    """
-    if p + 2 + re_alpha <= 0:
-        return math.inf
-    second = (1.0 + 1.0 / (abs_after * h_next)) ** (s - 1)
-    return (p + 1) / (p + 2 + re_alpha) * second if re_alpha < -1.0 else second
-
-
 def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float]]:
-    """Yield (c_p, B(p+1), `_tail_ratio_sup` at p) for p = 1, 2, ..., one
-    `exact._depth_columns` step each, with H_p and |alpha+p+1|, |alpha+p+2|
-    carried: B(p+1) = |prefactor_p| * p/|alpha+p+1| * H_{p+1}^{s-1}."""
-    re_alpha = alpha.real
+    """Yield (c_p, B(p+1), r_p) for p = 1, 2, ..., one `exact._depth_columns`
+    step each, with H_p and |alpha+p+1|, |alpha+p+2| carried: B(p+1) =
+    |prefactor_p| * p/|alpha+p+1| * H_{p+1}^{s-1}.
+
+    For Re(alpha) >= -1, r_p = (1 + 1/(|alpha+p+2| H_{p+1}))^{s-1} bounds
+    sup_{m > p} B(m+1)/B(m).  That ratio is (m/|alpha+m+1|) * (1 + |f_{m+1}|/
+    H_m)^{s-1}.  As |alpha+m+1| >= m+1+Re(alpha) >= m, the first factor is <= 1.
+    |alpha+n|^2 = (n+Re(alpha))^2 + Im(alpha)^2 increases in n >= p+2 >
+    -Re(alpha), so |f_{m+1}| <= 1/|alpha+p+2|, and H_m >= H_{p+1}.
+    """
     t = s - 1
     h = 1.0 / abs(alpha + 1)
     abs_next = abs(alpha + 2)
@@ -241,7 +228,7 @@ def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float
         yield (
             -prefactor * col[t],
             abs(prefactor) * p / abs_next * h_next**t,
-            _tail_ratio_sup(re_alpha, p, s, abs_after, h_next),
+            (1.0 + 1.0 / (abs_after * h_next)) ** t,
         )
         h, abs_next = h_next, abs_after
 
@@ -253,8 +240,9 @@ _kept_lock = threading.Lock()
 
 
 def _summed(z, alpha, s: int, tol: float, max_terms: int, scale: float = 1.0) -> SeriesResult:
-    """Sum c_p z^p over the kept term stream of (alpha, s) until `scale` times
-    the tail bound is <= tol (see `lerch_accelerated`); the value is unscaled."""
+    """Sum c_p z^p over the kept term stream of (alpha, s), Re(alpha) >= -1 as
+    `_term_stream`'s ratio needs, until `scale` times the tail bound is <= tol
+    (see `lerch_accelerated`); the value is unscaled."""
     az = abs(z)
     total = 0.0
     z_pow = 1.0
@@ -303,21 +291,18 @@ def lerch_accelerated(
     """Evaluate Li(w; alpha, s) for Re(w) < 1/2 through the series in
     z = w/(w-1) (|z| < 1 exactly on that half-plane).
 
+    Pole peeling: if Re(alpha) < -1/2, the K = floor(-Re alpha) + 1 head terms
+    w^n (1/(alpha+n))^s of the shift relation are summed directly, then the
+    series in z at alpha+K, where Re(alpha+K) > 0 and no f_i is near a pole.
+    `terms_used` counts both; the stream is kept under (alpha+K, s).  If K >=
+    `max_terms`, the first `max_terms` head terms are returned with bound inf.
+
     Stopping rule: after P terms the tail is at most B(P+1) |z|^{P+1} /
     (1 - rho), rho = |z| * sup_{p > P} B(p+1)/B(p), with B(p) = (p-1)!/
     prod_{j<=p}|alpha+j| * H_p^{s-1} the majorant of `coefficient_bound`
     (H_p = sum_{i<=p} 1/|alpha+i|, growing like ln p) and the sup bounded as
-    in `_tail_ratio_sup`.  Convergence is declared once this bound is <= tol;
-    while rho >= 1 more terms are added.
-
-    Pole peeling: if Re(alpha) < -1/2, 0 < |w| <= 1 and K = floor(-Re alpha)
-    + 1 < max_terms, the K head terms w^n (1/(alpha+n))^s of the shift
-    relation are summed directly and the series in z at alpha+K, where
-    Re(alpha+K) > 0 makes the ratio's first factor 1 and no f_i is near a
-    pole, until |w|^K times its bound is <= tol.  `terms_used` counts the K
-    head terms plus the terms in z; the stream is kept under (alpha+K, s).  At
-    |w| > 1 the head would amplify rounding by |w|^K, which the bound does not
-    count, so there the series is summed at alpha.
+    in `_term_stream`.  Convergence is declared once this bound, times |w|^K
+    for a peeled call, is <= tol; while rho >= 1 more terms are added.
 
     c_p, B(p+1) and the sup depend on (alpha, s) only, so `_kept_stream` keeps
     the terms of one pair and the `_term_stream` generator that computed
@@ -337,13 +322,17 @@ def lerch_accelerated(
     if w.real >= 0.5:
         raise DomainError(f"Re(w) must be < 1/2, got Re(w) = {w.real}")
     z, alpha = w / (w - 1), shift.alpha
-    if alpha.real < -0.5 and 0.0 < abs(w) <= 1.0 and -alpha.real < max_terms - 1:
-        k = math.floor(-alpha.real) + 1  # < max_terms by the test above
+    if alpha.real < -0.5:
+        k = math.floor(-alpha.real) + 1
         head = 0j
         w_pow = 1 + 0j
-        for n in range(1, k + 1):
+        for n in range(1, min(k, max_terms) + 1):
             w_pow *= w
             head += w_pow * (1 / (alpha + n)) ** s  # overflows, never divides by 0
+        if k >= max_terms:
+            return SeriesResult(head, max_terms, math.inf, False)
+        if not math.isfinite(abs(w_pow)):
+            raise OverflowError(f"|w|^K overflows binary64 at |w| = {abs(w)}, K = {k}")
         inner = _summed(z, alpha + k, s, tol, max_terms - k, abs(w_pow))
         return replace(inner, value=head + w_pow * inner.value, terms_used=k + inner.terms_used)
     return _summed(z, alpha, s, tol, max_terms)

@@ -485,7 +485,9 @@ def run_suite(
     betas: Optional[Iterable[Fraction]] = None,
     tol: Optional[float] = None,
 ) -> List[VerificationReport]:
-    """Run one named suite with optional grid overrides."""
+    """Run one named suite with optional grid overrides; a given tol must be > 0 and finite."""
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if betas is not None:
         betas = tuple(betas)  # every check of the suite reads the shifts
     given = dict(q_max=q_max, s_max=s_max, p_max=p_max, betas=betas, tol=tol)

@@ -213,6 +213,16 @@ def test_verify_failure_exits_2(capsys):
     assert report["cases_failed"] == len(report["failing_cases"])
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_verify_bad_tol_exits_1(capsys, tol):
+    # --tol inf accepted every float residual (exit 0); nan, 0 and -1 failed
+    # every case (exit 2)
+    code, _, err = run_cli(capsys, "verify", "--suite", "sondow", "--tol", tol)
+    assert code == 1
+    assert err.startswith("mhlerch verify: error: tol must be positive and finite")
+    assert "Traceback" not in err
+
+
 def test_verify_empty_sweep_exits_2(capsys):
     # these overrides empty every grid but splitting's; a report of 0 cases
     # checked nothing and must not pass
@@ -350,12 +360,14 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
         ("eval", "--s", "400", "--w", "-1"),
         ("zeta", "--s", "400"),
         ("eval", "--s", "100", "--w=-0.5", "--alpha=-2.9999"),
+        ("eval", "--s", "2", "--w=-1000", "--alpha=-120.5"),
     ],
-    ids=["alpha-rat", "eval-s", "zeta-s", "eval-peeled-s"],
+    ids=["alpha-rat", "eval-s", "zeta-s", "eval-peeled-s", "eval-peeled-w"],
 )
 def test_overflow_is_an_error_exit(capsys, argv):
-    # float(1e400 as a Fraction), the majorant's float powers at s = 400 and
-    # the peeled head term (1/(alpha+3))^100, about 1e400, overflow binary64
+    # float(1e400 as a Fraction), the majorant's float powers at s = 400, the
+    # peeled head term (1/(alpha+3))^100, about 1e400, and |w|^K = 1000^121
+    # overflow binary64
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith(f"mhlerch {argv[0]}: error: ")

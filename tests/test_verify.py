@@ -1,6 +1,7 @@
 """Verification harness: report plumbing, suite coverage, grid sweeps."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -262,6 +263,13 @@ def test_run_suite_routes_tol_to_the_oracle_and_sondow_checks_only():
                for r in verify.run_suite(suite, tol=1e-300)]
     failed = {r.identity_name for r in reports if not r.passed}
     assert failed == {"proposition_oracle", "sondow_special_case"}
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_run_suite_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    # inf passed every float case, and nan, 0 and -1 failed every one
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        verify.run_suite("sondow", tol=tol)
 
 
 def test_every_displayed_identity_is_covered():
