@@ -225,11 +225,11 @@ def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float
     for p, prefactor, col in exact._depth_columns(alpha, t):
         abs_after = abs(alpha + (p + 2))
         h_next = h + 1.0 / abs_next
-        yield (
-            -prefactor * col[t],
-            abs(prefactor) * p / abs_next * h_next**t,
-            (1.0 + 1.0 / (abs_after * h_next)) ** t,
-        )
+        try:
+            ratio = (1.0 + 1.0 / (abs_after * h_next)) ** t
+        except OverflowError:  # near the pole -(p+2); only `_summed` reads r_p, at Re(alpha) >= -1/2
+            ratio = math.inf
+        yield -prefactor * col[t], abs(prefactor) * p / abs_next * h_next**t, ratio
         h, abs_next = h_next, abs_after
 
 

@@ -12,6 +12,7 @@ completeness meta-test rather than silently narrowing coverage.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -223,20 +224,17 @@ def verify_recurrence_R_base(
     return _step_check(report, exact.lemma_rhs, [0], s_max, betas)
 
 
-def verify_splitting(
-    b_max: int = DEFAULT_B_MAX,
-    t_max: int = DEFAULT_T_MAX,
-    betas: Optional[Iterable[Fraction]] = None,
-) -> VerificationReport:
+def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> VerificationReport:
     """Both block-splitting identities of the multiple harmonic sum, exactly:
 
         S_a^c(t) = sum_{u+v=t} S_a^b(u) S_{b+1}^c(v)          (0 <= a <= b < c)
         S_{a-1}^{b+1}(t) = sum_{u+v+w=t} f_{a-1}^u S_a^b(v) f_{b+1}^w   (1 <= a <= b)
 
-    Each beta gets one table of S_a^b(t) for 0 <= a <= b <= b_max, t <= t_max,
-    one depth column per start a; ZeroDivisionError names an n in [0, b_max]
-    at which beta + n vanishes.
+    Each beta gets one table of S_a^b(t) for 0 <= a <= b <= b_max = `DEFAULT_B_MAX`,
+    t <= t_max = `DEFAULT_T_MAX`, one depth column per start a; ZeroDivisionError
+    names an n in [0, b_max] at which beta + n vanishes.
     """
+    b_max, t_max = DEFAULT_B_MAX, DEFAULT_T_MAX
     betas = _rationals(betas, DEFAULT_BETAS)
     report = VerificationReport(
         "splitting", f"0 <= a <= b < c <= {b_max}, t <= {t_max}, {len(betas)} betas"
@@ -278,50 +276,37 @@ def verify_splitting(
 # ---------------------------------------------------------------------------
 
 
-def verify_lemma_complex(
-    q_max: int = 8,
-    s_max: int = 4,
-    betas: Tuple[complex, ...] = (1 + 1j, 0.5 + 2j, 2.5 - 1j),
-    tol: float = 1e-9,
-) -> VerificationReport:
-    """Floating-point spot check of L = R at genuinely complex beta.
+def verify_lemma_complex(s_max: int = 4) -> VerificationReport:
+    """Floating-point spot check of L = R at three genuinely complex beta,
+    q <= 8, to 1e-9.
 
     The exact layer only covers rational beta; this closes the gap.  q stays
     small because the alternating sum loses ~2^q of precision to cancellation.
     """
-    report = VerificationReport("lemma_complex_spot", f"q <= {q_max}, s <= {s_max}, complex betas")
-    for beta in betas:
-        for q in range(q_max + 1):
+    report = VerificationReport("lemma_complex_spot", f"q <= 8, s <= {s_max}, complex betas")
+    for beta in (1 + 1j, 0.5 + 2j, 2.5 - 1j):
+        for q in range(8 + 1):
             for s in range(1, s_max + 1):
                 lhs = exact._alternating_sum(beta, q, s)
                 *_, (_, prefactor, col) = exact._depth_columns(beta, s - 1, 0, q)
                 rhs = prefactor * col[s - 1]
-                report._float_case(float_residual(lhs, rhs), tol, (q, s, beta))
+                report._float_case(float_residual(lhs, rhs), 1e-9, (q, s, beta))
     return report
 
 
-def verify_proposition(
-    z_grid: Optional[Sequence[complex]] = None,
-    shifts: Optional[Sequence[ShiftParam]] = None,
-    s_max: int = 3,
-    tol: float = DEFAULT_FLOAT_TOL,
-) -> VerificationReport:
-    """Accelerated evaluator against the direct-series oracle at w = -z/(1-z).
+def verify_proposition(s_max: int = 3, tol: float = DEFAULT_FLOAT_TOL) -> VerificationReport:
+    """Accelerated evaluator against the direct-series oracle at w = -z/(1-z),
+    for z in `DEFAULT_Z_GRID` and alpha in `DEFAULT_SHIFTS`.
 
-    Requires |z| <= 0.4 so the direct series converges comfortably (|w| < 1).
+    Every z has |z| <= 0.4, so the direct series converges comfortably (|w| < 1).
     """
-    z_grid = tuple(z_grid) if z_grid is not None else DEFAULT_Z_GRID
-    shifts = tuple(shifts) if shifts is not None else tuple(ShiftParam(a) for a in DEFAULT_SHIFTS)
-    for z in z_grid:
-        if abs(z) > 0.4:
-            raise ValueError(f"z grid point {z} has |z| > 0.4")
     report = VerificationReport(
         "proposition_oracle",
-        f"{len(z_grid)} z points (|z| <= 0.4), {len(shifts)} shifts, s <= {s_max}",
+        f"{len(DEFAULT_Z_GRID)} z points (|z| <= 0.4), {len(DEFAULT_SHIFTS)} shifts, s <= {s_max}",
     )
-    for shift in shifts:
+    for shift in map(ShiftParam, DEFAULT_SHIFTS):
         for s in range(1, s_max + 1):
-            for z in z_grid:
+            for z in DEFAULT_Z_GRID:
                 w = series.disk_to_half_plane(z)
                 accelerated = series.lerch_accelerated(w, shift, s, tol=1e-12)
                 direct = series.lerch_direct(w, shift, s, tol=1e-12)
@@ -332,10 +317,10 @@ def verify_proposition(
 
 def _coefficient_report(
     name: str, grid: str, exact_values: Callable[[Fraction, int], Iterable],
-    alphas: Iterable[Fraction], orders: Iterable[int], p_max: int, rel_tol: float,
+    alphas: Iterable[Fraction], orders: Iterable[int], p_max: int,
 ) -> VerificationReport:
-    """The float c_p against the p-th item of `exact_values(alpha, s)`,
-    relative, as one case (p, alpha, s) per p <= p_max, alpha and s in orders."""
+    """The float c_p against the p-th item of `exact_values(alpha, s)`, to a
+    relative 1e-12, as one case (p, alpha, s) per p <= p_max, alpha and s in orders."""
     report = VerificationReport(name, grid)
     for alpha in alphas:
         shift = ShiftParam(complex(float(alpha)))
@@ -344,30 +329,23 @@ def _coefficient_report(
             float_stream = exact._depth_columns(shift.alpha, s - 1)
             for p, c_exact, (_, prefactor, col) in zip(range(1, p_max + 1), exact_stream, float_stream):
                 c_exact, c_float = float(c_exact), -prefactor * col[s - 1]
-                report._float_case(abs(c_float - c_exact) / abs(c_exact), rel_tol, (p, alpha, s))
+                report._float_case(abs(c_float - c_exact) / abs(c_exact), 1e-12, (p, alpha, s))
     return report
 
 
 def verify_coefficient_consistency(
-    p_max: int = DEFAULT_P_MAX_EXACT,
-    alphas: Optional[Sequence[Fraction]] = None,
-    s_max: int = DEFAULT_S_MAX,
-    rel_tol: float = 1e-12,
+    p_max: int = DEFAULT_P_MAX_EXACT, s_max: int = DEFAULT_S_MAX
 ) -> VerificationReport:
-    """coefficient_float against coefficient_exact (relative, rational shifts)."""
-    alphas = _rationals(alphas, DEFAULT_ALPHAS)
+    """coefficient_float against coefficient_exact (relative, `DEFAULT_ALPHAS`)."""
     return _coefficient_report(
         "coefficient_consistency",
-        f"p <= {p_max}, s <= {s_max}, {len(alphas)} rational alphas",
-        exact.coefficient_stream, alphas, range(1, s_max + 1), p_max, rel_tol,
+        f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_ALPHAS)} rational alphas",
+        exact.coefficient_stream, DEFAULT_ALPHAS, range(1, s_max + 1), p_max,
     )
 
 
 def verify_euler_inner_sums(
-    p_max: int = DEFAULT_P_MAX_INNER,
-    alphas: Optional[Sequence[Fraction]] = None,
-    s_max: int = DEFAULT_S_MAX,
-    rel_tol: float = 1e-12,
+    p_max: int = DEFAULT_P_MAX_INNER, s_max: int = DEFAULT_S_MAX
 ) -> VerificationReport:
     """Inner binomial sums of the transformed series against coefficient_float.
 
@@ -376,36 +354,29 @@ def verify_euler_inner_sums(
     a 1e-12 comparison by p ~ 20); the float side is the product-form
     coefficient.  This is the numeric shadow of the L = R identity.
     """
-    alphas = _rationals(alphas, DEFAULT_ALPHAS)
 
     def inner_sums(alpha, s):
         return (exact.alternating_coefficient_sum(p, alpha, s) for p in count(1))
 
     return _coefficient_report(
         "euler_inner_consistency",
-        f"p <= {p_max}, s <= {s_max}, {len(alphas)} rational alphas",
-        inner_sums, alphas, range(1, s_max + 1), p_max, rel_tol,
+        f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_ALPHAS)} rational alphas",
+        inner_sums, DEFAULT_ALPHAS, range(1, s_max + 1), p_max,
     )
 
 
-def verify_coefficient_bound(
-    p_max: int = DEFAULT_P_MAX_FLOAT,
-    shifts: Optional[Sequence[ShiftParam]] = None,
-    s_max: int = 6,
-    slack: float = 1e-10,
-) -> VerificationReport:
-    """|c_p| <= coefficient majorant B(p) * (1 + slack) across the shift grid,
+def verify_coefficient_bound(p_max: int = DEFAULT_P_MAX_FLOAT, s_max: int = 6) -> VerificationReport:
+    """|c_p| <= coefficient majorant B(p) * (1 + 1e-10) across `DEFAULT_SHIFTS`,
     B(p) read from the series' own term stream."""
-    shifts = tuple(shifts) if shifts is not None else tuple(ShiftParam(a) for a in DEFAULT_SHIFTS)
     report = VerificationReport(
-        "coefficient_bound", f"p <= {p_max}, s <= {s_max}, {len(shifts)} shifts"
+        "coefficient_bound", f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_SHIFTS)} shifts"
     )
-    for shift in shifts:
+    for shift in map(ShiftParam, DEFAULT_SHIFTS):
         for s in range(1, s_max + 1):
             bound = series.coefficient_bound(1, shift, s)
             for p, (c_p, b_next, _) in zip(range(1, p_max + 1), series._term_stream(shift.alpha, s)):
                 excess = abs(c_p) / bound - 1.0 if bound > 0 else math.inf
-                report._float_case(max(excess, 0.0), slack, (p, shift.alpha, s))
+                report._float_case(max(excess, 0.0), 1e-10, (p, shift.alpha, s))
                 bound = b_next
     return report
 
@@ -448,30 +419,15 @@ def verify_sondow_form(
 # suites
 # ---------------------------------------------------------------------------
 
-#: Each suite's checks, in report order, with the `run_suite` overrides that
-#: each check takes; an override not given leaves the check's own default.
-SUITES: Dict[str, Tuple[Tuple[Callable[..., VerificationReport], Tuple[str, ...]], ...]] = {
-    "lemma": (
-        (verify_base_cases, ("s_max", "betas")),
-        (verify_lemma, ("q_max", "s_max", "betas")),
-        (verify_lemma_complex, ("s_max",)),
-    ),
-    "recurrences": (
-        (verify_recurrence_L, ("q_max", "s_max", "betas")),
-        (verify_recurrence_R, ("q_max", "s_max", "betas")),
-        (verify_recurrence_R_base, ("s_max", "betas")),
-    ),
-    "splitting": ((verify_splitting, ("betas",)),),
-    "proposition": (
-        (verify_proposition, ("s_max", "tol")),
-        (verify_coefficient_consistency, ("p_max", "s_max")),
-        (verify_euler_inner_sums, ("p_max", "s_max")),
-    ),
-    "bounds": (
-        (verify_coefficient_bound, ("p_max", "s_max")),
-        (verify_ap_bound, ("p_max", "s_max")),
-    ),
-    "sondow": ((verify_sondow_form, ("s_max", "tol")),),
+#: Each suite's checks, in report order.  Every parameter of a check is a
+#: `run_suite` override; an override not given leaves the check's own default.
+SUITES: Dict[str, Tuple[Callable[..., VerificationReport], ...]] = {
+    "lemma": (verify_base_cases, verify_lemma, verify_lemma_complex),
+    "recurrences": (verify_recurrence_L, verify_recurrence_R, verify_recurrence_R_base),
+    "splitting": (verify_splitting,),
+    "proposition": (verify_proposition, verify_coefficient_consistency, verify_euler_inner_sums),
+    "bounds": (verify_coefficient_bound, verify_ap_bound),
+    "sondow": (verify_sondow_form,),
 }
 
 SUITE_NAMES = tuple(SUITES)
@@ -485,7 +441,8 @@ def run_suite(
     betas: Optional[Iterable[Fraction]] = None,
     tol: Optional[float] = None,
 ) -> List[VerificationReport]:
-    """Run one named suite with optional grid overrides; a given tol must be > 0 and finite."""
+    """Run one named suite, passing each check the given overrides that its
+    signature names; a given tol must be > 0 and finite."""
     if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if betas is not None:
@@ -497,8 +454,8 @@ def run_suite(
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     return [
-        check(**{key: given[key] for key in takes if key in given})
-        for check, takes in SUITES[name]
+        check(**{key: given[key] for key in inspect.signature(check).parameters if key in given})
+        for check in SUITES[name]
     ]
 
 

@@ -95,7 +95,7 @@ def test_criterion_2_exact_recurrences_and_splitting():
         verify.verify_recurrence_L(q_max=11, s_max=5),
         verify.verify_recurrence_R(q_max=11, s_max=5),
         verify.verify_recurrence_R_base(s_max=5),
-        verify.verify_splitting(b_max=8, t_max=4),
+        verify.verify_splitting(),
     ]
     ok = all(r.cases_failed == 0 and r.worst_residual == 0.0 for r in reports)
     detail = ", ".join(f"{r.identity_name}:{r.cases_run}" for r in reports)
@@ -144,8 +144,8 @@ def test_criterion_4_known_constants(capsys):
 
 
 def test_criterion_5_coefficient_crosschecks():
-    consistency = verify.verify_coefficient_consistency(p_max=40, s_max=5, rel_tol=1e-12)
-    inner = verify.verify_euler_inner_sums(p_max=30, s_max=5, rel_tol=1e-12)
+    consistency = verify.verify_coefficient_consistency(p_max=40, s_max=5)
+    inner = verify.verify_euler_inner_sums(p_max=30, s_max=5)
     ok = consistency.cases_failed == 0 and inner.cases_failed == 0
     report_line(
         5,

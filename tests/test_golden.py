@@ -142,15 +142,12 @@ def _verify_layer():
     return {
         "run_suite all": [r.to_dict() for r in verify.run_suite("all")],
         "verify_lemma_complex default": verify.verify_lemma_complex(),
-        "verify_lemma_complex wide": verify.verify_lemma_complex(
-            q_max=14, s_max=5, betas=(0.3 + 0.1j, -2.5 + 1j, 4 - 3j), tol=1e-6
-        ),
         "verify_ap_bound default": verify.verify_ap_bound(),
         "verify_ap_bound small": verify.verify_ap_bound(p_max=7, s_max=3),
         "verify_recurrence_L small": verify.verify_recurrence_L(4, 3, small),
         "verify_recurrence_R small": verify.verify_recurrence_R(4, 3, small),
         "verify_recurrence_R_base small": verify.verify_recurrence_R_base(3, small),
-        "verify_splitting small": verify.verify_splitting(4, 2, small),
+        "verify_splitting small": verify.verify_splitting(small),
         "verify_splitting pole past b_max": verify.verify_splitting(betas=[F(-9)]),
     }
 

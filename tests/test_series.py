@@ -216,6 +216,14 @@ def test_coefficient_bound_validity():
                 assert abs(c) <= series.coefficient_bound(p, shift, s) * (1 + 1e-10)
 
 
+def test_coefficient_bound_just_off_a_pole_at_large_s():
+    # 1/|alpha+5| = 1e9 to the power s-1 overflows the tail ratio r_3, one index
+    # before B overflows; r_p is then inf, and B(4) is still read
+    for alpha, expected in ((-5 - 1e-9, 675354407565.5435), (-5 + 1e-9, 675354446375.9144)):
+        assert series.coefficient_bound(4, ShiftParam(alpha), 40) == pytest.approx(expected, rel=1e-12)
+        assert next(islice(series._term_stream(alpha, 40), 2, None))[2] == math.inf
+
+
 def _majorant_ratios(alpha, s, stop):
     # B(m+1)/B(m) = m/|alpha+m+1| * (H_{m+1}/H_m)^{s-1} for m = 1 .. stop - 1,
     # with H_m = sum_{i<=m} 1/|alpha+i| summed here, apart from the series

@@ -1,5 +1,6 @@
 """Verification harness: report plumbing, suite coverage, grid sweeps."""
 
+import inspect
 import json
 import math
 from fractions import Fraction as F
@@ -43,7 +44,7 @@ def test_recurrences():
 
 
 def test_splitting_full_grid():
-    report = verify.verify_splitting(b_max=8, t_max=4)
+    report = verify.verify_splitting()
     assert report.passed
     assert report.cases_run > 0
 
@@ -73,9 +74,8 @@ def test_proposition_oracle():
     assert report.worst_residual <= 1e-10
 
 
-def test_proposition_rejects_large_z():
-    with pytest.raises(ValueError):
-        verify.verify_proposition(z_grid=[0.8])
+def test_proposition_z_grid_lies_where_the_oracle_converges():
+    assert all(abs(z) <= 0.4 for z in verify.DEFAULT_Z_GRID)
 
 
 def test_coefficient_consistency():
@@ -263,6 +263,12 @@ def test_run_suite_routes_tol_to_the_oracle_and_sondow_checks_only():
                for r in verify.run_suite(suite, tol=1e-300)]
     failed = {r.identity_name for r in reports if not r.passed}
     assert failed == {"proposition_oracle", "sondow_special_case"}
+
+
+def test_every_check_parameter_is_a_run_suite_override():
+    overrides = set(inspect.signature(verify.run_suite).parameters) - {"name"}
+    for check in (check for checks in verify.SUITES.values() for check in checks):
+        assert set(inspect.signature(check).parameters) <= overrides, check.__name__
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
