@@ -27,7 +27,10 @@ recurrence
 which costs O((b - a + 1) * t) multiplications.  `_depth_columns` is the only
 place in the package where this recurrence is written, and `_alternating_sum`
 the only place where L is summed: every layer (exact, series, verify, cli)
-calls them, with `Fraction`, float or complex numbers.  The tuple enumerator
+calls them, with `Fraction`, float or complex numbers.  One depth-column pass
+to q holds S_0^n(t) for every n <= q and t <= depth, so it gives R at every
+(n, s <= depth + 1); `_alternating_sum` takes the powers (beta + m)^s from its
+caller, so one power list gives L at every q it covers.  The tuple enumerator
 is retained only as an independent oracle for tests.
 """
 
@@ -144,14 +147,15 @@ def _depth_columns(x0, depth: int, n0: int = 1, stop: Optional[int] = None):
         yield n, prefactor, col
 
 
-def _alternating_sum(x0, q: int, s: int):
-    """L(q, x0) = sum_{m=0}^{q} C(q, m) (-1)^m / (x0 + m)^s in the number type
-    of x0.  `series` sums it at x0 = 1 + 0j only (the double sum at alpha = 0,
-    z = 1/2): complex, as a float or int x0 rounds otherwise past 2^53."""
+def _alternating_sum(powers, q: int):
+    """L(q, x0) = sum_{m=0}^{q} C(q, m) (-1)^m / powers[m], where powers[m] is
+    (x0 + m)^s in the number type of x0 for m = 0 .. q (a longer list serves
+    every smaller q).  `series` sums it at x0 = 1 + 0j only (the double sum at
+    alpha = 0, z = 1/2): complex, as a float or int x0 rounds otherwise past 2^53."""
     total = 0
     sign = 1
     for m in range(q + 1):
-        total += sign * math.comb(q, m) / (x0 + m) ** s
+        total += sign * math.comb(q, m) / powers[m]
         sign = -sign
     return total
 
@@ -185,7 +189,8 @@ def multi_sum_bruteforce(
 
 def lemma_lhs(params: LemmaParams) -> Fraction:
     """L(q, beta) = sum_{m=0}^{q} C(q, m) (-1)^m / (beta + m)^s."""
-    return _alternating_sum(params.beta, params.q, params.s)
+    powers = [(params.beta + m) ** params.s for m in range(params.q + 1)]
+    return _alternating_sum(powers, params.q)
 
 
 def lemma_rhs(params: LemmaParams) -> Fraction:

@@ -344,9 +344,11 @@ def _euler_partial_sums(s: int) -> Iterator[complex]:
     rounding grows like u (2|z|)^P, so it is summed at z = 1/2 only."""
     total = 0j
     z_pow = 1 + 0j
+    powers = []  # (1 + m)^s for m < p, one new power per p
     for p in count(1):
         z_pow *= 0.5
-        total += z_pow * -exact._alternating_sum(1 + 0j, p - 1, s)
+        powers.append((1 + 0j + (p - 1)) ** s)
+        total += z_pow * -exact._alternating_sum(powers, p - 1)
         yield total
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import exact, series
 from .series import ShiftParam
@@ -96,13 +96,14 @@ class VerificationReport:
             "failing_cases": [[str(x) for x in case] for case in self.failing_cases],
         }
 
-    def _exact_case(self, ok: bool, params: tuple, residual: Fraction = Fraction(0)) -> None:
-        # An exact check passes with residual 0, so only failures move the worst.
+    def _exact_case(self, ok: bool, params: tuple, lhs=0, rhs=0) -> None:
+        # An exact check passes with residual 0, so only a failure moves the
+        # worst, and only a failure pays for the subtraction.
         self.cases_run += 1
         if not ok:
             self.cases_failed += 1
             self.failing_cases.append(params)
-            self.worst_residual = max(self.worst_residual, abs(float(residual)))
+            self.worst_residual = max(self.worst_residual, abs(float(lhs - rhs)))
 
     def _float_case(self, residual: float, tol: float, params: tuple) -> None:
         self.cases_run += 1
@@ -123,6 +124,29 @@ def _rationals(values: Optional[Iterable], default: Tuple[Fraction, ...]) -> Tup
     return default if values is None else tuple(Fraction(v) for v in values)
 
 
+def _lhs_values(beta: Fraction, q_max: int, s_max: int) -> Dict[Tuple[int, int], Fraction]:
+    """{(q, s): L(q, beta)} for q <= q_max, 1 <= s <= s_max, every q summed
+    from one power list (beta + m)^s per s."""
+    exact._check_beta(beta)
+    values = {}
+    for s in range(1, s_max + 1):
+        powers = [(beta + m) ** s for m in range(q_max + 1)]
+        for q in range(q_max + 1):
+            values[q, s] = exact._alternating_sum(powers, q)
+    return values
+
+
+def _rhs_values(beta: Fraction, q_max: int, s_max: int) -> Dict[Tuple[int, int], Fraction]:
+    """{(q, s): R(q, beta)} for q <= q_max, 1 <= s <= s_max, from one
+    depth-column pass: its column at q holds S_0^q(s - 1) for every s."""
+    exact._check_beta(beta)
+    return {
+        (q, s): prefactor * col[s - 1]
+        for q, prefactor, col in exact._depth_columns(beta, s_max - 1, 0, q_max)
+        for s in range(1, s_max + 1)
+    }
+
+
 # ---------------------------------------------------------------------------
 # exact-layer identities
 # ---------------------------------------------------------------------------
@@ -136,13 +160,13 @@ def verify_lemma(
     """L(q, beta) = R(q, beta) exactly on the full (q, s, beta) grid."""
     betas = _rationals(betas, DEFAULT_BETAS)
     report = VerificationReport("lemma", f"q <= {q_max}, s <= {s_max}, {len(betas)} betas")
+    L = {beta: _lhs_values(beta, q_max, s_max) for beta in betas}
+    R = {beta: _rhs_values(beta, q_max, s_max) for beta in betas}
     for q in range(q_max + 1):
         for s in range(1, s_max + 1):
             for beta in betas:
-                params = exact.LemmaParams(q, s, beta)
-                lhs = exact.lemma_lhs(params)
-                rhs = exact.lemma_rhs(params)
-                report._exact_case(lhs == rhs, (q, s, beta), lhs - rhs)
+                lhs, rhs = L[beta][q, s], R[beta][q, s]
+                report._exact_case(lhs == rhs, (q, s, beta), lhs, rhs)
     return report
 
 
@@ -176,15 +200,22 @@ def verify_base_cases(
 
 
 def _step_check(
-    report: VerificationReport, side, qs: Iterable[int], s_max: int, betas: Tuple[Fraction, ...]
+    report: VerificationReport, side_values, q_lo: int, q_max: int, s_max: int,
+    betas: Tuple[Fraction, ...],
 ) -> VerificationReport:
-    """side(q+1, beta) = side(q, beta) - side(q, beta+1) exactly, for q in qs."""
-    for q in qs:
+    """side(q+1, beta) = side(q, beta) - side(q, beta+1) exactly, for
+    q_lo <= q <= q_max, read from one table `side_values(b, q_max + 1, s_max)`
+    per distinct b among the betas and the betas + 1."""
+    side = {
+        b: side_values(b, q_max + 1, s_max)
+        for b in dict.fromkeys(b for beta in betas for b in (beta, beta + 1))
+    }
+    for q in range(q_lo, q_max + 1):
         for s in range(1, s_max + 1):
             for beta in betas:
-                lhs = side(exact.LemmaParams(q + 1, s, beta))
-                rhs = side(exact.LemmaParams(q, s, beta)) - side(exact.LemmaParams(q, s, beta + 1))
-                report._exact_case(lhs == rhs, (q, s, beta), lhs - rhs)
+                lhs = side[beta][q + 1, s]
+                rhs = side[beta][q, s] - side[beta + 1][q, s]
+                report._exact_case(lhs == rhs, (q, s, beta), lhs, rhs)
     return report
 
 
@@ -196,7 +227,7 @@ def verify_recurrence_L(
     """L(q+1, beta) = L(q, beta) - L(q, beta+1) exactly, for 0 <= q <= q_max."""
     betas = _rationals(betas, DEFAULT_BETAS)
     report = VerificationReport("recurrence_L", f"step q <= {q_max}, s <= {s_max}, {len(betas)} betas")
-    return _step_check(report, exact.lemma_lhs, range(q_max + 1), s_max, betas)
+    return _step_check(report, _lhs_values, 0, q_max, s_max, betas)
 
 
 def verify_recurrence_R(
@@ -211,7 +242,7 @@ def verify_recurrence_R(
     """
     betas = _rationals(betas, DEFAULT_BETAS)
     report = VerificationReport("recurrence_R", f"step 1 <= q <= {q_max}, s <= {s_max}, {len(betas)} betas")
-    return _step_check(report, exact.lemma_rhs, range(1, q_max + 1), s_max, betas)
+    return _step_check(report, _rhs_values, 1, q_max, s_max, betas)
 
 
 def verify_recurrence_R_base(
@@ -221,7 +252,7 @@ def verify_recurrence_R_base(
     """R(1, beta) = R(0, beta) - R(0, beta+1): the unclaimed q = 0 step."""
     betas = _rationals(betas, DEFAULT_BETAS)
     report = VerificationReport("recurrence_R_q0", f"q = 0, s <= {s_max}, {len(betas)} betas")
-    return _step_check(report, exact.lemma_rhs, [0], s_max, betas)
+    return _step_check(report, _rhs_values, 0, 0, s_max, betas)
 
 
 def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> VerificationReport:
@@ -231,8 +262,9 @@ def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> Verification
         S_{a-1}^{b+1}(t) = sum_{u+v+w=t} f_{a-1}^u S_a^b(v) f_{b+1}^w   (1 <= a <= b)
 
     Each beta gets one table of S_a^b(t) for 0 <= a <= b <= b_max = `DEFAULT_B_MAX`,
-    t <= t_max = `DEFAULT_T_MAX`, one depth column per start a; ZeroDivisionError
-    names an n in [0, b_max] at which beta + n vanishes.
+    t <= t_max = `DEFAULT_T_MAX`, one depth column per start a, and one table of
+    f_n^u = 1/(beta + n)^u; ZeroDivisionError names an n in [0, b_max] at which
+    beta + n vanishes.
     """
     b_max, t_max = DEFAULT_B_MAX, DEFAULT_T_MAX
     betas = _rationals(betas, DEFAULT_BETAS)
@@ -247,6 +279,7 @@ def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> Verification
             for a in range(b_max + 1)
             for b, _, col in exact._depth_columns(beta, t_max, a, b_max)
         }
+        f_pow = [[1 / (beta + n) ** u for u in range(t_max + 1)] for n in range(b_max + 1)]
         for t in range(t_max + 1):
             for a in range(b_max):
                 for b in range(a, b_max):
@@ -256,18 +289,16 @@ def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> Verification
                             (S[a, b][u] * S[b + 1, c][t - u] for u in range(t + 1)),
                             Fraction(0),
                         )
-                        report._exact_case(lhs == rhs, ("two", a, b, c, t, beta), lhs - rhs)
+                        report._exact_case(lhs == rhs, ("two", a, b, c, t, beta), lhs, rhs)
             for a in range(1, b_max):
                 for b in range(a, b_max):
-                    f_lo = Fraction(1) / (beta + a - 1)
-                    f_hi = Fraction(1) / (beta + b + 1)
+                    f_lo, f_hi = f_pow[a - 1], f_pow[b + 1]
                     lhs = S[a - 1, b + 1][t]
                     rhs = Fraction(0)
                     for u in range(t + 1):
                         for v in range(t + 1 - u):
-                            w = t - u - v
-                            rhs += f_lo**u * S[a, b][v] * f_hi**w
-                    report._exact_case(lhs == rhs, ("three", a, b, t, beta), lhs - rhs)
+                            rhs += f_lo[u] * S[a, b][v] * f_hi[t - u - v]
+                    report._exact_case(lhs == rhs, ("three", a, b, t, beta), lhs, rhs)
     return report
 
 
@@ -285,12 +316,12 @@ def verify_lemma_complex(s_max: int = 4) -> VerificationReport:
     """
     report = VerificationReport("lemma_complex_spot", f"q <= 8, s <= {s_max}, complex betas")
     for beta in (1 + 1j, 0.5 + 2j, 2.5 - 1j):
-        for q in range(8 + 1):
+        powers = {s: [] for s in range(1, s_max + 1)}  # (beta + m)^s for m <= q
+        for q, prefactor, col in exact._depth_columns(beta, s_max - 1, 0, 8):
             for s in range(1, s_max + 1):
-                lhs = exact._alternating_sum(beta, q, s)
-                *_, (_, prefactor, col) = exact._depth_columns(beta, s - 1, 0, q)
-                rhs = prefactor * col[s - 1]
-                report._float_case(float_residual(lhs, rhs), 1e-9, (q, s, beta))
+                powers[s].append((beta + q) ** s)
+                lhs = exact._alternating_sum(powers[s], q)
+                report._float_case(float_residual(lhs, prefactor * col[s - 1]), 1e-9, (q, s, beta))
     return report
 
 
@@ -355,14 +386,20 @@ def verify_euler_inner_sums(
     coefficient.  This is the numeric shadow of the L = R identity.
     """
 
-    def inner_sums(alpha, s):
-        return (exact.alternating_coefficient_sum(p, alpha, s) for p in count(1))
-
     return _coefficient_report(
         "euler_inner_consistency",
         f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_ALPHAS)} rational alphas",
-        inner_sums, DEFAULT_ALPHAS, range(1, s_max + 1), p_max,
+        _inner_sums, DEFAULT_ALPHAS, range(1, s_max + 1), p_max,
     )
+
+
+def _inner_sums(alpha: Fraction, s: int) -> Iterator[Fraction]:
+    """Yield `exact.alternating_coefficient_sum(p, alpha, s)` for p = 1, 2, ...,
+    = -L(p - 1, alpha + 1), from one power list grown by one power per p."""
+    powers = []  # (alpha + 1 + m)^s for m < p
+    for q in count():
+        powers.append((alpha + 1 + q) ** s)
+        yield -exact._alternating_sum(powers, q)
 
 
 def verify_coefficient_bound(p_max: int = DEFAULT_P_MAX_FLOAT, s_max: int = 6) -> VerificationReport:

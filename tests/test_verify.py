@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mhlerch import verify
+from mhlerch import exact, verify
 from mhlerch.errors import InvalidShiftError
 from mhlerch.verify import VerificationReport
 
@@ -113,6 +113,123 @@ def test_invalid_beta_propagates():
         verify.verify_lemma(q_max=2, betas=[F(0)])
     with pytest.raises(InvalidShiftError):
         verify.verify_recurrence_R(q_max=2, betas=[F(-3)])
+
+
+#: The checks that read L or R from tables built once per shift.
+TABLE_CHECKS = (
+    verify.verify_lemma,
+    verify.verify_recurrence_L,
+    verify.verify_recurrence_R,
+    verify.verify_recurrence_R_base,
+)
+
+
+@pytest.mark.parametrize("check", TABLE_CHECKS, ids=lambda check: check.__name__)
+@pytest.mark.parametrize("betas", [[F(-3)], [F(1), F(-3)]], ids=["alone", "after a valid beta"])
+def test_table_checks_reject_a_pole_before_dividing_by_it(check, betas):
+    # beta = -3 puts a zero at m = 3 in beta + m, and in (beta + 1) + m at m = 2
+    with pytest.raises(InvalidShiftError):
+        check(betas=betas)
+
+
+@pytest.mark.parametrize(
+    "check, override",
+    [
+        (verify.verify_recurrence_R, {"q_max": 0}),
+        (verify.verify_recurrence_L, {"q_max": -1}),
+        (verify.verify_lemma, {"s_max": 0}),
+    ],
+    ids=["recurrence_R q_max=0", "recurrence_L q_max=-1", "lemma s_max=0"],
+)
+def test_an_empty_table_grid_runs_no_case_and_fails(check, override):
+    report = check(**override)
+    assert report.cases_run == 0
+    assert not report.passed
+
+
+def test_lemma_and_step_tables_match_the_public_functions():
+    # The step checks read both tables to q_max + 1 at every beta and beta + 1.
+    q_max = max(verify.DEFAULT_Q_MAX, verify.DEFAULT_STEP_Q_MAX + 1)
+    grid = {(q, s) for q in range(q_max + 1) for s in range(1, verify.DEFAULT_S_MAX + 1)}
+    for beta in dict.fromkeys(b + d for b in verify.DEFAULT_BETAS for d in (0, 1)):
+        lhs = verify._lhs_values(beta, q_max, verify.DEFAULT_S_MAX)
+        rhs = verify._rhs_values(beta, q_max, verify.DEFAULT_S_MAX)
+        assert set(lhs) == set(rhs) == grid
+        for q, s in grid:
+            params = exact.LemmaParams(q, s, beta)
+            assert lhs[q, s] == exact.lemma_lhs(params), (q, s, beta)
+            assert rhs[q, s] == exact.lemma_rhs(params), (q, s, beta)
+
+
+def test_inner_sums_match_alternating_coefficient_sum():
+    for alpha in verify.DEFAULT_ALPHAS:
+        for s in range(1, verify.DEFAULT_S_MAX + 1):
+            inner = verify._inner_sums(alpha, s)
+            for p in range(1, verify.DEFAULT_P_MAX_INNER + 1):
+                assert next(inner) == exact.alternating_coefficient_sum(p, alpha, s), (p, alpha, s)
+
+
+# ---------------------------------------------------------------------------
+# fault injection: L and R come from independent routes, aligned by index
+# ---------------------------------------------------------------------------
+
+#: A relative error far below binary64 resolution, visible only to exact checks.
+PERTURBATION = 1 + F(1, 10**30)
+
+
+def _lemma_cases_at(q):
+    # verify_lemma's cases at one q, in its loop order at the default grid
+    return [(q, s, beta) for s in range(1, verify.DEFAULT_S_MAX + 1) for beta in verify.DEFAULT_BETAS]
+
+
+def _step_cases_at(*qs):
+    return [case for q in qs for case in _lemma_cases_at(q)]
+
+
+def _perturb_L_at_q5(monkeypatch):
+    alternating_sum = exact._alternating_sum
+
+    def perturbed(powers, q):
+        value = alternating_sum(powers, q)
+        return value * PERTURBATION if q == 5 else value
+
+    monkeypatch.setattr(exact, "_alternating_sum", perturbed)
+
+
+def _perturb_R_at_n5(monkeypatch):
+    depth_columns = exact._depth_columns
+
+    def perturbed(*args):
+        for n, prefactor, col in depth_columns(*args):
+            yield n, prefactor * PERTURBATION if n == 5 else prefactor, col
+
+    monkeypatch.setattr(exact, "_depth_columns", perturbed)
+
+
+# A relative (not additive) error keeps L(5, beta) - L(5, beta + 1) wrong as
+# well, so the q = 5 step fails too: it reads both tables at the same q.
+@pytest.mark.parametrize(
+    "perturb, side",
+    [(_perturb_L_at_q5, "L"), (_perturb_R_at_n5, "R")],
+    ids=["L at q = 5", "R at q = 5"],
+)
+def test_a_perturbed_side_fails_exactly_its_own_cases(monkeypatch, perturb, side):
+    # each failing case is off by (PERTURBATION - 1) L(5, beta), and L = R
+    worst = max(
+        abs(float(exact.lemma_lhs(exact.LemmaParams(*case)) * (PERTURBATION - 1)))
+        for case in _lemma_cases_at(5)
+    )
+    perturb(monkeypatch)
+    lemma = verify.verify_lemma()
+    assert lemma.failing_cases == _lemma_cases_at(5)
+    assert lemma.cases_failed == 30
+    assert lemma.worst_residual == worst
+    step, other = verify.verify_recurrence_L(), verify.verify_recurrence_R()
+    if side == "R":
+        step, other = other, step
+    assert step.failing_cases == _step_cases_at(4, 5)
+    assert other.passed
+    assert verify.verify_recurrence_R_base().passed
 
 
 # ---------------------------------------------------------------------------
