@@ -38,7 +38,7 @@ SHIFT_WORD = {
     "multi_sum": 4, "multi_sum_bruteforce": 4, "lemma_lhs": 3, "lemma_rhs": 3,
     "coefficient_stream": 1, "coefficient_exact": 2, "alternating_coefficient_sum": 2,
     "shift_gap": 1, "_term_stream": 1, "coefficient_float": 2, "coefficient_bound": 2,
-    "lerch_accelerated": 2,
+    "lerch_accelerated": 2, "lerch_direct": 2, "alternating_direct": 1,
 }
 
 CLI_COMMANDS = (
@@ -128,6 +128,12 @@ def _series_layer():
                     out[f"lerch_accelerated {w} {alpha} {s} {tol} {max_terms}"] = (
                         series.lerch_accelerated(w, shift, s, tol, max_terms)
                     )
+                    if abs(w) < 1:
+                        out[f"lerch_direct {w} {alpha} {s} {tol} {max_terms}"] = (
+                            series.lerch_direct(w, shift, s, tol, max_terms)
+                        )
+            for n_terms in (1, 7, 60):
+                out[f"alternating_direct {alpha} {s} {n_terms}"] = series.alternating_direct(shift, s, n_terms)
     for s in range(1, 7):
         for p in (1, 2, 3, 10, 50, 200):
             out[f"ap_coefficient {p} {s}"] = series.ap_coefficient(p, s)
