@@ -26,6 +26,8 @@ EXIT_NOT_CONVERGED = 2
 
 #: Tolerance used when computing the high-accuracy benchmark reference.
 REFERENCE_TOL = 1e-13
+#: `eval --alpha-rat` checks the float c_p against the exact ones for p <= CROSSCHECK_P.
+CROSSCHECK_P = 20
 
 
 @dataclass(frozen=True)
@@ -156,11 +158,12 @@ def _result_payload(result: SeriesResult) -> dict:
 
 
 def _exact_crosscheck(alpha: Fraction, s: int) -> dict:
-    """Compare the float coefficient stream against the exact one at this shift, p <= 20."""
+    """Compare the float coefficient stream against the exact one at this shift."""
+    p_max = CROSSCHECK_P
     report = verify._coefficient_report(
-        "exact_crosscheck", f"p <= 20, s = {s}", exact.coefficient_stream, (alpha,), (s,), 20
+        "exact_crosscheck", f"p <= {p_max}, s = {s}", exact.coefficient_stream, (alpha,), (s,), p_max
     )
-    return {"p_max": 20, "max_rel_err": report.worst_residual, "ok": report.passed}
+    return {"p_max": p_max, "max_rel_err": report.worst_residual, "ok": report.passed}
 
 
 def _emit_json(payload, path: Optional[str]) -> None:
@@ -235,8 +238,8 @@ def bench_rows(
     accelerated reference first falls below the tolerance (capped at
     `max_terms`, in which case the row's achieved_error exceeds its tol).
     Their partial sums, scaled by -1/(1 - 2^{1-s}), are the binomial double
-    sum `series._euler_partial_sums` (alpha = 0, z = 1/2) and the generator
-    behind `alternating_direct`, `series._alternating_partial_sums` at alpha = 0.
+    sum `series._euler_partial_sums` (alpha = 0, z = 1/2) and the defining
+    series `series._direct_partial_sums` at w = -1, alpha = 0.
 
     The `euler_transform` and `direct_alternating` counts are measured against
     a reference certified only to `REFERENCE_TOL`, so a count near the
@@ -264,7 +267,7 @@ def bench_rows(
             euler = series._euler_partial_sums(s)
             p, error = _terms_to_reach(euler, scale, reference, tol, max_terms)
             rows.append(ConvergenceRow("euler_transform", s, 0.5, 0.0, tol, p, error))
-            alternating = series._alternating_partial_sums(0.0, s)
+            alternating = (total for _, total in series._direct_partial_sums(-1, 0.0, s))
             n, error = _terms_to_reach(alternating, scale, reference, tol, max_terms)
             rows.append(ConvergenceRow("direct_alternating", s, -1.0, 0.0, tol, n, error))
 

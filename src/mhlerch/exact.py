@@ -30,8 +30,8 @@ the only place where L is summed: every layer (exact, series, verify, cli)
 calls them, with `Fraction`, float or complex numbers.  One depth-column pass
 to q holds S_0^n(t) for every n <= q and t <= depth, so it gives R at every
 (n, s <= depth + 1); `_alternating_sum` takes the powers (beta + m)^s from its
-caller, so one power list gives L at every q it covers.  The tuple enumerator
-is retained only as an independent oracle for tests.
+caller, and `_alternating_sums` yields L at q = 0, 1, ... from one list of them.
+The tuple enumerator is retained only as an independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -149,15 +149,24 @@ def _depth_columns(x0, depth: int, n0: int = 1, stop: Optional[int] = None):
 
 def _alternating_sum(powers, q: int):
     """L(q, x0) = sum_{m=0}^{q} C(q, m) (-1)^m / powers[m], where powers[m] is
-    (x0 + m)^s in the number type of x0 for m = 0 .. q (a longer list serves
-    every smaller q).  `series` sums it at x0 = 1 + 0j only (the double sum at
-    alpha = 0, z = 1/2): complex, as a float or int x0 rounds otherwise past 2^53."""
+    (x0 + m)^s in the number type of x0 for m = 0 .. q, as `_alternating_sums`
+    grows it and `lemma_lhs` builds it.  `series` sums it at x0 = 1 + 0j only:
+    complex, as a float or int x0 rounds otherwise past 2^53."""
     total = 0
     sign = 1
     for m in range(q + 1):
         total += sign * math.comb(q, m) / powers[m]
         sign = -sign
     return total
+
+
+def _alternating_sums(x0, s: int) -> Iterator:
+    """Yield L(q, x0) = `_alternating_sum(powers, q)` for q = 0, 1, ..., from
+    one power list grown by (x0 + q)^s per item."""
+    powers = []
+    for q in count():
+        powers.append((x0 + q) ** s)
+        yield _alternating_sum(powers, q)
 
 
 def multi_sum(spec: MultiSumSpec) -> Fraction:

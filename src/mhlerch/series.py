@@ -144,7 +144,8 @@ def lerch_direct(
 
         |w|^{N+1} / ((1 - |w|) * min_{n>N} |alpha + n|^s)
 
-    falls below `tol`, or at `max_terms` with converged = False.
+    falls below `tol`, or at `max_terms` with converged = False.  It is taken
+    reciprocal first, so it overflows rather than divide by an underflowed 0.
     """
     w = _require_finite(w, "w")
     exact._check_count(s, "order s")
@@ -154,28 +155,24 @@ def lerch_direct(
     if aw >= 1.0:
         raise DomainError(f"|w| must be < 1 for the direct series, got |w| = {aw}")
     alpha = shift.alpha
-    total = 0j
-    w_pow = 1 + 0j
     bound = math.inf
-    for n in range(1, max_terms + 1):
-        w_pow *= w
-        total += w_pow / (alpha + n) ** s
-        gap = _tail_gap(alpha, n + 1)
-        bound = aw ** (n + 1) / ((1.0 - aw) * gap**s)
+    for n, (_, total) in zip(range(1, max_terms + 1), _direct_partial_sums(w, alpha, s)):
+        bound = aw ** (n + 1) * (1.0 / _tail_gap(alpha, n + 1)) ** s / (1.0 - aw)
         if bound <= tol:
             return SeriesResult(total, n, bound, True)
     return SeriesResult(total, max_terms, bound, False)
 
 
-def _alternating_partial_sums(alpha, s: int) -> Iterator[complex]:
-    """Yield sum_{n=1}^{N} (-1)^n / (alpha + n)^s for N = 1, 2, ...; the
-    powers are taken in the number type of alpha."""
+def _direct_partial_sums(w, alpha, s: int) -> Iterator[Tuple[complex, complex]]:
+    """Yield (w^N, sum_{n=1}^{N} w^n (1/(alpha + n))^s) for N = 1, 2, ...: the
+    defining series, each term reciprocal first, so a term too large for
+    binary64 overflows and never divides by 0."""
     total = 0j
-    sign = -1.0
+    w_pow = 1 + 0j
     for n in count(1):
-        total += sign / (alpha + n) ** s
-        sign = -sign
-        yield total
+        w_pow *= w
+        total += w_pow * (1 / (alpha + n)) ** s
+        yield w_pow, total
 
 
 def alternating_direct(shift: ShiftParam, s: int, n_terms: int) -> complex:
@@ -183,7 +180,8 @@ def alternating_direct(shift: ShiftParam, s: int, n_terms: int) -> complex:
     negative).  Slow baseline for the boundary point w = -1."""
     exact._check_count(s, "order s")
     exact._check_count(n_terms, "n_terms")
-    return next(islice(_alternating_partial_sums(shift.alpha, s), n_terms - 1, None))
+    _, total = next(islice(_direct_partial_sums(-1, shift.alpha, s), n_terms - 1, None))
+    return total
 
 
 def coefficient_float(p: int, shift: ShiftParam, s: int) -> complex:
@@ -292,10 +290,11 @@ def lerch_accelerated(
     z = w/(w-1) (|z| < 1 exactly on that half-plane).
 
     Pole peeling: if Re(alpha) < -1/2, the K = floor(-Re alpha) + 1 head terms
-    w^n (1/(alpha+n))^s of the shift relation are summed directly, then the
-    series in z at alpha+K, where Re(alpha+K) > 0 and no f_i is near a pole.
-    `terms_used` counts both; the stream is kept under (alpha+K, s).  If K >=
-    `max_terms`, the first `max_terms` head terms are returned with bound inf.
+    w^n (1/(alpha+n))^s of the shift relation are the K-th partial sum of
+    `_direct_partial_sums`, then the series in z at alpha+K is summed, where
+    Re(alpha+K) > 0 and no f_i is near a pole.  `terms_used` counts both; the
+    stream is kept under (alpha+K, s).  If K >= `max_terms`, the first
+    `max_terms` head terms are returned with bound inf.
 
     Stopping rule: after P terms the tail is at most B(P+1) |z|^{P+1} /
     (1 - rho), rho = |z| * sup_{p > P} B(p+1)/B(p), with B(p) = (p-1)!/
@@ -324,11 +323,7 @@ def lerch_accelerated(
     z, alpha = w / (w - 1), shift.alpha
     if alpha.real < -0.5:
         k = math.floor(-alpha.real) + 1
-        head = 0j
-        w_pow = 1 + 0j
-        for n in range(1, min(k, max_terms) + 1):
-            w_pow *= w
-            head += w_pow * (1 / (alpha + n)) ** s  # overflows, never divides by 0
+        w_pow, head = next(islice(_direct_partial_sums(w, alpha, s), min(k, max_terms) - 1, None))
         if k >= max_terms:
             return SeriesResult(head, max_terms, math.inf, False)
         if not math.isfinite(abs(w_pow)):
@@ -344,11 +339,9 @@ def _euler_partial_sums(s: int) -> Iterator[complex]:
     rounding grows like u (2|z|)^P, so it is summed at z = 1/2 only."""
     total = 0j
     z_pow = 1 + 0j
-    powers = []  # (1 + m)^s for m < p, one new power per p
-    for p in count(1):
+    for inner in exact._alternating_sums(1 + 0j, s):
         z_pow *= 0.5
-        powers.append((1 + 0j + (p - 1)) ** s)
-        total += z_pow * -exact._alternating_sum(powers, p - 1)
+        total += z_pow * -inner
         yield total
 
 

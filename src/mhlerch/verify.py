@@ -16,8 +16,8 @@ import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import exact, series
 from .series import ShiftParam
@@ -58,6 +58,7 @@ DEFAULT_P_MAX_INNER = 30
 DEFAULT_P_MAX_FLOAT = 200
 DEFAULT_FLOAT_TOL = 1e-10
 SONDOW_P = 60
+LEMMA_COMPLEX_Q = 8
 
 #: Displayed identities of the combinatorial proof -> report that checks them.
 LEMMA_PROOF_IDENTITIES: Dict[str, str] = {
@@ -128,12 +129,11 @@ def _lhs_values(beta: Fraction, q_max: int, s_max: int) -> Dict[Tuple[int, int],
     """{(q, s): L(q, beta)} for q <= q_max, 1 <= s <= s_max, every q summed
     from one power list (beta + m)^s per s."""
     exact._check_beta(beta)
-    values = {}
-    for s in range(1, s_max + 1):
-        powers = [(beta + m) ** s for m in range(q_max + 1)]
-        for q in range(q_max + 1):
-            values[q, s] = exact._alternating_sum(powers, q)
-    return values
+    return {
+        (q, s): lhs
+        for s in range(1, s_max + 1)
+        for q, lhs in zip(range(q_max + 1), exact._alternating_sums(beta, s))
+    }
 
 
 def _rhs_values(beta: Fraction, q_max: int, s_max: int) -> Dict[Tuple[int, int], Fraction]:
@@ -309,19 +309,18 @@ def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> Verification
 
 def verify_lemma_complex(s_max: int = 4) -> VerificationReport:
     """Floating-point spot check of L = R at three genuinely complex beta,
-    q <= 8, to 1e-9.
+    q <= `LEMMA_COMPLEX_Q`, to 1e-9.
 
     The exact layer only covers rational beta; this closes the gap.  q stays
     small because the alternating sum loses ~2^q of precision to cancellation.
     """
-    report = VerificationReport("lemma_complex_spot", f"q <= 8, s <= {s_max}, complex betas")
+    grid = f"q <= {LEMMA_COMPLEX_Q}, s <= {s_max}, complex betas"
+    report = VerificationReport("lemma_complex_spot", grid)
     for beta in (1 + 1j, 0.5 + 2j, 2.5 - 1j):
-        powers = {s: [] for s in range(1, s_max + 1)}  # (beta + m)^s for m <= q
-        for q, prefactor, col in exact._depth_columns(beta, s_max - 1, 0, 8):
+        lhs = {s: exact._alternating_sums(beta, s) for s in range(1, s_max + 1)}
+        for q, prefactor, col in exact._depth_columns(beta, s_max - 1, 0, LEMMA_COMPLEX_Q):
             for s in range(1, s_max + 1):
-                powers[s].append((beta + q) ** s)
-                lhs = exact._alternating_sum(powers[s], q)
-                report._float_case(float_residual(lhs, prefactor * col[s - 1]), 1e-9, (q, s, beta))
+                report._float_case(float_residual(next(lhs[s]), prefactor * col[s - 1]), 1e-9, (q, s, beta))
     return report
 
 
@@ -380,26 +379,18 @@ def verify_euler_inner_sums(
 ) -> VerificationReport:
     """Inner binomial sums of the transformed series against coefficient_float.
 
-    The inner sum is evaluated in exact rational arithmetic (the alternating
-    route loses ~2^p of binary64 precision to cancellation, which would swamp
-    a 1e-12 comparison by p ~ 20); the float side is the product-form
-    coefficient.  This is the numeric shadow of the L = R identity.
+    The inner sum is -L(p - 1, alpha + 1) from `exact._alternating_sums`, in
+    exact rational arithmetic (the alternating route loses ~2^p of binary64
+    precision to cancellation, which would swamp a 1e-12 comparison by p ~ 20);
+    the float side is the product-form coefficient.  This is the numeric shadow
+    of the L = R identity.
     """
-
     return _coefficient_report(
         "euler_inner_consistency",
         f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_ALPHAS)} rational alphas",
-        _inner_sums, DEFAULT_ALPHAS, range(1, s_max + 1), p_max,
+        lambda alpha, s: (-lhs for lhs in exact._alternating_sums(alpha + 1, s)),
+        DEFAULT_ALPHAS, range(1, s_max + 1), p_max,
     )
-
-
-def _inner_sums(alpha: Fraction, s: int) -> Iterator[Fraction]:
-    """Yield `exact.alternating_coefficient_sum(p, alpha, s)` for p = 1, 2, ...,
-    = -L(p - 1, alpha + 1), from one power list grown by one power per p."""
-    powers = []  # (alpha + 1 + m)^s for m < p
-    for q in count():
-        powers.append((alpha + 1 + q) ** s)
-        yield -exact._alternating_sum(powers, q)
 
 
 def verify_coefficient_bound(p_max: int = DEFAULT_P_MAX_FLOAT, s_max: int = 6) -> VerificationReport:

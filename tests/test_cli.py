@@ -361,16 +361,19 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
         ("zeta", "--s", "400"),
         ("eval", "--s", "100", "--w=-0.5", "--alpha=-2.9999"),
         ("eval", "--s", "2", "--w=-1000", "--alpha=-120.5"),
+        ("eval", "--s", "100", "--w", "0.5", "--alpha=-1.99999", "--method", "direct"),
     ],
-    ids=["alpha-rat", "eval-s", "zeta-s", "eval-peeled-s", "eval-peeled-w"],
+    ids=["alpha-rat", "eval-s", "zeta-s", "eval-peeled-s", "eval-peeled-w", "eval-direct-s"],
 )
 def test_overflow_is_an_error_exit(capsys, argv):
     # float(1e400 as a Fraction), the majorant's float powers at s = 400, the
-    # peeled head term (1/(alpha+3))^100, about 1e400, and |w|^K = 1000^121
-    # overflow binary64
+    # peeled head term (1/(alpha+3))^100, about 1e400, |w|^K = 1000^121 and
+    # the direct series' tail bound 1/|alpha+2|^100, about 1e500, overflow
+    # binary64; none of them divides by a power that underflowed to 0
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith(f"mhlerch {argv[0]}: error: ")
+    assert "division by zero" not in err
     assert "Traceback" not in err
 
 

@@ -110,6 +110,26 @@ def test_direct_nonconvergence_flag():
     assert result.error_bound > 1e-12
 
 
+def test_direct_bound_overflow_raises_overflow_error():
+    # 1/gap^s, gap = |alpha + 2| = 1e-5, is about 1e500; gap**s underflowed to
+    # 0 and raised ZeroDivisionError
+    with pytest.raises(OverflowError):
+        series.lerch_direct(0.5, ShiftParam(-2 + 1e-5), 100)
+
+
+def test_direct_series_is_one_generator():
+    # lerch_direct, alternating_direct and the peeled head (K = 8 here) are
+    # items of _direct_partial_sums, bit for bit
+    w, shift, s = -0.3 + 0.4j, ShiftParam(-7.3 + 0.01j), 3
+    result = series.lerch_direct(w, shift, s)
+    items = islice(series._direct_partial_sums(w, shift.alpha, s), result.terms_used)
+    totals = [total for _, total in items]
+    assert result.value == totals[-1]
+    assert series.lerch_accelerated(w, shift, s, max_terms=8).value == totals[7]
+    _, total = next(islice(series._direct_partial_sums(-1, shift.alpha, s), 6, None))
+    assert series.alternating_direct(shift, s, 7) == total
+
+
 def test_direct_bound_contract_vs_oracle():
     for alpha in SHIFTS_MIXED:
         shift = ShiftParam(alpha)

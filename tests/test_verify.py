@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -162,11 +163,21 @@ def test_lemma_and_step_tables_match_the_public_functions():
 
 
 def test_inner_sums_match_alternating_coefficient_sum():
+    # Exact x0 = alpha + 1: the negated items are the series' inner sums.
     for alpha in verify.DEFAULT_ALPHAS:
         for s in range(1, verify.DEFAULT_S_MAX + 1):
-            inner = verify._inner_sums(alpha, s)
+            lhs = exact._alternating_sums(alpha + 1, s)
             for p in range(1, verify.DEFAULT_P_MAX_INNER + 1):
-                assert next(inner) == exact.alternating_coefficient_sum(p, alpha, s), (p, alpha, s)
+                assert -next(lhs) == exact.alternating_coefficient_sum(p, alpha, s), (p, alpha, s)
+    # Complex x0 (the betas of verify_lemma_complex and the 1 + 0j of
+    # series._euler_partial_sums): each item is the primitive over an explicit
+    # power list, bit for bit.
+    for x0 in (1 + 1j, 0.5 + 2j, 2.5 - 1j, 1 + 0j):
+        for s in range(1, verify.DEFAULT_S_MAX + 1):
+            powers = [(x0 + m) ** s for m in range(verify.DEFAULT_P_MAX_INNER)]
+            items = islice(exact._alternating_sums(x0, s), len(powers))
+            for q, item in enumerate(items):
+                assert item == exact._alternating_sum(powers, q), (q, x0, s)
 
 
 # ---------------------------------------------------------------------------
