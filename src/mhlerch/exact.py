@@ -133,8 +133,8 @@ def _depth_columns(x0, depth: int, n0: int = 1, stop: Optional[int] = None):
     item n is asked for, so a pole of 1/(x0 + n) past the last index taken is
     never reached.  The loop is written out here, not composed from smaller
     generators, because the float evaluators step it once for each term they
-    do not keep: `series.lerch_accelerated` and `series.zeta_accelerated` sum
-    one kept stream (see `series._summed`).
+    do not keep: the series in z of `series.lerch_accelerated` and
+    `series.zeta_accelerated` sum one kept stream (see `series._summed`).
     """
     col = [1] + [0] * depth
     prefactor = 1

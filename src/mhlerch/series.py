@@ -7,12 +7,13 @@ on the half-plane Re(w) < 1/2 via the power series in z = w/(w-1),
     Li(w; alpha, s) = sum_{p>=1} c_p z^p,
     c_p = -(p-1)!/(alpha+1)_p * S_1^p(s-1),  f_i = 1/(alpha + i),
 
-plus the slow defining series on |w| < 1, the alternating boundary series at
-w = -1, and, at alpha = 0, z = 1/2, the binomial double-sum form and the
-accelerated zeta(s) series.
+and via the defining series on the lens |w - 1| < 1, where it converges
+faster; plus the alternating boundary series at w = -1 and, at alpha = 0,
+z = 1/2, the binomial double-sum form and the accelerated zeta(s) series.
 
-Every evaluator returns an a-posteriori error bound.  The series in z is
-bounded through the coefficient majorant
+Every evaluator returns an a-posteriori error bound.  One loop, `_summed`,
+sums both series, from `_term_stream` and `_direct_stream`.  The series in z
+is bounded through the coefficient majorant
 
     |c_p| <= B(p) = (p-1)!/(|alpha+1| ... |alpha+p|) * H_p^{s-1},
     H_p = sum_{i<=p} 1/|alpha+i|,
@@ -106,13 +107,15 @@ class SeriesResult:
     """Value of a truncated series with its certificate.
 
     `converged` implies `error_bound <= ` the requested tolerance;
-    `terms_used` never exceeds the configured max-terms.
+    `terms_used` never exceeds the configured max-terms.  `method` is the
+    series summed: "z" or "direct" (the defining series).
     """
 
     value: complex
     terms_used: int
     error_bound: float
     converged: bool
+    method: str
 
 
 def half_plane_to_disk(w: ComplexLike) -> complex:
@@ -138,14 +141,12 @@ def lerch_direct(
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
-    """Partial sums of the defining series sum_{n>=1} w^n/(alpha+n)^s, |w| < 1.
+    """Partial sums of the defining series sum_{n>=1} w^n/(alpha+n)^s, |w| < 1,
+    by `_summed` over `_direct_stream`.  Stops once the geometric tail bound
 
-    Stops once the geometric tail bound
+        |w|^{N+1} (1/min_{n>N} |alpha + n|)^s / (1 - |w|)
 
-        |w|^{N+1} / ((1 - |w|) * min_{n>N} |alpha + n|^s)
-
-    falls below `tol`, or at `max_terms` with converged = False.  It is taken
-    reciprocal first, so it overflows rather than divide by an underflowed 0.
+    falls below `tol`, or at `max_terms` with converged = False.
     """
     w = _require_finite(w, "w")
     exact._check_count(s, "order s")
@@ -154,24 +155,39 @@ def lerch_direct(
     aw = abs(w)
     if aw >= 1.0:
         raise DomainError(f"|w| must be < 1 for the direct series, got |w| = {aw}")
-    alpha = shift.alpha
-    bound = math.inf
-    for n, (_, total) in zip(range(1, max_terms + 1), _direct_partial_sums(w, alpha, s)):
-        bound = aw ** (n + 1) * (1.0 / _tail_gap(alpha, n + 1)) ** s / (1.0 - aw)
-        if bound <= tol:
-            return SeriesResult(total, n, bound, True)
-    return SeriesResult(total, max_terms, bound, False)
+    return _summed(w, shift.alpha, s, tol, max_terms, 1.0, _direct_stream)
+
+
+def _direct_stream(alpha, s: int) -> Iterator[Tuple[complex, float, float]]:
+    """Yield (a_n, B(n+1), 1.0) for n = 1, 2, ...: a_n = (1/(alpha+n))^s and
+    B(n+1) = (1/min_{m>n} |alpha + m|)^s >= |a_m| for every m > n.
+
+    |alpha + m|^2 = (m + Re(alpha))^2 + Im(alpha)^2 does not decrease from
+    m >= -Re(alpha) on, so from there the min is |alpha + n + 1|.  B does not
+    increase, so 1 bounds its ratios.  Powers are taken reciprocal first: a
+    term too large for binary64 raises `OverflowError`, never divides by 0.
+    Where B overflows, just off a pole, B and the ratio are inf; the term at
+    that pole raises once it is reached.
+    """
+    monotone_from = -alpha.real
+    for n in count(1):
+        m = n + 1
+        gap = abs(alpha + m) if m >= monotone_from else _tail_gap(alpha, m)
+        try:
+            b_next, ratio = (1.0 / gap) ** s, 1.0
+        except OverflowError:
+            b_next = ratio = math.inf
+        yield (1 / (alpha + n)) ** s, b_next, ratio
 
 
 def _direct_partial_sums(w, alpha, s: int) -> Iterator[Tuple[complex, complex]]:
-    """Yield (w^N, sum_{n=1}^{N} w^n (1/(alpha + n))^s) for N = 1, 2, ...: the
-    defining series, each term reciprocal first, so a term too large for
-    binary64 overflows and never divides by 0."""
+    """Yield (w^N, sum_{n=1}^{N} w^n a_n) for N = 1, 2, ..., a_n read from
+    `_direct_stream`: the defining series, unkept and with no stopping rule."""
     total = 0j
     w_pow = 1 + 0j
-    for n in count(1):
+    for a_n, _, _ in _direct_stream(alpha, s):
         w_pow *= w
-        total += w_pow * (1 / (alpha + n)) ** s
+        total += w_pow * a_n
         yield w_pow, total
 
 
@@ -231,51 +247,67 @@ def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float
         h, abs_next = h_next, abs_after
 
 
-#: [key, terms, stream] of the last (alpha, s) summed, updated in place under
-#: `_kept_lock`: `stream` is the pair's `_term_stream`, None or len(terms) items on.
-_kept_stream = [None, [], None]
+#: stream factory -> (method, slot), slot = [key, terms, stream] of the last
+#: (alpha, s) summed from it, updated in place under `_kept_lock`: `stream` is
+#: the pair's generator, None or len(terms) items on.
+_kept_streams = {_term_stream: ("z", [None, [], None]), _direct_stream: ("direct", [None, [], None])}
 _kept_lock = threading.Lock()
 
 
-def _summed(z, alpha, s: int, tol: float, max_terms: int, scale: float = 1.0) -> SeriesResult:
-    """Sum c_p z^p over the kept term stream of (alpha, s), Re(alpha) >= -1 as
-    `_term_stream`'s ratio needs, until `scale` times the tail bound is <= tol
-    (see `lerch_accelerated`); the value is unscaled."""
-    az = abs(z)
+def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_term_stream) -> SeriesResult:
+    """Sum a_p x^p over the kept stream `factory(alpha, s)` of (a_p, B(p+1), r_p),
+    B(p+1) >= |a_m| for m > p and r_p >= sup_{m>p} B(m+1)/B(m), until `scale`
+    times the tail bound B(P+1) |x|^{P+1} / (1 - |x| r_P) is <= tol; the value
+    is unscaled.  x = z for `_term_stream` (at Re(alpha) >= -1, as its ratio
+    needs), x = w for `_direct_stream`.
+
+    The stream depends on (alpha, s) only, so each factory's slot keeps the
+    terms of one pair and the generator that computed them; lens and off-lens
+    calls on one pair do not evict each other.  A first call on a pair keeps
+    nothing: on `eval-scattered`, a new pair almost every call, keeping them
+    added 7.5-9.2% to peak memory and took 1.3-5.0% off op/s.  Later
+    consecutive calls sum the kept terms, and past them step the kept
+    generator and append: no term is computed twice.  Memory: one pair per
+    factory, at most the largest `max_terms` used, about 150 bytes a term.
+    Anything raised under `_kept_lock` (an `OverflowError` of a term, an
+    interrupt) empties the slot.  Every result is bit for bit a first call's.
+    """
+    method, slot = _kept_streams[factory]
+    ax = abs(x)
     total = 0.0
-    z_pow = 1.0
-    az_pow = az
+    x_pow = 1.0
+    ax_pow = ax
     bound = math.inf
     key = (alpha, s)
     with _kept_lock:
-        keep = _kept_stream[0] == key
+        keep = slot[0] == key
         if not keep:
-            _kept_stream[:] = [key, [], None]  # first call on this pair
-        elif _kept_stream[2] is None:
-            _kept_stream[2] = _term_stream(alpha, s)
-        terms = _kept_stream[1]
-        stream = _kept_stream[2] if keep else _term_stream(alpha, s)
+            slot[:] = [key, [], None]  # first call on this pair
+        elif slot[2] is None:
+            slot[2] = factory(alpha, s)
+        terms = slot[1]
+        stream = slot[2] if keep else factory(alpha, s)
         n_kept = len(terms)
         try:
             for p in count(1):
                 if p <= n_kept:
-                    c_p, b_next, ratio = terms[p - 1]
+                    a_p, b_next, ratio = terms[p - 1]
                 else:
-                    c_p, b_next, ratio = term = next(stream)
+                    a_p, b_next, ratio = term = next(stream)
                     if keep:
                         terms.append(term)
-                z_pow *= z
-                az_pow *= az
-                total += c_p * z_pow
-                rho = az * ratio
+                x_pow *= x
+                ax_pow *= ax
+                total += a_p * x_pow
+                rho = ax * ratio
                 if rho < 1.0:
-                    bound = scale * b_next * az_pow / (1.0 - rho)
+                    bound = scale * b_next * ax_pow / (1.0 - rho)
                     if bound <= tol:
-                        return SeriesResult(total, p, bound, True)
+                        return SeriesResult(total, p, bound, True, method)
                 if p >= max_terms:
-                    return SeriesResult(total, p, bound if rho < 1.0 else math.inf, False)
+                    return SeriesResult(total, p, bound if rho < 1.0 else math.inf, False, method)
         except BaseException:
-            _kept_stream[:] = [None, [], None]
+            slot[:] = [None, [], None]
             raise
 
 
@@ -286,8 +318,28 @@ def lerch_accelerated(
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
-    """Evaluate Li(w; alpha, s) for Re(w) < 1/2 through the series in
-    z = w/(w-1) (|z| < 1 exactly on that half-plane).
+    """Evaluate Li(w; alpha, s) for Re(w) < 1/2: on the lens |w - 1| < 1 by
+    the defining series, as `lerch_direct` sums it (a shift near a pole needs
+    no peeling there); elsewhere by the series in z = w/(w-1), `_z_series`.
+
+    |z| = |w|/|w - 1|, so |w| < |z| exactly when |w - 1| < 1: the lens is
+    where the defining series converges faster.  Every w <= 0 and every
+    |w| >= 1 lies off it.
+    """
+    w = _require_finite(w, "w")
+    exact._check_count(s, "order s")
+    tol = _check_tolerance(tol)
+    exact._check_count(max_terms, "max_terms")
+    if w.real >= 0.5:
+        raise DomainError(f"Re(w) must be < 1/2, got Re(w) = {w.real}")
+    if abs(w - 1) < 1.0:
+        return _summed(w, shift.alpha, s, tol, max_terms, 1.0, _direct_stream)
+    return _z_series(w, shift.alpha, s, tol, max_terms)
+
+
+def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -> SeriesResult:
+    """Li(w; alpha, s) through the series in z = w/(w-1), at checked arguments
+    with Re(w) < 1/2 (|z| < 1 exactly on that half-plane).
 
     Pole peeling: if Re(alpha) < -1/2, the K = floor(-Re alpha) + 1 head terms
     w^n (1/(alpha+n))^s of the shift relation are the K-th partial sum of
@@ -302,30 +354,13 @@ def lerch_accelerated(
     (H_p = sum_{i<=p} 1/|alpha+i|, growing like ln p) and the sup bounded as
     in `_term_stream`.  Convergence is declared once this bound, times |w|^K
     for a peeled call, is <= tol; while rho >= 1 more terms are added.
-
-    c_p, B(p+1) and the sup depend on (alpha, s) only, so `_kept_stream` keeps
-    the terms of one pair and the `_term_stream` generator that computed
-    them.  A first call on a pair keeps nothing: on `eval-scattered`, a new
-    pair almost every call, keeping them added 7.5-9.2% to peak memory and
-    took 1.3-5.0% off op/s.  Later consecutive calls sum the kept
-    terms, and past them step the kept generator and append: no term is
-    computed twice.  Memory: one pair, at most the largest `max_terms` used,
-    about 150 bytes a term.  Every call holds `_kept_lock`; anything raised
-    while it is held (an `OverflowError` of the majorant at very large s, an
-    interrupt) drops the entry.  Every result is bit for bit a first call's.
     """
-    w = _require_finite(w, "w")
-    exact._check_count(s, "order s")
-    tol = _check_tolerance(tol)
-    exact._check_count(max_terms, "max_terms")
-    if w.real >= 0.5:
-        raise DomainError(f"Re(w) must be < 1/2, got Re(w) = {w.real}")
-    z, alpha = w / (w - 1), shift.alpha
+    z = w / (w - 1)
     if alpha.real < -0.5:
         k = math.floor(-alpha.real) + 1
         w_pow, head = next(islice(_direct_partial_sums(w, alpha, s), min(k, max_terms) - 1, None))
         if k >= max_terms:
-            return SeriesResult(head, max_terms, math.inf, False)
+            return SeriesResult(head, max_terms, math.inf, False, "z")
         if not math.isfinite(abs(w_pow)):
             raise OverflowError(f"|w|^K overflows binary64 at |w| = {abs(w)}, K = {k}")
         inner = _summed(z, alpha + k, s, tol, max_terms - k, abs(w_pow))
@@ -363,7 +398,7 @@ def zeta_accelerated(
 
         zeta(s) = 1/(1 - 2^{1-s}) * sum_{p>=1} a_p / (p 2^p),
 
-    the alpha = 0 (a float), w = -1 sum of `lerch_accelerated` (c_p = -a_p/p)
+    the alpha = 0 (a float), w = -1 sum of `_z_series` (c_p = -a_p/p)
     times -1/(1 - 2^{1-s}), with its bound times 1/(1 - 2^{1-s}).
     """
     if not isinstance(s, int) or s < 2:

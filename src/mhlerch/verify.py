@@ -59,6 +59,14 @@ DEFAULT_P_MAX_FLOAT = 200
 DEFAULT_FLOAT_TOL = 1e-10
 SONDOW_P = 60
 LEMMA_COMPLEX_Q = 8
+#: The complex betas and the tolerance of `lemma_complex_spot`; the relative
+#: tolerance of the float c_p against the exact ones; the relative slack of
+#: |c_p| over its majorant B(p); the tolerance asked of the evaluators.
+LEMMA_COMPLEX_BETAS: Tuple[complex, ...] = (1 + 1j, 0.5 + 2j, 2.5 - 1j)
+LEMMA_COMPLEX_TOL = 1e-9
+COEFFICIENT_REL_TOL = 1e-12
+COEFFICIENT_BOUND_SLACK = 1e-10
+EVALUATOR_TOL = 1e-12
 
 #: Displayed identities of the combinatorial proof -> report that checks them.
 LEMMA_PROOF_IDENTITIES: Dict[str, str] = {
@@ -308,27 +316,31 @@ def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> Verification
 
 
 def verify_lemma_complex(s_max: int = 4) -> VerificationReport:
-    """Floating-point spot check of L = R at three genuinely complex beta,
-    q <= `LEMMA_COMPLEX_Q`, to 1e-9.
+    """Floating-point spot check of L = R at the complex `LEMMA_COMPLEX_BETAS`,
+    q <= `LEMMA_COMPLEX_Q`, to `LEMMA_COMPLEX_TOL`.
 
     The exact layer only covers rational beta; this closes the gap.  q stays
     small because the alternating sum loses ~2^q of precision to cancellation.
     """
     grid = f"q <= {LEMMA_COMPLEX_Q}, s <= {s_max}, complex betas"
     report = VerificationReport("lemma_complex_spot", grid)
-    for beta in (1 + 1j, 0.5 + 2j, 2.5 - 1j):
+    for beta in LEMMA_COMPLEX_BETAS:
         lhs = {s: exact._alternating_sums(beta, s) for s in range(1, s_max + 1)}
         for q, prefactor, col in exact._depth_columns(beta, s_max - 1, 0, LEMMA_COMPLEX_Q):
             for s in range(1, s_max + 1):
-                report._float_case(float_residual(next(lhs[s]), prefactor * col[s - 1]), 1e-9, (q, s, beta))
+                residual = float_residual(next(lhs[s]), prefactor * col[s - 1])
+                report._float_case(residual, LEMMA_COMPLEX_TOL, (q, s, beta))
     return report
 
 
 def verify_proposition(s_max: int = 3, tol: float = DEFAULT_FLOAT_TOL) -> VerificationReport:
-    """Accelerated evaluator against the direct-series oracle at w = -z/(1-z),
-    for z in `DEFAULT_Z_GRID` and alpha in `DEFAULT_SHIFTS`.
+    """The series in z against the direct-series oracle at w = -z/(1-z), for
+    z in `DEFAULT_Z_GRID` and alpha in `DEFAULT_SHIFTS`.
 
     Every z has |z| <= 0.4, so the direct series converges comfortably (|w| < 1).
+    The series in z is summed by `series._z_series`, not `lerch_accelerated`:
+    on the lens |w - 1| < 1 that sums the defining series, and the check would
+    compare `lerch_direct` with itself.
     """
     report = VerificationReport(
         "proposition_oracle",
@@ -338,9 +350,9 @@ def verify_proposition(s_max: int = 3, tol: float = DEFAULT_FLOAT_TOL) -> Verifi
         for s in range(1, s_max + 1):
             for z in DEFAULT_Z_GRID:
                 w = series.disk_to_half_plane(z)
-                accelerated = series.lerch_accelerated(w, shift, s, tol=1e-12)
-                direct = series.lerch_direct(w, shift, s, tol=1e-12)
-                residual = abs(accelerated.value - direct.value)
+                in_z = series._z_series(w, shift.alpha, s, EVALUATOR_TOL, series.DEFAULT_MAX_TERMS)
+                direct = series.lerch_direct(w, shift, s, tol=EVALUATOR_TOL)
+                residual = abs(in_z.value - direct.value)
                 report._float_case(residual, tol, (z, shift.alpha, s))
     return report
 
@@ -350,7 +362,8 @@ def _coefficient_report(
     alphas: Iterable[Fraction], orders: Iterable[int], p_max: int,
 ) -> VerificationReport:
     """The float c_p against the p-th item of `exact_values(alpha, s)`, to a
-    relative 1e-12, as one case (p, alpha, s) per p <= p_max, alpha and s in orders."""
+    relative `COEFFICIENT_REL_TOL`, as one case (p, alpha, s) per p <= p_max,
+    alpha and s in orders."""
     report = VerificationReport(name, grid)
     for alpha in alphas:
         shift = ShiftParam(complex(float(alpha)))
@@ -359,7 +372,7 @@ def _coefficient_report(
             float_stream = exact._depth_columns(shift.alpha, s - 1)
             for p, c_exact, (_, prefactor, col) in zip(range(1, p_max + 1), exact_stream, float_stream):
                 c_exact, c_float = float(c_exact), -prefactor * col[s - 1]
-                report._float_case(abs(c_float - c_exact) / abs(c_exact), 1e-12, (p, alpha, s))
+                report._float_case(abs(c_float - c_exact) / abs(c_exact), COEFFICIENT_REL_TOL, (p, alpha, s))
     return report
 
 
@@ -394,8 +407,8 @@ def verify_euler_inner_sums(
 
 
 def verify_coefficient_bound(p_max: int = DEFAULT_P_MAX_FLOAT, s_max: int = 6) -> VerificationReport:
-    """|c_p| <= coefficient majorant B(p) * (1 + 1e-10) across `DEFAULT_SHIFTS`,
-    B(p) read from the series' own term stream."""
+    """|c_p| <= coefficient majorant B(p) * (1 + `COEFFICIENT_BOUND_SLACK`)
+    across `DEFAULT_SHIFTS`, B(p) read from the series' own term stream."""
     report = VerificationReport(
         "coefficient_bound", f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_SHIFTS)} shifts"
     )
@@ -404,7 +417,7 @@ def verify_coefficient_bound(p_max: int = DEFAULT_P_MAX_FLOAT, s_max: int = 6) -
             bound = series.coefficient_bound(1, shift, s)
             for p, (c_p, b_next, _) in zip(range(1, p_max + 1), series._term_stream(shift.alpha, s)):
                 excess = abs(c_p) / bound - 1.0 if bound > 0 else math.inf
-                report._float_case(max(excess, 0.0), 1e-10, (p, shift.alpha, s))
+                report._float_case(max(excess, 0.0), COEFFICIENT_BOUND_SLACK, (p, shift.alpha, s))
                 bound = b_next
     return report
 
@@ -432,12 +445,12 @@ def verify_sondow_form(
     report = VerificationReport("sondow_special_case", f"s <= {s_max}, P = {SONDOW_P}, alpha = 0, z = 1/2")
     for s in range(1, s_max + 1):
         euler = next(islice(series._euler_partial_sums(s), SONDOW_P - 1, None))
-        accelerated = series.lerch_accelerated(-1.0, ShiftParam(0j), s, tol=1e-12)
+        accelerated = series.lerch_accelerated(-1.0, ShiftParam(0j), s, tol=EVALUATOR_TOL)
         report._float_case(float_residual(euler, accelerated.value), tol, ("euler=accel", s))
         if s == 1:
             reference = -math.log(2.0)
         else:
-            zeta = series.zeta_accelerated(s, tol=1e-12)
+            zeta = series.zeta_accelerated(s, tol=EVALUATOR_TOL)
             reference = -(1.0 - 2.0 ** (1 - s)) * zeta.value.real
         report._float_case(float_residual(euler, reference), tol, ("euler=zeta-ref", s))
     return report

@@ -27,7 +27,7 @@ DILOG_HALF = 0.5822405264650125  # pi^2/12 - ln(2)^2/2
 
 ALPHAS_RATIONAL = [F(0), F(-1, 2), F(1, 2), F(1), F(4, 3), F(4)]
 SHIFTS_MIXED = [0j, 0.5 + 0j, 1j, -0.5 + 0.5j]
-#: Re(alpha) < -1/2: `lerch_accelerated` peels the K = floor(-Re alpha) + 1 pole terms.
+#: Re(alpha) < -1/2: the series in z peels the K = floor(-Re alpha) + 1 pole terms.
 SHIFTS_NEGATIVE = [-0.7 + 0j, -3.5 + 0j, -7.3 + 0.01j, -1.999 + 0j]
 U = 2.0**-53  # unit roundoff of binary64
 
@@ -36,6 +36,17 @@ def ref_lerch(w: complex, alpha: complex, s: int) -> complex:
     """Independent oracle: sum_{n>=1} w^n/(alpha+n)^s via mpmath's lerchphi."""
     value = mp.mpc(w) * mp.lerchphi(mp.mpc(w), s, mp.mpc(alpha) + 1)
     return complex(value)
+
+
+def z_series(w, shift, s, tol=series.DEFAULT_TOL, max_terms=series.DEFAULT_MAX_TERMS):
+    """The series in z that `lerch_accelerated` sums off the lens |w - 1| < 1,
+    summed at any w of the half-plane."""
+    return series._z_series(complex(w), shift.alpha, s, tol, max_terms)
+
+
+def kept(factory=series._term_stream):
+    """[key, terms, stream] of the kept slot of a stream factory."""
+    return series._kept_streams[factory][1]
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +126,16 @@ def test_direct_bound_overflow_raises_overflow_error():
     # 0 and raised ZeroDivisionError
     with pytest.raises(OverflowError):
         series.lerch_direct(0.5, ShiftParam(-2 + 1e-5), 100)
+
+
+def test_direct_majorant_overflow_is_inf_not_a_raise():
+    # Just off a pole at s = 100 the majorant B overflows before the term at
+    # the pole is reached: the terms before it are still summed, and a call
+    # that stops before it is not converged, with bound inf
+    shift = ShiftParam(-2 + 1e-5)
+    assert series.alternating_direct(shift, 100, 1) == -(1 / (shift.alpha + 1)) ** 100
+    result = series.lerch_direct(0.5, ShiftParam(-5 + 1e-5), 100, max_terms=3)
+    assert (result.terms_used, result.error_bound, result.converged) == (3, math.inf, False)
 
 
 def test_direct_series_is_one_generator():
@@ -339,8 +360,10 @@ def test_accelerated_bound_contract_vs_oracle():
             if alpha.real >= -0.5:
                 rounding = 1e-15  # every |c_p z^p| and the value are O(1)
             elif abs(w) <= 1:
-                # peeled: the head holds the near-pole term's size, up to
-                # 1e12 at alpha = -1.999, s = 4; measured at most 3.5 u |ref|
+                # peeled, or summed by the defining series in the lens
+                # (w = 0.45): the head or the sum holds the near-pole term's
+                # size, up to 1e12 at alpha = -1.999, s = 4; measured at most
+                # 3.5 u |ref|
                 rounding = 16 * U * abs(ref)
             else:
                 # peeled, the head and |w|^K times the series in z at alpha + K
@@ -365,7 +388,7 @@ def test_accelerated_large_shift_stops_early(alpha):
     # used to wait for p + 2 > |alpha| (99 to 5999 terms) and underflow to 0
     shift = ShiftParam(alpha)
     for w in (-1.0, 0.4, -5.0):
-        result = series.lerch_accelerated(w, shift, 2, tol=1e-12)
+        result = z_series(w, shift, 2, tol=1e-12)
         assert result.converged
         assert result.terms_used <= 10
         assert 0.0 < result.error_bound <= 1e-12
@@ -390,7 +413,7 @@ def test_accelerated_agrees_with_direct_inside_disk():
         for s in (1, 2, 3):
             for z in (0.4, -0.4, 0.2 + 0.2j, -0.1 - 0.3j):
                 w = series.disk_to_half_plane(z)
-                a = series.lerch_accelerated(w, shift, s, tol=1e-12)
+                a = z_series(w, shift, s, tol=1e-12)
                 d = series.lerch_direct(w, shift, s, tol=1e-12)
                 # both sum the near-pole term w^n/(alpha+n)^s, up to 1e9 at
                 # alpha = -1.999, s = 3, each with its own rounding: measured
@@ -399,13 +422,76 @@ def test_accelerated_agrees_with_direct_inside_disk():
                 assert abs(a.value - d.value) <= 10 * (a.error_bound + d.error_bound) + rounding
 
 
+#: Points of the lens |w - 1| < 1, two of them near its corners e^{+-i pi/3},
+#: where |w| and |z| both tend to 1.
+LENS_CORNERS = (cmath.rect(0.99, math.pi / 3), cmath.rect(0.99, -math.pi / 3))
+LENS_POINTS = (0.4, 0.45 - 0.1j, 0.3 + 0.5j, 0.1 - 0.2j) + LENS_CORNERS
+#: Near-pole, negative, large and complex shifts.
+LENS_SHIFTS = (-2 + 1e-6, -1 - 1e-4j, -3.5, -50.5, 1000, 60 + 40j, 0.5 + 2j, -0.5 + 0.5j)
+
+
+def test_lens_calls_are_lerch_direct_bit_for_bit():
+    # In the lens `lerch_accelerated` sums the defining series through the
+    # same loop and stream as `lerch_direct`, with no peeling
+    for alpha in LENS_SHIFTS:
+        shift = ShiftParam(alpha)
+        for w in LENS_POINTS:
+            assert abs(w - 1) < 1 and w.real < 0.5
+            for s in (1, 3, 6):
+                for tol, max_terms in ((1e-6, 10000), (1e-12, 10000), (1e-12, 15)):
+                    result = series.lerch_accelerated(w, shift, s, tol, max_terms)
+                    assert result.method == "direct"
+                    assert result.converged or max_terms == 15
+                    assert repr(result) == repr(series.lerch_direct(w, shift, s, tol, max_terms))
+
+
+def test_route_rests_on_w_alone():
+    # |w| < |z| exactly when |w - 1| < 1; just inside and just outside the
+    # lens near its corners e^{+-i pi/3}, and on w <= 0 and |w| >= 1
+    inside = [cmath.rect(0.999, t) for t in (math.pi / 3, -math.pi / 3)] + [0.49 + 0.86j, 0.49 - 0.86j, 1e-9]
+    outside = [0.49 + 0.88j, 0.49 - 0.88j, 0j, -1e-9, -0.5, 0.3 + 2j, -1 + 0.2j]
+    shift = ShiftParam(0.5 + 0j)
+    for w in inside + outside:
+        assert (abs(w) < abs(w / (w - 1))) == (w in inside)
+        result = series.lerch_accelerated(w, shift, 2, 1e-6, 200)
+        assert result.method == ("direct" if w in inside else "z")
+
+
+def _direct_abs_terms(w, alpha, s, terms):
+    # sum_{n<=N} |w|^n/|alpha+n|^s, N = terms: N u times it bounds the
+    # rounding of the partial sum
+    return sum(abs(w) ** n / abs(alpha + n) ** s for n in range(1, terms + 1))
+
+
+@pytest.mark.parametrize(
+    "w, alpha, s",
+    [
+        (0.1 - 0.2j, -2 + 1e-6, 3),
+        (LENS_CORNERS[0], -1 - 1e-4j, 2),
+        (0.45 - 0.1j, -3.5, 3),
+        (0.3 + 0.5j, 60 + 40j, 3),
+        (LENS_CORNERS[1], 0.5 + 2j, 2),
+        (0.4, 1000, 1),
+    ],
+    ids=["near-pole", "near-pole,corner", "negative", "large", "complex,corner", "large,real"],
+)
+def test_lens_bound_contract_vs_oracle(w, alpha, s):
+    # Within the bound plus the rounding of the partial sum, which the bound
+    # does not count: the near-pole term, 5e16 at alpha = -2 + 1e-6, s = 3,
+    # sets the size of the rounding there
+    result = series.lerch_accelerated(w, ShiftParam(alpha), s, tol=1e-12)
+    assert result.converged and result.method == "direct"
+    rounding = result.terms_used * U * _direct_abs_terms(w, alpha, s, result.terms_used)
+    assert abs(result.value - ref_lerch(w, alpha, s)) <= result.error_bound + rounding
+
+
 @pytest.mark.parametrize("w, tol, unpeeled, most", [(-0.5, 1e-12, 74, 52), (-0.2 - 0.1j, 1e-6, 60, 52)])
 def test_peeling_skips_the_infinite_tail_ratios(w, tol, unpeeled, most):
     # Summed at alpha = -50.5, the first 48 tail ratios were inf and the bound
     # waited for them: `unpeeled` terms, counted before the series at alpha
     # was removed.  Peeled, the series in z runs at alpha + 51 = 0.5.
     alpha = -50.5 + 0j
-    result = series.lerch_accelerated(w, ShiftParam(alpha), 2, tol)
+    result = z_series(w, ShiftParam(alpha), 2, tol)
     assert result.converged
     assert result.terms_used <= most, f"{result.terms_used} terms; summed at alpha it took {unpeeled}"
     ref = ref_lerch(w, alpha, 2)
@@ -420,7 +506,7 @@ def test_peeling_skips_the_infinite_tail_ratios(w, tol, unpeeled, most):
 def test_calls_that_are_not_peeled_sum_at_alpha(w, alpha, max_terms):
     w = complex(w)
     expected = repr(series._summed(w / (w - 1), alpha, 3, 1e-12, max_terms))
-    assert repr(series.lerch_accelerated(w, ShiftParam(alpha), 3, 1e-12, max_terms)) == expected
+    assert repr(z_series(w, ShiftParam(alpha), 3, 1e-12, max_terms)) == expected
 
 
 @pytest.mark.parametrize(
@@ -434,16 +520,16 @@ def test_negative_shifts_are_peeled_at_every_w(w, alpha, max_terms):
     # K >= max_terms, the first max_terms head terms with an infinite bound.
     _forget_stream()
     k = math.floor(-alpha.real) + 1
-    result = series.lerch_accelerated(w, ShiftParam(alpha), 3, 1e-12, max_terms)
+    result = z_series(w, ShiftParam(alpha), 3, 1e-12, max_terms)
     if k >= max_terms:
         head = sum(w**n / (alpha + n) ** 3 for n in range(1, max_terms + 1))
         assert result.terms_used == max_terms and result.error_bound == math.inf
         assert not result.converged
         assert result.value == pytest.approx(head, rel=1e-14)
-        assert series._kept_stream[0] == (0.25 + 0j, 7)  # the series in z was not summed
+        assert kept()[0] == (0.25 + 0j, 7)  # the series in z was not summed
         return
     assert result.converged
-    assert series._kept_stream[0] == (alpha + k, 3)
+    assert kept()[0] == (alpha + k, 3)
     if w == 0:
         assert (result.value, result.terms_used, result.error_bound) == (0, k + 1, 0.0)
     ref = ref_lerch(w, alpha, 3)
@@ -476,7 +562,7 @@ def test_summed_is_given_re_alpha_at_least_minus_one_half(monkeypatch):
         for w in (0j, -0.5, 0.3 + 0.4j, -1, 1j, -5, 0.3 + 2j):  # w = 0, |w| < 1, = 1, > 1
             for s in (1, 3):
                 for max_terms in (2, 3, 10000):  # max_terms <= K for K >= 3
-                    series.lerch_accelerated(w, shift, s, 1e-6, max_terms)
+                    z_series(w, shift, s, 1e-6, max_terms)
                     summing += k < max_terms
     for s in (2, 3, 4):
         series.zeta_accelerated(s)
@@ -488,7 +574,7 @@ def test_peeling_raises_when_w_to_the_k_overflows():
     # |w|^K = 1e363 at w = -1000, K = 121: the bound |w|^K * B would be inf or
     # nan, and the head's value nan
     with pytest.raises(OverflowError, match="overflows binary64"):
-        series.lerch_accelerated(-1000, ShiftParam(-120.5 + 0j), 2)
+        z_series(-1000, ShiftParam(-120.5 + 0j), 2)
 
 
 def test_peeled_terms_used_stays_within_max_terms():
@@ -498,18 +584,18 @@ def test_peeled_terms_used_stays_within_max_terms():
     w, alpha = -2 + 0j, -7.3 + 0.01j
     head, w_pow = 0j, 1 + 0j
     for max_terms in range(1, 13):
-        result = series.lerch_accelerated(w, ShiftParam(alpha), 3, 1e-12, max_terms)
+        result = z_series(w, ShiftParam(alpha), 3, 1e-12, max_terms)
         assert result.terms_used == max_terms and not result.converged
         if max_terms <= 8:
             w_pow *= w
             head += w_pow * (1 / (alpha + max_terms)) ** 3
-            assert result == SeriesResult(head, max_terms, math.inf, False)
+            assert result == SeriesResult(head, max_terms, math.inf, False, "z")
 
 
 def test_peeled_bound_stays_finite_when_w_to_the_k_underflows():
     # |w|^4 = 1e-800 is 0 in binary64; the bound must be 0, not 0 * inf = nan
     alpha = -3.5 + 0j
-    result = series.lerch_accelerated(-1e-200, ShiftParam(alpha), 2)
+    result = z_series(-1e-200, ShiftParam(alpha), 2)
     assert result.converged
     assert result.error_bound == 0.0
     assert result.value == pytest.approx(-1e-200 / (alpha + 1) ** 2, rel=4 * U)
@@ -519,7 +605,7 @@ def test_peeled_head_overflow_raises_overflow_error():
     # f = 1/(alpha + 3) is about 1e4, so f^100 overflows; (alpha + 3)^100
     # would underflow to 0 and raise ZeroDivisionError instead
     with pytest.raises(OverflowError):
-        series.lerch_accelerated(-0.5, ShiftParam(-2.9999 + 0j), 100)
+        z_series(-0.5, ShiftParam(-2.9999 + 0j), 100)
 
 
 def test_accelerated_nonconvergence_flag():
@@ -569,20 +655,22 @@ def test_index_and_count_arguments_must_be_integers(call, name):
 
 
 # ---------------------------------------------------------------------------
-# kept coefficient stream: a call must give the same bits whether or not the
+# kept coefficient streams: a call must give the same bits whether or not the
 # stream of its (alpha, s) was kept by earlier calls
 # ---------------------------------------------------------------------------
 
 
 def _forget_stream():
-    # a call on a pair no case below uses replaces the kept stream
-    series.lerch_accelerated(0, ShiftParam(0.25 + 0j), 7)
+    # calls on a pair no case below uses replace both kept slots: w = 0 sums
+    # the series in z, w = 0.25 (in the lens) the defining series
+    for w in (0, 0.25):
+        series.lerch_accelerated(w, ShiftParam(0.25 + 0j), 7)
 
 
-def _cold(call):
+def _cold(call, evaluate=z_series):
     _forget_stream()
     w, alpha, s, tol, max_terms = call
-    return repr(series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms))
+    return repr(evaluate(w, ShiftParam(alpha), s, tol, max_terms))
 
 
 @pytest.mark.parametrize(
@@ -606,14 +694,14 @@ def test_kept_stream_gives_cold_bits(earlier, later):
     _forget_stream()
     w, alpha, s, tol, max_terms = earlier
     for _ in range(2):  # the second consecutive call on the pair keeps its terms
-        kept_by = series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)
+        kept_by = z_series(w, ShiftParam(alpha), s, tol, max_terms)
     k = math.floor(-alpha.real) + 1 if alpha.real < -0.5 else 0
-    key, kept, _ = series._kept_stream
+    key, terms, _ = kept()
     assert key == (alpha + k, s)
-    assert len(kept) == kept_by.terms_used - k
-    assert all(math.isfinite(ratio) for *_, ratio in kept)
+    assert len(terms) == kept_by.terms_used - k
+    assert all(math.isfinite(ratio) for *_, ratio in terms)
     w, alpha, s, tol, max_terms = later
-    assert repr(series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)) == expected
+    assert repr(z_series(w, ShiftParam(alpha), s, tol, max_terms)) == expected
 
 
 def test_peeled_call_keeps_the_stream_of_the_shifted_pair():
@@ -623,12 +711,12 @@ def test_peeled_call_keeps_the_stream_of_the_shifted_pair():
     expected = _cold(later)
     _forget_stream()
     for _ in range(2):
-        peeled = series.lerch_accelerated(-0.5, ShiftParam(-50.5 + 0j), 2)
-    key, kept, _ = series._kept_stream
+        peeled = z_series(-0.5, ShiftParam(-50.5 + 0j), 2)
+    key, terms, _ = kept()
     assert key == (0.5 + 0j, 2)
-    assert len(kept) == peeled.terms_used - 51
+    assert len(terms) == peeled.terms_used - 51
     w, alpha, s, tol, max_terms = later
-    assert repr(series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)) == expected
+    assert repr(z_series(w, ShiftParam(alpha), s, tol, max_terms)) == expected
 
 
 def test_kept_stream_interleaved_pairs_give_cold_bits():
@@ -639,15 +727,31 @@ def test_kept_stream_interleaved_pairs_give_cold_bits():
     ]
     expected = [_cold(call) for call in calls]
     _forget_stream()
-    got = [
-        repr(series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms))
-        for w, alpha, s, tol, max_terms in calls
-    ]
+    got = [repr(z_series(w, ShiftParam(alpha), s, tol, max_terms)) for w, alpha, s, tol, max_terms in calls]
     assert got == expected
 
 
+def test_lens_and_off_lens_calls_interleaved_on_one_pair_give_cold_bits():
+    # The lens calls sum the defining series, the others the series in z, each
+    # from its own slot: alternating on one pair, neither evicts the other, and
+    # from the second call of each kind on the terms are read from its slot.
+    alpha, s = 1.3 + 0.7j, 3
+    lens = [0.4, 0.3 + 0.5j, 0.45 - 0.1j, 0.1 - 0.2j]
+    off_lens = [-1, -0.3 + 0.4j, 0.3 + 2j, -5]
+    calls = [(w, alpha, s, tol, 10000) for pair in zip(lens, off_lens) for w in pair for tol in (1e-6, 1e-12)]
+    expected = [_cold(call, series.lerch_accelerated) for call in calls]
+    _forget_stream()
+    got = [series.lerch_accelerated(w, ShiftParam(a), s, tol, m) for w, a, s, tol, m in calls]
+    assert [repr(result) for result in got] == expected
+    assert [result.method for result in got] == ["direct", "direct", "z", "z"] * len(lens)
+    for factory, method in ((series._direct_stream, "direct"), (series._term_stream, "z")):
+        key, terms, _ = kept(factory)
+        assert key == (alpha, s)
+        assert len(terms) == max(r.terms_used for r in got if r.method == method)
+
+
 def test_zeta_and_lerch_share_the_alpha_zero_stream():
-    # zeta keeps the alpha = 0 terms computed in float, lerch reads them as
+    # zeta keeps the alpha = 0 terms computed in float, the series in z reads them as
     # its own complex ones: the real parts come from the same operations and
     # a zero imaginary part stays +0.0, so the bits must be a cold call's
     calls = [(w, 0j, s, 1e-12, 10000) for s in (2, 3) for w in (-1, 0.25, -0.5 + 0.5j)]
@@ -660,7 +764,7 @@ def test_zeta_and_lerch_share_the_alpha_zero_stream():
     for w, alpha, s, tol, max_terms in calls:
         for _ in range(2):  # the second call keeps the zeta terms, or reads lerch's
             assert repr(series.zeta_accelerated(s, tol, max_terms)) == cold_zeta[s]
-        got.append(repr(series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)))
+        got.append(repr(z_series(w, ShiftParam(alpha), s, tol, max_terms)))
     assert got == expected
 
 
@@ -681,10 +785,7 @@ def test_kept_stream_steps_the_kernel_once_per_term(monkeypatch):
     expected = [_cold(call) for call in calls]
     _forget_stream()
     monkeypatch.setattr(exact, "_depth_columns", counted)
-    got = [
-        series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)
-        for w, alpha, s, tol, max_terms in calls
-    ]
+    got = [z_series(w, ShiftParam(alpha), s, tol, max_terms) for w, alpha, s, tol, max_terms in calls]
     assert [repr(result) for result in got] == expected
     assert got[0].terms_used == 8 and max(r.terms_used for r in got[1:]) == 43
     assert len(steps) == 51
@@ -704,31 +805,34 @@ def test_kept_stream_is_dropped_when_an_extension_raises(monkeypatch):
             yield item
 
     _forget_stream()
-    series.lerch_accelerated(-4 + 2j, ShiftParam(1.3 + 0.7j), 3)
+    z_series(-4 + 2j, ShiftParam(1.3 + 0.7j), 3)
     monkeypatch.setattr(exact, "_depth_columns", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        series.lerch_accelerated(-4 + 2j, ShiftParam(1.3 + 0.7j), 3)
+        z_series(-4 + 2j, ShiftParam(1.3 + 0.7j), 3)
     monkeypatch.undo()
+    assert kept() == [None, [], None]
     w, alpha, s, tol, max_terms = call
-    assert repr(series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)) == expected
+    assert repr(z_series(w, ShiftParam(alpha), s, tol, max_terms)) == expected
 
 
 def test_kept_stream_is_safe_across_threads():
     # Four threads tabulate the same row of points at the same time, each in
     # its own shuffled order, one pair after another, so they keep reading,
-    # replacing and extending the one kept stream under each other.  Besides
-    # the short switch interval, a tracer makes a thread nap at random byte
-    # codes of `lerch_accelerated` and the summation loop `_summed` it calls,
-    # so that it can lose the interpreter lock
-    # between any two of them.  Every result must be the serial cold one.
+    # replacing and extending both kept slots under each other: a row holds
+    # points in the lens and off it.  Besides the short switch interval, a
+    # tracer makes a thread nap at random byte codes of `lerch_accelerated`,
+    # `_z_series` and the summation loop `_summed`, so that it can lose the
+    # interpreter lock between any two of them.  Every result must be the
+    # serial cold one.
     rows = []
     for alpha, s in ((0.5 + 0j, 2), (1.3 + 0.7j, 3), (-0.5 + 0.5j, 4)):
         zs = [cmath.rect(0.09 * k, 0.9 * k) for k in range(1, 11)]
         rows.append([(series.disk_to_half_plane(z), alpha, s, 1e-12, 10000) for z in zs])
-    expected = {call: _cold(call) for row in rows for call in row}
+    assert {abs(w - 1) < 1 for row in rows for w, *_ in row} == {True, False}
+    expected = {call: _cold(call, series.lerch_accelerated) for row in rows for call in row}
     barrier = threading.Barrier(4, timeout=60)
     naps = random.Random(0)
-    codes = (series.lerch_accelerated.__code__, series._summed.__code__)
+    codes = (series.lerch_accelerated.__code__, series._z_series.__code__, series._summed.__code__)
 
     def tracer(frame, event, arg):
         if frame.f_code not in codes:

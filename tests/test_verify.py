@@ -3,12 +3,13 @@
 import inspect
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import islice
 
 import pytest
 
-from mhlerch import exact, verify
+from mhlerch import exact, series, verify
 from mhlerch.errors import InvalidShiftError
 from mhlerch.verify import VerificationReport
 
@@ -77,6 +78,24 @@ def test_proposition_oracle():
 
 def test_proposition_z_grid_lies_where_the_oracle_converges():
     assert all(abs(z) <= 0.4 for z in verify.DEFAULT_Z_GRID)
+
+
+def test_proposition_checks_the_series_in_z_inside_the_lens(monkeypatch):
+    # On the lens |w - 1| < 1 (5 of the 8 z points) lerch_accelerated sums the
+    # defining series; the check must sum the series in z there too, or it
+    # compares lerch_direct with itself.  A series in z off by 1e-6 must fail
+    # every case.
+    z_series = series._z_series
+
+    def off(*args):
+        result = z_series(*args)
+        return replace(result, value=result.value + 1e-6)
+
+    lens = [z for z in verify.DEFAULT_Z_GRID if abs(series.disk_to_half_plane(z) - 1) < 1]
+    assert len(lens) == 5
+    monkeypatch.setattr(series, "_z_series", off)
+    report = verify.verify_proposition()
+    assert report.cases_run == report.cases_failed == 8 * 4 * 3
 
 
 def test_coefficient_consistency():
