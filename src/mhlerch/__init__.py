@@ -10,7 +10,7 @@ Layers:
   coefficients), each with a brute-force oracle.
 - `series` - complex binary64 evaluators with a-posteriori error bounds.
 - `verify` - grid sweeps of every identity, recurrence and bound, reported
-  as structured `VerificationReport`s.
+  as `VerificationReport`s; imported when `run_suite` or one is first read.
 - `cli`    - `mhlerch eval|zeta|verify|bench` with JSON/CSV output.
 """
 
@@ -42,9 +42,16 @@ from .series import (
     shift_gap,
     zeta_accelerated,
 )
-from .verify import VerificationReport, run_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # PEP 562: called only for a name the module lacks
+    if name not in ("VerificationReport", "run_suite"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+    return getattr(verify, name)
+
 
 __all__ = [
     "DomainError",

@@ -8,16 +8,14 @@ verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import exact, series, verify
+from . import exact, series
 from .series import SeriesResult, ShiftParam
 
 EXIT_OK = 0
@@ -30,8 +28,7 @@ REFERENCE_TOL = 1e-13
 CROSSCHECK_P = 20
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """One (method, s, tolerance) benchmark outcome."""
 
     method: str
@@ -43,22 +40,23 @@ class ConvergenceRow:
     achieved_error: float
 
 
-CSV_HEADER = tuple(f.name for f in fields(ConvergenceRow))
+CSV_HEADER = ConvergenceRow._fields
 
 
 def rows_to_csv(rows: Sequence[ConvergenceRow], notes: Sequence[str] = ()) -> str:
     # csv writes a float as str(x), the shortest repr that reads back exactly.
+    import csv  # only `bench` writes CSV
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(CSV_HEADER)
     for note in notes:
         out.write(f"# {note}\r\n")
-    writer.writerows(astuple(r) for r in rows)
+    writer.writerows(rows)
     return out.getvalue()
 
 
 def rows_to_json(rows: Sequence[ConvergenceRow], notes: Sequence[str] = ()) -> str:
-    return json.dumps({"notes": list(notes), "rows": [asdict(r) for r in rows]}, indent=2)
+    return json.dumps({"notes": list(notes), "rows": [r._asdict() for r in rows]}, indent=2)
 
 
 def parse_complex(text: str) -> complex:
@@ -123,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_zeta)
 
     p_verify = sub.add_parser("verify", help="run identity/bound verification suites")
-    p_verify.add_argument("--suite", default="all", choices=verify.SUITE_NAMES + ("all",))
+    # No `choices`: building them would import `verify` for every command.
+    p_verify.add_argument("--suite", default="all", help="a suite of mhlerch.verify.SUITES, or all")
     p_verify.add_argument("--q-max", type=int, default=None)
     p_verify.add_argument("--s-max", type=int, default=None)
     p_verify.add_argument("--p-max", type=int, default=None)
@@ -159,6 +158,7 @@ def _result_payload(result: SeriesResult) -> dict:
 
 def _exact_crosscheck(alpha: Fraction, s: int) -> dict:
     """Compare the float coefficient stream against the exact one at this shift."""
+    from . import verify
     p_max = CROSSCHECK_P
     report = verify._coefficient_report(
         "exact_crosscheck", f"p <= {p_max}, s = {s}", exact.coefficient_stream, (alpha,), (s,), p_max
@@ -202,6 +202,7 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     reports = verify.run_suite(
         args.suite,
         q_max=args.q_max,

@@ -37,7 +37,7 @@ The tuple enumerator is retained only as an independent oracle for tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement, count, islice
 from typing import Iterator, Optional, Union
@@ -67,39 +67,36 @@ def _check_beta(beta: Fraction) -> None:
         raise InvalidShiftError(f"beta = {beta} is a nonpositive integer")
 
 
-@dataclass(frozen=True)
-class LemmaParams:
+class LemmaParams(namedtuple("LemmaParams", "q s beta")):
     """Grid point (q, s, beta) for the alternating binomial identity."""
 
-    q: int
-    s: int
-    beta: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        _check_count(self.q, "q", 0)
-        _check_count(self.s, "s")
-        _check_beta(self.beta)
+    def __new__(cls, q: int, s: int, beta: RationalLike):
+        beta = Fraction(beta)
+        _check_count(q, "q", 0)
+        _check_count(s, "s")
+        _check_beta(beta)
+        return tuple.__new__(cls, (q, s, beta))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
 
 
-@dataclass(frozen=True)
-class MultiSumSpec:
+class MultiSumSpec(namedtuple("MultiSumSpec", "a b t beta")):
     """Index range [a, b], depth t and shift beta of a multiple harmonic sum."""
 
-    a: int
-    b: int
-    t: int
-    beta: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        _check_count(self.a, "a", 0)
-        _check_count(self.b, "b", self.a)
-        _check_count(self.t, "t", 0)
-        if self.beta.denominator == 1 and self.a <= -self.beta <= self.b:
-            raise ZeroDivisionError(
-                f"beta + n vanishes at n = {-self.beta} in [{self.a}, {self.b}]"
-            )
+    def __new__(cls, a: int, b: int, t: int, beta: RationalLike):
+        beta = Fraction(beta)
+        _check_count(a, "a", 0)
+        _check_count(b, "b", a)
+        _check_count(t, "t", 0)
+        if beta.denominator == 1 and a <= -beta <= b:
+            raise ZeroDivisionError(f"beta + n vanishes at n = {-beta} in [{a}, {b}]")
+        return tuple.__new__(cls, (a, b, t, beta))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
 
 
 def pochhammer(x: RationalLike, p: int) -> Fraction:

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from itertools import count, islice
-from typing import Iterator, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 from . import exact
 from .errors import DomainError, InvalidShiftError, PrecisionError
@@ -84,26 +84,26 @@ def _tail_gap(alpha: complex, n_min: int) -> float:
     return min(abs(alpha + n) for n in (n0 - 1, n0, n0 + 1) if n >= n_min)
 
 
-@dataclass(frozen=True)
-class ShiftParam:
+class ShiftParam(namedtuple("ShiftParam", "alpha gap")):
     """Validated complex shift alpha; `gap` is C(alpha) = inf_n |alpha + n|."""
 
-    alpha: complex
-    gap: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        alpha = _require_finite(self.alpha, "alpha")
-        object.__setattr__(self, "alpha", alpha)
+    def __new__(cls, alpha):
+        alpha = _require_finite(alpha, "alpha")
         gap = shift_gap(alpha)
         if gap <= SHIFT_TOL:
-            raise InvalidShiftError(
-                f"alpha = {alpha} is within {SHIFT_TOL} of a negative integer"
-            )
-        object.__setattr__(self, "gap", gap)
+            raise InvalidShiftError(f"alpha = {alpha} is within {SHIFT_TOL} of a negative integer")
+        return tuple.__new__(cls, (alpha, gap))
+
+    # Copy, pickle and `_replace(alpha=...)` build from alpha and recompute gap.
+    def __getnewargs__(self):
+        return (self.alpha,)
+
+    _make = classmethod(lambda cls, fields: cls(next(iter(fields))))
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """Value of a truncated series with its certificate.
 
     `converged` implies `error_bound <= ` the requested tolerance;
@@ -158,34 +158,38 @@ def lerch_direct(
     return _summed(w, shift.alpha, s, tol, max_terms, 1.0, _direct_stream)
 
 
+def _direct_terms(alpha, s: int) -> Iterator[complex]:
+    """a_n = (1/(alpha+n))^s, n = 1, 2, ...: the one place that computes the
+    terms of the defining series.  Powers are taken reciprocal first: a term
+    too large for binary64 raises `OverflowError`, never divides by 0."""
+    return ((1 / (alpha + n)) ** s for n in count(1))
+
+
 def _direct_stream(alpha, s: int) -> Iterator[Tuple[complex, float, float]]:
-    """Yield (a_n, B(n+1), 1.0) for n = 1, 2, ...: a_n = (1/(alpha+n))^s and
-    B(n+1) = (1/min_{m>n} |alpha + m|)^s >= |a_m| for every m > n.
+    """Yield (a_n, B(n+1), 1.0) for n = 1, 2, ..., a_n from `_direct_terms`
+    and B(n+1) = (1/min_{m>n} |alpha + m|)^s >= |a_m| for every m > n.
 
     |alpha + m|^2 = (m + Re(alpha))^2 + Im(alpha)^2 does not decrease from
     m >= -Re(alpha) on, so from there the min is |alpha + n + 1|.  B does not
-    increase, so 1 bounds its ratios.  Powers are taken reciprocal first: a
-    term too large for binary64 raises `OverflowError`, never divides by 0.
-    Where B overflows, just off a pole, B and the ratio are inf; the term at
-    that pole raises once it is reached.
+    increase, so 1 bounds its ratios.  Where B overflows, just off a pole, B
+    and the ratio are inf; the term at that pole raises once it is reached.
     """
     monotone_from = -alpha.real
-    for n in count(1):
-        m = n + 1
+    for m, a_n in enumerate(_direct_terms(alpha, s), 2):
         gap = abs(alpha + m) if m >= monotone_from else _tail_gap(alpha, m)
         try:
             b_next, ratio = (1.0 / gap) ** s, 1.0
         except OverflowError:
             b_next = ratio = math.inf
-        yield (1 / (alpha + n)) ** s, b_next, ratio
+        yield a_n, b_next, ratio
 
 
 def _direct_partial_sums(w, alpha, s: int) -> Iterator[Tuple[complex, complex]]:
     """Yield (w^N, sum_{n=1}^{N} w^n a_n) for N = 1, 2, ..., a_n read from
-    `_direct_stream`: the defining series, unkept and with no stopping rule."""
+    `_direct_terms`: the defining series, unkept, unbounded and unstopped."""
     total = 0j
     w_pow = 1 + 0j
-    for a_n, _, _ in _direct_stream(alpha, s):
+    for a_n in _direct_terms(alpha, s):
         w_pow *= w
         total += w_pow * a_n
         yield w_pow, total
@@ -364,7 +368,7 @@ def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int) ->
         if not math.isfinite(abs(w_pow)):
             raise OverflowError(f"|w|^K overflows binary64 at |w| = {abs(w)}, K = {k}")
         inner = _summed(z, alpha + k, s, tol, max_terms - k, abs(w_pow))
-        return replace(inner, value=head + w_pow * inner.value, terms_used=k + inner.terms_used)
+        return inner._replace(value=head + w_pow * inner.value, terms_used=k + inner.terms_used)
     return _summed(z, alpha, s, tol, max_terms)
 
 
@@ -407,4 +411,4 @@ def zeta_accelerated(
     exact._check_count(max_terms, "max_terms")
     factor = 1.0 / (1.0 - 2.0 ** (1 - s))
     result = _summed(0.5, 0.0, s, tol, max_terms, factor)
-    return replace(result, value=complex(-factor * result.value.real))
+    return result._replace(value=complex(-factor * result.value.real))

@@ -12,9 +12,7 @@ completeness meta-test rather than silently narrowing coverage.
 
 from __future__ import annotations
 
-import inspect
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -80,16 +78,17 @@ LEMMA_PROOF_IDENTITIES: Dict[str, str] = {
 }
 
 
-@dataclass
 class VerificationReport:
     """Outcome of sweeping one identity over a grid; one that ran no case fails."""
 
-    identity_name: str
-    grid_description: str
-    cases_run: int = 0
-    cases_failed: int = 0
-    worst_residual: float = 0.0
-    failing_cases: List[tuple] = field(default_factory=list)
+    def __init__(self, identity_name: str, grid_description: str, cases_run: int = 0, cases_failed: int = 0,
+                 worst_residual: float = 0.0, failing_cases: Optional[List[tuple]] = None):
+        self.identity_name = identity_name
+        self.grid_description = grid_description
+        self.cases_run = cases_run
+        self.cases_failed = cases_failed
+        self.worst_residual = worst_residual
+        self.failing_cases = [] if failing_cases is None else failing_cases
 
     @property
     def passed(self) -> bool:
@@ -483,7 +482,7 @@ def run_suite(
     tol: Optional[float] = None,
 ) -> List[VerificationReport]:
     """Run one named suite, passing each check the given overrides that its
-    signature names; a given tol must be > 0 and finite."""
+    code object names as parameters; a given tol must be > 0 and finite."""
     if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if betas is not None:
@@ -494,10 +493,11 @@ def run_suite(
         return [report for suite in SUITES for report in run_suite(suite, **given)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    return [
-        check(**{key: given[key] for key in inspect.signature(check).parameters if key in given})
-        for check in SUITES[name]
-    ]
+    reports = []
+    for check in SUITES[name]:
+        names = check.__code__.co_varnames[: check.__code__.co_argcount]
+        reports.append(check(**{key: given[key] for key in names if key in given}))
+    return reports
 
 
 def lemma_proof_coverage(reports: Sequence[VerificationReport]) -> Dict[str, bool]:

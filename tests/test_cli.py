@@ -185,6 +185,15 @@ def test_verify_unknown_suite_exits_1(capsys):
     assert code == 1
 
 
+def test_verify_unknown_suite_is_named_by_run_suite(capsys):
+    # --suite has no argparse choices (they would import verify for every
+    # command); run_suite's ValueError names the suites instead.
+    code, out, err = run_cli(capsys, "verify", "--suite", "nosuch")
+    names = ("lemma", "recurrences", "splitting", "proposition", "bounds", "sondow", "all")
+    assert code == 1 and out == ""
+    assert err == f"mhlerch verify: error: unknown suite 'nosuch'; choose from {names}\n"
+
+
 def test_verify_json_file_and_overrides(capsys, tmp_path):
     path = tmp_path / "reports.json"
     code, reports, _ = run_json(
@@ -396,6 +405,21 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
         code = cli.main(shlex.split(line)[1:])
         capsys.readouterr()
         assert code == 0, line
+
+
+def test_importing_the_cli_loads_only_what_eval_and_zeta_run():
+    # A fresh interpreter without site: verify, and the stdlib modules that
+    # only verify, bench or a dataclass would need, stay unloaded.
+    code = (
+        "import sys, mhlerch.cli; "
+        "print(sorted({'mhlerch.verify', 'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env={"PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point():

@@ -71,16 +71,17 @@ def encode(value):
         return [float.hex(value.real), float.hex(value.imag)]
     if isinstance(value, F):
         return f"F:{value}"
+    # The records are tuples: they are encoded before the plain tuples.
+    if isinstance(value, series.SeriesResult):
+        return encode([value.value, value.terms_used, value.error_bound, value.converged])
+    if isinstance(value, cli.ConvergenceRow):
+        return encode(list(value))
+    if isinstance(value, verify.VerificationReport):
+        return encode(value.to_dict())
     if isinstance(value, dict):
         return {str(k): encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [encode(v) for v in value]
-    if isinstance(value, series.SeriesResult):
-        return encode([value.value, value.terms_used, value.error_bound, value.converged])
-    if isinstance(value, verify.VerificationReport):
-        return encode(value.to_dict())
-    if isinstance(value, cli.ConvergenceRow):
-        return encode(list(vars(value).values()))
     raise TypeError(f"cannot encode {type(value).__name__}")
 
 

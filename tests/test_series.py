@@ -1,7 +1,9 @@
 """Float layer: closed-form values, mpmath oracle agreement, bound contracts."""
 
 import cmath
+import copy
 import math
+import pickle
 import random
 import sys
 import threading
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhlerch import exact, series
+from mhlerch import cli, exact, series
 from mhlerch.errors import DomainError, InvalidShiftError, PrecisionError
 from mhlerch.series import SeriesResult, ShiftParam
 
@@ -77,6 +79,41 @@ def test_shift_param_validation():
             ShiftParam(bad)
     # just outside the rejection band
     ShiftParam(-2 + 1e-6j)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ShiftParam(0.5),
+        lambda: SeriesResult(1j, 3, 1e-13, True, "z"),
+        lambda: exact.LemmaParams(2, 3, F(1, 2)),
+        lambda: exact.MultiSumSpec(0, 4, 2, F(7, 3)),
+        lambda: cli.ConvergenceRow("accelerated", 2, 0.5, 0.0, 1e-6, 20, 1e-7),
+    ],
+    ids=["ShiftParam", "SeriesResult", "LemmaParams", "MultiSumSpec", "ConvergenceRow"],
+)
+def test_records_are_immutable(make):
+    record = make()
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    assert copy.copy(record) == record and pickle.loads(pickle.dumps(record)) == record
+
+
+def test_validated_records_revalidate_on_replace():
+    shift = ShiftParam(0.5)
+    assert shift._replace(alpha=2) == ShiftParam(2)
+    with pytest.raises(InvalidShiftError):
+        shift._replace(alpha=-3)
+    assert exact.LemmaParams(2, 3, 1)._replace(beta=0.5).beta == F(1, 2)
+    with pytest.raises(InvalidShiftError):
+        exact.LemmaParams(2, 3, 1)._replace(beta=0)
+    with pytest.raises(ZeroDivisionError):
+        exact.MultiSumSpec(0, 4, 2, 1)._replace(beta=-2)
+    with pytest.raises(TypeError):
+        ShiftParam(0.5, 1.5)
 
 
 # ---------------------------------------------------------------------------

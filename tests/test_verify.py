@@ -3,9 +3,11 @@
 import inspect
 import json
 import math
-from dataclasses import replace
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -89,7 +91,7 @@ def test_proposition_checks_the_series_in_z_inside_the_lens(monkeypatch):
 
     def off(*args):
         result = z_series(*args)
-        return replace(result, value=result.value + 1e-6)
+        return result._replace(value=result.value + 1e-6)
 
     lens = [z for z in verify.DEFAULT_Z_GRID if abs(series.disk_to_half_plane(z) - 1) < 1]
     assert len(lens) == 5
@@ -416,6 +418,37 @@ def test_every_check_parameter_is_a_run_suite_override():
     overrides = set(inspect.signature(verify.run_suite).parameters) - {"name"}
     for check in (check for checks in verify.SUITES.values() for check in checks):
         assert set(inspect.signature(check).parameters) <= overrides, check.__name__
+
+
+def test_run_suite_reads_the_same_parameters_as_the_signature():
+    # run_suite names a check's parameters from its code object; that holds
+    # while every parameter is positional-or-keyword.
+    for check in (check for checks in verify.SUITES.values() for check in checks):
+        code = check.__code__
+        assert code.co_varnames[: code.co_argcount] == tuple(inspect.signature(check).parameters)
+
+
+def test_package_resolves_the_verify_names_on_first_access():
+    # In a fresh interpreter `import mhlerch` leaves verify unloaded until
+    # one of its names is read.
+    code = (
+        "import sys, mhlerch; before = 'mhlerch.verify' in sys.modules; "
+        "mhlerch.run_suite; print(before, 'mhlerch.verify' in sys.modules)"
+    )
+    src = str(Path(verify.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env={"PYTHONPATH": src})
+    assert proc.stdout == "False True\n", proc.stderr
+
+    import mhlerch
+    from mhlerch import VerificationReport as imported, run_suite
+
+    assert run_suite is verify.run_suite and mhlerch.run_suite is verify.run_suite
+    assert imported is VerificationReport and mhlerch.VerificationReport is VerificationReport
+    assert {"run_suite", "VerificationReport"} <= set(mhlerch.__all__)
+    with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+        mhlerch.nosuch
+    with pytest.raises(ImportError):
+        from mhlerch import nosuch  # noqa: F401
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
