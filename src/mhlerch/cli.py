@@ -121,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_zeta)
 
     p_verify = sub.add_parser("verify", help="run identity/bound verification suites")
-    # No `choices`: building them would import `verify` for every command.
-    p_verify.add_argument("--suite", default="all", help="a suite of mhlerch.verify.SUITES, or all")
+    suites = "{lemma,recurrences,splitting,proposition,bounds,sondow,all}"  # not `choices`: no verify import
+    p_verify.add_argument("--suite", default="all", metavar=suites, help="suite to run (default: all)")
     p_verify.add_argument("--q-max", type=int, default=None)
     p_verify.add_argument("--s-max", type=int, default=None)
     p_verify.add_argument("--p-max", type=int, default=None)
@@ -175,11 +175,7 @@ def _emit_json(payload, path: Optional[str]) -> None:
 
 
 def cmd_eval(args) -> int:
-    if args.alpha_rat is not None:
-        shift = ShiftParam(complex(float(args.alpha_rat)))
-    else:
-        shift = ShiftParam(args.alpha)
-
+    shift = ShiftParam(args.alpha if args.alpha_rat is None else float(args.alpha_rat))
     w = args.w if args.w is not None else series.disk_to_half_plane(args.z)
     evaluate = series.lerch_direct if args.method == "direct" else series.lerch_accelerated
     result = evaluate(w, shift, args.s, args.tol, args.max_terms)
@@ -193,24 +189,16 @@ def cmd_eval(args) -> int:
 
 def cmd_zeta(args) -> int:
     result = series.zeta_accelerated(args.s, args.tol, args.max_terms)
-    payload = {"s": args.s, "value": result.value.real}
-    payload.update(
-        {k: v for k, v in _result_payload(result).items() if not k.startswith("value_")}
-    )
+    certificate = {k: v for k, v in _result_payload(result).items() if not k.startswith("value_")}
+    payload = {"s": args.s, "value": result.value.real, **certificate}
     _emit_json(payload, args.json)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_verify(args) -> int:
     from . import verify
-    reports = verify.run_suite(
-        args.suite,
-        q_max=args.q_max,
-        s_max=args.s_max,
-        p_max=args.p_max,
-        betas=args.beta,
-        tol=args.tol,
-    )
+    given = dict(q_max=args.q_max, s_max=args.s_max, p_max=args.p_max, betas=args.beta, tol=args.tol)
+    reports = verify.run_suite(args.suite, **given)
     _emit_json([r.to_dict() for r in reports], args.json)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_NOT_CONVERGED
 

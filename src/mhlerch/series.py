@@ -97,9 +97,7 @@ class ShiftParam(namedtuple("ShiftParam", "alpha gap")):
         return tuple.__new__(cls, (alpha, gap))
 
     # Copy, pickle and `_replace(alpha=...)` build from alpha and recompute gap.
-    def __getnewargs__(self):
-        return (self.alpha,)
-
+    __getnewargs__ = lambda self: (self.alpha,)
     _make = classmethod(lambda cls, fields: cls(next(iter(fields))))
 
 
@@ -159,8 +157,7 @@ def lerch_direct(
 
 
 def _direct_terms(alpha, s: int) -> Iterator[complex]:
-    """a_n = (1/(alpha+n))^s, n = 1, 2, ...: the one place that computes the
-    terms of the defining series.  Powers are taken reciprocal first: a term
+    """The terms a_n = (1/(alpha+n))^s, n >= 1, of the defining series; a term
     too large for binary64 raises `OverflowError`, never divides by 0."""
     return ((1 / (alpha + n)) ** s for n in count(1))
 

@@ -90,6 +90,12 @@ class VerificationReport:
         self.worst_residual = worst_residual
         self.failing_cases = [] if failing_cases is None else failing_cases
 
+    def __repr__(self) -> str:
+        return f"VerificationReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+    def __eq__(self, other) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
     @property
     def passed(self) -> bool:
         return self.cases_run > 0 and self.cases_failed == 0
@@ -483,6 +489,8 @@ def run_suite(
 ) -> List[VerificationReport]:
     """Run one named suite, passing each check the given overrides that its
     code object names as parameters; a given tol must be > 0 and finite."""
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if betas is not None:
@@ -491,13 +499,10 @@ def run_suite(
     given = {key: value for key, value in given.items() if value is not None}
     if name == "all":
         return [report for suite in SUITES for report in run_suite(suite, **given)]
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    reports = []
-    for check in SUITES[name]:
-        names = check.__code__.co_varnames[: check.__code__.co_argcount]
-        reports.append(check(**{key: given[key] for key in names if key in given}))
-    return reports
+    return [
+        check(**{k: given[k] for k in check.__code__.co_varnames[: check.__code__.co_argcount] if k in given})
+        for check in SUITES[name]
+    ]
 
 
 def lemma_proof_coverage(reports: Sequence[VerificationReport]) -> Dict[str, bool]:

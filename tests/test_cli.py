@@ -181,17 +181,21 @@ def test_verify_invalid_beta_exits_1(capsys):
 
 
 def test_verify_unknown_suite_exits_1(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
-    assert code == 1
-
-
-def test_verify_unknown_suite_is_named_by_run_suite(capsys):
     # --suite has no argparse choices (they would import verify for every
-    # command); run_suite's ValueError names the suites instead.
-    code, out, err = run_cli(capsys, "verify", "--suite", "nosuch")
+    # command); run_suite's ValueError names the suites, before any other check.
     names = ("lemma", "recurrences", "splitting", "proposition", "bounds", "sondow", "all")
-    assert code == 1 and out == ""
-    assert err == f"mhlerch verify: error: unknown suite 'nosuch'; choose from {names}\n"
+    for extra in [(), ("--tol", "-1")]:
+        code, out, err = run_cli(capsys, "verify", "--suite", "nosuch", *extra)
+        assert code == 1 and out == ""
+        assert err == f"mhlerch verify: error: unknown suite 'nosuch'; choose from {names}\n"
+
+
+def test_verify_help_lists_the_suites(capsys):
+    from mhlerch import verify
+
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0
+    assert "--suite {" + ",".join(verify.SUITE_NAMES + ("all",)) + "}" in out
 
 
 def test_verify_json_file_and_overrides(capsys, tmp_path):

@@ -293,6 +293,20 @@ def test_failing_report_shape():
     assert not VerificationReport("demo", "empty grid").passed
 
 
+def test_reports_are_values():
+    # A traced benchmark pass is checked against an untraced one by repr, so
+    # equal reports must print the same, as the fields they hold.
+    report = VerificationReport("demo", "grid", 3, 1, 0.25, [(1, F(1, 2))])
+    assert repr(report) == (
+        "VerificationReport(identity_name='demo', grid_description='grid', cases_run=3, "
+        "cases_failed=1, worst_residual=0.25, failing_cases=[(1, Fraction(1, 2))])"
+    )
+    assert repr(verify.run_suite("sondow")) == repr(verify.run_suite("sondow"))
+    assert verify.run_suite("lemma", q_max=2) == verify.run_suite("lemma", q_max=2)
+    assert report != VerificationReport("demo", "grid", 3, 1, 0.5, [(1, F(1, 2))])
+    assert report != report.to_dict()
+
+
 def test_residual_metric():
     assert verify.float_residual(0.5, 0.9) == pytest.approx(0.4)  # absolute below 1
     assert verify.float_residual(1.5, 3.0) == pytest.approx(0.5)  # relative above 1
