@@ -5,34 +5,27 @@ verifies the combinatorial identities behind the transform.
 
 Layers:
 
-- `exact`  - arbitrary-precision rational kernel (Pochhammer products,
-  multiple harmonic sums, both sides of the binomial identity, exact series
-  coefficients), each with a brute-force oracle.
+- `exact`  - arbitrary-precision rational kernel: multiple harmonic sums,
+  both sides of the binomial identity and the exact series coefficients.
 - `series` - complex binary64 evaluators with a-posteriori error bounds.
 - `verify` - grid sweeps of every identity, recurrence and bound, reported
   as `VerificationReport`s; imported when `run_suite` or one is first read.
 - `cli`    - `mhlerch eval|zeta|verify|bench` with JSON/CSV output.
 """
 
-from .errors import DomainError, EnumerationCapError, InvalidShiftError, PrecisionError
+from .errors import DomainError, InvalidShiftError, PrecisionError
 from .exact import (
     LemmaParams,
     MultiSumSpec,
-    Rational,
-    alternating_coefficient_sum,
-    binomial,
     coefficient_exact,
     lemma_lhs,
     lemma_rhs,
     multi_sum,
-    multi_sum_bruteforce,
-    pochhammer,
 )
 from .series import (
     SeriesResult,
     ShiftParam,
     alternating_direct,
-    ap_coefficient,
     coefficient_bound,
     coefficient_float,
     disk_to_half_plane,
@@ -55,24 +48,17 @@ def __getattr__(name):  # PEP 562: called only for a name the module lacks
 
 __all__ = [
     "DomainError",
-    "EnumerationCapError",
     "InvalidShiftError",
     "PrecisionError",
     "LemmaParams",
     "MultiSumSpec",
-    "Rational",
-    "alternating_coefficient_sum",
-    "binomial",
     "coefficient_exact",
     "lemma_lhs",
     "lemma_rhs",
     "multi_sum",
-    "multi_sum_bruteforce",
-    "pochhammer",
     "SeriesResult",
     "ShiftParam",
     "alternating_direct",
-    "ap_coefficient",
     "coefficient_bound",
     "coefficient_float",
     "disk_to_half_plane",

@@ -13,11 +13,3 @@ class InvalidShiftError(ValueError):
 class PrecisionError(ValueError):
     """Requested tolerance is tighter than binary64 evaluation can certify."""
 
-
-class EnumerationCapError(RuntimeError):
-    """Brute-force tuple enumeration would exceed the configured cap."""
-
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"enumeration of {count} tuples exceeds cap {cap}")
-        self.count = count
-        self.cap = cap

@@ -31,7 +31,6 @@ calls them, with `Fraction`, float or complex numbers.  One depth-column pass
 to q holds S_0^n(t) for every n <= q and t <= depth, so it gives R at every
 (n, s <= depth + 1); `_alternating_sum` takes the powers (beta + m)^s from its
 caller, and `_alternating_sums` yields L at q = 0, 1, ... from one list of them.
-The tuple enumerator is retained only as an independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -39,20 +38,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations_with_replacement, count, islice
+from itertools import count, islice
 from typing import Iterator, Optional, Union
 
-from .errors import EnumerationCapError, InvalidShiftError
-
-#: Exact rational carrier.  `fractions.Fraction` keeps values canonical
-#: (positive denominator, gcd 1) after every operation, so `==` is
-#: structural equality of canonical forms.
-Rational = Fraction
+from .errors import InvalidShiftError
 
 RationalLike = Union[Fraction, int]
-
-#: Default ceiling on the number of tuples `multi_sum_bruteforce` will expand.
-DEFAULT_ENUMERATION_CAP = 10**6
 
 
 def _check_count(value: int, name: str, low: int = 1) -> None:
@@ -97,24 +88,6 @@ class MultiSumSpec(namedtuple("MultiSumSpec", "a b t beta")):
         return tuple.__new__(cls, (a, b, t, beta))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
-
-
-def pochhammer(x: RationalLike, p: int) -> Fraction:
-    """Rising product x (x+1) ... (x+p-1); the empty product (p = 0) is 1."""
-    _check_count(p, "p", 0)
-    x = Fraction(x)
-    out = Fraction(1)
-    for j in range(p):
-        out *= x + j
-    return out
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with the convention that out-of-range k (k < 0 or k > n) gives 0."""
-    _check_count(n, "n", 0)
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def _depth_columns(x0, depth: int, n0: int = 1, stop: Optional[int] = None):
@@ -172,27 +145,6 @@ def multi_sum(spec: MultiSumSpec) -> Fraction:
     return Fraction(col[spec.t])
 
 
-def multi_sum_bruteforce(
-    spec: MultiSumSpec, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Fraction:
-    """S_a^b(t) by explicit enumeration of all nondecreasing tuples.
-
-    Independent oracle for `multi_sum`; refuses to expand more than `cap`
-    tuples (the count is C(b - a + t, t)).
-    """
-    count = math.comb(spec.b - spec.a + spec.t, spec.t)
-    if count > cap:
-        raise EnumerationCapError(count, cap)
-    f = {n: Fraction(1) / (spec.beta + n) for n in range(spec.a, spec.b + 1)}
-    total = Fraction(0)
-    for tup in combinations_with_replacement(range(spec.a, spec.b + 1), spec.t):
-        term = Fraction(1)
-        for i in tup:
-            term *= f[i]
-        total += term
-    return total
-
-
 def lemma_lhs(params: LemmaParams) -> Fraction:
     """L(q, beta) = sum_{m=0}^{q} C(q, m) (-1)^m / (beta + m)^s."""
     powers = [(params.beta + m) ** params.s for m in range(params.q + 1)]
@@ -218,19 +170,6 @@ def coefficient_exact(p: int, alpha: RationalLike, s: int) -> Fraction:
     """
     _check_count(p, "p")
     return next(islice(coefficient_stream(alpha, s), p - 1, None))
-
-
-def alternating_coefficient_sum(p: int, alpha: RationalLike, s: int) -> Fraction:
-    """Inner alternating binomial sum of the transformed series at index p:
-
-        sum_{n=1}^{p} C(p-1, n-1) (-1)^n / (alpha + n)^s.
-
-    Equals `coefficient_exact(p, alpha, s)` (it is L(p-1, alpha+1) up to sign),
-    but is computed by the alternating route, so the two form an exact
-    cross-check of the identity.
-    """
-    _check_count(p, "p")
-    return -lemma_lhs(LemmaParams(p - 1, s, Fraction(alpha) + 1))
 
 
 def coefficient_stream(alpha: RationalLike, s: int) -> Iterator[Fraction]:

@@ -49,8 +49,6 @@ MIN_TOL = 1e-13
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 10000
 
-ComplexLike = complex
-
 
 def _require_finite(value, name: str) -> complex:
     z = complex(value)
@@ -68,7 +66,7 @@ def _check_tolerance(tol: float) -> float:
     return tol
 
 
-def shift_gap(alpha: ComplexLike) -> float:
+def shift_gap(alpha: complex) -> float:
     """Distance C(alpha) = min_{n>=1} |alpha + n| of the shift orbit from 0.
 
     The minimiser is n = round(-Re alpha) clamped to >= 1, so only up to three
@@ -116,7 +114,7 @@ class SeriesResult(NamedTuple):
     method: str
 
 
-def half_plane_to_disk(w: ComplexLike) -> complex:
+def half_plane_to_disk(w: complex) -> complex:
     """z = w/(w-1); maps the half-plane Re(w) < 1/2 onto the unit disk."""
     w = _require_finite(w, "w")
     if w == 1:
@@ -124,7 +122,7 @@ def half_plane_to_disk(w: ComplexLike) -> complex:
     return w / (w - 1)
 
 
-def disk_to_half_plane(z: ComplexLike) -> complex:
+def disk_to_half_plane(z: complex) -> complex:
     """w = -z/(1-z); inverse of `half_plane_to_disk`."""
     z = _require_finite(z, "z")
     if z == 1:
@@ -133,7 +131,7 @@ def disk_to_half_plane(z: ComplexLike) -> complex:
 
 
 def lerch_direct(
-    w: ComplexLike,
+    w: complex,
     shift: ShiftParam,
     s: int,
     tol: float = DEFAULT_TOL,
@@ -313,7 +311,7 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
 
 
 def lerch_accelerated(
-    w: ComplexLike,
+    w: complex,
     shift: ShiftParam,
     s: int,
     tol: float = DEFAULT_TOL,
@@ -379,15 +377,6 @@ def _euler_partial_sums(s: int) -> Iterator[complex]:
         z_pow *= 0.5
         total += z_pow * -inner
         yield total
-
-
-def ap_coefficient(p: int, s: int) -> float:
-    """Harmonic tuple coefficient a_p = sum over nondecreasing (s-1)-tuples in
-    [1, p] of prod_r 1/i_r; a_p = 1 for s = 1."""
-    exact._check_count(p, "p")
-    exact._check_count(s, "order s")
-    *_, (_, _, col) = exact._depth_columns(0, s - 1, 1, p)
-    return float(col[s - 1])
 
 
 def zeta_accelerated(

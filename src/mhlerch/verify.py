@@ -384,7 +384,8 @@ def _coefficient_report(
 def verify_coefficient_consistency(
     p_max: int = DEFAULT_P_MAX_EXACT, s_max: int = DEFAULT_S_MAX
 ) -> VerificationReport:
-    """coefficient_float against coefficient_exact (relative, `DEFAULT_ALPHAS`)."""
+    """The float depth column of `exact._depth_columns` against
+    `exact.coefficient_stream` (relative, `DEFAULT_ALPHAS`)."""
     return _coefficient_report(
         "coefficient_consistency",
         f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_ALPHAS)} rational alphas",
@@ -395,7 +396,8 @@ def verify_coefficient_consistency(
 def verify_euler_inner_sums(
     p_max: int = DEFAULT_P_MAX_INNER, s_max: int = DEFAULT_S_MAX
 ) -> VerificationReport:
-    """Inner binomial sums of the transformed series against coefficient_float.
+    """Inner binomial sums of the transformed series against the float depth
+    column of `exact._depth_columns`.
 
     The inner sum is -L(p - 1, alpha + 1) from `exact._alternating_sums`, in
     exact rational arithmetic (the alternating route loses ~2^p of binary64

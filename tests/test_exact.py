@@ -2,13 +2,14 @@
 
 import math
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhlerch import exact
-from mhlerch.errors import EnumerationCapError, InvalidShiftError
+from mhlerch.errors import InvalidShiftError
 
 BETAS = [F(1), F(1, 2), F(3, 2), F(2), F(7, 3), F(5)]
 ALPHAS = [b - 1 for b in BETAS]
@@ -20,46 +21,52 @@ rationals = st.fractions(min_value=F(-9, 2), max_value=F(9), max_denominator=4).
 
 
 # ---------------------------------------------------------------------------
-# pochhammer / binomial
+# reference oracles, written independently of the depth-column recurrence
 # ---------------------------------------------------------------------------
 
 
+def pochhammer(x, p):
+    """Rising product x (x+1) ... (x+p-1); the empty product (p = 0) is 1."""
+    out = F(1)
+    for j in range(p):
+        out *= F(x) + j
+    return out
+
+
+def multi_sum_bruteforce(spec):
+    """S_a^b(t) by explicit enumeration of all nondecreasing tuples."""
+    f = {n: 1 / (spec.beta + n) for n in range(spec.a, spec.b + 1)}
+    total = F(0)
+    for tup in combinations_with_replacement(range(spec.a, spec.b + 1), spec.t):
+        term = F(1)
+        for i in tup:
+            term *= f[i]
+        total += term
+    return total
+
+
 def test_pochhammer_empty_product():
-    assert exact.pochhammer(F(7, 3), 0) == 1
+    assert pochhammer(F(7, 3), 0) == 1
 
 
 def test_pochhammer_factorial():
-    assert exact.pochhammer(1, 3) == 6
-    assert exact.pochhammer(1, 6) == math.factorial(6)
+    assert pochhammer(1, 3) == 6
+    assert pochhammer(1, 6) == math.factorial(6)
 
 
 def test_pochhammer_half():
     # (1/2)(3/2)(5/2)
-    assert exact.pochhammer(F(1, 2), 3) == F(1, 2) * F(3, 2) * F(5, 2) == F(15, 8)
+    assert pochhammer(F(1, 2), 3) == F(1, 2) * F(3, 2) * F(5, 2) == F(15, 8)
 
 
 def test_pochhammer_crossing_zero():
     # (-2)(-1)(0)(1): any x is allowed, including ones that zero the product
-    assert exact.pochhammer(F(-2), 4) == 0
-
-
-def test_pochhammer_negative_p_rejected():
-    with pytest.raises(ValueError):
-        exact.pochhammer(F(1), -1)
+    assert pochhammer(F(-2), 4) == 0
 
 
 @given(x=rationals, p=st.integers(min_value=0, max_value=12))
 def test_pochhammer_recurrence(x, p):
-    assert exact.pochhammer(x, p + 1) == exact.pochhammer(x, p) * (x + p)
-
-
-def test_binomial_values():
-    assert exact.binomial(5, 2) == 10
-    assert all(exact.binomial(q, 0) == 1 for q in range(10))
-    assert exact.binomial(7, 8) == 0
-    assert exact.binomial(7, -1) == 0
-    with pytest.raises(ValueError):
-        exact.binomial(-1, 0)
+    assert pochhammer(x, p + 1) == pochhammer(x, p) * (x + p)
 
 
 # ---------------------------------------------------------------------------
@@ -83,23 +90,16 @@ def test_multi_sum_single_index_squares():
 
 
 def test_bruteforce_single_tuple():
-    assert exact.multi_sum_bruteforce(exact.MultiSumSpec(1, 1, 3, F(1, 2))) == F(8, 27)
+    assert multi_sum_bruteforce(exact.MultiSumSpec(1, 1, 3, F(1, 2))) == F(8, 27)
 
 
 def test_bruteforce_six_tuples():
     # (0,0) (0,1) (0,2) (1,1) (1,2) (2,2) with f = (1, 1/2, 1/3)
-    assert exact.multi_sum_bruteforce(exact.MultiSumSpec(0, 2, 2, F(1))) == F(85, 36)
+    assert multi_sum_bruteforce(exact.MultiSumSpec(0, 2, 2, F(1))) == F(85, 36)
 
 
 def test_bruteforce_depth_zero():
-    assert exact.multi_sum_bruteforce(exact.MultiSumSpec(2, 5, 0, F(1))) == 1
-
-
-def test_bruteforce_cap():
-    spec = exact.MultiSumSpec(0, 100, 5, F(1))
-    with pytest.raises(EnumerationCapError) as err:
-        exact.multi_sum_bruteforce(spec, cap=10**6)
-    assert err.value.count == math.comb(105, 5)
+    assert multi_sum_bruteforce(exact.MultiSumSpec(2, 5, 0, F(1))) == 1
 
 
 def test_multi_sum_matches_bruteforce_grid():
@@ -108,7 +108,7 @@ def test_multi_sum_matches_bruteforce_grid():
             for b in range(a, a + 4):
                 for t in range(5):
                     spec = exact.MultiSumSpec(a, b, t, beta)
-                    assert exact.multi_sum(spec) == exact.multi_sum_bruteforce(spec)
+                    assert exact.multi_sum(spec) == multi_sum_bruteforce(spec)
 
 
 @settings(max_examples=60)
@@ -123,7 +123,7 @@ def test_multi_sum_matches_bruteforce_random(beta, a, width, t):
     if beta.denominator == 1 and a <= -beta <= b:
         return  # spec constructor rejects vanishing denominators
     spec = exact.MultiSumSpec(a, b, t, beta)
-    assert exact.multi_sum(spec) == exact.multi_sum_bruteforce(spec)
+    assert exact.multi_sum(spec) == multi_sum_bruteforce(spec)
 
 
 def test_multi_sum_spec_validation():
@@ -199,7 +199,7 @@ def test_rhs_telescopes_at_s1():
     # at s = 1, R(q, beta) = q!/(beta)_{q+1} exactly
     for q in range(8):
         for beta in BETAS:
-            expected = F(math.factorial(q)) / exact.pochhammer(beta, q + 1)
+            expected = F(math.factorial(q)) / pochhammer(beta, q + 1)
             assert exact.lemma_rhs(exact.LemmaParams(q, 1, beta)) == expected
 
 
@@ -324,8 +324,8 @@ def test_coefficient_vs_bruteforce():
     for alpha in (F(0), F(1, 2), F(4, 3)):
         for s in range(1, 5):
             for p in range(1, 8):
-                pref = F(math.factorial(p - 1)) / exact.pochhammer(alpha + 1, p)
-                expected = -pref * exact.multi_sum_bruteforce(
+                pref = F(math.factorial(p - 1)) / pochhammer(alpha + 1, p)
+                expected = -pref * multi_sum_bruteforce(
                     exact.MultiSumSpec(1, p, s - 1, alpha)
                 )
                 assert exact.coefficient_exact(p, alpha, s) == expected
@@ -336,9 +336,8 @@ def test_alternating_sum_equals_coefficient():
     for alpha in ALPHAS:
         for s in range(1, 5):
             for p in range(1, 13):
-                assert exact.alternating_coefficient_sum(p, alpha, s) == exact.coefficient_exact(
-                    p, alpha, s
-                )
+                lhs = exact.lemma_lhs(exact.LemmaParams(p - 1, s, alpha + 1))
+                assert -lhs == exact.coefficient_exact(p, alpha, s)
 
 
 def test_coefficient_stream_matches_pointwise():

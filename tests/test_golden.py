@@ -35,8 +35,7 @@ W_GRID = (-1.0, 0.4, -0.3 + 0.4j, -5.0, 0.3 + 2j, 0.45 - 0.1j)
 #: Position of the shift (alpha or beta) among the words of each function's
 #: keys; the summary of a re-recording groups moved keys by it.
 SHIFT_WORD = {
-    "multi_sum": 4, "multi_sum_bruteforce": 4, "lemma_lhs": 3, "lemma_rhs": 3,
-    "coefficient_stream": 1, "coefficient_exact": 2, "alternating_coefficient_sum": 2,
+    "multi_sum": 4, "lemma_lhs": 3, "lemma_rhs": 3, "coefficient_stream": 1, "coefficient_exact": 2,
     "shift_gap": 1, "_term_stream": 1, "coefficient_float": 2, "coefficient_bound": 2,
     "lerch_accelerated": 2, "lerch_direct": 2, "alternating_direct": 1,
 }
@@ -93,8 +92,6 @@ def _exact_layer():
                 for t in (0, 1, 2, 4):
                     spec = exact.MultiSumSpec(a, b, t, beta)
                     out[f"multi_sum {a} {b} {t} {beta}"] = exact.multi_sum(spec)
-                    if b - a <= 2:
-                        out[f"multi_sum_bruteforce {a} {b} {t} {beta}"] = exact.multi_sum_bruteforce(spec)
         for q in (0, 1, 3, 7):
             for s in (1, 2, 4):
                 params = exact.LemmaParams(q, s, beta)
@@ -106,9 +103,6 @@ def _exact_layer():
             out[f"coefficient_stream {alpha} {s}"] = [next(stream) for _ in range(12)]
             for p in (1, 2, 5, 9):
                 out[f"coefficient_exact {p} {alpha} {s}"] = exact.coefficient_exact(p, alpha, s)
-                out[f"alternating_coefficient_sum {p} {alpha} {s}"] = (
-                    exact.alternating_coefficient_sum(p, alpha, s)
-                )
     return out
 
 
@@ -135,9 +129,6 @@ def _series_layer():
                         )
             for n_terms in (1, 7, 60):
                 out[f"alternating_direct {alpha} {s} {n_terms}"] = series.alternating_direct(shift, s, n_terms)
-    for s in range(1, 7):
-        for p in (1, 2, 3, 10, 50, 200):
-            out[f"ap_coefficient {p} {s}"] = series.ap_coefficient(p, s)
     for s in range(2, 9):
         for tol, max_terms in ((1e-6, 10000), (1e-10, 10000), (1e-13, 10000), (1e-12, 8)):
             out[f"zeta_accelerated {s} {tol} {max_terms}"] = series.zeta_accelerated(s, tol, max_terms)

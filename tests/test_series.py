@@ -677,10 +677,9 @@ def test_max_terms_must_be_an_integer(evaluate):
     [
         (lambda n: series.coefficient_float(n, ShiftParam(0j), 2), "p"),
         (lambda n: series.coefficient_bound(n, ShiftParam(0j), 2), "p"),
-        (lambda n: series.ap_coefficient(n, 2), "p"),
         (lambda n: series.alternating_direct(ShiftParam(0j), 2, n), "n_terms"),
     ],
-    ids=["coefficient_float", "coefficient_bound", "ap_coefficient", "alternating_direct"],
+    ids=["coefficient_float", "coefficient_bound", "alternating_direct"],
 )
 def test_index_and_count_arguments_must_be_integers(call, name):
     # A float index used to be compared with the loop's integers and never met
@@ -931,7 +930,7 @@ def test_euler_partial_sums_stable_at_half():
         exact_total = F(0)
         sums = series._euler_partial_sums(s)
         for P in range(1, 61):
-            exact_total += exact.alternating_coefficient_sum(P, 0, s) / 2**P
+            exact_total -= exact.lemma_lhs(exact.LemmaParams(P - 1, s, 1)) / 2**P
             value = next(sums)
             assert value.imag == 0.0
             assert abs(F(value.real) - exact_total) <= F(1e-15) * abs(exact_total), (s, P)
@@ -957,7 +956,7 @@ def test_zeta_three():
 def test_zeta_first_term():
     # a_1 = 1 for every depth, so the p = 1 term is a_1/(1*2) = 1/2
     for s in (2, 3, 5):
-        assert series.ap_coefficient(1, s) == 1.0
+        assert -exact.coefficient_exact(1, 0, s) == 1
         truncated = series.zeta_accelerated(s, tol=1e-12, max_terms=1)
         assert not truncated.converged
         assert truncated.value.real * (1 - 2.0 ** (1 - s)) == 0.5
@@ -987,49 +986,29 @@ def test_zeta_matches_lerch_at_minus_one():
 
 
 # ---------------------------------------------------------------------------
-# tuple-harmonic coefficients a_p
+# tuple-harmonic coefficients a_p = -p c_p at alpha = 0
 # ---------------------------------------------------------------------------
 
 
 def test_ap_depth_zero():
     for p in (1, 5, 100):
-        assert series.ap_coefficient(p, 1) == 1.0
+        assert -p * exact.coefficient_exact(p, 0, 1) == 1
 
 
 def test_ap_harmonic_number():
-    assert series.ap_coefficient(3, 2) == pytest.approx(11.0 / 6.0, rel=1e-15)
+    assert -3 * exact.coefficient_exact(3, 0, 2) == F(11, 6)
 
 
 def test_ap_depth_two():
     # 1 + 1/2 + 1/4
-    assert series.ap_coefficient(2, 3) == pytest.approx(7.0 / 4.0, rel=1e-15)
+    assert -2 * exact.coefficient_exact(2, 0, 3) == F(7, 4)
 
 
 def test_ap_matches_exact_multi_sum():
     for s in (2, 3, 5):
         for p in (1, 4, 11):
-            expected = float(exact.multi_sum(exact.MultiSumSpec(1, p, s - 1, F(0))))
-            assert series.ap_coefficient(p, s) == pytest.approx(expected, rel=1e-13)
-
-
-def test_ap_relates_to_coefficient():
-    # a_p = -p * c_p at alpha = 0
-    shift = ShiftParam(0j)
-    for s in (1, 2, 4):
-        for p in (1, 3, 9, 25):
-            assert series.ap_coefficient(p, s) == pytest.approx(
-                -p * series.coefficient_float(p, shift, s).real, rel=1e-13
-            )
-
-
-def test_ap_bound_and_monotonicity():
-    for s in range(1, 7):
-        previous = 0.0
-        for p in range(1, 201):
-            a_p = series.ap_coefficient(p, s)
-            assert 0.0 < a_p <= (1 + math.log(p)) ** (s - 1)
-            assert a_p >= previous
-            previous = a_p
+            expected = exact.multi_sum(exact.MultiSumSpec(1, p, s - 1, F(0)))
+            assert -p * exact.coefficient_exact(p, 0, s) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mhlerch import exact, series, verify
+from mhlerch import errors, exact, series, verify
 from mhlerch.errors import InvalidShiftError
 from mhlerch.verify import VerificationReport
 
@@ -184,12 +184,14 @@ def test_lemma_and_step_tables_match_the_public_functions():
 
 
 def test_inner_sums_match_alternating_coefficient_sum():
-    # Exact x0 = alpha + 1: the negated items are the series' inner sums.
+    # Exact x0 = alpha + 1: the items are L(p - 1, alpha + 1), the negated
+    # inner sums of the series.
     for alpha in verify.DEFAULT_ALPHAS:
         for s in range(1, verify.DEFAULT_S_MAX + 1):
             lhs = exact._alternating_sums(alpha + 1, s)
             for p in range(1, verify.DEFAULT_P_MAX_INNER + 1):
-                assert -next(lhs) == exact.alternating_coefficient_sum(p, alpha, s), (p, alpha, s)
+                expected = exact.lemma_lhs(exact.LemmaParams(p - 1, s, alpha + 1))
+                assert next(lhs) == expected, (p, alpha, s)
     # Complex x0 (the betas of verify_lemma_complex and the 1 + 0j of
     # series._euler_partial_sums): each item is the primitive over an explicit
     # power list, bit for bit.
@@ -442,16 +444,33 @@ def test_run_suite_reads_the_same_parameters_as_the_signature():
         assert code.co_varnames[: code.co_argcount] == tuple(inspect.signature(check).parameters)
 
 
+PUBLIC_NAMES = {
+    "DomainError", "InvalidShiftError", "PrecisionError",
+    "LemmaParams", "MultiSumSpec", "coefficient_exact", "lemma_lhs", "lemma_rhs", "multi_sum",
+    "SeriesResult", "ShiftParam", "alternating_direct", "coefficient_bound", "coefficient_float",
+    "disk_to_half_plane", "half_plane_to_disk", "lerch_accelerated", "lerch_direct", "shift_gap",
+    "zeta_accelerated", "VerificationReport", "run_suite", "__version__",
+}
+
+#: Module that held each deleted name -> the names.
+DELETED_NAMES = {
+    exact: ("pochhammer", "binomial", "multi_sum_bruteforce", "alternating_coefficient_sum", "Rational"),
+    series: ("ap_coefficient",),
+    errors: ("EnumerationCapError",),
+}
+
+
 def test_package_resolves_the_verify_names_on_first_access():
     # In a fresh interpreter `import mhlerch` leaves verify unloaded until
-    # one of its names is read.
+    # one of its names is read; a star import then binds every public name.
     code = (
         "import sys, mhlerch; before = 'mhlerch.verify' in sys.modules; "
-        "mhlerch.run_suite; print(before, 'mhlerch.verify' in sys.modules)"
+        "mhlerch.run_suite; print(before, 'mhlerch.verify' in sys.modules); "
+        "from mhlerch import *; print(all(name in globals() for name in mhlerch.__all__))"
     )
     src = str(Path(verify.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env={"PYTHONPATH": src})
-    assert proc.stdout == "False True\n", proc.stderr
+    assert proc.stdout == "False True\nTrue\n", proc.stderr
 
     import mhlerch
     from mhlerch import VerificationReport as imported, run_suite
@@ -463,6 +482,16 @@ def test_package_resolves_the_verify_names_on_first_access():
         mhlerch.nosuch
     with pytest.raises(ImportError):
         from mhlerch import nosuch  # noqa: F401
+
+    # The public surface is the paper's machinery; the test-only names are gone.
+    assert set(mhlerch.__all__) == PUBLIC_NAMES and len(mhlerch.__all__) == len(PUBLIC_NAMES) == 23
+    for name in PUBLIC_NAMES:
+        getattr(mhlerch, name)
+    for module, names in DELETED_NAMES.items():
+        for name in names:
+            for holder in (mhlerch, module):
+                with pytest.raises(AttributeError):
+                    getattr(holder, name)
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
