@@ -25,14 +25,10 @@ from .exact import (
 from .series import (
     SeriesResult,
     ShiftParam,
-    alternating_direct,
     coefficient_bound,
-    coefficient_float,
     disk_to_half_plane,
-    half_plane_to_disk,
     lerch_accelerated,
     lerch_direct,
-    shift_gap,
     zeta_accelerated,
 )
 
@@ -58,14 +54,10 @@ __all__ = [
     "multi_sum",
     "SeriesResult",
     "ShiftParam",
-    "alternating_direct",
     "coefficient_bound",
-    "coefficient_float",
     "disk_to_half_plane",
-    "half_plane_to_disk",
     "lerch_accelerated",
     "lerch_direct",
-    "shift_gap",
     "zeta_accelerated",
     "VerificationReport",
     "run_suite",

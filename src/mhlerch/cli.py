@@ -286,8 +286,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {"eval": cmd_eval, "zeta": cmd_zeta, "verify": cmd_verify, "bench": cmd_bench}
     try:
         return handlers[args.command](args)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        # ValueError covers mhlerch's DomainError, InvalidShiftError, PrecisionError
+    except (ValueError, OverflowError, ZeroDivisionError, OSError) as exc:
+        # ValueError covers mhlerch's DomainError, InvalidShiftError, PrecisionError;
+        # OSError an output path that cannot be written
         print(f"mhlerch {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

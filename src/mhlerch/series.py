@@ -8,8 +8,9 @@ on the half-plane Re(w) < 1/2 via the power series in z = w/(w-1),
     c_p = -(p-1)!/(alpha+1)_p * S_1^p(s-1),  f_i = 1/(alpha + i),
 
 and via the defining series on the lens |w - 1| < 1, where it converges
-faster; plus the alternating boundary series at w = -1 and, at alpha = 0,
-z = 1/2, the binomial double-sum form and the accelerated zeta(s) series.
+faster; plus, at alpha = 0, z = 1/2, the binomial double-sum form and the
+accelerated zeta(s) series.  The defining series at the boundary point
+w = -1 is read only by `cli.bench_rows`, as its slow baseline.
 
 Every evaluator returns an a-posteriori error bound.  One loop, `_summed`,
 sums both series, from `_term_stream` and `_direct_stream`.  The series in z
@@ -40,7 +41,7 @@ from . import exact
 from .errors import DomainError, InvalidShiftError, PrecisionError
 
 #: A shift closer than this to a forbidden negative integer is rejected;
-#: bounds and coefficients blow up as C(alpha) -> 0.
+#: bounds and coefficients blow up near one.
 SHIFT_TOL = 1e-12
 
 #: Tolerances below this cannot be certified in binary64.
@@ -66,36 +67,25 @@ def _check_tolerance(tol: float) -> float:
     return tol
 
 
-def shift_gap(alpha: complex) -> float:
-    """Distance C(alpha) = min_{n>=1} |alpha + n| of the shift orbit from 0.
-
-    The minimiser is n = round(-Re alpha) clamped to >= 1, so only up to three
-    candidates are examined.  Returns 0.0 when alpha is itself a forbidden
-    negative integer.
-    """
-    return _tail_gap(_require_finite(alpha, "alpha"), 1)
-
-
 def _tail_gap(alpha: complex, n_min: int) -> float:
-    # min over n >= n_min of |alpha + n|; same clamped-minimiser argument.
+    # min over n >= n_min of |alpha + n|: the minimiser is round(-Re alpha)
+    # clamped to >= n_min, so up to three candidates are examined.
     n0 = max(n_min, round(-alpha.real))
     return min(abs(alpha + n) for n in (n0 - 1, n0, n0 + 1) if n >= n_min)
 
 
-class ShiftParam(namedtuple("ShiftParam", "alpha gap")):
-    """Validated complex shift alpha; `gap` is C(alpha) = inf_n |alpha + n|."""
+class ShiftParam(namedtuple("ShiftParam", "alpha")):
+    """Validated complex shift alpha, farther than SHIFT_TOL from every pole -n."""
 
     __slots__ = ()
 
     def __new__(cls, alpha):
         alpha = _require_finite(alpha, "alpha")
-        gap = shift_gap(alpha)
-        if gap <= SHIFT_TOL:
+        if _tail_gap(alpha, 1) <= SHIFT_TOL:
             raise InvalidShiftError(f"alpha = {alpha} is within {SHIFT_TOL} of a negative integer")
-        return tuple.__new__(cls, (alpha, gap))
+        return tuple.__new__(cls, (alpha,))
 
-    # Copy, pickle and `_replace(alpha=...)` build from alpha and recompute gap.
-    __getnewargs__ = lambda self: (self.alpha,)
+    # `_replace(alpha=...)` builds through `__new__`, so it validates.
     _make = classmethod(lambda cls, fields: cls(next(iter(fields))))
 
 
@@ -114,16 +104,8 @@ class SeriesResult(NamedTuple):
     method: str
 
 
-def half_plane_to_disk(w: complex) -> complex:
-    """z = w/(w-1); maps the half-plane Re(w) < 1/2 onto the unit disk."""
-    w = _require_finite(w, "w")
-    if w == 1:
-        raise DomainError("w = 1 is the pole of z = w/(w-1)")
-    return w / (w - 1)
-
-
 def disk_to_half_plane(z: complex) -> complex:
-    """w = -z/(1-z); inverse of `half_plane_to_disk`."""
+    """w = -z/(1-z), the inverse of z = w/(w-1): the unit disk onto Re(w) < 1/2."""
     z = _require_finite(z, "z")
     if z == 1:
         raise DomainError("z = 1 is the pole of w = -z/(1-z)")
@@ -190,28 +172,10 @@ def _direct_partial_sums(w, alpha, s: int) -> Iterator[Tuple[complex, complex]]:
         yield w_pow, total
 
 
-def alternating_direct(shift: ShiftParam, s: int, n_terms: int) -> complex:
-    """Partial sum sum_{n=1}^{N} (-1)^n / (alpha + n)^s (the n = 1 term is
-    negative).  Slow baseline for the boundary point w = -1."""
-    exact._check_count(s, "order s")
-    exact._check_count(n_terms, "n_terms")
-    _, total = next(islice(_direct_partial_sums(-1, shift.alpha, s), n_terms - 1, None))
-    return total
-
-
-def coefficient_float(p: int, shift: ShiftParam, s: int) -> complex:
-    """Binary64 value of the series coefficient c_p (same recurrence as the
-    exact layer, prefactor carried as a running ratio)."""
-    exact._check_count(p, "p")
-    exact._check_count(s, "order s")
-    *_, (_, prefactor, col) = exact._depth_columns(shift.alpha, s - 1, 1, p)
-    return -prefactor * col[s - 1]
-
-
 def coefficient_bound(p: int, shift: ShiftParam, s: int) -> float:
     """Majorant B(p) = (p-1)!/prod_{j<=p}|alpha+j| * H_p^{s-1} of |c_p|, with
-    H_p = sum_{i<=p} 1/|alpha+i| <= p/C(alpha): every monomial of the complete
-    homogeneous polynomial S_1^p(s-1) in f_1..f_p appears in (sum |f_i|)^{s-1}.
+    H_p = sum_{i<=p} 1/|alpha+i| <= p/min_{i<=p}|alpha+i|: every monomial of
+    the complete homogeneous polynomial S_1^p(s-1) appears in (sum |f_i|)^{s-1}.
     B(1) = |alpha+1|^{-s} = |c_1|; B(p), p >= 2, is read from `_term_stream`."""
     exact._check_count(p, "p")
     exact._check_count(s, "order s")

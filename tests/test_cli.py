@@ -210,6 +210,21 @@ def test_verify_json_file_and_overrides(capsys, tmp_path):
     assert by_name["recurrence_R"]["cases_run"] == 3 * 2 * 6
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("zeta", "--s", "2", "--json"), ("bench", "--s-list", "2", "--tol-list", "1e-4", "--csv")],
+    ids=["zeta-json", "bench-csv"],
+)
+def test_unwritable_output_path_is_an_error_exit(capsys, tmp_path, argv):
+    # a missing directory raised FileNotFoundError out of cli.main
+    path = tmp_path / "missing" / "out"
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert code == 1
+    assert err.startswith(f"mhlerch {argv[0]}: error: ") and str(path) in err
+    assert len(err.splitlines()) == 1
+    assert not path.parent.exists()
+
+
 def test_verify_sondow_suite(capsys):
     code, reports, _ = run_json(capsys, "verify", "--suite", "sondow")
     assert code == 0
@@ -323,11 +338,12 @@ def test_bench_rows_carry_series_points(capsys):
 def test_bench_direct_row_matches_alternating_series():
     # the baseline rows are partial sums of the boundary series at w = -1
     from mhlerch import series
+    from test_series import alternating
 
     rows, _ = cli.bench_rows([3], [1e-8])
     row = next(r for r in rows if r.method == "direct_alternating")
     reference = series.zeta_accelerated(3, cli.REFERENCE_TOL).value.real
-    partial = series.alternating_direct(series.ShiftParam(0j), 3, row.terms).real
+    partial = alternating(0j, 3, row.terms).real
     recomputed = abs(-partial / (1 - 2.0 ** (1 - 3)) - reference)
     assert recomputed == pytest.approx(row.achieved_error, rel=1e-12, abs=1e-15)
 

@@ -51,29 +51,47 @@ def kept(factory=series._term_stream):
     return series._kept_streams[factory][1]
 
 
+def coefficient(p, alpha, s):
+    """c_p in binary64: -prefactor * col[s-1] at the p-th `exact._depth_columns`
+    step, as `_term_stream` yields it."""
+    *_, (_, prefactor, col) = exact._depth_columns(complex(alpha), s - 1, 1, p)
+    return -prefactor * col[s - 1]
+
+
+def alternating(alpha, s, n_terms):
+    """sum_{n=1}^{N} (-1)^n/(alpha+n)^s (the n = 1 term is negative): the N-th
+    partial sum of the defining series at the boundary point w = -1."""
+    _, total = next(islice(series._direct_partial_sums(-1, complex(alpha), s), n_terms - 1, None))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # shift machinery
 # ---------------------------------------------------------------------------
 
 
 def test_shift_gap_values():
-    assert series.shift_gap(0) == 1.0
-    assert series.shift_gap(-2) == 0.0
-    assert series.shift_gap(-2.5) == 0.5
-    assert series.shift_gap(1j) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert series.shift_gap(-3.25) == pytest.approx(0.25, rel=1e-15)
-    assert series.shift_gap(0.75) == 1.75
+    # min_{n>=1} |alpha + n|, which ShiftParam checks against SHIFT_TOL
+    def gap(a):
+        return series._tail_gap(complex(a), 1)
+
+    assert gap(0) == 1.0
+    assert gap(-2) == 0.0
+    assert gap(-2.5) == 0.5
+    assert gap(1j) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert gap(-3.25) == pytest.approx(0.25, rel=1e-15)
+    assert gap(0.75) == 1.75
 
 
 def test_shift_gap_rejects_nonfinite():
     with pytest.raises(ValueError):
-        series.shift_gap(float("nan"))
+        ShiftParam(float("nan"))
     with pytest.raises(ValueError):
-        series.shift_gap(complex(0, float("inf")))
+        ShiftParam(complex(0, float("inf")))
 
 
 def test_shift_param_validation():
-    assert ShiftParam(0.5 + 0j).gap == 1.5
+    assert ShiftParam(0.5) == (0.5 + 0j,) and type(ShiftParam(0.5).alpha) is complex
     for bad in (-1, -2.0, -3 + 1e-13j):
         with pytest.raises(InvalidShiftError):
             ShiftParam(bad)
@@ -170,22 +188,20 @@ def test_direct_majorant_overflow_is_inf_not_a_raise():
     # the pole is reached: the terms before it are still summed, and a call
     # that stops before it is not converged, with bound inf
     shift = ShiftParam(-2 + 1e-5)
-    assert series.alternating_direct(shift, 100, 1) == -(1 / (shift.alpha + 1)) ** 100
+    assert alternating(shift.alpha, 100, 1) == -(1 / (shift.alpha + 1)) ** 100
     result = series.lerch_direct(0.5, ShiftParam(-5 + 1e-5), 100, max_terms=3)
     assert (result.terms_used, result.error_bound, result.converged) == (3, math.inf, False)
 
 
 def test_direct_series_is_one_generator():
-    # lerch_direct, alternating_direct and the peeled head (K = 8 here) are
-    # items of _direct_partial_sums, bit for bit
+    # lerch_direct and the peeled head (K = 8 here) are items of
+    # _direct_partial_sums, bit for bit
     w, shift, s = -0.3 + 0.4j, ShiftParam(-7.3 + 0.01j), 3
     result = series.lerch_direct(w, shift, s)
     items = islice(series._direct_partial_sums(w, shift.alpha, s), result.terms_used)
     totals = [total for _, total in items]
     assert result.value == totals[-1]
     assert series.lerch_accelerated(w, shift, s, max_terms=8).value == totals[7]
-    _, total = next(islice(series._direct_partial_sums(-1, shift.alpha, s), 6, None))
-    assert series.alternating_direct(shift, s, 7) == total
 
 
 def test_direct_bound_contract_vs_oracle():
@@ -205,18 +221,17 @@ def test_direct_bound_contract_vs_oracle():
 
 def test_alternating_single_term():
     for alpha in SHIFTS_MIXED:
-        shift = ShiftParam(alpha)
-        assert series.alternating_direct(shift, 3, 1) == -1 / (alpha + 1) ** 3
+        assert alternating(alpha, 3, 1) == -1 / (alpha + 1) ** 3
 
 
 def test_alternating_log2():
     # alternating-series remainder: within 1/(N+1) of -ln 2
-    value = series.alternating_direct(ShiftParam(0j), 1, 1000)
+    value = alternating(0j, 1, 1000)
     assert abs(value.real + LN2) < 1.0 / 1001
 
 
 def test_alternating_eta2():
-    value = series.alternating_direct(ShiftParam(0j), 2, 2000)
+    value = alternating(0j, 2, 2000)
     assert abs(value.real + PI2_12) < 1.0 / 2001**2
 
 
@@ -227,31 +242,26 @@ def test_alternating_eta2():
 
 def test_coefficient_float_first_index():
     for alpha in SHIFTS_MIXED:
-        shift = ShiftParam(alpha)
         for s in (1, 2, 4):
             expected = -1 / (alpha + 1) ** s
-            assert series.coefficient_float(1, shift, s) == pytest.approx(expected, rel=1e-15)
+            assert coefficient(1, alpha, s) == pytest.approx(expected, rel=1e-15)
 
 
 def test_coefficient_float_harmonic_case():
-    shift = ShiftParam(0j)
     for p in (1, 2, 7, 20):
-        assert series.coefficient_float(p, shift, 1) == pytest.approx(-1.0 / p, rel=1e-14)
+        assert coefficient(p, 0j, 1) == pytest.approx(-1.0 / p, rel=1e-14)
 
 
 def test_coefficient_float_frozen_value():
-    assert series.coefficient_float(3, ShiftParam(0j), 2).real == pytest.approx(
-        -11.0 / 18.0, rel=1e-15
-    )
+    assert coefficient(3, 0j, 2).real == pytest.approx(-11.0 / 18.0, rel=1e-15)
 
 
 def test_coefficient_float_matches_exact():
     for alpha in ALPHAS_RATIONAL:
-        shift = ShiftParam(complex(alpha))
         for s in (1, 2, 5):
             for p in (1, 5, 17, 40):
                 c_exact = float(exact.coefficient_exact(p, alpha, s))
-                c_float = series.coefficient_float(p, shift, s)
+                c_float = coefficient(p, complex(alpha), s)
                 assert abs(c_float - c_exact) / abs(c_exact) <= 1e-12
 
 
@@ -265,7 +275,7 @@ def test_coefficient_bound_alpha_zero_closed_form():
 
 
 def test_coefficient_bound_first_index():
-    # B(1) = |alpha+1|^{-s}; at -2.5 the gap C(alpha) = 0.5 differs from |alpha+1|
+    # B(1) = |alpha+1|^{-s}; at -2.5, min_n |alpha+n| = 0.5 differs from |alpha+1|
     for alpha in SHIFTS_MIXED + [-2.5 + 0j]:
         shift = ShiftParam(alpha)
         for s in (1, 2, 3):
@@ -280,7 +290,7 @@ def test_coefficient_bound_attained_at_s1_alpha0():
         for s in (1, 2, 3):
             for p in (1, 3, 10):
                 attained = p == 1 or s == 1 or (s == 2 and alpha.imag == 0 and alpha.real > -1)
-                c_p = abs(series.coefficient_float(p, shift, s))
+                c_p = abs(coefficient(p, alpha, s))
                 bound = series.coefficient_bound(p, shift, s)
                 assert (c_p == pytest.approx(bound, rel=1e-13)) == attained
 
@@ -290,7 +300,7 @@ def test_coefficient_bound_validity():
         shift = ShiftParam(alpha)
         for s in range(1, 7):
             for p in range(1, 61):
-                c = series.coefficient_float(p, shift, s)
+                c = coefficient(p, alpha, s)
                 assert abs(c) <= series.coefficient_bound(p, shift, s) * (1 + 1e-10)
 
 
@@ -674,16 +684,12 @@ def test_max_terms_must_be_an_integer(evaluate):
 
 @pytest.mark.parametrize(
     "call, name",
-    [
-        (lambda n: series.coefficient_float(n, ShiftParam(0j), 2), "p"),
-        (lambda n: series.coefficient_bound(n, ShiftParam(0j), 2), "p"),
-        (lambda n: series.alternating_direct(ShiftParam(0j), 2, n), "n_terms"),
-    ],
-    ids=["coefficient_float", "coefficient_bound", "alternating_direct"],
+    [(lambda n: series.coefficient_bound(n, ShiftParam(0j), 2), "p")],
+    ids=["coefficient_bound"],
 )
 def test_index_and_count_arguments_must_be_integers(call, name):
     # A float index used to be compared with the loop's integers and never met
-    # (coefficient_float(2.5, ...) searched forever) or fail later in range().
+    # (a coefficient at p = 2.5 was searched forever) or fail later in range().
     for bad in (2.5, 2.0, 0, -1):
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
             call(bad)
@@ -1029,18 +1035,13 @@ disk_points = st.builds(
 
 @given(w=half_plane_points)
 def test_half_plane_maps_into_disk(w):
-    assert abs(series.half_plane_to_disk(w)) < 1.0
+    assert abs(w / (w - 1)) < 1.0
 
 
 @settings(max_examples=200)
 @given(z=disk_points)
 def test_disk_maps_into_half_plane(z):
     assert series.disk_to_half_plane(z).real < 0.5
-
-
-def test_half_plane_to_disk_rejects_the_pole():
-    with pytest.raises(DomainError):
-        series.half_plane_to_disk(1)
 
 
 def test_disk_to_half_plane_rejects_the_pole():
@@ -1050,7 +1051,7 @@ def test_disk_to_half_plane_rejects_the_pole():
 
 @given(w=half_plane_points)
 def test_mapping_round_trip(w):
-    back = series.disk_to_half_plane(series.half_plane_to_disk(w))
+    back = series.disk_to_half_plane(w / (w - 1))
     assert abs(back - w) <= 1e-9 * (1 + abs(w))
 
 
