@@ -8,12 +8,13 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import sys
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from . import exact, series
 from .series import SeriesResult, ShiftParam
@@ -166,15 +167,14 @@ def _exact_crosscheck(alpha: Fraction, s: int) -> dict:
     return {"p_max": p_max, "max_rel_err": report.worst_residual, "ok": report.passed}
 
 
-def _emit_json(payload, path: Optional[str]) -> None:
+def _emit_json(payload, out: Optional[TextIO]) -> None:
     text = json.dumps(payload, indent=2)
     print(text)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+    if out:
+        out.write(text + "\n")
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, outputs: Dict[str, TextIO]) -> int:
     shift = ShiftParam(args.alpha if args.alpha_rat is None else float(args.alpha_rat))
     w = args.w if args.w is not None else series.disk_to_half_plane(args.z)
     evaluate = series.lerch_direct if args.method == "direct" else series.lerch_accelerated
@@ -183,23 +183,23 @@ def cmd_eval(args) -> int:
     payload = _result_payload(result)
     if args.alpha_rat is not None:
         payload["exact_crosscheck"] = _exact_crosscheck(args.alpha_rat, args.s)
-    _emit_json(payload, args.json)
+    _emit_json(payload, outputs.get("json"))
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def cmd_zeta(args) -> int:
+def cmd_zeta(args, outputs: Dict[str, TextIO]) -> int:
     result = series.zeta_accelerated(args.s, args.tol, args.max_terms)
     certificate = {k: v for k, v in _result_payload(result).items() if not k.startswith("value_")}
     payload = {"s": args.s, "value": result.value.real, **certificate}
-    _emit_json(payload, args.json)
+    _emit_json(payload, outputs.get("json"))
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, outputs: Dict[str, TextIO]) -> int:
     from . import verify
     given = dict(q_max=args.q_max, s_max=args.s_max, p_max=args.p_max, betas=args.beta, tol=args.tol)
     reports = verify.run_suite(args.suite, **given)
-    _emit_json([r.to_dict() for r in reports], args.json)
+    _emit_json([r.to_dict() for r in reports], outputs.get("json"))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_NOT_CONVERGED
 
 
@@ -264,16 +264,14 @@ def bench_rows(
     return rows, notes
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args, outputs: Dict[str, TextIO]) -> int:
     rows, notes = bench_rows(args.s_list, args.tol_list, args.max_terms)
     text = rows_to_csv(rows, notes)
     sys.stdout.write(text)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            fh.write(text)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(rows_to_json(rows, notes) + "\n")
+    if "csv" in outputs:
+        outputs["csv"].write(text)
+    if "json" in outputs:
+        outputs["json"].write(rows_to_json(rows, notes) + "\n")
     return EXIT_OK
 
 
@@ -285,7 +283,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     handlers = {"eval": cmd_eval, "zeta": cmd_zeta, "verify": cmd_verify, "bench": cmd_bench}
     try:
-        return handlers[args.command](args)
+        with contextlib.ExitStack() as stack:
+            # Every output path is opened before the command runs, as a shell
+            # redirection is: one that cannot be written fails first.
+            outputs = {
+                kind: stack.enter_context(open(path, "w", newline="" if kind == "csv" else None))
+                for kind in ("csv", "json")
+                if (path := getattr(args, kind, None))
+            }
+            return handlers[args.command](args, outputs)
     except (ValueError, OverflowError, ZeroDivisionError, OSError) as exc:
         # ValueError covers mhlerch's DomainError, InvalidShiftError, PrecisionError;
         # OSError an output path that cannot be written

@@ -1,9 +1,8 @@
 """Exact-rational kernel for the combinatorial identities behind the
 accelerated series.
 
-Everything in this module is computed with `fractions.Fraction`, so equality
-checks are bit-exact.  The central object is the multiple harmonic sum over
-nondecreasing index tuples,
+Every value in this module is exact, so equality checks are bit-exact.  The
+central object is the multiple harmonic sum over nondecreasing index tuples,
 
     S_a^b(t) = sum_{a <= i_1 <= ... <= i_t <= b}  prod_{r=1}^{t} 1/(beta + i_r),
     S_a^b(0) = 1,
@@ -27,10 +26,20 @@ recurrence
 which costs O((b - a + 1) * t) multiplications.  `_depth_columns` is the only
 place in the package where this recurrence is written, and `_alternating_sum`
 the only place where L is summed: every layer (exact, series, verify, cli)
-calls them, with `Fraction`, float or complex numbers.  One depth-column pass
-to q holds S_0^n(t) for every n <= q and t <= depth, so it gives R at every
-(n, s <= depth + 1); `_alternating_sum` takes the powers (beta + m)^s from its
-caller, and `_alternating_sums` yields L at q = 0, 1, ... from one list of them.
+calls them, with exact integers, float or complex numbers (the tests also
+with `Fraction`, as an oracle).  One depth-column pass to q holds S_0^n(t)
+for every n <= q and t <= depth, so it gives R at every (n, s <= depth + 1);
+`_alternating_sum` takes the powers (beta + m)^s from its caller, and
+`_alternating_sums` yields L at q = 0, 1, ... from one list of them.
+
+The exact values are computed in Python integers over one denominator per
+shift.  For beta = num/den and indices lo .. hi, `_Scaled` holds
+G = lcm_{lo <= n <= hi} |num + n den| and the integer weights
+w_n = G/(beta + n) = den G/(num + n den).  Run on it, `_depth_columns` yields
+col[t] = S_lo^n(t) G^t and a prefactor scaled by G^{n-lo+1}, and
+`_alternating_sum` yields L(q, beta) G^s, all as ints, with the code of both
+kernels unchanged.  The public functions build one `Fraction` per value they
+return; `verify` compares the integers.
 """
 
 from __future__ import annotations
@@ -90,9 +99,45 @@ class MultiSumSpec(namedtuple("MultiSumSpec", "a b t beta")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
 
 
+class _Weight:
+    """The int (G/(beta + n))^e: `c / self` is c/(beta + n)^e scaled by G^e,
+    and `self ** s` is the weight of (beta + n)^(e s)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __rtruediv__(self, c: int) -> int:
+        return c * self.value
+
+    def __pow__(self, s: int) -> "_Weight":
+        return _Weight(self.value**s)
+
+
+class _Scaled:
+    """The shift beta = num/den on the indices lo .. hi, scaled by
+    G = lcm_{lo <= n <= hi} |num + n den|: `self + n` is the `_Weight`
+    w_n = G/(beta + n) = den G/(num + n den), so the kernels run on it in
+    integers.  An index outside lo .. hi is a KeyError, as G need not be a
+    multiple of its factor; beta + n = 0 in range raises ZeroDivisionError."""
+
+    __slots__ = ("G", "_weights")
+
+    def __init__(self, beta: Fraction, lo: int, hi: int):
+        num, den = beta.numerator, beta.denominator
+        factors = {n: num + n * den for n in range(lo, hi + 1)}
+        self.G = math.lcm(*factors.values())
+        self._weights = {n: _Weight(den * self.G // f) for n, f in factors.items()}
+
+    def __add__(self, n: int) -> _Weight:
+        return self._weights[n]
+
+
 def _depth_columns(x0, depth: int, n0: int = 1, stop: Optional[int] = None):
     """Yield (n, prefactor, col) for n = n0, n0 + 1, ..., stop (without end
-    when `stop` is None), in the number type of x0 (Fraction, float, complex):
+    when `stop` is None), in the number type of x0 (float, complex, Fraction,
+    or for a `_Scaled` ints, scaled as the module docstring says):
 
         col[t]    = S_{n0}^n(t) with f_i = 1/(x0 + i),   t = 0 .. depth,
         prefactor = (n - n0)! / (x0 + n0)_{n - n0 + 1}.
@@ -141,14 +186,16 @@ def _alternating_sums(x0, s: int) -> Iterator:
 
 def multi_sum(spec: MultiSumSpec) -> Fraction:
     """S_a^b(t), exactly, via the triangular recurrence (never by enumeration)."""
-    *_, (_, _, col) = _depth_columns(spec.beta, spec.t, spec.a, spec.b)
-    return Fraction(col[spec.t])
+    x0 = _Scaled(spec.beta, spec.a, spec.b)
+    *_, (_, _, col) = _depth_columns(x0, spec.t, spec.a, spec.b)
+    return Fraction(col[spec.t], x0.G**spec.t)
 
 
 def lemma_lhs(params: LemmaParams) -> Fraction:
     """L(q, beta) = sum_{m=0}^{q} C(q, m) (-1)^m / (beta + m)^s."""
-    powers = [(params.beta + m) ** params.s for m in range(params.q + 1)]
-    return _alternating_sum(powers, params.q)
+    x0 = _Scaled(params.beta, 0, params.q)
+    powers = [(x0 + m) ** params.s for m in range(params.q + 1)]
+    return Fraction(_alternating_sum(powers, params.q), x0.G**params.s)
 
 
 def lemma_rhs(params: LemmaParams) -> Fraction:
@@ -157,8 +204,10 @@ def lemma_rhs(params: LemmaParams) -> Fraction:
     The depth-(s-1) sum degenerates to 1 at s = 1, so a single formula covers
     all s >= 1.
     """
-    *_, (_, prefactor, col) = _depth_columns(params.beta, params.s - 1, 0, params.q)
-    return prefactor * col[params.s - 1]
+    q, s = params.q, params.s
+    x0 = _Scaled(params.beta, 0, q)
+    *_, (_, prefactor, col) = _depth_columns(x0, s - 1, 0, q)
+    return Fraction(prefactor * col[s - 1], x0.G ** (q + s))
 
 
 def coefficient_exact(p: int, alpha: RationalLike, s: int) -> Fraction:
@@ -176,11 +225,24 @@ def coefficient_stream(alpha: RationalLike, s: int) -> Iterator[Fraction]:
     """Yield c_1, c_2, ... incrementally (one column update per index).
 
     Amortises the prefactor and the depth column across successive p, so a
-    whole prefix costs O(p_max * s) rational operations instead of O(p_max^2 * s).
+    whole prefix costs O(p_max * s) integer operations instead of
+    O(p_max^2 * s).  The column runs over the G of the indices 1 .. stop and
+    is read over G^{s-1}; the prefactor (p-1)! den^p / prod_{i<=p} (num + i den)
+    is kept unscaled, as the kernel's, scaled by G^p, would put c_p over
+    G^{p+s-1}.  The first pass stops at p = 64; past its stop a pass starts
+    again with the stop doubled.
     """
     _check_count(s, "s")
     alpha = Fraction(alpha)
     _check_beta(alpha + 1)  # alpha must avoid {-1, -2, ...}
-    for _, prefactor, col in _depth_columns(alpha, s - 1):
-        yield -prefactor * col[s - 1]
-
+    num, den = alpha.numerator, alpha.denominator
+    numerator = denominator = 1
+    start, stop = 1, 64
+    while True:
+        x0 = _Scaled(alpha, 1, stop)
+        scale = x0.G ** (s - 1)
+        for p, _, col in islice(_depth_columns(x0, s - 1, 1, stop), start - 1, None):
+            numerator *= (p - 1 or 1) * den
+            denominator *= num + p * den
+            yield Fraction(-numerator * col[s - 1], denominator * scale)
+        start, stop = stop + 1, 2 * stop

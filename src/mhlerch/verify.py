@@ -2,8 +2,11 @@
 
 Each `verify_*` operation sweeps one identity, recurrence or bound over a
 desk-scale parameter grid and returns a `VerificationReport`.  Exact-rational
-checks demand bit-exact equality (residual 0); floating-point checks use an
-absolute residual for values of magnitude <= 1 and a relative one otherwise.
+checks demand bit-exact equality (residual 0) of integers: the kernels run on
+`exact._Scaled`, and both sides of an identity carry the same power of the
+shift's one denominator G, which a failing case divides back out.
+Floating-point checks use an absolute residual for values of magnitude <= 1
+and a relative one otherwise.
 
 `LEMMA_PROOF_IDENTITIES` names every displayed identity of the combinatorial
 proof and the report that exercises it, so a dropped check fails the
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import exact, series
 from .series import ShiftParam
@@ -110,14 +113,16 @@ class VerificationReport:
             "failing_cases": [[str(x) for x in case] for case in self.failing_cases],
         }
 
-    def _exact_case(self, ok: bool, params: tuple, lhs=0, rhs=0) -> None:
+    def _exact_case(self, ok: bool, params: tuple, lhs=0, rhs=0, scale=1) -> None:
         # An exact check passes with residual 0, so only a failure moves the
-        # worst, and only a failure pays for the subtraction.
+        # worst, and only a failure pays for the subtraction.  Sides read from
+        # integer tables are the values times `scale`: the residual is divided
+        # back to true units.
         self.cases_run += 1
         if not ok:
             self.cases_failed += 1
             self.failing_cases.append(params)
-            self.worst_residual = max(self.worst_residual, abs(float(lhs - rhs)))
+            self.worst_residual = max(self.worst_residual, abs(float((lhs - rhs) / scale)))
 
     def _float_case(self, residual: float, tol: float, params: tuple) -> None:
         self.cases_run += 1
@@ -138,24 +143,24 @@ def _rationals(values: Optional[Iterable], default: Tuple[Fraction, ...]) -> Tup
     return default if values is None else tuple(Fraction(v) for v in values)
 
 
-def _lhs_values(beta: Fraction, q_max: int, s_max: int) -> Dict[Tuple[int, int], Fraction]:
-    """{(q, s): L(q, beta)} for q <= q_max, 1 <= s <= s_max, every q summed
-    from one power list (beta + m)^s per s."""
-    exact._check_beta(beta)
+def _lhs_values(x0: exact._Scaled, q_max: int, s_max: int) -> Dict[Tuple[int, int], int]:
+    """{(q, s): L(q, beta) G^{q+s}} for q <= q_max, 1 <= s <= s_max, where x0
+    is beta with its G, every q summed from one power list (x0 + m)^s per s."""
+    G_powers = [x0.G**q for q in range(q_max + 1)]
     return {
-        (q, s): lhs
+        (q, s): lhs * G_powers[q]
         for s in range(1, s_max + 1)
-        for q, lhs in zip(range(q_max + 1), exact._alternating_sums(beta, s))
+        for q, lhs in zip(range(q_max + 1), exact._alternating_sums(x0, s))
     }
 
 
-def _rhs_values(beta: Fraction, q_max: int, s_max: int) -> Dict[Tuple[int, int], Fraction]:
-    """{(q, s): R(q, beta)} for q <= q_max, 1 <= s <= s_max, from one
-    depth-column pass: its column at q holds S_0^q(s - 1) for every s."""
-    exact._check_beta(beta)
+def _rhs_values(x0: exact._Scaled, q_max: int, s_max: int) -> Dict[Tuple[int, int], int]:
+    """{(q, s): R(q, beta) G^{q+s}} for q <= q_max, 1 <= s <= s_max, where x0
+    is beta with its G, from one depth-column pass: its column at q holds
+    S_0^q(s - 1) G^{s-1} for every s, and its prefactor is scaled by G^{q+1}."""
     return {
         (q, s): prefactor * col[s - 1]
-        for q, prefactor, col in exact._depth_columns(beta, s_max - 1, 0, q_max)
+        for q, prefactor, col in exact._depth_columns(x0, s_max - 1, 0, q_max)
         for s in range(1, s_max + 1)
     }
 
@@ -173,13 +178,16 @@ def verify_lemma(
     """L(q, beta) = R(q, beta) exactly on the full (q, s, beta) grid."""
     betas = _rationals(betas, DEFAULT_BETAS)
     report = VerificationReport("lemma", f"q <= {q_max}, s <= {s_max}, {len(betas)} betas")
-    L = {beta: _lhs_values(beta, q_max, s_max) for beta in betas}
-    R = {beta: _rhs_values(beta, q_max, s_max) for beta in betas}
+    tables = []
+    for beta in betas:
+        exact._check_beta(beta)
+        x0 = exact._Scaled(beta, 0, q_max)
+        tables.append((beta, x0.G, _lhs_values(x0, q_max, s_max), _rhs_values(x0, q_max, s_max)))
     for q in range(q_max + 1):
         for s in range(1, s_max + 1):
-            for beta in betas:
-                lhs, rhs = L[beta][q, s], R[beta][q, s]
-                report._exact_case(lhs == rhs, (q, s, beta), lhs, rhs)
+            for beta, G, L, R in tables:
+                lhs, rhs = L[q, s], R[q, s]
+                report._exact_case(lhs == rhs, (q, s, beta), lhs, rhs, G ** (q + s))
     return report
 
 
@@ -217,18 +225,22 @@ def _step_check(
     betas: Tuple[Fraction, ...],
 ) -> VerificationReport:
     """side(q+1, beta) = side(q, beta) - side(q, beta+1) exactly, for
-    q_lo <= q <= q_max, read from one table `side_values(b, q_max + 1, s_max)`
-    per distinct b among the betas and the betas + 1."""
-    side = {
-        b: side_values(b, q_max + 1, s_max)
-        for b in dict.fromkeys(b for beta in betas for b in (beta, beta + 1))
-    }
+    q_lo <= q <= q_max, read from two tables `side_values(x0, q_max + 1, s_max)`
+    per beta, one of beta and one of beta + 1, over one G: beta's on the
+    indices 0 .. q_max + 2, which are beta + 1's on -1 .. q_max + 1.  Entry
+    (q, s) is scaled by G^{q+s}, so the difference is multiplied by G."""
+    tables = []
+    for beta in betas:
+        exact._check_beta(beta)
+        x0 = exact._Scaled(beta, 0, q_max + 2)
+        x1 = exact._Scaled(beta + 1, -1, q_max + 1)
+        tables.append((beta, x0.G, side_values(x0, q_max + 1, s_max), side_values(x1, q_max + 1, s_max)))
     for q in range(q_lo, q_max + 1):
         for s in range(1, s_max + 1):
-            for beta in betas:
-                lhs = side[beta][q + 1, s]
-                rhs = side[beta][q, s] - side[beta + 1][q, s]
-                report._exact_case(lhs == rhs, (q, s, beta), lhs, rhs)
+            for beta, G, here, there in tables:
+                lhs = here[q + 1, s]
+                rhs = G * (here[q, s] - there[q, s])
+                report._exact_case(lhs == rhs, (q, s, beta), lhs, rhs, G ** (q + 1 + s))
     return report
 
 
@@ -276,8 +288,9 @@ def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> Verification
 
     Each beta gets one table of S_a^b(t) for 0 <= a <= b <= b_max = `DEFAULT_B_MAX`,
     t <= t_max = `DEFAULT_T_MAX`, one depth column per start a, and one table of
-    f_n^u = 1/(beta + n)^u; ZeroDivisionError names an n in [0, b_max] at which
-    beta + n vanishes.
+    f_n^u = 1/(beta + n)^u, all in integers over the G of beta on 0 .. b_max:
+    both sides of each identity at depth t are scaled by G^t.  ZeroDivisionError
+    names an n in [0, b_max] at which beta + n vanishes.
     """
     b_max, t_max = DEFAULT_B_MAX, DEFAULT_T_MAX
     betas = _rationals(betas, DEFAULT_BETAS)
@@ -287,31 +300,30 @@ def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> Verification
 
     for beta in betas:
         exact.MultiSumSpec(0, b_max, t_max, beta)  # rejects a pole before any table work
+        x0 = exact._Scaled(beta, 0, b_max)
         S = {
             (a, b): tuple(col)
             for a in range(b_max + 1)
-            for b, _, col in exact._depth_columns(beta, t_max, a, b_max)
+            for b, _, col in exact._depth_columns(x0, t_max, a, b_max)
         }
-        f_pow = [[1 / (beta + n) ** u for u in range(t_max + 1)] for n in range(b_max + 1)]
+        f_pow = [[1 / (x0 + n) ** u for u in range(t_max + 1)] for n in range(b_max + 1)]
         for t in range(t_max + 1):
+            scale = x0.G**t
             for a in range(b_max):
                 for b in range(a, b_max):
                     for c in range(b + 1, b_max + 1):
                         lhs = S[a, c][t]
-                        rhs = sum(
-                            (S[a, b][u] * S[b + 1, c][t - u] for u in range(t + 1)),
-                            Fraction(0),
-                        )
-                        report._exact_case(lhs == rhs, ("two", a, b, c, t, beta), lhs, rhs)
+                        rhs = sum(S[a, b][u] * S[b + 1, c][t - u] for u in range(t + 1))
+                        report._exact_case(lhs == rhs, ("two", a, b, c, t, beta), lhs, rhs, scale)
             for a in range(1, b_max):
                 for b in range(a, b_max):
                     f_lo, f_hi = f_pow[a - 1], f_pow[b + 1]
                     lhs = S[a - 1, b + 1][t]
-                    rhs = Fraction(0)
+                    rhs = 0
                     for u in range(t + 1):
                         for v in range(t + 1 - u):
                             rhs += f_lo[u] * S[a, b][v] * f_hi[t - u - v]
-                    report._exact_case(lhs == rhs, ("three", a, b, t, beta), lhs, rhs)
+                    report._exact_case(lhs == rhs, ("three", a, b, t, beta), lhs, rhs, scale)
     return report
 
 
@@ -405,11 +417,18 @@ def verify_euler_inner_sums(
     the float side is the product-form coefficient.  This is the numeric shadow
     of the L = R identity.
     """
+    scaled = {alpha: exact._Scaled(alpha + 1, 0, p_max - 1) for alpha in DEFAULT_ALPHAS}
+
+    def inner_sums(alpha, s):
+        # L(p - 1, alpha + 1) G^s in integers; int / int rounds once, as float(Fraction) does
+        x0 = scaled[alpha]
+        scale = x0.G**s
+        return (-lhs / scale for lhs in exact._alternating_sums(x0, s))
+
     return _coefficient_report(
         "euler_inner_consistency",
         f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_ALPHAS)} rational alphas",
-        lambda alpha, s: (-lhs for lhs in exact._alternating_sums(alpha + 1, s)),
-        DEFAULT_ALPHAS, range(1, s_max + 1), p_max,
+        inner_sums, DEFAULT_ALPHAS, range(1, s_max + 1), p_max,
     )
 
 
@@ -505,14 +524,3 @@ def run_suite(
         check(**{k: given[k] for k in check.__code__.co_varnames[: check.__code__.co_argcount] if k in given})
         for check in SUITES[name]
     ]
-
-
-def lemma_proof_coverage(reports: Sequence[VerificationReport]) -> Dict[str, bool]:
-    """Map each displayed proof identity to 'its report exists and passed'."""
-    by_name: Dict[str, List[VerificationReport]] = {}
-    for r in reports:
-        by_name.setdefault(r.identity_name, []).append(r)
-    return {
-        identity: (report_name in by_name and all(r.passed for r in by_name[report_name]))
-        for identity, report_name in LEMMA_PROOF_IDENTITIES.items()
-    }

@@ -211,15 +211,30 @@ def test_verify_json_file_and_overrides(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("zeta", "--s", "2", "--json"), ("bench", "--s-list", "2", "--tol-list", "1e-4", "--csv")],
-    ids=["zeta-json", "bench-csv"],
+    "argv, work",
+    [
+        (("zeta", "--s", "2", "--json"), "series.zeta_accelerated"),
+        (("bench", "--s-list", "2", "--tol-list", "1e-4", "--csv"), "cli.bench_rows"),
+        (("bench", "--s-list", "2", "--tol-list", "1e-4", "--json"), "cli.bench_rows"),
+        (("eval", "--s", "2", "--w", "-1", "--json"), "series.lerch_accelerated"),
+        (("verify", "--suite", "all", "--json"), "verify.run_suite"),
+    ],
+    ids=["zeta-json", "bench-csv", "bench-json", "eval-json", "verify-json"],
 )
-def test_unwritable_output_path_is_an_error_exit(capsys, tmp_path, argv):
-    # a missing directory raised FileNotFoundError out of cli.main
+def test_unwritable_output_path_is_an_error_exit(capsys, monkeypatch, tmp_path, argv, work):
+    # a missing directory raised FileNotFoundError out of cli.main, and the
+    # path was opened only after the command had run and printed its result
+    from mhlerch import series, verify
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output path was opened")
+
+    module, name = work.split(".")
+    monkeypatch.setattr({"cli": cli, "series": series, "verify": verify}[module], name, never)
     path = tmp_path / "missing" / "out"
-    code, _, err = run_cli(capsys, *argv, str(path))
+    code, out, err = run_cli(capsys, *argv, str(path))
     assert code == 1
+    assert out == ""
     assert err.startswith(f"mhlerch {argv[0]}: error: ") and str(path) in err
     assert len(err.splitlines()) == 1
     assert not path.parent.exists()

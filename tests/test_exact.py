@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import pytest
 from hypothesis import given, settings
@@ -354,3 +354,56 @@ def test_coefficient_invalid_alpha():
             exact.coefficient_exact(2, bad, 2)
     with pytest.raises(ValueError):
         exact.coefficient_exact(0, F(0), 2)
+
+
+# ---------------------------------------------------------------------------
+# the integer path against the Fraction kernels
+# ---------------------------------------------------------------------------
+
+def kernel_coefficients(alpha, s, p_max):
+    """c_1 .. c_{p_max} from the kernel run on the Fraction alpha itself."""
+    return [-prefactor * col[s - 1] for _, prefactor, col in exact._depth_columns(alpha, s - 1, 1, p_max)]
+
+
+# Shifts with denominators up to 50 and numerators up to 10^4, negative
+# non-integers included; a nonpositive integer is no valid beta.
+wide_rationals = st.builds(
+    F, st.integers(min_value=-10**4, max_value=10**4), st.integers(min_value=1, max_value=50)
+).filter(lambda x: not (x.denominator == 1 and x <= 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    beta=wide_rationals,
+    q=st.integers(min_value=0, max_value=15),
+    s=st.integers(min_value=1, max_value=5),
+    t=st.integers(min_value=0, max_value=4),
+    a=st.integers(min_value=0, max_value=12),
+    width=st.integers(min_value=0, max_value=12),
+)
+def test_integer_path_matches_the_fraction_kernels(beta, q, s, t, a, width):
+    # The public functions run the kernels on exact._Scaled; run on Fraction
+    # inputs directly, the same kernels are the oracle.  L and R share one set
+    # of weights, so the identity alone would not see a wrong beta in both.
+    b = min(a + width, 12)
+    *_, (_, _, col) = exact._depth_columns(beta, t, a, b)
+    assert exact.multi_sum(exact.MultiSumSpec(a, b, t, beta)) == col[t]
+
+    params = exact.LemmaParams(q, s, beta)
+    powers = [(beta + m) ** s for m in range(q + 1)]
+    assert exact.lemma_lhs(params) == exact._alternating_sum(powers, q)
+    *_, (_, prefactor, col) = exact._depth_columns(beta, s - 1, 0, q)
+    assert exact.lemma_rhs(params) == prefactor * col[s - 1]
+
+    alpha = beta - 1
+    expected = kernel_coefficients(alpha, s, 40)
+    assert list(islice(exact.coefficient_stream(alpha, s), 40)) == expected
+    assert exact.coefficient_exact(q + 1, alpha, s) == expected[q]
+
+
+def test_coefficient_stream_continues_past_its_first_pass():
+    # A pass covers p <= 64, the next p <= 128, over a larger G each.
+    for alpha in (F(0), F(-1, 2), F(4, 3)):
+        for s in (1, 3):
+            expected = kernel_coefficients(alpha, s, 130)
+            assert list(islice(exact.coefficient_stream(alpha, s), 130)) == expected, (alpha, s)

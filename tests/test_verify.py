@@ -170,17 +170,22 @@ def test_an_empty_table_grid_runs_no_case_and_fails(check, override):
 
 
 def test_lemma_and_step_tables_match_the_public_functions():
-    # The step checks read both tables to q_max + 1 at every beta and beta + 1.
+    # The step checks read both tables to q_max + 1 at every beta and beta + 1,
+    # in integers over one G: entry (q, s) is the value times G^{q+s}.
     q_max = max(verify.DEFAULT_Q_MAX, verify.DEFAULT_STEP_Q_MAX + 1)
     grid = {(q, s) for q in range(q_max + 1) for s in range(1, verify.DEFAULT_S_MAX + 1)}
-    for beta in dict.fromkeys(b + d for b in verify.DEFAULT_BETAS for d in (0, 1)):
-        lhs = verify._lhs_values(beta, q_max, verify.DEFAULT_S_MAX)
-        rhs = verify._rhs_values(beta, q_max, verify.DEFAULT_S_MAX)
-        assert set(lhs) == set(rhs) == grid
-        for q, s in grid:
-            params = exact.LemmaParams(q, s, beta)
-            assert lhs[q, s] == exact.lemma_lhs(params), (q, s, beta)
-            assert rhs[q, s] == exact.lemma_rhs(params), (q, s, beta)
+    for beta in verify.DEFAULT_BETAS:
+        x0, x1 = exact._Scaled(beta, 0, q_max + 1), exact._Scaled(beta + 1, -1, q_max)
+        assert x0.G == x1.G
+        for b, scaled in ((beta, x0), (beta + 1, x1)):
+            lhs = verify._lhs_values(scaled, q_max, verify.DEFAULT_S_MAX)
+            rhs = verify._rhs_values(scaled, q_max, verify.DEFAULT_S_MAX)
+            assert set(lhs) == set(rhs) == grid
+            for q, s in grid:
+                params = exact.LemmaParams(q, s, b)
+                assert all(isinstance(x, int) for x in (lhs[q, s], rhs[q, s]))
+                assert lhs[q, s] == exact.lemma_lhs(params) * x0.G ** (q + s), (q, s, b)
+                assert rhs[q, s] == exact.lemma_rhs(params) * x0.G ** (q + s), (q, s, b)
 
 
 def test_inner_sums_match_alternating_coefficient_sum():
@@ -264,6 +269,30 @@ def test_a_perturbed_side_fails_exactly_its_own_cases(monkeypatch, perturb, side
     assert step.failing_cases == _step_cases_at(4, 5)
     assert other.passed
     assert verify.verify_recurrence_R_base().passed
+
+
+def test_a_corrupted_table_entry_reports_its_residual_in_true_units(monkeypatch):
+    # The tables hold R(q, s) G^{q+s} as ints; doubling one entry fails that
+    # one case, off by R itself, and the residual is divided back by G^{q+s}.
+    q, s, beta = 3, 2, F(7, 3)
+    rhs_values = verify._rhs_values
+
+    def corrupted(x0, q_max, s_max):
+        table = rhs_values(x0, q_max, s_max)
+        table[q, s] *= 2
+        return table
+
+    monkeypatch.setattr(verify, "_rhs_values", corrupted)
+    report = verify.verify_lemma(betas=[beta])
+    assert report.failing_cases == [(q, s, beta)]
+    # the same residual on the Fraction path: the kernels run on beta itself
+    lhs = exact._alternating_sum([(beta + m) ** s for m in range(q + 1)], q)
+    *_, (_, prefactor, col) = exact._depth_columns(beta, s - 1, 0, q)
+    rhs = prefactor * col[s - 1]
+    assert lhs == rhs
+    assert report.worst_residual == abs(float(lhs - 2 * rhs)) == float(rhs)
+    G = exact._Scaled(beta, 0, verify.DEFAULT_Q_MAX).G
+    assert G > 1 and report.worst_residual != float(rhs * G ** (q + s))
 
 
 # ---------------------------------------------------------------------------
@@ -501,18 +530,29 @@ def test_run_suite_rejects_a_tol_that_is_not_positive_and_finite(tol):
         verify.run_suite("sondow", tol=tol)
 
 
+def lemma_proof_coverage(reports):
+    """Map each displayed proof identity to 'its report exists and passed'."""
+    by_name = {}
+    for r in reports:
+        by_name.setdefault(r.identity_name, []).append(r)
+    return {
+        identity: (report_name in by_name and all(r.passed for r in by_name[report_name]))
+        for identity, report_name in verify.LEMMA_PROOF_IDENTITIES.items()
+    }
+
+
 def test_every_displayed_identity_is_covered():
     reports = []
     for suite in ("lemma", "recurrences", "splitting"):
         reports.extend(verify.run_suite(suite, q_max=4, s_max=2))
-    coverage = verify.lemma_proof_coverage(reports)
+    coverage = lemma_proof_coverage(reports)
     assert set(coverage) == set(verify.LEMMA_PROOF_IDENTITIES)
     assert all(coverage.values()), coverage
 
 
 def test_missing_identity_fails_coverage():
     reports = [r for r in verify.run_suite("lemma", q_max=2, s_max=2)]
-    coverage = verify.lemma_proof_coverage(reports)
+    coverage = lemma_proof_coverage(reports)
     # recurrence and splitting reports absent, so those identities are uncovered
     assert not coverage["R(q+1, beta) = R(q, beta) - R(q, beta+1)"]
     assert not coverage["S_a^c(t) = sum_{u+v=t} S_a^b(u) S_{b+1}^c(v)"]
