@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
-from . import exact, series
+from . import series
 from .series import SeriesResult, ShiftParam
 
 EXIT_OK = 0
@@ -158,12 +158,12 @@ def _result_payload(result: SeriesResult) -> dict:
 
 
 def _exact_crosscheck(alpha: Fraction, s: int) -> dict:
-    """Compare the float coefficient stream against the exact one at this shift."""
+    """Compare the float coefficients the evaluator sums with the exact
+    c_p = -R(p - 1, alpha + 1) at this shift."""
     from . import verify
     p_max = CROSSCHECK_P
-    report = verify._coefficient_report(
-        "exact_crosscheck", f"p <= {p_max}, s = {s}", exact.coefficient_stream, (alpha,), (s,), p_max
-    )
+    report = verify.VerificationReport("exact_crosscheck", f"p <= {p_max}, s = {s}")
+    verify._coefficient_report(report, verify._rhs_values, (alpha,), range(s, s + 1), p_max)
     return {"p_max": p_max, "max_rel_err": report.worst_residual, "ok": report.passed}
 
 

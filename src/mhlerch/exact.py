@@ -213,24 +213,27 @@ def lemma_rhs(params: LemmaParams) -> Fraction:
 def coefficient_exact(p: int, alpha: RationalLike, s: int) -> Fraction:
     """Exact coefficient of z^p in the half-plane series:
 
-        c_p = -(p-1)! / (alpha+1)_p * S_1^p(s - 1)   with f_i = 1/(alpha + i).
+        c_p = -(p-1)! / (alpha+1)_p * S_1^p(s - 1) = -R(p - 1, alpha + 1),
 
-    Strictly negative for rational alpha > -1.
+    with f_i = 1/(alpha + i): one `lemma_rhs` value, one depth-column pass to
+    p and one `Fraction`.  A float alpha is taken exactly.  Strictly negative
+    for rational alpha > -1.
     """
     _check_count(p, "p")
-    return next(islice(coefficient_stream(alpha, s), p - 1, None))
+    return -lemma_rhs(LemmaParams(p - 1, s, Fraction(alpha) + 1))
 
 
 def coefficient_stream(alpha: RationalLike, s: int) -> Iterator[Fraction]:
-    """Yield c_1, c_2, ... incrementally (one column update per index).
+    """Yield c_1, c_2, ... incrementally (one column update per index), the
+    values `coefficient_exact` returns one at a time.
 
     Amortises the prefactor and the depth column across successive p, so a
     whole prefix costs O(p_max * s) integer operations instead of
-    O(p_max^2 * s).  The column runs over the G of the indices 1 .. stop and
-    is read over G^{s-1}; the prefactor (p-1)! den^p / prod_{i<=p} (num + i den)
-    is kept unscaled, as the kernel's, scaled by G^p, would put c_p over
-    G^{p+s-1}.  The first pass stops at p = 64; past its stop a pass starts
-    again with the stop doubled.
+    O(p_max^2 * s) for p_max `coefficient_exact` calls.  The column runs over
+    the G of the indices 1 .. stop and is read over G^{s-1}; the prefactor
+    (p-1)! den^p / prod_{i<=p} (num + i den) is kept unscaled, as the
+    kernel's, scaled by G^p, would put c_p over G^{p+s-1}.  The first pass
+    stops at p = 64; past its stop a pass starts again with the stop doubled.
     """
     _check_count(s, "s")
     alpha = Fraction(alpha)

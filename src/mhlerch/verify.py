@@ -154,10 +154,12 @@ def _lhs_values(x0: exact._Scaled, q_max: int, s_max: int) -> Dict[Tuple[int, in
     }
 
 
-def _rhs_values(x0: exact._Scaled, q_max: int, s_max: int) -> Dict[Tuple[int, int], int]:
-    """{(q, s): R(q, beta) G^{q+s}} for q <= q_max, 1 <= s <= s_max, where x0
-    is beta with its G, from one depth-column pass: its column at q holds
-    S_0^q(s - 1) G^{s-1} for every s, and its prefactor is scaled by G^{q+1}."""
+def _rhs_values(x0, q_max: int, s_max: int) -> Dict[Tuple[int, int], object]:
+    """{(q, s): R(q, beta)} for q <= q_max, 1 <= s <= s_max, from one
+    depth-column pass, in the number type of x0: for a `_Scaled` beta the
+    values are ints scaled by G^{q+s} (the column at q holds S_0^q(s - 1)
+    G^{s-1}, the prefactor is scaled by G^{q+1}); a float or complex beta
+    gives R itself."""
     return {
         (q, s): prefactor * col[s - 1]
         for q, prefactor, col in exact._depth_columns(x0, s_max - 1, 0, q_max)
@@ -343,9 +345,10 @@ def verify_lemma_complex(s_max: int = 4) -> VerificationReport:
     report = VerificationReport("lemma_complex_spot", grid)
     for beta in LEMMA_COMPLEX_BETAS:
         lhs = {s: exact._alternating_sums(beta, s) for s in range(1, s_max + 1)}
-        for q, prefactor, col in exact._depth_columns(beta, s_max - 1, 0, LEMMA_COMPLEX_Q):
+        rhs = _rhs_values(beta, LEMMA_COMPLEX_Q, s_max)
+        for q in range(LEMMA_COMPLEX_Q + 1):
             for s in range(1, s_max + 1):
-                residual = float_residual(next(lhs[s]), prefactor * col[s - 1])
+                residual = float_residual(next(lhs[s]), rhs[q, s])
                 report._float_case(residual, LEMMA_COMPLEX_TOL, (q, s, beta))
     return report
 
@@ -375,61 +378,48 @@ def verify_proposition(s_max: int = 3, tol: float = DEFAULT_FLOAT_TOL) -> Verifi
 
 
 def _coefficient_report(
-    name: str, grid: str, exact_values: Callable[[Fraction, int], Iterable],
-    alphas: Iterable[Fraction], orders: Iterable[int], p_max: int,
+    report: VerificationReport, side_values, alphas: Iterable[Fraction], orders: range, p_max: int,
 ) -> VerificationReport:
-    """The float c_p against the p-th item of `exact_values(alpha, s)`, to a
-    relative `COEFFICIENT_REL_TOL`, as one case (p, alpha, s) per p <= p_max,
-    alpha and s in orders."""
-    report = VerificationReport(name, grid)
+    """c_p = -side(p - 1, alpha + 1) against the float c_p that `series._summed`
+    sums, from `series._term_stream`, to a relative `COEFFICIENT_REL_TOL`
+    (absolute where c_p = 0), one case (p, alpha, s) per p <= p_max, alpha and
+    s in orders.  Each alpha has one table `side_values(x0, p_max - 1,
+    max(orders))` over the G of x0 = alpha + 1 on 0 .. p_max - 1: c_p is
+    entry (p - 1, s) over G^{p-1+s}, one int / int, correctly rounded as
+    float(Fraction) is."""
     for alpha in alphas:
         shift = ShiftParam(complex(float(alpha)))
+        x0 = exact._Scaled(alpha + 1, 0, p_max - 1)
+        table = side_values(x0, p_max - 1, max(orders, default=0))  # an empty grid runs no case
         for s in orders:
-            exact_stream = exact_values(alpha, s)
-            float_stream = exact._depth_columns(shift.alpha, s - 1)
-            for p, c_exact, (_, prefactor, col) in zip(range(1, p_max + 1), exact_stream, float_stream):
-                c_exact, c_float = float(c_exact), -prefactor * col[s - 1]
-                report._float_case(abs(c_float - c_exact) / abs(c_exact), COEFFICIENT_REL_TOL, (p, alpha, s))
+            float_stream = series._term_stream(shift.alpha, s)
+            for p, (c_float, _, _) in zip(range(1, p_max + 1), float_stream):
+                c_exact = -table[p - 1, s] / x0.G ** (p - 1 + s)
+                error = abs(c_float - c_exact)
+                report._float_case(error / abs(c_exact) if c_exact else error, COEFFICIENT_REL_TOL, (p, alpha, s))
     return report
 
 
 def verify_coefficient_consistency(
     p_max: int = DEFAULT_P_MAX_EXACT, s_max: int = DEFAULT_S_MAX
 ) -> VerificationReport:
-    """The float depth column of `exact._depth_columns` against
-    `exact.coefficient_stream` (relative, `DEFAULT_ALPHAS`)."""
-    return _coefficient_report(
-        "coefficient_consistency",
-        f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_ALPHAS)} rational alphas",
-        exact.coefficient_stream, DEFAULT_ALPHAS, range(1, s_max + 1), p_max,
-    )
+    """The float c_p against the product form -R(p - 1, alpha + 1) of
+    `_rhs_values`, at `DEFAULT_ALPHAS`."""
+    grid = f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_ALPHAS)} rational alphas"
+    report = VerificationReport("coefficient_consistency", grid)
+    return _coefficient_report(report, _rhs_values, DEFAULT_ALPHAS, range(1, s_max + 1), p_max)
 
 
 def verify_euler_inner_sums(
     p_max: int = DEFAULT_P_MAX_INNER, s_max: int = DEFAULT_S_MAX
 ) -> VerificationReport:
-    """Inner binomial sums of the transformed series against the float depth
-    column of `exact._depth_columns`.
-
-    The inner sum is -L(p - 1, alpha + 1) from `exact._alternating_sums`, in
-    exact rational arithmetic (the alternating route loses ~2^p of binary64
-    precision to cancellation, which would swamp a 1e-12 comparison by p ~ 20);
-    the float side is the product-form coefficient.  This is the numeric shadow
-    of the L = R identity.
-    """
-    scaled = {alpha: exact._Scaled(alpha + 1, 0, p_max - 1) for alpha in DEFAULT_ALPHAS}
-
-    def inner_sums(alpha, s):
-        # L(p - 1, alpha + 1) G^s in integers; int / int rounds once, as float(Fraction) does
-        x0 = scaled[alpha]
-        scale = x0.G**s
-        return (-lhs / scale for lhs in exact._alternating_sums(x0, s))
-
-    return _coefficient_report(
-        "euler_inner_consistency",
-        f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_ALPHAS)} rational alphas",
-        inner_sums, DEFAULT_ALPHAS, range(1, s_max + 1), p_max,
-    )
+    """The float c_p against the inner binomial sums -L(p - 1, alpha + 1) of
+    `_lhs_values`, at `DEFAULT_ALPHAS`: the numeric shadow of L = R.  L is
+    exact, as the alternating route loses ~2^p of binary64 precision to
+    cancellation, which would swamp a 1e-12 comparison by p ~ 20."""
+    grid = f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_ALPHAS)} rational alphas"
+    report = VerificationReport("euler_inner_consistency", grid)
+    return _coefficient_report(report, _lhs_values, DEFAULT_ALPHAS, range(1, s_max + 1), p_max)
 
 
 def verify_coefficient_bound(p_max: int = DEFAULT_P_MAX_FLOAT, s_max: int = 6) -> VerificationReport:

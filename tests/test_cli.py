@@ -115,6 +115,17 @@ def test_eval_alpha_rat_crosscheck(capsys):
     assert check["max_rel_err"] <= 1e-12
 
 
+@pytest.mark.parametrize("alpha, s", [("-3/2", 2), ("-5/2", 2), ("-7/2", 4)])
+def test_eval_alpha_rat_crosscheck_at_a_zero_coefficient(capsys, alpha, s):
+    # At these shifts the exact c_2 is 0 (f_1 + f_2 = 0 at s = 2), so the
+    # cross-check's residual there is absolute, not divided by zero.
+    code, data, err = run_json(capsys, "eval", "--s", str(s), "--w", "-1", f"--alpha-rat={alpha}")
+    assert code == 0, err
+    check = data["exact_crosscheck"]
+    assert check["ok"] is True
+    assert check["max_rel_err"] <= 6e-14  # measured up to 5.31e-14, at -7/2, s = 4
+
+
 def test_eval_nonconvergence_exits_2(capsys):
     code, data, _ = run_json(
         capsys, "eval", "--s", "2", "--w", "-1", "--max-terms", "5"

@@ -348,6 +348,13 @@ def test_coefficient_stream_matches_pointwise():
                 assert next(stream) == exact.coefficient_exact(p, alpha, s)
 
 
+def test_coefficient_exact_takes_a_float_alpha_exactly():
+    # 0.1 + 1 rounds in binary64; Fraction(0.1) + 1 does not.
+    for s in (1, 3):
+        expected = kernel_coefficients(F(0.1), s, 6)
+        assert [exact.coefficient_exact(p, 0.1, s) for p in range(1, 7)] == expected
+
+
 def test_coefficient_invalid_alpha():
     for bad in (F(-1), F(-2), F(-7)):
         with pytest.raises(InvalidShiftError):
@@ -407,3 +414,4 @@ def test_coefficient_stream_continues_past_its_first_pass():
         for s in (1, 3):
             expected = kernel_coefficients(alpha, s, 130)
             assert list(islice(exact.coefficient_stream(alpha, s), 130)) == expected, (alpha, s)
+            assert exact.coefficient_exact(130, alpha, s) == expected[129], (alpha, s)

@@ -54,6 +54,7 @@ CLI_COMMANDS = (
     ("eval", "--s", "2", "--w", "-1", "--alpha-rat", "1/2"),
     ("eval", "--s", "3", "--w=-2", "--alpha-rat=-1/3"),
     ("eval", "--s", "5", "--z=-0.4", "--alpha-rat", "7/3", "--tol", "1e-10"),
+    ("eval", "--s", "2", "--w", "-1", "--alpha-rat=-3/2"),
     ("zeta", "--s", "2"),
     ("zeta", "--s", "3", "--tol", "1e-12"),
     ("zeta", "--s", "6", "--tol", "1e-13"),

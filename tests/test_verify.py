@@ -160,8 +160,13 @@ def test_table_checks_reject_a_pole_before_dividing_by_it(check, betas):
         (verify.verify_recurrence_R, {"q_max": 0}),
         (verify.verify_recurrence_L, {"q_max": -1}),
         (verify.verify_lemma, {"s_max": 0}),
+        (verify.verify_coefficient_consistency, {"p_max": 0}),
+        (verify.verify_euler_inner_sums, {"s_max": 0}),
     ],
-    ids=["recurrence_R q_max=0", "recurrence_L q_max=-1", "lemma s_max=0"],
+    ids=[
+        "recurrence_R q_max=0", "recurrence_L q_max=-1", "lemma s_max=0",
+        "coefficient_consistency p_max=0", "euler_inner_consistency s_max=0",
+    ],
 )
 def test_an_empty_table_grid_runs_no_case_and_fails(check, override):
     report = check(**override)
