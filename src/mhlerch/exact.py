@@ -153,12 +153,14 @@ def _depth_columns(x0, depth: int, n0: int = 1, stop: Optional[int] = None):
     """
     col = [1] + [0] * depth
     prefactor = 1
+    depths = range(1, depth + 1)
     for n in count(n0) if stop is None else range(n0, stop + 1):
         d = x0 + n
         f_n = 1 / d
         prefactor *= (n - n0 or 1) / d
-        for t in range(1, depth + 1):
-            col[t] += f_n * col[t - 1]
+        below = 1
+        for t in depths:
+            below = col[t] = col[t] + f_n * below
         yield n, prefactor, col
 
 

@@ -68,10 +68,9 @@ def _check_tolerance(tol: float) -> float:
 
 
 def _tail_gap(alpha: complex, n_min: int) -> float:
-    # min over n >= n_min of |alpha + n|: the minimiser is round(-Re alpha)
-    # clamped to >= n_min, so up to three candidates are examined.
-    n0 = max(n_min, round(-alpha.real))
-    return min(abs(alpha + n) for n in (n0 - 1, n0, n0 + 1) if n >= n_min)
+    # min over n >= n_min of |alpha + n|, at the one candidate n0 = max(n_min, round(-Re alpha)):
+    # Re alpha + round(-Re alpha) is exact (Sterbenz), any other n has |Re alpha + n| >= 1/2.
+    return abs(alpha + max(n_min, round(-alpha.real)))
 
 
 class ShiftParam(namedtuple("ShiftParam", "alpha")):
@@ -234,13 +233,16 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
     factory, at most the largest `max_terms` used, about 150 bytes a term.
     Anything raised under `_kept_lock` (an `OverflowError` of a term, an
     interrupt) empties the slot.  Every result is bit for bit a first call's.
+
+    Each term forms only the bound's numerator y = scale B(p+1) |x|^{p+1}, and
+    y / (1 - rho) only once y <= tol or p = max_terms.  No stop moves: at 0 <=
+    rho < 1 the rounded quotient is >= y, and a nan y fails both tests.
     """
     method, slot = _kept_streams[factory]
     ax = abs(x)
     total = 0.0
     x_pow = 1.0
     ax_pow = ax
-    bound = math.inf
     key = (alpha, s)
     with _kept_lock:
         keep = slot[0] == key
@@ -262,13 +264,12 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
                 x_pow *= x
                 ax_pow *= ax
                 total += a_p * x_pow
-                rho = ax * ratio
-                if rho < 1.0:
-                    bound = scale * b_next * ax_pow / (1.0 - rho)
-                    if bound <= tol:
-                        return SeriesResult(total, p, bound, True, method)
-                if p >= max_terms:
-                    return SeriesResult(total, p, bound if rho < 1.0 else math.inf, False, method)
+                y = scale * b_next * ax_pow
+                if y <= tol or p >= max_terms:
+                    rho = ax * ratio
+                    bound = y / (1.0 - rho) if rho < 1.0 else math.inf
+                    if bound <= tol or p >= max_terms:
+                        return SeriesResult(total, p, bound, bound <= tol, method)
         except BaseException:
             slot[:] = [None, [], None]
             raise

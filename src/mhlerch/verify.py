@@ -386,15 +386,17 @@ def _coefficient_report(
     s in orders.  Each alpha has one table `side_values(x0, p_max - 1,
     max(orders))` over the G of x0 = alpha + 1 on 0 .. p_max - 1: c_p is
     entry (p - 1, s) over G^{p-1+s}, one int / int, correctly rounded as
-    float(Fraction) is."""
+    float(Fraction) is; the powers of G are taken once per alpha."""
+    s_top = max(orders, default=0)  # an empty grid runs no case
     for alpha in alphas:
         shift = ShiftParam(complex(float(alpha)))
         x0 = exact._Scaled(alpha + 1, 0, p_max - 1)
-        table = side_values(x0, p_max - 1, max(orders, default=0))  # an empty grid runs no case
+        table = side_values(x0, p_max - 1, s_top)
+        G_powers = [x0.G**k for k in range(p_max + s_top)]
         for s in orders:
             float_stream = series._term_stream(shift.alpha, s)
             for p, (c_float, _, _) in zip(range(1, p_max + 1), float_stream):
-                c_exact = -table[p - 1, s] / x0.G ** (p - 1 + s)
+                c_exact = -table[p - 1, s] / G_powers[p - 1 + s]
                 error = abs(c_float - c_exact)
                 report._float_case(error / abs(c_exact) if c_exact else error, COEFFICIENT_REL_TOL, (p, alpha, s))
     return report

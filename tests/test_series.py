@@ -90,6 +90,63 @@ def test_shift_gap_rejects_nonfinite():
         ShiftParam(complex(0, float("inf")))
 
 
+def tail_gap_three_candidates(alpha, n_min):
+    """Oracle for `series._tail_gap`: the min of |alpha + n| over n0 =
+    round(-Re alpha) clamped to >= n_min and its neighbours >= n_min."""
+    n0 = max(n_min, round(-alpha.real))
+    return min(abs(alpha + n) for n in (n0 - 1, n0, n0 + 1) if n >= n_min)
+
+
+def _with_neighbours(x):
+    return st.sampled_from([math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)])
+
+
+gap_reals = st.one_of(
+    st.floats(-(2.0**60), 2.0**60),
+    st.floats(-70.0, 10.0),  # where n_min can lie above round(-Re alpha)
+    st.integers(-(2**52) + 1, 2**52 - 1).map(lambda k: k + 0.5),  # exact half-integers
+    st.integers(-(2**60), 2**60).map(float).flatmap(_with_neighbours),  # integers +- 1 ulp
+    st.integers(-70, 10).map(float).flatmap(_with_neighbours),
+)
+
+
+@settings(max_examples=500)
+@given(
+    re=gap_reals,
+    im=st.sampled_from([0.0, 5e-324, -5e-324, 1e-12, -1e-12, 1e6, -1e6]),
+    n_min=st.integers(1, 60),
+)
+def test_tail_gap_is_the_three_candidate_minimum(re, im, n_min):
+    alpha = complex(re, im)
+    assert series._tail_gap(alpha, n_min) == tail_gap_three_candidates(alpha, n_min)
+
+
+def test_shift_param_band_edge_is_unchanged():
+    # every float within 40 ulps of -3 +- SHIFT_TOL, and the imaginary band
+    # edge, is accepted or rejected as the three-candidate gap decides
+    decided = set()
+    for edge in (-3 + series.SHIFT_TOL, -3 - series.SHIFT_TOL):
+        alpha = edge
+        for _ in range(40):
+            alpha = math.nextafter(alpha, -3.0)
+        candidates = []
+        for _ in range(81):
+            candidates.append(complex(alpha))
+            alpha = math.nextafter(alpha, -2.0 if edge > -3 else -4.0)
+        candidates += [complex(-3, series.SHIFT_TOL), complex(-3, math.nextafter(series.SHIFT_TOL, 1.0))]
+        for alpha in candidates:
+            rejected = tail_gap_three_candidates(alpha, 1) <= series.SHIFT_TOL
+            decided.add(rejected)
+            if rejected:
+                message = f"alpha = {alpha} is within {series.SHIFT_TOL} of a negative integer"
+                with pytest.raises(InvalidShiftError) as raised:
+                    ShiftParam(alpha)
+                assert str(raised.value) == message
+            else:
+                assert ShiftParam(alpha).alpha == alpha
+    assert decided == {True, False}
+
+
 def test_shift_param_validation():
     assert ShiftParam(0.5) == (0.5 + 0j,) and type(ShiftParam(0.5).alpha) is complex
     for bad in (-1, -2.0, -3 + 1e-13j):
@@ -917,6 +974,113 @@ def test_kept_stream_is_safe_across_threads():
         assert len(result) == 6 * sum(map(len, rows))
         for call, got in result:
             assert got == expected[call], call
+
+
+# ---------------------------------------------------------------------------
+# stopping rule: `_summed` tests the numerator of its bound first, which must
+# give every result the whole bound formed on every term gave
+# ---------------------------------------------------------------------------
+
+
+def summed_every_bound(x, alpha, s, tol, max_terms, scale, factory):
+    """Oracle for `series._summed`: its loop over an unkept stream, with the
+    bound formed in full on every term with rho < 1."""
+    method = series._kept_streams[factory][0]
+    ax = abs(x)
+    total = 0.0
+    x_pow = 1.0
+    ax_pow = ax
+    bound = math.inf
+    for p, (a_p, b_next, ratio) in enumerate(factory(alpha, s), 1):
+        x_pow *= x
+        ax_pow *= ax
+        total += a_p * x_pow
+        rho = ax * ratio
+        if rho < 1.0:
+            bound = scale * b_next * ax_pow / (1.0 - rho)
+            if bound <= tol:
+                return SeriesResult(total, p, bound, True, method)
+        if p >= max_terms:
+            return SeriesResult(total, p, bound if rho < 1.0 else math.inf, False, method)
+
+
+def _outcome(summed, *args):
+    # the repr tells -0.0 from 0.0 and shows a nan; a raise is its type
+    try:
+        return repr(summed(*args))
+    except ArithmeticError as error:
+        return type(error).__name__
+
+
+def assert_same_stop(x, alpha, s, tol, max_terms, scale, factory):
+    args = (x, alpha, s, tol, max_terms, scale, factory)
+    assert _outcome(series._summed, *args) == _outcome(summed_every_bound, *args)
+
+
+def _peeled(alpha):
+    # alpha + K, K = floor(-Re alpha) + 1, as `_z_series` sums it
+    return alpha + (math.floor(-alpha.real) + 1)
+
+
+summed_points = st.one_of(
+    st.sampled_from([0j, 0.0, 0.5, -0.999, 0.999j]),
+    st.builds(
+        lambda r, theta: r * cmath.exp(1j * theta),
+        st.floats(0.0, 0.999),
+        st.floats(-math.pi, math.pi),
+    ),
+)
+summed_shifts = st.one_of(
+    st.sampled_from([0.0, 0j]),
+    st.floats(-0.5, 60.0),
+    st.builds(complex, st.floats(-0.5, 60.0), st.floats(-60.0, 60.0)),
+    st.sampled_from([1e3 + 0j, 1e6 + 0j, 1e3j, 1e6 + 1e6j]),
+    st.builds(complex, st.floats(-60.0, -0.5, exclude_max=True), st.floats(-5.0, 5.0)).map(_peeled),
+)
+
+
+@settings(max_examples=400)
+@given(
+    x=summed_points,
+    alpha=summed_shifts,
+    s=st.integers(1, 8),
+    tol=st.floats(series.MIN_TOL, 1.0),
+    max_terms=st.integers(1, 60),
+    scale=st.one_of(st.sampled_from([0.0, 1.0, 1e300]), st.floats(0.0, 1e300)),
+    factory=st.sampled_from([series._term_stream, series._direct_stream]),
+)
+def test_numerator_first_stop_gives_every_bound_results(x, alpha, s, tol, max_terms, scale, factory):
+    assert_same_stop(x, alpha, s, tol, max_terms, scale, factory)
+
+
+@pytest.mark.parametrize("x", [0.5, 0j])
+def test_numerator_first_stop_off_a_pole(x):
+    # B(n+1) = inf just off the pole -5 at s = 100: the numerator is inf (nan
+    # at x = 0), so the call runs to max_terms with an infinite (nan) bound
+    assert_same_stop(x, -5 + 1e-5, 100, 1e-12, 3, 1.0, series._direct_stream)
+
+
+@pytest.mark.parametrize("max_terms", [1, 2, 60])
+def test_numerator_first_stop_with_rho_at_least_one(max_terms):
+    # r_1 = (1 + 1/(3 * 1.5))^7 > 1/0.9 at alpha = 0, s = 8: rho >= 1 on the
+    # first terms.  With scale 0 the numerator is 0 <= tol from the first term
+    # on, yet the sum must go on until rho < 1 (or stop at max_terms).
+    for scale in (0.0, 1.0):
+        assert_same_stop(0.9, 0.0, 8, 1e-12, max_terms, scale, series._term_stream)
+    assert series._summed(0.9, 0.0, 8, 1e-12, 1, 0.0).error_bound == math.inf
+    assert series._summed(0.9, 0.0, 8, 1e-12, 60, 0.0).converged
+
+
+@pytest.mark.parametrize(
+    "x, alpha, s, factory",
+    [(-0.6, 0j, 3, series._term_stream), (0.4 + 0.3j, -2.5 + 1j, 2, series._direct_stream), (0.5, 0.0, 6, series._term_stream)],
+)
+def test_numerator_first_stop_at_a_tol_equal_to_the_bound(x, alpha, s, factory):
+    # tol set to the very bound the loop returns at 1e-9: it converges there
+    result = summed_every_bound(x, alpha, s, 1e-9, 10000, 1.0, factory)
+    tol = result.error_bound
+    assert_same_stop(x, alpha, s, tol, 10000, 1.0, factory)
+    assert series._summed(x, alpha, s, tol, 10000, 1.0, factory) == result
 
 
 # ---------------------------------------------------------------------------
