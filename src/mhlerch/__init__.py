@@ -25,7 +25,6 @@ from .exact import (
 from .series import (
     SeriesResult,
     ShiftParam,
-    coefficient_bound,
     disk_to_half_plane,
     lerch_accelerated,
     lerch_direct,
@@ -54,7 +53,6 @@ __all__ = [
     "multi_sum",
     "SeriesResult",
     "ShiftParam",
-    "coefficient_bound",
     "disk_to_half_plane",
     "lerch_accelerated",
     "lerch_direct",

@@ -25,12 +25,13 @@ recurrence
 
 which costs O((b - a + 1) * t) multiplications.  `_depth_columns` is the only
 place in the package where this recurrence is written, and `_alternating_sum`
-the only place where L is summed: every layer (exact, series, verify, cli)
-calls them, with exact integers, float or complex numbers (the tests also
-with `Fraction`, as an oracle).  One depth-column pass to q holds S_0^n(t)
-for every n <= q and t <= depth, so it gives R at every (n, s <= depth + 1);
-`_alternating_sum` takes the powers (beta + m)^s from its caller, and
-`_alternating_sums` yields L at q = 0, 1, ... from one list of them.
+the only place where L is summed: the exact, series and verify layers call
+them, with exact integers, float or complex numbers (the tests also with
+`Fraction`, as an oracle), and `cli` reaches them through `series` and
+`verify`.  One depth-column pass to q holds S_0^n(t) for every n <= q and
+t <= depth, so it gives R at every (n, s <= depth + 1); `_alternating_sum`
+takes the powers (beta + m)^s from its caller, and `_alternating_sums` yields
+L at q = 0, 1, ... from one list of them.
 
 The exact values are computed in Python integers over one denominator per
 shift.  For beta = num/den and indices lo .. hi, `_Scaled` holds
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from typing import Iterator, Optional, Union
 
 from .errors import InvalidShiftError
@@ -223,31 +224,3 @@ def coefficient_exact(p: int, alpha: RationalLike, s: int) -> Fraction:
     """
     _check_count(p, "p")
     return -lemma_rhs(LemmaParams(p - 1, s, Fraction(alpha) + 1))
-
-
-def coefficient_stream(alpha: RationalLike, s: int) -> Iterator[Fraction]:
-    """Yield c_1, c_2, ... incrementally (one column update per index), the
-    values `coefficient_exact` returns one at a time.
-
-    Amortises the prefactor and the depth column across successive p, so a
-    whole prefix costs O(p_max * s) integer operations instead of
-    O(p_max^2 * s) for p_max `coefficient_exact` calls.  The column runs over
-    the G of the indices 1 .. stop and is read over G^{s-1}; the prefactor
-    (p-1)! den^p / prod_{i<=p} (num + i den) is kept unscaled, as the
-    kernel's, scaled by G^p, would put c_p over G^{p+s-1}.  The first pass
-    stops at p = 64; past its stop a pass starts again with the stop doubled.
-    """
-    _check_count(s, "s")
-    alpha = Fraction(alpha)
-    _check_beta(alpha + 1)  # alpha must avoid {-1, -2, ...}
-    num, den = alpha.numerator, alpha.denominator
-    numerator = denominator = 1
-    start, stop = 1, 64
-    while True:
-        x0 = _Scaled(alpha, 1, stop)
-        scale = x0.G ** (s - 1)
-        for p, _, col in islice(_depth_columns(x0, s - 1, 1, stop), start - 1, None):
-            numerator *= (p - 1 or 1) * den
-            denominator *= num + p * den
-            yield Fraction(-numerator * col[s - 1], denominator * scale)
-        start, stop = stop + 1, 2 * stop

@@ -19,7 +19,7 @@ is bounded through the coefficient majorant
     |c_p| <= B(p) = (p-1)!/(|alpha+1| ... |alpha+p|) * H_p^{s-1},
     H_p = sum_{i<=p} 1/|alpha+i|,
 
-where H_p grows like ln p (see `coefficient_bound`).  The factorial/Pochhammer
+where H_p grows like ln p (see `_term_stream`).  The factorial/Pochhammer
 ratio is carried multiplicatively: both factors overflow binary64 near p ~ 170
 while their ratio stays O(1/p) for small shifts.  Negative shifts are summed
 at alpha + K through the shift relation (Erdelyi, HTF I, 1.11)
@@ -171,23 +171,13 @@ def _direct_partial_sums(w, alpha, s: int) -> Iterator[Tuple[complex, complex]]:
         yield w_pow, total
 
 
-def coefficient_bound(p: int, shift: ShiftParam, s: int) -> float:
-    """Majorant B(p) = (p-1)!/prod_{j<=p}|alpha+j| * H_p^{s-1} of |c_p|, with
-    H_p = sum_{i<=p} 1/|alpha+i| <= p/min_{i<=p}|alpha+i|: every monomial of
-    the complete homogeneous polynomial S_1^p(s-1) appears in (sum |f_i|)^{s-1}.
-    B(1) = |alpha+1|^{-s} = |c_1|; B(p), p >= 2, is read from `_term_stream`."""
-    exact._check_count(p, "p")
-    exact._check_count(s, "order s")
-    if p == 1:
-        return abs(shift.alpha + 1) ** -s
-    _, b_p, _ = next(islice(_term_stream(shift.alpha, s), p - 2, None))
-    return b_p
-
-
 def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float]]:
     """Yield (c_p, B(p+1), r_p) for p = 1, 2, ..., one `exact._depth_columns`
     step each, with H_p and |alpha+p+1|, |alpha+p+2| carried: B(p+1) =
     |prefactor_p| * p/|alpha+p+1| * H_{p+1}^{s-1}.
+
+    |c_p| <= B(p): every monomial of the complete homogeneous polynomial
+    S_1^p(s-1) appears in H_p^{s-1} = (sum |f_i|)^{s-1}.  B(1) = |alpha+1|^{-s}.
 
     For Re(alpha) >= -1, r_p = (1 + 1/(|alpha+p+2| H_{p+1}))^{s-1} bounds
     sup_{m > p} B(m+1)/B(m).  That ratio is (m/|alpha+m+1|) * (1 + |f_{m+1}|/
@@ -314,7 +304,7 @@ def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int) ->
 
     Stopping rule: after P terms the tail is at most B(P+1) |z|^{P+1} /
     (1 - rho), rho = |z| * sup_{p > P} B(p+1)/B(p), with B(p) = (p-1)!/
-    prod_{j<=p}|alpha+j| * H_p^{s-1} the majorant of `coefficient_bound`
+    prod_{j<=p}|alpha+j| * H_p^{s-1} the majorant `_term_stream` yields
     (H_p = sum_{i<=p} 1/|alpha+i|, growing like ln p) and the sup bounded as
     in `_term_stream`.  Convergence is declared once this bound, times |w|^K
     for a peeled call, is <= tol; while rho >= 1 more terms are added.

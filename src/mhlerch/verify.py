@@ -16,6 +16,7 @@ completeness meta-test rather than silently narrowing coverage.
 from __future__ import annotations
 
 import math
+import types
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -81,8 +82,11 @@ LEMMA_PROOF_IDENTITIES: Dict[str, str] = {
 }
 
 
-class VerificationReport:
-    """Outcome of sweeping one identity over a grid; one that ran no case fails."""
+class VerificationReport(types.SimpleNamespace):
+    """Outcome of sweeping one identity over a grid; one that ran no case fails.
+    Its repr and equality are `SimpleNamespace`'s, over the fields."""
+
+    __reduce__ = object.__reduce__  # for pickle and copy; SimpleNamespace's passes no arguments
 
     def __init__(self, identity_name: str, grid_description: str, cases_run: int = 0, cases_failed: int = 0,
                  worst_residual: float = 0.0, failing_cases: Optional[List[tuple]] = None):
@@ -92,12 +96,6 @@ class VerificationReport:
         self.cases_failed = cases_failed
         self.worst_residual = worst_residual
         self.failing_cases = [] if failing_cases is None else failing_cases
-
-    def __repr__(self) -> str:
-        return f"VerificationReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
-    def __eq__(self, other) -> bool:
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
     @property
     def passed(self) -> bool:
@@ -426,13 +424,14 @@ def verify_euler_inner_sums(
 
 def verify_coefficient_bound(p_max: int = DEFAULT_P_MAX_FLOAT, s_max: int = 6) -> VerificationReport:
     """|c_p| <= coefficient majorant B(p) * (1 + `COEFFICIENT_BOUND_SLACK`)
-    across `DEFAULT_SHIFTS`, B(p) read from the series' own term stream."""
+    across `DEFAULT_SHIFTS`: B(1) = |alpha+1|^{-s}, and B(p + 1) is read with
+    c_p from the series' own term stream."""
     report = VerificationReport(
         "coefficient_bound", f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_SHIFTS)} shifts"
     )
     for shift in map(ShiftParam, DEFAULT_SHIFTS):
         for s in range(1, s_max + 1):
-            bound = series.coefficient_bound(1, shift, s)
+            bound = abs(shift.alpha + 1) ** -s
             for p, (c_p, b_next, _) in zip(range(1, p_max + 1), series._term_stream(shift.alpha, s)):
                 excess = abs(c_p) / bound - 1.0 if bound > 0 else math.inf
                 report._float_case(max(excess, 0.0), COEFFICIENT_BOUND_SLACK, (p, shift.alpha, s))

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction as F
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -340,14 +340,6 @@ def test_alternating_sum_equals_coefficient():
                 assert -lhs == exact.coefficient_exact(p, alpha, s)
 
 
-def test_coefficient_stream_matches_pointwise():
-    for alpha in (F(0), F(7, 3) - 1):
-        for s in (1, 3):
-            stream = exact.coefficient_stream(alpha, s)
-            for p in range(1, 20):
-                assert next(stream) == exact.coefficient_exact(p, alpha, s)
-
-
 def test_coefficient_exact_takes_a_float_alpha_exactly():
     # 0.1 + 1 rounds in binary64; Fraction(0.1) + 1 does not.
     for s in (1, 3):
@@ -403,15 +395,12 @@ def test_integer_path_matches_the_fraction_kernels(beta, q, s, t, a, width):
     assert exact.lemma_rhs(params) == prefactor * col[s - 1]
 
     alpha = beta - 1
-    expected = kernel_coefficients(alpha, s, 40)
-    assert list(islice(exact.coefficient_stream(alpha, s), 40)) == expected
-    assert exact.coefficient_exact(q + 1, alpha, s) == expected[q]
+    assert exact.coefficient_exact(q + 1, alpha, s) == kernel_coefficients(alpha, s, q + 1)[q]
 
 
-def test_coefficient_stream_continues_past_its_first_pass():
-    # A pass covers p <= 64, the next p <= 128, over a larger G each.
+def test_coefficient_exact_at_p_130():
+    # One pass over a G of 130 factors, past the grids of the checks above.
     for alpha in (F(0), F(-1, 2), F(4, 3)):
         for s in (1, 3):
             expected = kernel_coefficients(alpha, s, 130)
-            assert list(islice(exact.coefficient_stream(alpha, s), 130)) == expected, (alpha, s)
             assert exact.coefficient_exact(130, alpha, s) == expected[129], (alpha, s)

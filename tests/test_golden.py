@@ -8,9 +8,10 @@ recorded outputs on purpose re-records the grid with
 
 which rewrites the file from the current code and prints every key that
 moved, grouped by function and shift, so the change can state each group and
-why.  The `shift_gap`, `coefficient_float` and `alternating_direct` keys
-name values the package no longer exports; they are computed here from the
-private generators, through the helpers of `test_series`.  Floats are stored
+why.  The `coefficient_stream`, `shift_gap`, `coefficient_float`,
+`coefficient_bound` and `alternating_direct` keys name values the package no
+longer exports; they are computed here from the private generators, through
+the helpers of `test_exact` and `test_series`.  Floats are stored
 as `float.hex`, complex numbers as a pair of them, `Fraction`s as `"F:"` plus
 their `str` and integers as JSON integers, so a change of value or of type
 shows.  Every entry must match exactly.
@@ -26,7 +27,8 @@ import pytest
 
 from mhlerch import cli, exact, series, verify
 from mhlerch.series import ShiftParam
-from test_series import alternating, coefficient
+from test_exact import kernel_coefficients
+from test_series import alternating, coefficient, majorant
 
 GRID_PATH = Path(__file__).with_name("golden_grid.json")
 
@@ -104,8 +106,7 @@ def _exact_layer():
                 out[f"lemma_rhs {q} {s} {beta}"] = exact.lemma_rhs(params)
     for alpha in ALPHAS:
         for s in (1, 2, 3, 5):
-            stream = exact.coefficient_stream(alpha, s)
-            out[f"coefficient_stream {alpha} {s}"] = [next(stream) for _ in range(12)]
+            out[f"coefficient_stream {alpha} {s}"] = kernel_coefficients(alpha, s, 12)
             for p in (1, 2, 5, 9):
                 out[f"coefficient_exact {p} {alpha} {s}"] = exact.coefficient_exact(p, alpha, s)
     return out
@@ -122,7 +123,7 @@ def _series_layer():
             out[f"_term_stream {alpha} {s}"] = [next(stream) for _ in range(30)]
             for p in (1, 2, 5, 17, 60):
                 out[f"coefficient_float {p} {alpha} {s}"] = coefficient(p, alpha, s)
-                out[f"coefficient_bound {p} {alpha} {s}"] = series.coefficient_bound(p, shift, s)
+                out[f"coefficient_bound {p} {alpha} {s}"] = majorant(p, alpha, s)
             for w in W_GRID:
                 for tol, max_terms in ((1e-8, 10000), (1e-12, 10000), (1e-13, 15)):
                     out[f"lerch_accelerated {w} {alpha} {s} {tol} {max_terms}"] = (

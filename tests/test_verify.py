@@ -1,10 +1,14 @@
 """Verification harness: report plumbing, suite coverage, grid sweeps."""
 
+import ast
+import copy
 import inspect
 import json
 import math
+import pickle
 import subprocess
 import sys
+import types
 from fractions import Fraction as F
 from itertools import islice
 from pathlib import Path
@@ -341,6 +345,10 @@ def test_reports_are_values():
     assert verify.run_suite("lemma", q_max=2) == verify.run_suite("lemma", q_max=2)
     assert report != VerificationReport("demo", "grid", 3, 1, 0.5, [(1, F(1, 2))])
     assert report != report.to_dict()
+    # The fields alone decide equality, so a plain namespace of them is equal too.
+    assert report == types.SimpleNamespace(**vars(report))
+    assert copy.copy(report) == report and pickle.loads(pickle.dumps(report)) == report
+    assert type(pickle.loads(pickle.dumps(report))) is VerificationReport
 
 
 def test_residual_metric():
@@ -395,6 +403,19 @@ DEFAULT_GRIDS = {
     "ap_bound": ("p <= 200, s <= 6", 1200),
     "sondow_special_case": ("s <= 5, P = 60, alpha = 0, z = 1/2", 10),
 }
+
+
+def test_default_grids_run_the_cases_the_benchmark_expects():
+    # perfbench's verify-all workload counts one cycle of the suites against
+    # its VERIFY_CASES; read here without importing the harness.
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    (expected,) = [
+        node.value.value
+        for node in ast.parse(workloads.read_text()).body
+        if isinstance(node, ast.Assign) and list(map(ast.unparse, node.targets)) == ["VERIFY_CASES"]
+    ]
+    assert sum(cases for _, cases in DEFAULT_GRIDS.values()) == expected == 13924
+
 
 #: Each override of run_suite and the reports it moves off their defaults.
 OVERRIDE_GRIDS = {
@@ -481,15 +502,16 @@ def test_run_suite_reads_the_same_parameters_as_the_signature():
 PUBLIC_NAMES = {
     "DomainError", "InvalidShiftError", "PrecisionError",
     "LemmaParams", "MultiSumSpec", "coefficient_exact", "lemma_lhs", "lemma_rhs", "multi_sum",
-    "SeriesResult", "ShiftParam", "coefficient_bound", "disk_to_half_plane", "lerch_accelerated",
+    "SeriesResult", "ShiftParam", "disk_to_half_plane", "lerch_accelerated",
     "lerch_direct", "zeta_accelerated", "VerificationReport", "run_suite", "__version__",
 }
 
 #: Module that held each deleted name -> the names.
 DELETED_NAMES = {
-    exact: ("pochhammer", "binomial", "multi_sum_bruteforce", "alternating_coefficient_sum", "Rational"),
+    exact: ("pochhammer", "binomial", "multi_sum_bruteforce", "alternating_coefficient_sum", "Rational",
+            "coefficient_stream"),
     series: ("ap_coefficient", "coefficient_float", "alternating_direct", "half_plane_to_disk",
-             "shift_gap"),
+             "shift_gap", "coefficient_bound"),
     errors: ("EnumerationCapError",),
 }
 
@@ -518,7 +540,7 @@ def test_package_resolves_the_verify_names_on_first_access():
         from mhlerch import nosuch  # noqa: F401
 
     # The public surface is the paper's machinery; the test-only names are gone.
-    assert set(mhlerch.__all__) == PUBLIC_NAMES and len(mhlerch.__all__) == len(PUBLIC_NAMES) == 19
+    assert set(mhlerch.__all__) == PUBLIC_NAMES and len(mhlerch.__all__) == len(PUBLIC_NAMES) == 18
     for name in PUBLIC_NAMES:
         getattr(mhlerch, name)
     for module, names in DELETED_NAMES.items():
