@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -158,12 +159,15 @@ def _result_payload(result: SeriesResult) -> dict:
 
 
 def _exact_crosscheck(alpha: Fraction, s: int) -> dict:
-    """Compare the float coefficients the evaluator sums with the exact
-    c_p = -R(p - 1, alpha + 1) at this shift."""
+    """Compare the float c_p that `series._term_stream` yields at alpha with
+    the exact c_p = -R(p - 1, alpha + 1).  `eval` passes the shift whose
+    series in z `series._z_series` sums, alpha + K with K = floor(-alpha) + 1
+    where alpha < -1/2 (else alpha), and exits 2 when the check fails."""
     from . import verify
     p_max = CROSSCHECK_P
-    report = verify.VerificationReport("exact_crosscheck", f"p <= {p_max}, s = {s}")
-    verify._coefficient_report(report, verify._rhs_values, (alpha,), range(s, s + 1), p_max)
+    report = verify._coefficient_report(
+        "exact_crosscheck", f"p <= {p_max}, s = {s}", verify._rhs_values, (alpha,), range(s, s + 1), p_max
+    )
     return {"p_max": p_max, "max_rel_err": report.worst_residual, "ok": report.passed}
 
 
@@ -181,10 +185,15 @@ def cmd_eval(args, outputs: Dict[str, TextIO]) -> int:
     result = evaluate(w, shift, args.s, args.tol, args.max_terms)
 
     payload = _result_payload(result)
+    passed = result.converged
     if args.alpha_rat is not None:
-        payload["exact_crosscheck"] = _exact_crosscheck(args.alpha_rat, args.s)
+        alpha = args.alpha_rat  # peeled as `series._z_series` peels, on the float shift
+        if shift.alpha.real < -0.5:
+            alpha += math.floor(-shift.alpha.real) + 1
+        payload["exact_crosscheck"] = check = _exact_crosscheck(alpha, args.s)
+        passed = passed and check["ok"]
     _emit_json(payload, outputs.get("json"))
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return EXIT_OK if passed else EXIT_NOT_CONVERGED
 
 
 def cmd_zeta(args, outputs: Dict[str, TextIO]) -> int:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import namedtuple
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import Iterator, NamedTuple, Tuple
 
 from . import exact
@@ -199,11 +199,18 @@ def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float
         h, abs_next = h_next, abs_after
 
 
-#: stream factory -> (method, slot), slot = [key, terms, stream] of the last
-#: (alpha, s) summed from it, updated in place under `_kept_lock`: `stream` is
-#: the pair's generator, None or len(terms) items on.
+#: stream factory -> (method, slot), slot = [key, terms, extension] of the last
+#: (alpha, s) summed from it, updated in place under `_kept_lock`: `extension`
+#: is None or `_appended(terms, factory(alpha, s))`, len(terms) items on.
 _kept_streams = {_term_stream: ("z", [None, [], None]), _direct_stream: ("direct", [None, [], None])}
 _kept_lock = threading.Lock()
+
+
+def _appended(terms: list, stream: Iterator) -> Iterator:
+    """Yield the items of `stream`, each appended to `terms` first."""
+    for term in stream:
+        terms.append(term)
+        yield term
 
 
 def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_term_stream) -> SeriesResult:
@@ -235,22 +242,15 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
     ax_pow = ax
     key = (alpha, s)
     with _kept_lock:
-        keep = slot[0] == key
-        if not keep:
+        if slot[0] != key or type(slot[0][0]) is not type(alpha):  # 0.0 == 0j; their terms differ in type
             slot[:] = [key, [], None]  # first call on this pair
-        elif slot[2] is None:
-            slot[2] = factory(alpha, s)
-        terms = slot[1]
-        stream = slot[2] if keep else factory(alpha, s)
-        n_kept = len(terms)
+            source = factory(alpha, s)
+        else:
+            if slot[2] is None:
+                slot[2] = _appended(slot[1], factory(alpha, s))
+            source = chain(slot[1], slot[2])
         try:
-            for p in count(1):
-                if p <= n_kept:
-                    a_p, b_next, ratio = terms[p - 1]
-                else:
-                    a_p, b_next, ratio = term = next(stream)
-                    if keep:
-                        terms.append(term)
+            for p, (a_p, b_next, ratio) in enumerate(source, 1):
                 x_pow *= x
                 ax_pow *= ax
                 total += a_p * x_pow

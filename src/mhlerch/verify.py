@@ -1,10 +1,11 @@
 """Property harness binding the exact and float layers.
 
 Each `verify_*` operation sweeps one identity, recurrence or bound over a
-desk-scale parameter grid and returns a `VerificationReport`.  Exact-rational
-checks demand bit-exact equality (residual 0) of integers: the kernels run on
-`exact._Scaled`, and both sides of an identity carry the same power of the
-shift's one denominator G, which a failing case divides back out.
+desk-scale parameter grid and returns a `VerificationReport`, which one fold,
+`_exact_report` or `_float_report`, builds from the cases it yields.
+Exact-rational checks demand bit-exact equality (residual 0) of integers: the
+kernels run on `exact._Scaled`, and both sides of an identity carry the same
+power of the shift's one denominator G, which a failing case divides back out.
 Floating-point checks use an absolute residual for values of magnitude <= 1
 and a relative one otherwise.
 
@@ -16,10 +17,9 @@ completeness meta-test rather than silently narrowing coverage.
 from __future__ import annotations
 
 import math
-import types
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import exact, series
 from .series import ShiftParam
@@ -82,20 +82,15 @@ LEMMA_PROOF_IDENTITIES: Dict[str, str] = {
 }
 
 
-class VerificationReport(types.SimpleNamespace):
-    """Outcome of sweeping one identity over a grid; one that ran no case fails.
-    Its repr and equality are `SimpleNamespace`'s, over the fields."""
+class VerificationReport(NamedTuple):
+    """Outcome of sweeping one identity over a grid; one that ran no case fails."""
 
-    __reduce__ = object.__reduce__  # for pickle and copy; SimpleNamespace's passes no arguments
-
-    def __init__(self, identity_name: str, grid_description: str, cases_run: int = 0, cases_failed: int = 0,
-                 worst_residual: float = 0.0, failing_cases: Optional[List[tuple]] = None):
-        self.identity_name = identity_name
-        self.grid_description = grid_description
-        self.cases_run = cases_run
-        self.cases_failed = cases_failed
-        self.worst_residual = worst_residual
-        self.failing_cases = [] if failing_cases is None else failing_cases
+    identity_name: str
+    grid_description: str
+    cases_run: int = 0
+    cases_failed: int = 0
+    worst_residual: float = 0.0
+    failing_cases: Sequence[tuple] = ()
 
     @property
     def passed(self) -> bool:
@@ -111,23 +106,29 @@ class VerificationReport(types.SimpleNamespace):
             "failing_cases": [[str(x) for x in case] for case in self.failing_cases],
         }
 
-    def _exact_case(self, ok: bool, params: tuple, lhs=0, rhs=0, scale=1) -> None:
-        # An exact check passes with residual 0, so only a failure moves the
-        # worst, and only a failure pays for the subtraction.  Sides read from
-        # integer tables are the values times `scale`: the residual is divided
-        # back to true units.
-        self.cases_run += 1
-        if not ok:
-            self.cases_failed += 1
-            self.failing_cases.append(params)
-            self.worst_residual = max(self.worst_residual, abs(float((lhs - rhs) / scale)))
 
-    def _float_case(self, residual: float, tol: float, params: tuple) -> None:
-        self.cases_run += 1
-        self.worst_residual = max(self.worst_residual, residual)
+def _exact_report(name: str, grid: str, cases: Iterable[tuple]) -> VerificationReport:
+    """The report of exact cases (params, lhs, rhs, scale), each passing when
+    lhs == rhs.  A pass has residual 0, so only a failure moves the worst, and
+    only a failure pays for the subtraction.  Sides read from integer tables
+    are the values times `scale`: the residual is divided back to true units."""
+    failing, worst, run = [], 0.0, 0
+    for run, (params, lhs, rhs, scale) in enumerate(cases, 1):
+        if lhs != rhs:
+            failing.append(params)
+            worst = max(worst, abs(float((lhs - rhs) / scale)))
+    return VerificationReport(name, grid, run, len(failing), worst, failing)
+
+
+def _float_report(name: str, grid: str, tol: float, cases: Iterable[tuple]) -> VerificationReport:
+    """The report of float cases (params, residual), each passing when
+    residual <= tol, so a nan fails; every residual moves the worst."""
+    failing, worst, run = [], 0.0, 0
+    for run, (params, residual) in enumerate(cases, 1):
+        worst = max(worst, residual)
         if not residual <= tol:
-            self.cases_failed += 1
-            self.failing_cases.append(params)
+            failing.append(params)
+    return VerificationReport(name, grid, run, len(failing), worst, failing)
 
 
 def float_residual(value: complex, reference: complex) -> float:
@@ -177,18 +178,16 @@ def verify_lemma(
 ) -> VerificationReport:
     """L(q, beta) = R(q, beta) exactly on the full (q, s, beta) grid."""
     betas = _rationals(betas, DEFAULT_BETAS)
-    report = VerificationReport("lemma", f"q <= {q_max}, s <= {s_max}, {len(betas)} betas")
     tables = []
     for beta in betas:
         exact._check_beta(beta)
         x0 = exact._Scaled(beta, 0, q_max)
         tables.append((beta, x0.G, _lhs_values(x0, q_max, s_max), _rhs_values(x0, q_max, s_max)))
-    for q in range(q_max + 1):
-        for s in range(1, s_max + 1):
-            for beta, G, L, R in tables:
-                lhs, rhs = L[q, s], R[q, s]
-                report._exact_case(lhs == rhs, (q, s, beta), lhs, rhs, G ** (q + s))
-    return report
+    cases = (
+        ((q, s, beta), L[q, s], R[q, s], G ** (q + s))
+        for q in range(q_max + 1) for s in range(1, s_max + 1) for beta, G, L, R in tables
+    )
+    return _exact_report("lemma", f"q <= {q_max}, s <= {s_max}, {len(betas)} betas", cases)
 
 
 def verify_base_cases(
@@ -201,28 +200,28 @@ def verify_base_cases(
                    = 1/(beta (beta+1)) * sum_{u+v=s-1} beta^{-u} (beta+1)^{-v}.
     """
     betas = _rationals(betas, DEFAULT_BETAS)
-    report = VerificationReport("lemma_base_cases", f"q in {{0, 1}}, s <= {s_max}, {len(betas)} betas")
-    for s in range(1, s_max + 1):
-        for beta in betas:
-            p0 = exact.LemmaParams(0, s, beta)  # validates beta before any division
-            closed0 = 1 / beta**s
-            ok0 = exact.lemma_lhs(p0) == closed0 == exact.lemma_rhs(p0)
-            report._exact_case(ok0, (0, s, beta))
 
-            p1 = exact.LemmaParams(1, s, beta)
-            difference = 1 / beta**s - 1 / (beta + 1) ** s
-            middle = sum(
-                (beta**-u * (beta + 1) ** -v for u in range(s) for v in [s - 1 - u]),
-                Fraction(0),
-            ) / (beta * (beta + 1))
-            ok1 = exact.lemma_lhs(p1) == difference == middle == exact.lemma_rhs(p1)
-            report._exact_case(ok1, (1, s, beta))
-    return report
+    def cases():  # a chain of equalities is one predicate: it fails with residual 1
+        for s in range(1, s_max + 1):
+            for beta in betas:
+                p0 = exact.LemmaParams(0, s, beta)  # validates beta before any division
+                closed0 = 1 / beta**s
+                yield (0, s, beta), exact.lemma_lhs(p0) == closed0 == exact.lemma_rhs(p0), True, 1
+
+                p1 = exact.LemmaParams(1, s, beta)
+                difference = 1 / beta**s - 1 / (beta + 1) ** s
+                middle = sum(
+                    (beta**-u * (beta + 1) ** -v for u in range(s) for v in [s - 1 - u]),
+                    Fraction(0),
+                ) / (beta * (beta + 1))
+                ok1 = exact.lemma_lhs(p1) == difference == middle == exact.lemma_rhs(p1)
+                yield (1, s, beta), ok1, True, 1
+
+    return _exact_report("lemma_base_cases", f"q in {{0, 1}}, s <= {s_max}, {len(betas)} betas", cases())
 
 
 def _step_check(
-    report: VerificationReport, side_values, q_lo: int, q_max: int, s_max: int,
-    betas: Tuple[Fraction, ...],
+    name: str, grid: str, side_values, q_lo: int, q_max: int, s_max: int, betas: Tuple[Fraction, ...],
 ) -> VerificationReport:
     """side(q+1, beta) = side(q, beta) - side(q, beta+1) exactly, for
     q_lo <= q <= q_max, read from two tables `side_values(x0, q_max + 1, s_max)`
@@ -235,13 +234,11 @@ def _step_check(
         x0 = exact._Scaled(beta, 0, q_max + 2)
         x1 = exact._Scaled(beta + 1, -1, q_max + 1)
         tables.append((beta, x0.G, side_values(x0, q_max + 1, s_max), side_values(x1, q_max + 1, s_max)))
-    for q in range(q_lo, q_max + 1):
-        for s in range(1, s_max + 1):
-            for beta, G, here, there in tables:
-                lhs = here[q + 1, s]
-                rhs = G * (here[q, s] - there[q, s])
-                report._exact_case(lhs == rhs, (q, s, beta), lhs, rhs, G ** (q + 1 + s))
-    return report
+    cases = (
+        ((q, s, beta), here[q + 1, s], G * (here[q, s] - there[q, s]), G ** (q + 1 + s))
+        for q in range(q_lo, q_max + 1) for s in range(1, s_max + 1) for beta, G, here, there in tables
+    )
+    return _exact_report(name, grid, cases)
 
 
 def verify_recurrence_L(
@@ -251,8 +248,8 @@ def verify_recurrence_L(
 ) -> VerificationReport:
     """L(q+1, beta) = L(q, beta) - L(q, beta+1) exactly, for 0 <= q <= q_max."""
     betas = _rationals(betas, DEFAULT_BETAS)
-    report = VerificationReport("recurrence_L", f"step q <= {q_max}, s <= {s_max}, {len(betas)} betas")
-    return _step_check(report, _lhs_values, 0, q_max, s_max, betas)
+    grid = f"step q <= {q_max}, s <= {s_max}, {len(betas)} betas"
+    return _step_check("recurrence_L", grid, _lhs_values, 0, q_max, s_max, betas)
 
 
 def verify_recurrence_R(
@@ -266,8 +263,8 @@ def verify_recurrence_R(
     `verify_recurrence_R_base` (the recurrence is only claimed from q = 1).
     """
     betas = _rationals(betas, DEFAULT_BETAS)
-    report = VerificationReport("recurrence_R", f"step 1 <= q <= {q_max}, s <= {s_max}, {len(betas)} betas")
-    return _step_check(report, _rhs_values, 1, q_max, s_max, betas)
+    grid = f"step 1 <= q <= {q_max}, s <= {s_max}, {len(betas)} betas"
+    return _step_check("recurrence_R", grid, _rhs_values, 1, q_max, s_max, betas)
 
 
 def verify_recurrence_R_base(
@@ -276,8 +273,8 @@ def verify_recurrence_R_base(
 ) -> VerificationReport:
     """R(1, beta) = R(0, beta) - R(0, beta+1): the unclaimed q = 0 step."""
     betas = _rationals(betas, DEFAULT_BETAS)
-    report = VerificationReport("recurrence_R_q0", f"q = 0, s <= {s_max}, {len(betas)} betas")
-    return _step_check(report, _rhs_values, 0, 0, s_max, betas)
+    grid = f"q = 0, s <= {s_max}, {len(betas)} betas"
+    return _step_check("recurrence_R_q0", grid, _rhs_values, 0, 0, s_max, betas)
 
 
 def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> VerificationReport:
@@ -294,37 +291,35 @@ def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> Verification
     """
     b_max, t_max = DEFAULT_B_MAX, DEFAULT_T_MAX
     betas = _rationals(betas, DEFAULT_BETAS)
-    report = VerificationReport(
-        "splitting", f"0 <= a <= b < c <= {b_max}, t <= {t_max}, {len(betas)} betas"
-    )
 
-    for beta in betas:
-        exact.MultiSumSpec(0, b_max, t_max, beta)  # rejects a pole before any table work
-        x0 = exact._Scaled(beta, 0, b_max)
-        S = {
-            (a, b): tuple(col)
-            for a in range(b_max + 1)
-            for b, _, col in exact._depth_columns(x0, t_max, a, b_max)
-        }
-        f_pow = [[1 / (x0 + n) ** u for u in range(t_max + 1)] for n in range(b_max + 1)]
-        for t in range(t_max + 1):
-            scale = x0.G**t
-            for a in range(b_max):
-                for b in range(a, b_max):
-                    for c in range(b + 1, b_max + 1):
-                        lhs = S[a, c][t]
-                        rhs = sum(S[a, b][u] * S[b + 1, c][t - u] for u in range(t + 1))
-                        report._exact_case(lhs == rhs, ("two", a, b, c, t, beta), lhs, rhs, scale)
-            for a in range(1, b_max):
-                for b in range(a, b_max):
-                    f_lo, f_hi = f_pow[a - 1], f_pow[b + 1]
-                    lhs = S[a - 1, b + 1][t]
-                    rhs = 0
-                    for u in range(t + 1):
-                        for v in range(t + 1 - u):
-                            rhs += f_lo[u] * S[a, b][v] * f_hi[t - u - v]
-                    report._exact_case(lhs == rhs, ("three", a, b, t, beta), lhs, rhs, scale)
-    return report
+    def cases():
+        for beta in betas:
+            exact.MultiSumSpec(0, b_max, t_max, beta)  # rejects a pole before any table work
+            x0 = exact._Scaled(beta, 0, b_max)
+            S = {
+                (a, b): tuple(col)
+                for a in range(b_max + 1)
+                for b, _, col in exact._depth_columns(x0, t_max, a, b_max)
+            }
+            f_pow = [[1 / (x0 + n) ** u for u in range(t_max + 1)] for n in range(b_max + 1)]
+            for t in range(t_max + 1):
+                scale = x0.G**t
+                for a in range(b_max):
+                    for b in range(a, b_max):
+                        for c in range(b + 1, b_max + 1):
+                            rhs = sum(S[a, b][u] * S[b + 1, c][t - u] for u in range(t + 1))
+                            yield ("two", a, b, c, t, beta), S[a, c][t], rhs, scale
+                for a in range(1, b_max):
+                    for b in range(a, b_max):
+                        f_lo, f_hi = f_pow[a - 1], f_pow[b + 1]
+                        rhs = 0
+                        for u in range(t + 1):
+                            for v in range(t + 1 - u):
+                                rhs += f_lo[u] * S[a, b][v] * f_hi[t - u - v]
+                        yield ("three", a, b, t, beta), S[a - 1, b + 1][t], rhs, scale
+
+    grid = f"0 <= a <= b < c <= {b_max}, t <= {t_max}, {len(betas)} betas"
+    return _exact_report("splitting", grid, cases())
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +334,16 @@ def verify_lemma_complex(s_max: int = 4) -> VerificationReport:
     The exact layer only covers rational beta; this closes the gap.  q stays
     small because the alternating sum loses ~2^q of precision to cancellation.
     """
+    def cases():
+        for beta in LEMMA_COMPLEX_BETAS:
+            lhs = {s: exact._alternating_sums(beta, s) for s in range(1, s_max + 1)}
+            rhs = _rhs_values(beta, LEMMA_COMPLEX_Q, s_max)
+            for q in range(LEMMA_COMPLEX_Q + 1):
+                for s in range(1, s_max + 1):
+                    yield (q, s, beta), float_residual(next(lhs[s]), rhs[q, s])
+
     grid = f"q <= {LEMMA_COMPLEX_Q}, s <= {s_max}, complex betas"
-    report = VerificationReport("lemma_complex_spot", grid)
-    for beta in LEMMA_COMPLEX_BETAS:
-        lhs = {s: exact._alternating_sums(beta, s) for s in range(1, s_max + 1)}
-        rhs = _rhs_values(beta, LEMMA_COMPLEX_Q, s_max)
-        for q in range(LEMMA_COMPLEX_Q + 1):
-            for s in range(1, s_max + 1):
-                residual = float_residual(next(lhs[s]), rhs[q, s])
-                report._float_case(residual, LEMMA_COMPLEX_TOL, (q, s, beta))
-    return report
+    return _float_report("lemma_complex_spot", grid, LEMMA_COMPLEX_TOL, cases())
 
 
 def verify_proposition(s_max: int = 3, tol: float = DEFAULT_FLOAT_TOL) -> VerificationReport:
@@ -360,44 +355,45 @@ def verify_proposition(s_max: int = 3, tol: float = DEFAULT_FLOAT_TOL) -> Verifi
     on the lens |w - 1| < 1 that sums the defining series, and the check would
     compare `lerch_direct` with itself.
     """
-    report = VerificationReport(
-        "proposition_oracle",
-        f"{len(DEFAULT_Z_GRID)} z points (|z| <= 0.4), {len(DEFAULT_SHIFTS)} shifts, s <= {s_max}",
-    )
-    for shift in map(ShiftParam, DEFAULT_SHIFTS):
-        for s in range(1, s_max + 1):
-            for z in DEFAULT_Z_GRID:
-                w = series.disk_to_half_plane(z)
-                in_z = series._z_series(w, shift.alpha, s, EVALUATOR_TOL, series.DEFAULT_MAX_TERMS)
-                direct = series.lerch_direct(w, shift, s, tol=EVALUATOR_TOL)
-                residual = abs(in_z.value - direct.value)
-                report._float_case(residual, tol, (z, shift.alpha, s))
-    return report
+    def cases():
+        for shift in map(ShiftParam, DEFAULT_SHIFTS):
+            for s in range(1, s_max + 1):
+                for z in DEFAULT_Z_GRID:
+                    w = series.disk_to_half_plane(z)
+                    in_z = series._z_series(w, shift.alpha, s, EVALUATOR_TOL, series.DEFAULT_MAX_TERMS)
+                    direct = series.lerch_direct(w, shift, s, tol=EVALUATOR_TOL)
+                    yield (z, shift.alpha, s), abs(in_z.value - direct.value)
+
+    grid = f"{len(DEFAULT_Z_GRID)} z points (|z| <= 0.4), {len(DEFAULT_SHIFTS)} shifts, s <= {s_max}"
+    return _float_report("proposition_oracle", grid, tol, cases())
 
 
 def _coefficient_report(
-    report: VerificationReport, side_values, alphas: Iterable[Fraction], orders: range, p_max: int,
+    name: str, grid: str, side_values, alphas: Iterable[Fraction], orders: range, p_max: int,
 ) -> VerificationReport:
-    """c_p = -side(p - 1, alpha + 1) against the float c_p that `series._summed`
-    sums, from `series._term_stream`, to a relative `COEFFICIENT_REL_TOL`
-    (absolute where c_p = 0), one case (p, alpha, s) per p <= p_max, alpha and
-    s in orders.  Each alpha has one table `side_values(x0, p_max - 1,
+    """The report `name` on `grid` of c_p = -side(p - 1, alpha + 1) against the
+    float c_p that `series._summed` sums, from `series._term_stream`, to a
+    relative `COEFFICIENT_REL_TOL` (absolute where c_p = 0), one case (p,
+    alpha, s) per p <= p_max, alpha and s in orders.  Each alpha has one table `side_values(x0, p_max - 1,
     max(orders))` over the G of x0 = alpha + 1 on 0 .. p_max - 1: c_p is
     entry (p - 1, s) over G^{p-1+s}, one int / int, correctly rounded as
     float(Fraction) is; the powers of G are taken once per alpha."""
     s_top = max(orders, default=0)  # an empty grid runs no case
-    for alpha in alphas:
-        shift = ShiftParam(complex(float(alpha)))
-        x0 = exact._Scaled(alpha + 1, 0, p_max - 1)
-        table = side_values(x0, p_max - 1, s_top)
-        G_powers = [x0.G**k for k in range(p_max + s_top)]
-        for s in orders:
-            float_stream = series._term_stream(shift.alpha, s)
-            for p, (c_float, _, _) in zip(range(1, p_max + 1), float_stream):
-                c_exact = -table[p - 1, s] / G_powers[p - 1 + s]
-                error = abs(c_float - c_exact)
-                report._float_case(error / abs(c_exact) if c_exact else error, COEFFICIENT_REL_TOL, (p, alpha, s))
-    return report
+
+    def cases():
+        for alpha in alphas:
+            shift = ShiftParam(complex(float(alpha)))
+            x0 = exact._Scaled(alpha + 1, 0, p_max - 1)
+            table = side_values(x0, p_max - 1, s_top)
+            G_powers = [x0.G**k for k in range(p_max + s_top)]
+            for s in orders:
+                float_stream = series._term_stream(shift.alpha, s)
+                for p, (c_float, _, _) in zip(range(1, p_max + 1), float_stream):
+                    c_exact = -table[p - 1, s] / G_powers[p - 1 + s]
+                    error = abs(c_float - c_exact)
+                    yield (p, alpha, s), error / abs(c_exact) if c_exact else error
+
+    return _float_report(name, grid, COEFFICIENT_REL_TOL, cases())
 
 
 def verify_coefficient_consistency(
@@ -406,8 +402,8 @@ def verify_coefficient_consistency(
     """The float c_p against the product form -R(p - 1, alpha + 1) of
     `_rhs_values`, at `DEFAULT_ALPHAS`."""
     grid = f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_ALPHAS)} rational alphas"
-    report = VerificationReport("coefficient_consistency", grid)
-    return _coefficient_report(report, _rhs_values, DEFAULT_ALPHAS, range(1, s_max + 1), p_max)
+    orders = range(1, s_max + 1)
+    return _coefficient_report("coefficient_consistency", grid, _rhs_values, DEFAULT_ALPHAS, orders, p_max)
 
 
 def verify_euler_inner_sums(
@@ -418,38 +414,38 @@ def verify_euler_inner_sums(
     exact, as the alternating route loses ~2^p of binary64 precision to
     cancellation, which would swamp a 1e-12 comparison by p ~ 20."""
     grid = f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_ALPHAS)} rational alphas"
-    report = VerificationReport("euler_inner_consistency", grid)
-    return _coefficient_report(report, _lhs_values, DEFAULT_ALPHAS, range(1, s_max + 1), p_max)
+    orders = range(1, s_max + 1)
+    return _coefficient_report("euler_inner_consistency", grid, _lhs_values, DEFAULT_ALPHAS, orders, p_max)
 
 
 def verify_coefficient_bound(p_max: int = DEFAULT_P_MAX_FLOAT, s_max: int = 6) -> VerificationReport:
     """|c_p| <= coefficient majorant B(p) * (1 + `COEFFICIENT_BOUND_SLACK`)
     across `DEFAULT_SHIFTS`: B(1) = |alpha+1|^{-s}, and B(p + 1) is read with
     c_p from the series' own term stream."""
-    report = VerificationReport(
-        "coefficient_bound", f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_SHIFTS)} shifts"
-    )
-    for shift in map(ShiftParam, DEFAULT_SHIFTS):
-        for s in range(1, s_max + 1):
-            bound = abs(shift.alpha + 1) ** -s
-            for p, (c_p, b_next, _) in zip(range(1, p_max + 1), series._term_stream(shift.alpha, s)):
-                excess = abs(c_p) / bound - 1.0 if bound > 0 else math.inf
-                report._float_case(max(excess, 0.0), COEFFICIENT_BOUND_SLACK, (p, shift.alpha, s))
-                bound = b_next
-    return report
+    def cases():
+        for shift in map(ShiftParam, DEFAULT_SHIFTS):
+            for s in range(1, s_max + 1):
+                bound = abs(shift.alpha + 1) ** -s
+                for p, (c_p, b_next, _) in zip(range(1, p_max + 1), series._term_stream(shift.alpha, s)):
+                    excess = abs(c_p) / bound - 1.0 if bound > 0 else math.inf
+                    yield (p, shift.alpha, s), max(excess, 0.0)
+                    bound = b_next
+
+    grid = f"p <= {p_max}, s <= {s_max}, {len(DEFAULT_SHIFTS)} shifts"
+    return _float_report("coefficient_bound", grid, COEFFICIENT_BOUND_SLACK, cases())
 
 
 def verify_ap_bound(p_max: int = DEFAULT_P_MAX_FLOAT, s_max: int = 6) -> VerificationReport:
     """0 < a_p <= (1 + ln p)^{s-1}, and a_p nondecreasing in p."""
-    report = VerificationReport("ap_bound", f"p <= {p_max}, s <= {s_max}")
-    for s in range(1, s_max + 1):
-        previous = 0.0
-        for p, _, col in exact._depth_columns(0, s - 1, 1, p_max):
-            a_p = col[s - 1]
-            ok = 0.0 < a_p <= (1.0 + math.log(p)) ** (s - 1) and a_p >= previous
-            report._exact_case(ok, (p, s))
-            previous = a_p
-    return report
+    def cases():  # each case is one predicate: it fails with residual 1
+        for s in range(1, s_max + 1):
+            previous = 0.0
+            for p, _, col in exact._depth_columns(0, s - 1, 1, p_max):
+                a_p = col[s - 1]
+                yield (p, s), 0.0 < a_p <= (1.0 + math.log(p)) ** (s - 1) and a_p >= previous, True, 1
+                previous = a_p
+
+    return _exact_report("ap_bound", f"p <= {p_max}, s <= {s_max}", cases())
 
 
 def verify_sondow_form(
@@ -459,18 +455,20 @@ def verify_sondow_form(
     """The alpha = 0, z = 1/2 special case: the binomial double sum to
     p = `SONDOW_P` agrees with the accelerated evaluator at w = -1 and with
     -(1 - 2^{1-s}) zeta(s) (with -ln 2 as the s = 1 reference)."""
-    report = VerificationReport("sondow_special_case", f"s <= {s_max}, P = {SONDOW_P}, alpha = 0, z = 1/2")
-    for s in range(1, s_max + 1):
-        euler = next(islice(series._euler_partial_sums(s), SONDOW_P - 1, None))
-        accelerated = series.lerch_accelerated(-1.0, ShiftParam(0j), s, tol=EVALUATOR_TOL)
-        report._float_case(float_residual(euler, accelerated.value), tol, ("euler=accel", s))
-        if s == 1:
-            reference = -math.log(2.0)
-        else:
-            zeta = series.zeta_accelerated(s, tol=EVALUATOR_TOL)
-            reference = -(1.0 - 2.0 ** (1 - s)) * zeta.value.real
-        report._float_case(float_residual(euler, reference), tol, ("euler=zeta-ref", s))
-    return report
+    def cases():
+        for s in range(1, s_max + 1):
+            euler = next(islice(series._euler_partial_sums(s), SONDOW_P - 1, None))
+            accelerated = series.lerch_accelerated(-1.0, ShiftParam(0j), s, tol=EVALUATOR_TOL)
+            yield ("euler=accel", s), float_residual(euler, accelerated.value)
+            if s == 1:
+                reference = -math.log(2.0)
+            else:
+                zeta = series.zeta_accelerated(s, tol=EVALUATOR_TOL)
+                reference = -(1.0 - 2.0 ** (1 - s)) * zeta.value.real
+            yield ("euler=zeta-ref", s), float_residual(euler, reference)
+
+    grid = f"s <= {s_max}, P = {SONDOW_P}, alpha = 0, z = 1/2"
+    return _float_report("sondow_special_case", grid, tol, cases())
 
 
 # ---------------------------------------------------------------------------

@@ -116,14 +116,34 @@ def test_eval_alpha_rat_crosscheck(capsys):
 
 
 @pytest.mark.parametrize("alpha, s", [("-3/2", 2), ("-5/2", 2), ("-7/2", 4)])
-def test_eval_alpha_rat_crosscheck_at_a_zero_coefficient(capsys, alpha, s):
+def test_eval_alpha_rat_crosscheck_at_a_zero_coefficient(alpha, s):
     # At these shifts the exact c_2 is 0 (f_1 + f_2 = 0 at s = 2), so the
     # cross-check's residual there is absolute, not divided by zero.
-    code, data, err = run_json(capsys, "eval", "--s", str(s), "--w", "-1", f"--alpha-rat={alpha}")
+    check = cli._exact_crosscheck(F(alpha), s)
+    assert check["ok"] is True
+    assert check["max_rel_err"] <= 6e-14  # measured up to 5.31e-14, at -7/2, s = 4
+
+
+def test_eval_alpha_rat_crosschecks_the_peeled_shift(capsys):
+    # At alpha < -1/2 the series in z is summed at alpha + K, K = floor(-alpha)
+    # + 1 = 11 here, and the check reads the coefficients there: at -21/2
+    # itself the float c_p cancel, off by 7.6e-10 relative.
+    code, data, err = run_json(capsys, "eval", "--s", "4", "--w", "-1", "--alpha-rat=-21/2")
     assert code == 0, err
     check = data["exact_crosscheck"]
     assert check["ok"] is True
-    assert check["max_rel_err"] <= 6e-14  # measured up to 5.31e-14, at -7/2, s = 4
+    assert check == cli._exact_crosscheck(F(1, 2), 4)
+    assert check["max_rel_err"] <= 1e-15
+    assert not cli._exact_crosscheck(F(-21, 2), 4)["ok"]
+
+
+def test_eval_alpha_rat_failed_crosscheck_exits_2(capsys, monkeypatch):
+    from mhlerch import verify
+    monkeypatch.setattr(verify, "COEFFICIENT_REL_TOL", 0.0)
+    code, data, _ = run_json(capsys, "eval", "--s", "2", "--w", "-1", "--alpha-rat", "1/3")
+    assert data["converged"] is True
+    assert data["exact_crosscheck"]["ok"] is False
+    assert code == 2
 
 
 def test_eval_nonconvergence_exits_2(capsys):

@@ -908,6 +908,18 @@ def test_kept_stream_is_dropped_when_an_extension_raises(monkeypatch):
     assert repr(z_series(w, ShiftParam(alpha), s, tol, max_terms)) == expected
 
 
+@pytest.mark.parametrize("factory", [series._term_stream, series._direct_stream], ids=["z", "direct"])
+def test_a_float_shift_does_not_read_the_terms_kept_for_an_equal_complex_one(factory):
+    # (0.0, 6) == (0j, 6), but the terms of 0j are complex: read for the
+    # float shift they made a sum at a real x complex.
+    cold = repr(series._summed(0.5, 0.0, 6, 1e-12, 40, 1.0, factory))
+    for _ in range(2):
+        series._summed(0.5, 0j, 6, 1e-12, 40, 1.0, factory)
+    for _ in range(2):
+        assert repr(series._summed(0.5, 0.0, 6, 1e-12, 40, 1.0, factory)) == cold
+    assert {type(a_p) for a_p, _, _ in kept(factory)[1]} == {float}
+
+
 def test_kept_stream_is_safe_across_threads():
     # Four threads tabulate the same row of points at the same time, each in
     # its own shuffled order, one pair after another, so they keep reading,

@@ -8,7 +8,6 @@ import math
 import pickle
 import subprocess
 import sys
-import types
 from fractions import Fraction as F
 from itertools import islice
 from pathlib import Path
@@ -345,10 +344,32 @@ def test_reports_are_values():
     assert verify.run_suite("lemma", q_max=2) == verify.run_suite("lemma", q_max=2)
     assert report != VerificationReport("demo", "grid", 3, 1, 0.5, [(1, F(1, 2))])
     assert report != report.to_dict()
-    # The fields alone decide equality, so a plain namespace of them is equal too.
-    assert report == types.SimpleNamespace(**vars(report))
+    # A report is a record like the others: the tuple of its fields, immutable.
+    assert report == ("demo", "grid", 3, 1, 0.25, [(1, F(1, 2))])
+    assert type(report._replace(cases_failed=0)) is VerificationReport
+    assert report._replace(cases_failed=0).passed
+    for name in report._fields:
+        with pytest.raises(AttributeError):
+            setattr(report, name, 0)
+    assert VerificationReport("demo", "grid").failing_cases == ()
     assert copy.copy(report) == report and pickle.loads(pickle.dumps(report)) == report
     assert type(pickle.loads(pickle.dumps(report))) is VerificationReport
+
+
+def test_a_nan_float_case_fails_and_is_listed():
+    cases = [((1,), 0.0), ((2,), math.nan), ((3,), 0.5e-10)]
+    report = verify._float_report("demo", "grid", 1e-10, iter(cases))
+    assert (report.cases_run, report.cases_failed, report.failing_cases) == (3, 1, [(2,)])
+    assert report.worst_residual == 0.5e-10  # a nan does not enter the worst: max() keeps what it holds
+    assert not report.passed
+
+
+def test_a_failed_predicate_case_has_residual_one():
+    # lemma_base_cases and ap_bound yield (params, ok, True, 1): |False - True| / 1
+    cases = [((1,), True, True, 1), ((2,), False, True, 1)]
+    report = verify._exact_report("demo", "grid", iter(cases))
+    assert (report.cases_run, report.failing_cases, report.worst_residual) == (2, [(2,)], 1.0)
+    assert verify._exact_report("demo", "grid", iter(())) == VerificationReport("demo", "grid", 0, 0, 0.0, [])
 
 
 def test_residual_metric():
