@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -113,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     shift_group.add_argument(
         "--alpha-rat",
         type=parse_rational,
-        help="exact rational shift P/Q; enables the exact-layer coefficient cross-check",
+        help="exact rational shift P/Q; cross-checks the coefficients of the series in z where it is summed",
     )
     p_eval.add_argument("--method", choices=("accelerated", "direct"), default="accelerated")
     common(p_eval)
@@ -160,15 +159,15 @@ def _result_payload(result: SeriesResult) -> dict:
 
 def _exact_crosscheck(alpha: Fraction, s: int) -> dict:
     """Compare the float c_p that `series._term_stream` yields at alpha with
-    the exact c_p = -R(p - 1, alpha + 1).  `eval` passes the shift whose
-    series in z `series._z_series` sums, alpha + K with K = floor(-alpha) + 1
-    where alpha < -1/2 (else alpha), and exits 2 when the check fails."""
+    the exact c_p = -R(p - 1, alpha + 1); the dict names alpha.  `eval` runs
+    it only where the series in z was summed, at the shift `series._z_series`
+    sums it, alpha + `series._pole_terms(alpha)`, and exits 2 when it fails."""
     from . import verify
     p_max = CROSSCHECK_P
     report = verify._coefficient_report(
         "exact_crosscheck", f"p <= {p_max}, s = {s}", verify._rhs_values, (alpha,), range(s, s + 1), p_max
     )
-    return {"p_max": p_max, "max_rel_err": report.worst_residual, "ok": report.passed}
+    return {"alpha": str(alpha), "p_max": p_max, "max_rel_err": report.worst_residual, "ok": report.passed}
 
 
 def _emit_json(payload, out: Optional[TextIO]) -> None:
@@ -186,12 +185,12 @@ def cmd_eval(args, outputs: Dict[str, TextIO]) -> int:
 
     payload = _result_payload(result)
     passed = result.converged
-    if args.alpha_rat is not None:
-        alpha = args.alpha_rat  # peeled as `series._z_series` peels, on the float shift
-        if shift.alpha.real < -0.5:
-            alpha += math.floor(-shift.alpha.real) + 1
-        payload["exact_crosscheck"] = check = _exact_crosscheck(alpha, args.s)
-        passed = passed and check["ok"]
+    if args.alpha_rat is not None:  # the coefficients of the series in z, if it was summed
+        check = None
+        if result.method == "z":
+            check = _exact_crosscheck(args.alpha_rat + series._pole_terms(shift.alpha), args.s)
+            passed = passed and check["ok"]
+        payload["exact_crosscheck"] = check
     _emit_json(payload, outputs.get("json"))
     return EXIT_OK if passed else EXIT_NOT_CONVERGED
 
@@ -237,7 +236,7 @@ def bench_rows(
     `max_terms`, in which case the row's achieved_error exceeds its tol).
     Their partial sums, scaled by -1/(1 - 2^{1-s}), are the binomial double
     sum `series._euler_partial_sums` (alpha = 0, z = 1/2) and the defining
-    series `series._direct_partial_sums` at w = -1, alpha = 0.
+    series, `series._partial_sums` of `_direct_terms` at w = -1, alpha = 0.
 
     The `euler_transform` and `direct_alternating` counts are measured against
     a reference certified only to `REFERENCE_TOL`, so a count near the
@@ -265,7 +264,7 @@ def bench_rows(
             euler = series._euler_partial_sums(s)
             p, error = _terms_to_reach(euler, scale, reference, tol, max_terms)
             rows.append(ConvergenceRow("euler_transform", s, 0.5, 0.0, tol, p, error))
-            alternating = (total for _, total in series._direct_partial_sums(-1, 0.0, s))
+            alternating = (total for _, total in series._partial_sums(-1, series._direct_terms(0.0, s)))
             n, error = _terms_to_reach(alternating, scale, reference, tol, max_terms)
             rows.append(ConvergenceRow("direct_alternating", s, -1.0, 0.0, tol, n, error))
 

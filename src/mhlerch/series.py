@@ -13,7 +13,8 @@ accelerated zeta(s) series.  The defining series at the boundary point
 w = -1 is read only by `cli.bench_rows`, as its slow baseline.
 
 Every evaluator returns an a-posteriori error bound.  One loop, `_summed`,
-sums both series, from `_term_stream` and `_direct_stream`.  The series in z
+sums both series, from `_term_stream` and `_direct_stream`; one more,
+`_partial_sums`, yields unbounded partial sums.  The series in z
 is bounded through the coefficient majorant
 
     |c_p| <= B(p) = (p-1)!/(|alpha+1| ... |alpha+p|) * H_p^{s-1},
@@ -22,7 +23,7 @@ is bounded through the coefficient majorant
 where H_p grows like ln p (see `_term_stream`).  The factorial/Pochhammer
 ratio is carried multiplicatively: both factors overflow binary64 near p ~ 170
 while their ratio stays O(1/p) for small shifts.  Negative shifts are summed
-at alpha + K through the shift relation (Erdelyi, HTF I, 1.11)
+at alpha + K, K = `_pole_terms(alpha)`, by the shift relation (Erdelyi, HTF I, 1.11)
 
     Li(w; alpha, s) = sum_{n<=K} w^n/(alpha+n)^s + w^K Li(w; alpha+K, s).
 
@@ -35,7 +36,7 @@ import math
 import threading
 from collections import namedtuple
 from itertools import chain, count, islice
-from typing import Iterator, NamedTuple, Tuple
+from typing import Iterable, Iterator, NamedTuple, Tuple
 
 from . import exact
 from .errors import DomainError, InvalidShiftError, PrecisionError
@@ -160,15 +161,15 @@ def _direct_stream(alpha, s: int) -> Iterator[Tuple[complex, float, float]]:
         yield a_n, b_next, ratio
 
 
-def _direct_partial_sums(w, alpha, s: int) -> Iterator[Tuple[complex, complex]]:
-    """Yield (w^N, sum_{n=1}^{N} w^n a_n) for N = 1, 2, ..., a_n read from
-    `_direct_terms`: the defining series, unkept, unbounded and unstopped."""
+def _partial_sums(x, terms: Iterable[complex]) -> Iterator[Tuple[complex, complex]]:
+    """Yield (x^N, sum_{n=1}^{N} a_n x^n) for N = 1, 2, ..., a_n read from
+    `terms`: the one unkept, unbounded and unstopped partial-sum loop."""
     total = 0j
-    w_pow = 1 + 0j
-    for a_n in _direct_terms(alpha, s):
-        w_pow *= w
-        total += w_pow * a_n
-        yield w_pow, total
+    x_pow = 1 + 0j
+    for a_n in terms:
+        x_pow *= x
+        total += x_pow * a_n
+        yield x_pow, total
 
 
 def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float]]:
@@ -291,16 +292,22 @@ def lerch_accelerated(
     return _z_series(w, shift.alpha, s, tol, max_terms)
 
 
+def _pole_terms(alpha: complex) -> int:
+    """K = floor(-Re alpha) + 1, the head terms `_z_series` peels so that the
+    series in z runs at Re(alpha + K) > 0; 0 where Re(alpha) >= -1/2."""
+    return math.floor(-alpha.real) + 1 if alpha.real < -0.5 else 0
+
+
 def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -> SeriesResult:
     """Li(w; alpha, s) through the series in z = w/(w-1), at checked arguments
     with Re(w) < 1/2 (|z| < 1 exactly on that half-plane).
 
-    Pole peeling: if Re(alpha) < -1/2, the K = floor(-Re alpha) + 1 head terms
+    Pole peeling: if Re(alpha) < -1/2, the K = `_pole_terms(alpha)` head terms
     w^n (1/(alpha+n))^s of the shift relation are the K-th partial sum of
-    `_direct_partial_sums`, then the series in z at alpha+K is summed, where
-    Re(alpha+K) > 0 and no f_i is near a pole.  `terms_used` counts both; the
-    stream is kept under (alpha+K, s).  If K >= `max_terms`, the first
-    `max_terms` head terms are returned with bound inf.
+    `_partial_sums` over `_direct_terms`, then the series in z at alpha+K is
+    summed, where Re(alpha+K) > 0 and no f_i is near a pole.  `terms_used`
+    counts both; the stream is kept under (alpha+K, s).  If K >= `max_terms`,
+    the first `max_terms` head terms are returned with bound inf.
 
     Stopping rule: after P terms the tail is at most B(P+1) |z|^{P+1} /
     (1 - rho), rho = |z| * sup_{p > P} B(p+1)/B(p), with B(p) = (p-1)!/
@@ -310,9 +317,8 @@ def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int) ->
     for a peeled call, is <= tol; while rho >= 1 more terms are added.
     """
     z = w / (w - 1)
-    if alpha.real < -0.5:
-        k = math.floor(-alpha.real) + 1
-        w_pow, head = next(islice(_direct_partial_sums(w, alpha, s), min(k, max_terms) - 1, None))
+    if k := _pole_terms(alpha):
+        w_pow, head = next(islice(_partial_sums(w, _direct_terms(alpha, s)), min(k, max_terms) - 1, None))
         if k >= max_terms:
             return SeriesResult(head, max_terms, math.inf, False, "z")
         if not math.isfinite(abs(w_pow)):
@@ -326,12 +332,7 @@ def _euler_partial_sums(s: int) -> Iterator[complex]:
     """Yield sum_{p<=P} 2^{-p} sum_{m<p} C(p-1, m) (-1)^{m+1}/(m+1)^s, P = 1, 2, ...:
     the series at alpha = 0, z = 1/2, each inner sum computed independently.  Its
     rounding grows like u (2|z|)^P, so it is summed at z = 1/2 only."""
-    total = 0j
-    z_pow = 1 + 0j
-    for inner in exact._alternating_sums(1 + 0j, s):
-        z_pow *= 0.5
-        total += z_pow * -inner
-        yield total
+    return (total for _, total in _partial_sums(0.5, (-a for a in exact._alternating_sums(1 + 0j, s))))
 
 
 def zeta_accelerated(

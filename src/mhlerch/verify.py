@@ -284,9 +284,9 @@ def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> Verification
         S_{a-1}^{b+1}(t) = sum_{u+v+w=t} f_{a-1}^u S_a^b(v) f_{b+1}^w   (1 <= a <= b)
 
     Each beta gets one table of S_a^b(t) for 0 <= a <= b <= b_max = `DEFAULT_B_MAX`,
-    t <= t_max = `DEFAULT_T_MAX`, one depth column per start a, and one table of
-    f_n^u = 1/(beta + n)^u, all in integers over the G of beta on 0 .. b_max:
-    both sides of each identity at depth t are scaled by G^t.  ZeroDivisionError
+    t <= t_max = `DEFAULT_T_MAX`, one depth column per start a, in integers over
+    the G of beta on 0 .. b_max; f_n^u = 1/(beta + n)^u is its entry S_n^n(u).
+    Both sides of each identity at depth t are scaled by G^t.  ZeroDivisionError
     names an n in [0, b_max] at which beta + n vanishes.
     """
     b_max, t_max = DEFAULT_B_MAX, DEFAULT_T_MAX
@@ -301,7 +301,6 @@ def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> Verification
                 for a in range(b_max + 1)
                 for b, _, col in exact._depth_columns(x0, t_max, a, b_max)
             }
-            f_pow = [[1 / (x0 + n) ** u for u in range(t_max + 1)] for n in range(b_max + 1)]
             for t in range(t_max + 1):
                 scale = x0.G**t
                 for a in range(b_max):
@@ -311,7 +310,7 @@ def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> Verification
                             yield ("two", a, b, c, t, beta), S[a, c][t], rhs, scale
                 for a in range(1, b_max):
                     for b in range(a, b_max):
-                        f_lo, f_hi = f_pow[a - 1], f_pow[b + 1]
+                        f_lo, f_hi = S[a - 1, a - 1], S[b + 1, b + 1]
                         rhs = 0
                         for u in range(t + 1):
                             for v in range(t + 1 - u):

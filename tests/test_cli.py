@@ -133,8 +133,26 @@ def test_eval_alpha_rat_crosschecks_the_peeled_shift(capsys):
     check = data["exact_crosscheck"]
     assert check["ok"] is True
     assert check == cli._exact_crosscheck(F(1, 2), 4)
+    assert check["alpha"] == "1/2"
     assert check["max_rel_err"] <= 1e-15
     assert not cli._exact_crosscheck(F(-21, 2), 4)["ok"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--w", "0.3", "--alpha-rat", "1/2"), ("--w=-0.5", "--alpha-rat", "1/2", "--method", "direct")],
+    ids=["lens", "direct"],
+)
+def test_eval_alpha_rat_checks_nothing_where_the_defining_series_is_summed(capsys, monkeypatch, argv):
+    # On the lens |w - 1| < 1 and under --method direct no coefficient of the
+    # series in z is read, so none is checked, and a check that would fail
+    # (rel tol 0) cannot set the exit code.
+    from mhlerch import verify
+    monkeypatch.setattr(verify, "COEFFICIENT_REL_TOL", 0.0)
+    code, data, err = run_json(capsys, "eval", "--s", "2", *argv)
+    assert code == 0, err
+    assert data["converged"] is True
+    assert data["exact_crosscheck"] is None
 
 
 def test_eval_alpha_rat_failed_crosscheck_exits_2(capsys, monkeypatch):

@@ -69,7 +69,7 @@ def majorant(p, alpha, s):
 def alternating(alpha, s, n_terms):
     """sum_{n=1}^{N} (-1)^n/(alpha+n)^s (the n = 1 term is negative): the N-th
     partial sum of the defining series at the boundary point w = -1."""
-    _, total = next(islice(series._direct_partial_sums(-1, complex(alpha), s), n_terms - 1, None))
+    _, total = next(islice(series._partial_sums(-1, series._direct_terms(complex(alpha), s)), n_terms - 1, None))
     return total
 
 
@@ -260,10 +260,10 @@ def test_direct_majorant_overflow_is_inf_not_a_raise():
 
 def test_direct_series_is_one_generator():
     # lerch_direct and the peeled head (K = 8 here) are items of
-    # _direct_partial_sums, bit for bit
+    # _partial_sums over _direct_terms, bit for bit
     w, shift, s = -0.3 + 0.4j, ShiftParam(-7.3 + 0.01j), 3
     result = series.lerch_direct(w, shift, s)
-    items = islice(series._direct_partial_sums(w, shift.alpha, s), result.terms_used)
+    items = islice(series._partial_sums(w, series._direct_terms(shift.alpha, s)), result.terms_used)
     totals = [total for _, total in items]
     assert result.value == totals[-1]
     assert series.lerch_accelerated(w, shift, s, max_terms=8).value == totals[7]
@@ -450,7 +450,7 @@ def test_accelerated_domain_error():
 def _peeled_abs_terms(w, alpha, s, terms):
     # sum_{n<=K} |w|^n/|alpha+n|^s + |w|^K sum_{p<=P-K} |c_p(alpha+K) z^p|, P = terms:
     # P u times it bounds the rounding of a peeled call's head and partial sum
-    k = math.floor(-alpha.real) + 1
+    k = series._pole_terms(alpha)
     az = abs(w / (w - 1))
     stream = islice(series._term_stream(alpha + k, s), terms - k)
     head = sum(abs(w) ** n / abs(alpha + n) ** s for n in range(1, k + 1))
@@ -631,7 +631,7 @@ def test_negative_shifts_are_peeled_at_every_w(w, alpha, max_terms):
     # directly, then the series in z at alpha + K, whose stream is kept; if
     # K >= max_terms, the first max_terms head terms with an infinite bound.
     _forget_stream()
-    k = math.floor(-alpha.real) + 1
+    k = series._pole_terms(alpha)
     result = z_series(w, ShiftParam(alpha), 3, 1e-12, max_terms)
     if k >= max_terms:
         head = sum(w**n / (alpha + n) ** 3 for n in range(1, max_terms + 1))
@@ -670,7 +670,7 @@ def test_summed_is_given_re_alpha_at_least_minus_one_half(monkeypatch):
     summing = 0  # the calls that reach the series in z: all but K >= max_terms
     for alpha in shifts:
         shift = ShiftParam(alpha)
-        k = math.floor(-alpha.real) + 1 if alpha.real < -0.5 else 0
+        k = series._pole_terms(alpha)
         for w in (0j, -0.5, 0.3 + 0.4j, -1, 1j, -5, 0.3 + 2j):  # w = 0, |w| < 1, = 1, > 1
             for s in (1, 3):
                 for max_terms in (2, 3, 10000):  # max_terms <= K for K >= 3
@@ -680,6 +680,17 @@ def test_summed_is_given_re_alpha_at_least_minus_one_half(monkeypatch):
         series.zeta_accelerated(s)
     assert len(seen) == summing + 3
     assert min(alpha.real for alpha in seen) >= -0.5
+
+
+@pytest.mark.parametrize(
+    "alpha, k",
+    [(-0.5 + 0j, 0), (-0.5 - 1e-9 + 0j, 1), (-50.5 + 0j, 51), (-50.5 + 3j, 51), (0j, 0), (-3 + 1e-9j, 4)],
+)
+def test_pole_terms_at_the_peeling_boundary(alpha, k):
+    # K = floor(-Re alpha) + 1 below Re alpha = -1/2, else 0; Re(alpha + K) > 0
+    # wherever K > 0, so the series in z runs at Re >= -1/2
+    assert series._pole_terms(alpha) == k
+    assert (alpha + k).real > 0 if k else alpha.real >= -0.5
 
 
 def test_peeling_raises_when_w_to_the_k_overflows():
@@ -788,7 +799,7 @@ def test_kept_stream_gives_cold_bits(earlier, later):
     w, alpha, s, tol, max_terms = earlier
     for _ in range(2):  # the second consecutive call on the pair keeps its terms
         kept_by = z_series(w, ShiftParam(alpha), s, tol, max_terms)
-    k = math.floor(-alpha.real) + 1 if alpha.real < -0.5 else 0
+    k = series._pole_terms(alpha)
     key, terms, _ = kept()
     assert key == (alpha + k, s)
     assert len(terms) == kept_by.terms_used - k
@@ -1025,7 +1036,7 @@ def assert_same_stop(x, alpha, s, tol, max_terms, scale, factory):
 
 def _peeled(alpha):
     # alpha + K, K = floor(-Re alpha) + 1, as `_z_series` sums it
-    return alpha + (math.floor(-alpha.real) + 1)
+    return alpha + series._pole_terms(alpha)
 
 
 summed_points = st.one_of(
