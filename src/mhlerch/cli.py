@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -56,8 +57,20 @@ def rows_to_csv(rows: Sequence[ConvergenceRow], notes: Sequence[str] = ()) -> st
     return out.getvalue()
 
 
+def _json_ready(value):
+    """`value` with every non-finite float, at any depth, replaced by None:
+    JSON (RFC 8259) has no token for inf or nan."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_ready(v) for v in value]
+    return value
+
+
 def rows_to_json(rows: Sequence[ConvergenceRow], notes: Sequence[str] = ()) -> str:
-    return json.dumps({"notes": list(notes), "rows": [r._asdict() for r in rows]}, indent=2)
+    return json.dumps(_json_ready({"notes": list(notes), "rows": [r._asdict() for r in rows]}), indent=2)
 
 
 def parse_complex(text: str) -> complex:
@@ -171,7 +184,7 @@ def _exact_crosscheck(alpha: Fraction, s: int) -> dict:
 
 
 def _emit_json(payload, out: Optional[TextIO]) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(_json_ready(payload), indent=2)
     print(text)
     if out:
         out.write(text + "\n")
@@ -185,10 +198,11 @@ def cmd_eval(args, outputs: Dict[str, TextIO]) -> int:
 
     payload = _result_payload(result)
     passed = result.converged
-    if args.alpha_rat is not None:  # the coefficients of the series in z, if it was summed
+    if args.alpha_rat is not None:  # the coefficients of the series in z, if any was summed
+        k = series._pole_terms(shift.alpha)
         check = None
-        if result.method == "z":
-            check = _exact_crosscheck(args.alpha_rat + series._pole_terms(shift.alpha), args.s)
+        if result.method == "z" and result.terms_used > k:  # not the K peeled head terms alone
+            check = _exact_crosscheck(args.alpha_rat + k, args.s)
             passed = passed and check["ok"]
         payload["exact_crosscheck"] = check
     _emit_json(payload, outputs.get("json"))

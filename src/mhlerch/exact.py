@@ -150,7 +150,8 @@ def _depth_columns(x0, depth: int, n0: int = 1, stop: Optional[int] = None):
     never reached.  The loop is written out here, not composed from smaller
     generators, because the float evaluators step it once for each term they
     do not keep: the series in z of `series.lerch_accelerated` and
-    `series.zeta_accelerated` sum one kept stream (see `series._summed`).
+    `series.zeta_accelerated` keep the streams of recently repeated (alpha, s)
+    pairs and step it only past their kept terms (see `series._summed`).
     """
     col = [1] + [0] * depth
     prefactor = 1

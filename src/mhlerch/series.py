@@ -200,10 +200,28 @@ def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float
         h, abs_next = h_next, abs_after
 
 
-#: stream factory -> (method, slot), slot = [key, terms, extension] of the last
-#: (alpha, s) summed from it, updated in place under `_kept_lock`: `extension`
-#: is None or `_appended(terms, factory(alpha, s))`, len(terms) items on.
-_kept_streams = {_term_stream: ("z", [None, [], None]), _direct_stream: ("direct", [None, [], None])}
+#: The series each stream sums, as `SeriesResult.method` names it.
+_METHODS = {_term_stream: "z", _direct_stream: "direct"}
+
+#: Bound on the keys `_kept_streams` records.  On `eval-scattered` only the 11
+#: zeta keys repeat, each once per 111-call pass; every call records at most
+#: one key, so at most 2 * 110 others come between two calls on one of them,
+#: and 256 keeps each recorded while the ~100 keys a pass never repeats age
+#: out.  `eval-shared-shift` has 16 live keys: 8 pairs, each on two routes.
+_RECORDED_KEYS = 256
+
+#: Bound on the terms the kept entries hold between calls, in all.  Warm, the
+#: 16 keys of `eval-shared-shift` hold 578 terms, the 11 zeta keys of
+#: `eval-scattered` 530 (38 at s = 2 to 59 at s = 12), and the 30 keys that
+#: `verify-all` repeats 1225; 2048 holds each of them with room to spare.
+_KEPT_TERMS = 2048
+
+#: (factory, alpha, s, type(alpha)) -> None (recorded) or (terms, extension)
+#: (kept), least recently used first, with `extension` =
+#: `_appended(terms, factory(alpha, s))`, len(terms) items on; and the number
+#: of terms kept in all.  Both are changed in place, under `_kept_lock`.
+_kept_streams = {}
+_kept_count = [0]
 _kept_lock = threading.Lock()
 
 
@@ -214,6 +232,23 @@ def _appended(terms: list, stream: Iterator) -> Iterator:
         yield term
 
 
+def _trim() -> None:
+    """Forget the least recently used key past `_RECORDED_KEYS`, then drop the
+    terms of the least recently used kept entries, their keys still recorded,
+    until at most `_KEPT_TERMS` terms are kept.  `_summed` calls it past either bound."""
+    if len(_kept_streams) > _RECORDED_KEYS:  # a call records at most one key
+        entry = _kept_streams.pop(next(iter(_kept_streams)))
+        if entry:
+            _kept_count[0] -= len(entry[0])
+    if _kept_count[0] > _KEPT_TERMS:
+        for key, entry in _kept_streams.items():
+            if entry:
+                _kept_streams[key] = None
+                _kept_count[0] -= len(entry[0])
+                if _kept_count[0] <= _KEPT_TERMS:
+                    break
+
+
 def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_term_stream) -> SeriesResult:
     """Sum a_p x^p over the kept stream `factory(alpha, s)` of (a_p, B(p+1), r_p),
     B(p+1) >= |a_m| for m > p and r_p >= sup_{m>p} B(m+1)/B(m), until `scale`
@@ -221,37 +256,43 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
     is unscaled.  x = z for `_term_stream` (at Re(alpha) >= -1, as its ratio
     needs), x = w for `_direct_stream`.
 
-    The stream depends on (alpha, s) only, so each factory's slot keeps the
-    terms of one pair and the generator that computed them; lens and off-lens
-    calls on one pair do not evict each other.  A first call on a pair keeps
+    The stream depends on (factory, alpha, s) only, and `_kept_streams` keeps
+    the streams of the recently repeated keys, least recently used first, so
+    rows of points at several shifts, and lens and off-lens calls on one pair,
+    do not evict each other.  A first call on a key records it and keeps
     nothing: on `eval-scattered`, a new pair almost every call, keeping them
-    added 7.5-9.2% to peak memory and took 1.3-5.0% off op/s.  Later
-    consecutive calls sum the kept terms, and past them step the kept
-    generator and append: no term is computed twice.  Memory: one pair per
-    factory, at most the largest `max_terms` used, about 150 bytes a term.
-    Anything raised under `_kept_lock` (an `OverflowError` of a term, an
-    interrupt) empties the slot.  Every result is bit for bit a first call's.
+    added 7.5-9.2% to peak memory and took 1.3-5.0% off op/s.  A later call
+    on a key still recorded keeps its terms and the generator that computed
+    them; from then on each call sums the kept terms, and past them steps the
+    kept generator and appends: no term is computed twice.  After each call
+    `_trim` bounds the keys by `_RECORDED_KEYS` and the kept terms by
+    `_KEPT_TERMS`, so an entry of more terms than that is dropped after its
+    call.  Worst-case memory between calls, measured on CPython 3.11 x86-64:
+    256 keys at about 155 bytes (40 kB), 2048 terms at about 155 bytes (317
+    kB), and the generators of each kept entry (at most 256), about 1.5 kB
+    plus 40 bytes per unit of s: 0.85 MB in all at s <= 10.  During a call its
+    own entry may grow to `max_terms` terms.  Anything raised under
+    `_kept_lock` (an `OverflowError` of a term, an interrupt) drops the key.
+    Every result is bit for bit a first call's.
 
     Each term forms only the bound's numerator y = scale B(p+1) |x|^{p+1}, and
     y / (1 - rho) only once y <= tol or p = max_terms.  No stop moves: at 0 <=
     rho < 1 the rounded quotient is >= y, and a nan y fails both tests.
     """
-    method, slot = _kept_streams[factory]
     ax = abs(x)
     total = 0.0
     x_pow = 1.0
     ax_pow = ax
-    key = (alpha, s)
+    key = (factory, alpha, s, type(alpha))  # 0.0 == 0j; their terms differ in type
     with _kept_lock:
-        if slot[0] != key or type(slot[0][0]) is not type(alpha):  # 0.0 == 0j; their terms differ in type
-            slot[:] = [key, [], None]  # first call on this pair
-            source = factory(alpha, s)
-        else:
-            if slot[2] is None:
-                slot[2] = _appended(slot[1], factory(alpha, s))
-            source = chain(slot[1], slot[2])
+        entry = _kept_streams.pop(key, False)
+        if entry is None:  # recorded: keep the terms from this call on
+            terms = []
+            entry = terms, _appended(terms, factory(alpha, s))
+        _kept_streams[key] = entry or None  # a first call (False) records the key only
+        kept = len(entry[0]) if entry else 0
         try:
-            for p, (a_p, b_next, ratio) in enumerate(source, 1):
+            for p, (a_p, b_next, ratio) in enumerate(chain(*entry) if entry else factory(alpha, s), 1):
                 x_pow *= x
                 ax_pow *= ax
                 total += a_p * x_pow
@@ -260,10 +301,16 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
                     rho = ax * ratio
                     bound = y / (1.0 - rho) if rho < 1.0 else math.inf
                     if bound <= tol or p >= max_terms:
-                        return SeriesResult(total, p, bound, bound <= tol, method)
+                        break
         except BaseException:
-            slot[:] = [None, [], None]
+            del _kept_streams[key]
+            _kept_count[0] -= kept
             raise
+        if entry:
+            _kept_count[0] += len(entry[0]) - kept
+        if len(_kept_streams) > _RECORDED_KEYS or _kept_count[0] > _KEPT_TERMS:
+            _trim()
+    return SeriesResult(total, p, bound, bound <= tol, _METHODS[factory])
 
 
 def lerch_accelerated(

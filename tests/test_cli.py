@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -153,6 +154,33 @@ def test_eval_alpha_rat_checks_nothing_where_the_defining_series_is_summed(capsy
     assert code == 0, err
     assert data["converged"] is True
     assert data["exact_crosscheck"] is None
+
+
+@pytest.mark.parametrize("max_terms, checked", [(5, False), (11, False), (12, True)])
+def test_eval_alpha_rat_checks_the_series_in_z_only_past_the_peeled_head(capsys, max_terms, checked):
+    # At -21/2 the K = 11 head terms are peeled first: up to --max-terms 11
+    # no term of the series in z is summed, so no coefficient is checked.
+    argv = ("eval", "--s", "2", "--w", "-1", "--alpha-rat=-21/2", "--max-terms", str(max_terms))
+    code, data, _ = run_json(capsys, *argv)
+    assert code == 2
+    assert data["terms_used"] == max_terms and data["converged"] is False
+    assert data["exact_crosscheck"] == (cli._exact_crosscheck(F(1, 2), 2) if checked else None)
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_non_finite_floats_are_written_as_null(capsys, tmp_path):
+    # RFC 8259 has no Infinity or NaN; a strict parser must read the output.
+    path = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, "eval", "--s", "2", "--w", "-1", "--max-terms", "5", "--alpha=-10.5", "--json", str(path))
+    assert code == 2
+    for text in (out, path.read_text()):
+        data = json.loads(text, parse_constant=_reject_constant)
+        assert data["error_bound"] is None and data["converged"] is False
+    payload = {"a": [math.nan, {"b": -math.inf}], "c": 1.5, "d": "inf"}
+    assert cli._json_ready(payload) == {"a": [None, {"b": None}], "c": 1.5, "d": "inf"}
 
 
 def test_eval_alpha_rat_failed_crosscheck_exits_2(capsys, monkeypatch):

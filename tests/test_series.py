@@ -46,9 +46,15 @@ def z_series(w, shift, s, tol=series.DEFAULT_TOL, max_terms=series.DEFAULT_MAX_T
     return series._z_series(complex(w), shift.alpha, s, tol, max_terms)
 
 
-def kept(factory=series._term_stream):
-    """[key, terms, stream] of the kept slot of a stream factory."""
-    return series._kept_streams[factory][1]
+def kept_key(alpha, s, factory=series._term_stream):
+    """The key of (alpha, s) in `series._kept_streams`."""
+    return (factory, alpha, s, type(alpha))
+
+
+def kept(alpha, s, factory=series._term_stream):
+    """The `_kept_streams` entry of (alpha, s): None while the key is only
+    recorded, else (terms, extension); KeyError if it is not recorded."""
+    return series._kept_streams[kept_key(alpha, s, factory)]
 
 
 def coefficient(p, alpha, s):
@@ -638,10 +644,10 @@ def test_negative_shifts_are_peeled_at_every_w(w, alpha, max_terms):
         assert result.terms_used == max_terms and result.error_bound == math.inf
         assert not result.converged
         assert result.value == pytest.approx(head, rel=1e-14)
-        assert kept()[0] == (0.25 + 0j, 7)  # the series in z was not summed
+        assert series._kept_streams == {}  # the series in z was not summed
         return
     assert result.converged
-    assert kept()[0] == (alpha + k, 3)
+    assert list(series._kept_streams) == [kept_key(alpha + k, 3)]
     if w == 0:
         assert (result.value, result.terms_used, result.error_bound) == (0, k + 1, 0.0)
     ref = ref_lerch(w, alpha, 3)
@@ -765,10 +771,9 @@ def test_max_terms_must_be_an_integer(evaluate):
 
 
 def _forget_stream():
-    # calls on a pair no case below uses replace both kept slots: w = 0 sums
-    # the series in z, w = 0.25 (in the lens) the defining series
-    for w in (0, 0.25):
-        series.lerch_accelerated(w, ShiftParam(0.25 + 0j), 7)
+    with series._kept_lock:
+        series._kept_streams.clear()
+        series._kept_count[0] = 0
 
 
 def _cold(call, evaluate=z_series):
@@ -797,11 +802,10 @@ def test_kept_stream_gives_cold_bits(earlier, later):
     expected = _cold(later)
     _forget_stream()
     w, alpha, s, tol, max_terms = earlier
-    for _ in range(2):  # the second consecutive call on the pair keeps its terms
+    for _ in range(2):  # the second call on the recorded key keeps its terms
         kept_by = z_series(w, ShiftParam(alpha), s, tol, max_terms)
     k = series._pole_terms(alpha)
-    key, terms, _ = kept()
-    assert key == (alpha + k, s)
+    terms, _ = kept(alpha + k, s)
     assert len(terms) == kept_by.terms_used - k
     assert all(math.isfinite(ratio) for *_, ratio in terms)
     w, alpha, s, tol, max_terms = later
@@ -816,8 +820,7 @@ def test_peeled_call_keeps_the_stream_of_the_shifted_pair():
     _forget_stream()
     for _ in range(2):
         peeled = z_series(-0.5, ShiftParam(-50.5 + 0j), 2)
-    key, terms, _ = kept()
-    assert key == (0.5 + 0j, 2)
+    terms, _ = kept(0.5 + 0j, 2)
     assert len(terms) == peeled.terms_used - 51
     w, alpha, s, tol, max_terms = later
     assert repr(z_series(w, ShiftParam(alpha), s, tol, max_terms)) == expected
@@ -837,8 +840,8 @@ def test_kept_stream_interleaved_pairs_give_cold_bits():
 
 def test_lens_and_off_lens_calls_interleaved_on_one_pair_give_cold_bits():
     # The lens calls sum the defining series, the others the series in z, each
-    # from its own slot: alternating on one pair, neither evicts the other, and
-    # from the second call of each kind on the terms are read from its slot.
+    # under its own key: alternating on one pair, neither evicts the other, and
+    # from the second call of each kind on the terms are read from its entry.
     alpha, s = 1.3 + 0.7j, 3
     lens = [0.4, 0.3 + 0.5j, 0.45 - 0.1j, 0.1 - 0.2j]
     off_lens = [-1, -0.3 + 0.4j, 0.3 + 2j, -5]
@@ -849,15 +852,14 @@ def test_lens_and_off_lens_calls_interleaved_on_one_pair_give_cold_bits():
     assert [repr(result) for result in got] == expected
     assert [result.method for result in got] == ["direct", "direct", "z", "z"] * len(lens)
     for factory, method in ((series._direct_stream, "direct"), (series._term_stream, "z")):
-        key, terms, _ = kept(factory)
-        assert key == (alpha, s)
+        terms, _ = kept(alpha, s, factory)
         assert len(terms) == max(r.terms_used for r in got if r.method == method)
 
 
 def test_zeta_and_lerch_share_the_alpha_zero_stream():
-    # zeta keeps the alpha = 0 terms computed in float, the series in z reads them as
-    # its own complex ones: the real parts come from the same operations and
-    # a zero imaginary part stays +0.0, so the bits must be a cold call's
+    # zeta keeps the alpha = 0 terms computed in float under its own key, and
+    # the series in z at 0j its complex ones; calls that take turns on them
+    # must give a cold call's bits
     calls = [(w, 0j, s, 1e-12, 10000) for s in (2, 3) for w in (-1, 0.25, -0.5 + 0.5j)]
     expected = [_cold(call) for call in calls]
     cold_zeta = {}
@@ -914,7 +916,8 @@ def test_kept_stream_is_dropped_when_an_extension_raises(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         z_series(-4 + 2j, ShiftParam(1.3 + 0.7j), 3)
     monkeypatch.undo()
-    assert kept() == [None, [], None]
+    assert kept_key(1.3 + 0.7j, 3) not in series._kept_streams
+    assert series._kept_count == [0]
     w, alpha, s, tol, max_terms = call
     assert repr(z_series(w, ShiftParam(alpha), s, tol, max_terms)) == expected
 
@@ -928,13 +931,14 @@ def test_a_float_shift_does_not_read_the_terms_kept_for_an_equal_complex_one(fac
         series._summed(0.5, 0j, 6, 1e-12, 40, 1.0, factory)
     for _ in range(2):
         assert repr(series._summed(0.5, 0.0, 6, 1e-12, 40, 1.0, factory)) == cold
-    assert {type(a_p) for a_p, _, _ in kept(factory)[1]} == {float}
+    assert {type(a_p) for a_p, _, _ in kept(0.0, 6, factory)[0]} == {float}
+    assert {type(a_p) for a_p, _, _ in kept(0j, 6, factory)[0]} == {complex}
 
 
 def test_kept_stream_is_safe_across_threads():
     # Four threads tabulate the same row of points at the same time, each in
-    # its own shuffled order, one pair after another, so they keep reading,
-    # replacing and extending both kept slots under each other: a row holds
+    # its own shuffled order, one pair after another, so they keep recording,
+    # reading and extending the kept entries under each other: a row holds
     # points in the lens and off it.  Besides the short switch interval, a
     # tracer makes a thread nap at random byte codes of `lerch_accelerated`,
     # `_z_series` and the summation loop `_summed`, so that it can lose the
@@ -993,6 +997,85 @@ def test_kept_stream_is_safe_across_threads():
             assert got == expected[call], call
 
 
+def _count_kernel_steps(monkeypatch):
+    """Count the terms each stream computes, by key: `exact._depth_columns`
+    steps of the series in z and `series._direct_terms` terms of the
+    defining series, keyed by (method, shift, s)."""
+    steps = {}
+    depth_columns, direct_terms = exact._depth_columns, series._direct_terms
+
+    def counted(key, items):
+        for item in items:
+            steps[key] = steps.get(key, 0) + 1
+            yield item
+
+    monkeypatch.setattr(exact, "_depth_columns", lambda x0, t: counted(("z", x0, t + 1), depth_columns(x0, t)))
+    monkeypatch.setattr(series, "_direct_terms", lambda a, s: counted(("direct", a, s), direct_terms(a, s)))
+    return steps
+
+
+def test_rows_of_nine_pairs_taking_turns_keep_every_stream(monkeypatch):
+    # Rows of 9 pairs take turns over two passes, each row with points in the
+    # lens and off it: 18 keys, more than `eval-shared-shift`'s 16.  Each key
+    # computes the terms of its first call, then, kept, each term once.
+    pairs = [(complex(0.3 * i, (i % 3 - 1) * 0.7), 1 + i % 6) for i in range(9)]
+    zs = [cmath.rect(0.055 * k, 1.9 * k) for k in range(1, 11)]
+    row = [series.disk_to_half_plane(z) for z in zs]
+    assert {abs(w - 1) < 1 for w in row} == {True, False}
+    calls = [(w, alpha, s, 1e-12, 10000) for _ in range(2) for alpha, s in pairs for w in row]
+    expected = [_cold(call, series.lerch_accelerated) for call in calls]
+    _forget_stream()
+    steps = _count_kernel_steps(monkeypatch)
+    got = [series.lerch_accelerated(w, ShiftParam(alpha), s, tol, m) for w, alpha, s, tol, m in calls]
+    monkeypatch.undo()
+    assert [repr(result) for result in got] == expected
+    terms = {}
+    for (_, alpha, s, _, _), result in zip(calls, got):
+        terms.setdefault((result.method, alpha, s), []).append(result.terms_used)
+    assert len(terms) == 18
+    assert steps == {key: used[0] + max(used[1:]) for key, used in terms.items()}
+
+
+def test_zeta_between_distinct_pairs_sums_its_kept_terms(monkeypatch):
+    # Each zeta(s) call comes after 20 calls on pairs never seen again, as on
+    # `eval-scattered`; from its third call on, zeta computes no term.
+    zeta_tols = (1e-6, 1e-12, 1e-10, 1e-12)
+    cold = {}
+    for tol in zeta_tols:
+        _forget_stream()
+        cold[tol] = repr(series.zeta_accelerated(4, tol))
+    _forget_stream()
+    steps = _count_kernel_steps(monkeypatch)
+    zeta_steps, zeta_terms = [], []
+    for k, tol in enumerate(zeta_tols):
+        for i in range(20):
+            z_series(-0.5 + 0.1j * i, ShiftParam(1 + k + 0.01j * i), 3)
+        before = steps.get(("z", 0.0, 4), 0)
+        result = series.zeta_accelerated(4, tol)
+        assert repr(result) == cold[tol]
+        zeta_steps.append(steps.get(("z", 0.0, 4), 0) - before)
+        zeta_terms.append(result.terms_used)
+    monkeypatch.undo()
+    assert zeta_terms == [22, 42, 35, 42]
+    assert zeta_steps == [22, 42, 0, 0]
+
+
+def test_recorded_keys_and_kept_terms_stay_within_their_bounds():
+    # 1,000 distinct pairs, each called twice so that its terms are kept:
+    # the oldest keys are forgotten, and the oldest kept terms dropped.
+    _forget_stream()
+    for i in range(1000):
+        alpha = complex(0.5 + 0.003 * i, 0.2)
+        first, later = (z_series(-1, ShiftParam(alpha), 3) for _ in range(2))
+        assert repr(first) == repr(later)
+        entries = list(series._kept_streams.values())
+        kept_terms = sum(len(entry[0]) for entry in entries if entry)
+        assert len(entries) <= series._RECORDED_KEYS
+        assert series._kept_count == [kept_terms] and kept_terms <= series._KEPT_TERMS
+        assert len(kept(alpha, 3)[0]) == later.terms_used  # the latest pair stays kept
+    assert len(series._kept_streams) == series._RECORDED_KEYS
+    assert series._KEPT_TERMS - later.terms_used < series._kept_count[0]
+
 # ---------------------------------------------------------------------------
 # stopping rule: `_summed` tests the numerator of its bound first, which must
 # give every result the whole bound formed on every term gave
@@ -1002,7 +1085,7 @@ def test_kept_stream_is_safe_across_threads():
 def summed_every_bound(x, alpha, s, tol, max_terms, scale, factory):
     """Oracle for `series._summed`: its loop over an unkept stream, with the
     bound formed in full on every term with rho < 1."""
-    method = series._kept_streams[factory][0]
+    method = series._METHODS[factory]
     ax = abs(x)
     total = 0.0
     x_pow = 1.0
