@@ -17,15 +17,15 @@ from fractions import Fraction
 from itertools import islice
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
-from . import series
+from . import exact, series
 from .series import SeriesResult, ShiftParam
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 
-#: Tolerance used when computing the high-accuracy benchmark reference.
-REFERENCE_TOL = 1e-13
+#: Terms of the exact benchmark reference: its tail is at most 2^-64.
+REFERENCE_TERMS = 64
 #: `eval --alpha-rat` checks the float c_p against the exact ones for p <= CROSSCHECK_P.
 CROSSCHECK_P = 20
 
@@ -245,19 +245,14 @@ def bench_rows(
     """Terms needed per method to reach each tolerance on zeta(s).
 
     `accelerated` stops by its own a-posteriori rule; the other two methods
-    count partial-sum terms until the error measured against the high-accuracy
-    accelerated reference first falls below the tolerance (capped at
-    `max_terms`, in which case the row's achieved_error exceeds its tol).
-    Their partial sums, scaled by -1/(1 - 2^{1-s}), are the binomial double
-    sum `series._euler_partial_sums` (alpha = 0, z = 1/2) and the defining
-    series, `series._partial_sums` of `_direct_terms` at w = -1, alpha = 0.
-
-    The `euler_transform` and `direct_alternating` counts are measured against
-    a reference certified only to `REFERENCE_TOL`, so a count near the
-    threshold can be a few terms short.  At s = 2, tol = 1e-10 the
-    `direct_alternating` count is 99974: the reference is off by -9.2e-14
-    (checked against mpmath at 40 digits), while the true error stays above
-    1e-10 up to n = 99999.
+    count partial-sum terms until the error measured against the reference
+    first falls below the tolerance (capped at `max_terms`, in which case the
+    row's achieved_error exceeds its tol).  Their partial sums, scaled by
+    -1/(1 - 2^{1-s}), are the binomial double sum `series._euler_partial_sums`
+    (alpha = 0, z = 1/2) and the defining series, `series._partial_sums` of
+    `_direct_terms` at w = -1, alpha = 0.  The reference is the exact partial
+    sum `exact._paper_point_sum(s, REFERENCE_TERMS)`, so scaled and rounded
+    once to binary64: its tail is at most 2^-63 after scaling.
     """
     rows: List[ConvergenceRow] = []
     notes: List[str] = []
@@ -266,7 +261,7 @@ def bench_rows(
             notes.append(f"s={s} omitted: zeta(s) series needs s >= 2 (s = 1 is the pole)")
             continue
         scale = -1.0 / (1.0 - 2.0 ** (1 - s))
-        reference = series.zeta_accelerated(s, REFERENCE_TOL, max(max_terms, 10000)).value.real
+        reference = float(exact._paper_point_sum(s, REFERENCE_TERMS) / (Fraction(2) ** (1 - s) - 1))
         for tol in tol_list:
             accelerated = series.zeta_accelerated(s, tol, max_terms)
             rows.append(

@@ -225,3 +225,22 @@ def coefficient_exact(p: int, alpha: RationalLike, s: int) -> Fraction:
     """
     _check_count(p, "p")
     return -lemma_rhs(LemmaParams(p - 1, s, Fraction(alpha) + 1))
+
+
+def _paper_point_sum(s: int, p_max: int) -> Fraction:
+    """sum_{p <= p_max} c_p 2^{-p} at alpha = 0, exactly: the series in z at the
+    paper's point w = -1, z = 1/2, whose sum is Li(-1; 0, s) = -(1 - 2^{1-s}) zeta(s).
+
+    At alpha = 0, |c_p| <= 1: (p-1)!/(1)_p = 1/p, and S_1^p(s-1) <= p, as
+    h_t(1, x_2..x_p) = sum_{k<=t} h_k(x_2..x_p) <= prod_{2<=i<=p} 1/(1 - 1/i)
+    = p for the complete homogeneous h_k at x_i = 1/i.  So the tail past
+    p_max is at most 2^{-p_max}.  One `_depth_columns` pass on `_Scaled`,
+    summed in integers by Horner's rule over the one denominator G^{s-1} (2G)^{p_max}.
+    """
+    x0 = _Scaled(Fraction(0), 1, p_max)
+    t = s - 1
+    base = 2 * x0.G
+    total = 0
+    for _, prefactor, col in _depth_columns(x0, t, 1, p_max):
+        total = total * base + prefactor * col[t]
+    return -Fraction(total, x0.G**t * base**p_max)

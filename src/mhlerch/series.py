@@ -15,12 +15,14 @@ w = -1 is read only by `cli.bench_rows`, as its slow baseline.
 Every evaluator returns an a-posteriori error bound.  One loop, `_summed`,
 sums both series, from `_term_stream` and `_direct_stream`; one more,
 `_partial_sums`, yields unbounded partial sums.  The series in z
-is bounded through the coefficient majorant
+is bounded through a coefficient majorant (see `_term_stream`): at a real
+alpha > -1, |c_p| itself, which does not increase in p; elsewhere
 
     |c_p| <= B(p) = (p-1)!/(|alpha+1| ... |alpha+p|) * H_p^{s-1},
     H_p = sum_{i<=p} 1/|alpha+i|,
 
-where H_p grows like ln p (see `_term_stream`).  The factorial/Pochhammer
+where H_p grows like ln p.  At a real alpha > -1 `_summed` also bounds the
+tail by summation by parts.  The factorial/Pochhammer
 ratio is carried multiplicatively: both factors overflow binary64 near p ~ 170
 while their ratio stays O(1/p) for small shifts.  Negative shifts are summed
 at alpha + K, K = `_pole_terms(alpha)`, by the shift relation (Erdelyi, HTF I, 1.11)
@@ -33,6 +35,7 @@ Contract: binary64 throughout; tolerances below 1e-13 are rejected.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections import namedtuple
 from itertools import chain, count, islice
@@ -50,6 +53,8 @@ MIN_TOL = 1e-13
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 10000
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def _require_finite(value, name: str) -> complex:
@@ -124,7 +129,8 @@ def lerch_direct(
 
         |w|^{N+1} (1/min_{n>N} |alpha + n|)^s / (1 - |w|)
 
-    falls below `tol`, or at `max_terms` with converged = False.
+    falls below `tol` (or, at a real alpha > -1, the summation-by-parts
+    bound of `_summed`), or at `max_terms` with converged = False.
     """
     w = _require_finite(w, "w")
     exact._check_count(s, "order s")
@@ -174,21 +180,29 @@ def _partial_sums(x, terms: Iterable[complex]) -> Iterator[Tuple[complex, comple
 
 def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float]]:
     """Yield (c_p, B(p+1), r_p) for p = 1, 2, ..., one `exact._depth_columns`
-    step each, with H_p and |alpha+p+1|, |alpha+p+2| carried: B(p+1) =
-    |prefactor_p| * p/|alpha+p+1| * H_{p+1}^{s-1}.
+    step each, with H_p and |alpha+p+1|, |alpha+p+2| carried, B(p+1) >= |c_m|
+    for every m > p and r_p >= sup_{m > p} B(m+1)/B(m).
 
-    |c_p| <= B(p): every monomial of the complete homogeneous polynomial
-    S_1^p(s-1) appears in H_p^{s-1} = (sum |f_i|)^{s-1}.  B(1) = |alpha+1|^{-s}.
+    At a real alpha > -1, B(p+1) = |c_p|.  c_p = -R(p-1, alpha+1) and
+    R(q+1, beta) = R(q, beta) - R(q, beta+1) give c_{p+1} - c_p = R(p-1, alpha+2)
+    > 0, and c_p < 0 (every R at a shift > 0 is positive): |c_p| does not
+    increase in p.  A c_p too large for binary64 raises `OverflowError`, as
+    the H majorant's power does.  Elsewhere B(p+1) = |prefactor_p| * p/|alpha+p+1| *
+    H_{p+1}^{s-1}, H_p = sum_{i<=p} |f_i|: every monomial of the complete
+    homogeneous polynomial S_1^p(s-1) appears in H_p^{s-1}.
 
-    For Re(alpha) >= -1, r_p = (1 + 1/(|alpha+p+2| H_{p+1}))^{s-1} bounds
-    sup_{m > p} B(m+1)/B(m).  That ratio is (m/|alpha+m+1|) * (1 + |f_{m+1}|/
-    H_m)^{s-1}.  As |alpha+m+1| >= m+1+Re(alpha) >= m, the first factor is <= 1.
-    |alpha+n|^2 = (n+Re(alpha))^2 + Im(alpha)^2 increases in n >= p+2 >
-    -Re(alpha), so |f_{m+1}| <= 1/|alpha+p+2|, and H_m >= H_{p+1}.
+    For Re(alpha) >= -1, r_p = (1 + 1/(|alpha+p+2| H_{p+1}))^{s-1} bounds the
+    ratio of the H majorant, (m/|alpha+m+1|) * (1 + |f_{m+1}|/H_m)^{s-1}.  As
+    |alpha+m+1| >= m+1+Re(alpha) >= m, the first factor is <= 1.  |alpha+n|^2
+    = (n+Re(alpha))^2 + Im(alpha)^2 increases in n >= p+2 > -Re(alpha), so
+    |f_{m+1}| <= 1/|alpha+p+2|, and H_m >= H_{p+1}.  It is >= 1, so it bounds
+    the ratios |c_m|/|c_{m-1}| <= 1 at a real alpha > -1 too, with room for
+    their rounding.
     """
     t = s - 1
     h = 1.0 / abs(alpha + 1)
     abs_next = abs(alpha + 2)
+    decreasing = alpha.imag == 0 and alpha.real > -1
     for p, prefactor, col in exact._depth_columns(alpha, t):
         abs_after = abs(alpha + (p + 2))
         h_next = h + 1.0 / abs_next
@@ -196,7 +210,14 @@ def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float
             ratio = (1.0 + 1.0 / (abs_after * h_next)) ** t
         except OverflowError:  # near the pole -(p+2); only `_summed` reads r_p, at Re(alpha) >= -1/2
             ratio = math.inf
-        yield -prefactor * col[t], abs(prefactor) * p / abs_next * h_next**t, ratio
+        c_p = -prefactor * col[t]
+        if decreasing:
+            b_next = -c_p.real
+            if not b_next <= _FLOAT_MAX:  # inf, or nan past an inf
+                raise OverflowError(f"c_{p} overflows binary64 at alpha = {alpha}, s = {s}")
+        else:
+            b_next = abs(prefactor) * p / abs_next * h_next**t
+        yield c_p, b_next, ratio
         h, abs_next = h_next, abs_after
 
 
@@ -256,6 +277,13 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
     is unscaled.  x = z for `_term_stream` (at Re(alpha) >= -1, as its ratio
     needs), x = w for `_direct_stream`.
 
+    At a real alpha > -1 the terms a_m of both streams are one-signed and
+    |a_m| does not increase, so summation by parts (Abel) also bounds the
+    tail: with X_m = sum_{P<k<=m} x^k, |X_m| <= |x|^{P+1} (1 + |x|)/|1 - x|,
+    sum_{m>P} a_m x^m = sum_{m>P} (a_m - a_{m+1}) X_m (+ the limit of a_m
+    times that of X_m), and the |differences| (and that limit) add up to
+    |a_{P+1}| <= B(P+1).  The smaller of the two bounds is taken.
+
     The stream depends on (factory, alpha, s) only, and `_kept_streams` keeps
     the streams of the recently repeated keys, least recently used first, so
     rows of points at several shifts, and lens and off-lens calls on one pair,
@@ -276,13 +304,17 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
     Every result is bit for bit a first call's.
 
     Each term forms only the bound's numerator y = scale B(p+1) |x|^{p+1}, and
-    y / (1 - rho) only once y <= tol or p = max_terms.  No stop moves: at 0 <=
-    rho < 1 the rounded quotient is >= y, and a nan y fails both tests.
+    y / (1 - rho), then the Abel bound while that is > tol, only once y <= tol
+    or p = max_terms; the Abel factor (1 + |x|)/|1 - x| (inf where it does not
+    hold) is formed once, at the first such stop.  No stop moves: at 0 <= rho
+    < 1 the rounded quotient is >= y, the Abel factor is taken >= 1, and a nan
+    y fails both tests.
     """
     ax = abs(x)
     total = 0.0
     x_pow = 1.0
     ax_pow = ax
+    abel = None
     key = (factory, alpha, s, type(alpha))  # 0.0 == 0j; their terms differ in type
     with _kept_lock:
         entry = _kept_streams.pop(key, False)
@@ -300,6 +332,13 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
                 if y <= tol or p >= max_terms:
                     rho = ax * ratio
                     bound = y / (1.0 - rho) if rho < 1.0 else math.inf
+                    if bound <= tol:
+                        break
+                    if abel is None:  # the first such stop; inf where the Abel bound does not hold
+                        abel = (1.0 + ax) / abs(1.0 - x) if alpha.imag == 0 and alpha.real > -1 else math.inf
+                        abel = abel if abel > 1.0 else 1.0
+                    if y * abel < bound:
+                        bound = y * abel
                     if bound <= tol or p >= max_terms:
                         break
         except BaseException:
@@ -357,11 +396,13 @@ def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int) ->
     the first `max_terms` head terms are returned with bound inf.
 
     Stopping rule: after P terms the tail is at most B(P+1) |z|^{P+1} /
-    (1 - rho), rho = |z| * sup_{p > P} B(p+1)/B(p), with B(p) = (p-1)!/
-    prod_{j<=p}|alpha+j| * H_p^{s-1} the majorant `_term_stream` yields
-    (H_p = sum_{i<=p} 1/|alpha+i|, growing like ln p) and the sup bounded as
-    in `_term_stream`.  Convergence is declared once this bound, times |w|^K
-    for a peeled call, is <= tol; while rho >= 1 more terms are added.
+    (1 - rho), rho = |z| * sup_{p > P} B(p+1)/B(p), with B the majorant
+    `_term_stream` yields (|c_{p-1}| at a real shift, where the summation by
+    parts bound of `_summed` may be the smaller, else (p-1)!/prod_{j<=p}
+    |alpha+j| * H_p^{s-1}, H_p = sum_{i<=p} 1/|alpha+i|) and the sup bounded
+    as in `_term_stream`.  Convergence is declared once this bound, times
+    |w|^K for a peeled call, is <= tol; while rho >= 1 more terms are added,
+    unless the summation-by-parts bound meets tol.
     """
     z = w / (w - 1)
     if k := _pole_terms(alpha):

@@ -420,7 +420,8 @@ def verify_euler_inner_sums(
 def verify_coefficient_bound(p_max: int = DEFAULT_P_MAX_FLOAT, s_max: int = 6) -> VerificationReport:
     """|c_p| <= coefficient majorant B(p) * (1 + `COEFFICIENT_BOUND_SLACK`)
     across `DEFAULT_SHIFTS`: B(1) = |alpha+1|^{-s}, and B(p + 1) is read with
-    c_p from the series' own term stream."""
+    c_p from the series' own term stream.  At the real shifts alpha > -1,
+    where B(p + 1) = |c_p|, this tests |c_{p+1}| <= |c_p|."""
     def cases():
         for shift in map(ShiftParam, DEFAULT_SHIFTS):
             for s in range(1, s_max + 1):

@@ -429,12 +429,12 @@ def test_bench_rows_carry_series_points(capsys):
 
 def test_bench_direct_row_matches_alternating_series():
     # the baseline rows are partial sums of the boundary series at w = -1
-    from mhlerch import series
+    from mhlerch import exact
     from test_series import alternating
 
     rows, _ = cli.bench_rows([3], [1e-8])
     row = next(r for r in rows if r.method == "direct_alternating")
-    reference = series.zeta_accelerated(3, cli.REFERENCE_TOL).value.real
+    reference = float(exact._paper_point_sum(3, cli.REFERENCE_TERMS) / (F(1, 4) - 1))
     partial = alternating(0j, 3, row.terms).real
     recomputed = abs(-partial / (1 - 2.0 ** (1 - 3)) - reference)
     assert recomputed == pytest.approx(row.achieved_error, rel=1e-12, abs=1e-15)
@@ -478,16 +478,16 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
     "argv",
     [
         ("eval", "--s", "2", "--w", "-1", "--alpha-rat", "1e400"),
-        ("eval", "--s", "400", "--w", "-1"),
-        ("zeta", "--s", "400"),
+        ("eval", "--s", "400", "--w", "-1", "--alpha=0,0.5"),
         ("eval", "--s", "100", "--w=-0.5", "--alpha=-2.9999"),
         ("eval", "--s", "2", "--w=-1000", "--alpha=-120.5"),
         ("eval", "--s", "100", "--w", "0.5", "--alpha=-1.99999", "--method", "direct"),
     ],
-    ids=["alpha-rat", "eval-s", "zeta-s", "eval-peeled-s", "eval-peeled-w", "eval-direct-s"],
+    ids=["alpha-rat", "eval-s", "eval-peeled-s", "eval-peeled-w", "eval-direct-s"],
 )
 def test_overflow_is_an_error_exit(capsys, argv):
-    # float(1e400 as a Fraction), the majorant's float powers at s = 400, the
+    # float(1e400 as a Fraction), the majorant's float powers at a complex
+    # shift and s = 400, the
     # peeled head term (1/(alpha+3))^100, about 1e400, |w|^K = 1000^121 and
     # the direct series' tail bound 1/|alpha+2|^100, about 1e500, overflow
     # binary64; none of them divides by a power that underflowed to 0
@@ -505,6 +505,15 @@ def test_eval_at_large_order(capsys):
     assert code == 0
     assert data["converged"] is True
     assert data["value_re"] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_zeta_at_large_order_converges(capsys):
+    # the H_p majorant's float power overflowed binary64 here (exit 1); at
+    # alpha = 0 the majorant is |c_p|, which is at most 1
+    code, data, _ = run_json(capsys, "zeta", "--s", "400")
+    assert code == 0
+    assert data["converged"] is True and data["terms_used"] <= 45
+    assert data["value"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):

@@ -404,3 +404,20 @@ def test_coefficient_exact_at_p_130():
         for s in (1, 3):
             expected = kernel_coefficients(alpha, s, 130)
             assert exact.coefficient_exact(130, alpha, s) == expected[129], (alpha, s)
+
+
+def test_paper_point_sum_is_the_partial_sum_of_the_exact_coefficients():
+    # sum_{p<=P} c_p 2^{-p} at alpha = 0, term by term from coefficient_exact
+    for s in (1, 2, 5):
+        for p_max in (1, 2, 9):
+            expected = sum(exact.coefficient_exact(p, 0, s) / 2**p for p in range(1, p_max + 1))
+            assert exact._paper_point_sum(s, p_max) == expected
+
+
+def test_paper_point_sum_tail_is_at_most_two_to_the_minus_p():
+    # s = 1: c_p = -1/p, and the series sums to -ln 2; 2^-p_max bounds the tail
+    for p_max in (1, 5, 20, 40):
+        tail = abs(exact._paper_point_sum(1, p_max) + F(math.log(2)))
+        assert tail <= F(1, 2**p_max) + F(2**-53)  # log(2) rounded once
+    for s in (2, 8):  # the tails past 20 and 40 terms nest
+        assert abs(exact._paper_point_sum(s, 40) - exact._paper_point_sum(s, 20)) <= F(1, 2**20)

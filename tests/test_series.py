@@ -336,32 +336,47 @@ def test_coefficient_float_matches_exact():
                 assert abs(c_float - c_exact) / abs(c_exact) <= 1e-12
 
 
+def complete_homogeneous(t, q):
+    """h_t(1, 1/2, ..., 1/q) by Newton's identity h_k = (1/k) sum_{i<=k}
+    H_q^{(i)} h_{k-i}, from the generalized harmonic numbers H_q^{(i)}."""
+    power_sums = [sum(F(1, n**i) for n in range(1, q + 1)) for i in range(t + 1)]
+    h = [F(1)]
+    for k in range(1, t + 1):
+        h.append(sum(power_sums[i] * h[k - i] for i in range(1, k + 1)) / k)
+    return h[t]
+
+
 def test_coefficient_bound_alpha_zero_closed_form():
-    # B(p) = H_p^{s-1} / p at alpha = 0, H_p the harmonic number
+    # B(p) = |c_{p-1}| = h_{s-1}(1, 1/2, ..., 1/(p-1)) / (p-1) at alpha = 0
+    # (B(1) = 1): at a real shift the majorant is the previous |c_p|
     for s in (1, 2, 3, 5):
         for p in (1, 4, 30, 200):
-            expected = float(sum(F(1, i) for i in range(1, p + 1))) ** (s - 1) / p
+            expected = float(complete_homogeneous(s - 1, p - 1) / (p - 1)) if p > 1 else 1.0
             assert majorant(p, 0j, s) == pytest.approx(expected, rel=1e-13)
 
 
 def test_coefficient_bound_first_index():
-    # B(1) = |alpha+1|^{-s} = |c_1|, and B(2), the stream's first, is
-    # (1/|alpha+1| + 1/|alpha+2|)^{s-1} / (|alpha+1| |alpha+2|); at -2.5,
-    # min_n |alpha+n| = 0.5 differs from |alpha+1|
+    # B(1) = |alpha+1|^{-s} = |c_1|, and B(2), the stream's first, is |c_1|
+    # at a real alpha > -1, else (1/|alpha+1| + 1/|alpha+2|)^{s-1} /
+    # (|alpha+1| |alpha+2|); at -2.5, min_n |alpha+n| = 0.5 differs from |alpha+1|
     for alpha in SHIFTS_MIXED + [-2.5 + 0j]:
         a1, a2 = abs(alpha + 1), abs(alpha + 2)
         for s in (1, 2, 3):
             assert majorant(1, alpha, s) == pytest.approx(abs(coefficient(1, alpha, s)), rel=1e-14)
-            expected = (1 / a1 + 1 / a2) ** (s - 1) / (a1 * a2)
+            if alpha.imag == 0 and alpha.real > -1:
+                expected = a1**-s
+            else:
+                expected = (1 / a1 + 1 / a2) ** (s - 1) / (a1 * a2)
             assert majorant(2, alpha, s) == pytest.approx(expected, rel=1e-14)
 
 
 def test_coefficient_bound_attained_at_s1_alpha0():
-    # attained at p = 1, at s = 1 and, for real alpha > -1 (every f_i > 0), at s = 2
+    # attained at p = 1, and at s = 1 off the real shifts alpha > -1, where
+    # B(p) = |c_{p-1}| > |c_p|
     for alpha in SHIFTS_MIXED:
         for s in (1, 2, 3):
             for p in (1, 3, 10):
-                attained = p == 1 or s == 1 or (s == 2 and alpha.imag == 0 and alpha.real > -1)
+                attained = p == 1 or (s == 1 and not (alpha.imag == 0 and alpha.real > -1))
                 c_p = abs(coefficient(p, alpha, s))
                 bound = majorant(p, alpha, s)
                 assert (c_p == pytest.approx(bound, rel=1e-13)) == attained
@@ -381,6 +396,20 @@ def test_coefficient_bound_just_off_a_pole_at_large_s():
     for alpha, expected in ((-5 - 1e-9, 675354407565.5435), (-5 + 1e-9, 675354446375.9144)):
         assert majorant(4, alpha, 40) == pytest.approx(expected, rel=1e-12)
         assert next(islice(series._term_stream(alpha, 40), 2, None))[2] == math.inf
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha=st.fractions(min_value=-1, max_value=60, max_denominator=100).filter(lambda a: a > -1),
+    s=st.integers(1, 8),
+    p=st.integers(1, 80),
+)
+def test_real_shift_majorant_bounds_the_exact_coefficients(alpha, s, p):
+    # At a real alpha > -1, c_p < 0 and B(p+1) = |c_p| bounds every later |c_m|
+    c_p, b_next, _ = next(islice(series._term_stream(complex(alpha), s), p - 1, None))
+    assert c_p.real < 0 and exact.coefficient_exact(p, alpha, s) < 0
+    for m in range(p + 1, p + 6):
+        assert F(b_next) >= abs(exact.coefficient_exact(m, alpha, s))
 
 
 def _majorant_ratios(alpha, s, stop):
@@ -416,8 +445,15 @@ def test_tail_ratio_sup_bounds_the_majorant_ratio(alpha, p, s):
     for c_p, b_p in zip((c_p for c_p, _, _ in stream), bounds):
         assert abs(c_p) <= b_p * (1 + 1e-12)
     sup = stream[p - 1][2]
+    if alpha.imag == 0 and alpha.real > -1:
+        # bounds[m] = B(m+1) = |c_m|, which does not increase: every ratio is <= 1 <= sup
+        for m in range(1, 200):
+            assert bounds[m] == abs(stream[m - 1][0])
+            assert bounds[m] <= bounds[m - 1] * (1 + 1e-12)
+        assert sup >= 1.0
+        return
     ratios = _majorant_ratios(alpha, s, p + 401)
-    for m in range(1, 200):  # bounds[m] = B(m+1), read at every shift
+    for m in range(1, 200):  # bounds[m] = B(m+1), read at every other shift
         assert bounds[m] == pytest.approx(bounds[m - 1] * ratios[m], rel=1e-12)
     # the ratio bound holds for Re(alpha) >= -1, the shifts `_summed` is given;
     # allow the rounding of the sup
@@ -445,6 +481,43 @@ def test_accelerated_log2():
 def test_accelerated_eta2():
     result = series.lerch_accelerated(-1, ShiftParam(0j), 2, tol=1e-12)
     assert result.value.real == pytest.approx(-PI2_12, abs=1e-12)
+
+
+PAPER_POINT_TOLS = (1e-6, 1e-8, 1e-10, 1e-11, 1e-12, 1e-13)
+
+
+@pytest.mark.parametrize("s", range(2, 13))
+def test_paper_point_certificate_against_the_exact_reference(s):
+    # At w = -1, alpha = 0 (z = 1/2) the exact partial sum S of 64 terms is
+    # within 2^-64 of Li(-1; 0, s), and zeta(s) = S/(2^{1-s} - 1) within 2^-63
+    # of zeta(s): every converged call's error must stay within its bound.
+    exact_sum = exact._paper_point_sum(s, 64)
+    references = (
+        (lambda tol: series.zeta_accelerated(s, tol), exact_sum / (F(2) ** (1 - s) - 1), F(1, 2**63)),
+        (lambda tol: series.lerch_accelerated(-1, ShiftParam(0), s, tol), exact_sum, F(1, 2**64)),
+    )
+    for evaluate, reference, tail in references:
+        for tol in PAPER_POINT_TOLS:
+            result = evaluate(tol)
+            assert result.converged and result.value.imag == 0
+            assert abs(F(result.value.real) - reference) + tail <= F(result.error_bound), (tol, result)
+
+
+@pytest.mark.parametrize("s", [150, 400, 1000])
+def test_paper_point_at_large_order(s):
+    # Li(-1; 0, s) = -1 + 2^-s - 3^-s + ... lies in (-1, -1 + 2^-s), and
+    # zeta(s) in (1, 1 + 2^{1-s}); the H_p majorant overflowed at s = 400 and
+    # 1000, and took 439 terms at s = 150
+    for result in (series.zeta_accelerated(s, 1e-12), series.lerch_accelerated(-1, ShiftParam(0), s, 1e-12)):
+        assert result.converged and result.terms_used <= 45
+        assert abs(abs(result.value) - 1) + 2.0 ** (1 - s) <= result.error_bound
+
+
+def test_real_shift_coefficient_overflow_raises():
+    # c_1 = -(alpha+1)^{-s} = -2^1100 at alpha = -1/2: the majorant |c_p| is
+    # inf, and the call raises at once instead of summing to max_terms
+    with pytest.raises(OverflowError, match="c_1 overflows"):
+        series.lerch_accelerated(-1, ShiftParam(-0.5), 1100)
 
 
 def test_accelerated_domain_error():
@@ -1056,8 +1129,8 @@ def test_zeta_between_distinct_pairs_sums_its_kept_terms(monkeypatch):
         zeta_steps.append(steps.get(("z", 0.0, 4), 0) - before)
         zeta_terms.append(result.terms_used)
     monkeypatch.undo()
-    assert zeta_terms == [22, 42, 35, 42]
-    assert zeta_steps == [22, 42, 0, 0]
+    assert zeta_terms == [20, 39, 33, 39]
+    assert zeta_steps == [20, 39, 0, 0]
 
 
 def test_recorded_keys_and_kept_terms_stay_within_their_bounds():
@@ -1084,24 +1157,28 @@ def test_recorded_keys_and_kept_terms_stay_within_their_bounds():
 
 def summed_every_bound(x, alpha, s, tol, max_terms, scale, factory):
     """Oracle for `series._summed`: its loop over an unkept stream, with the
-    bound formed in full on every term with rho < 1."""
+    bound formed in full on every term: the geometric bound where rho < 1,
+    and where that is > tol at a real alpha > -1, the smaller of it and the
+    summation-by-parts bound y (1 + |x|)/|1 - x|, its factor taken >= 1."""
     method = series._METHODS[factory]
+    abel = alpha.imag == 0 and alpha.real > -1
     ax = abs(x)
     total = 0.0
     x_pow = 1.0
     ax_pow = ax
-    bound = math.inf
     for p, (a_p, b_next, ratio) in enumerate(factory(alpha, s), 1):
         x_pow *= x
         ax_pow *= ax
         total += a_p * x_pow
         rho = ax * ratio
-        if rho < 1.0:
-            bound = scale * b_next * ax_pow / (1.0 - rho)
-            if bound <= tol:
-                return SeriesResult(total, p, bound, True, method)
+        y = scale * b_next * ax_pow
+        bound = y / (1.0 - rho) if rho < 1.0 else math.inf
+        if abel and bound > tol:
+            bound = min(bound, y * max(1.0, (1.0 + ax) / abs(1.0 - x)))
+        if bound <= tol:
+            return SeriesResult(total, p, bound, True, method)
         if p >= max_terms:
-            return SeriesResult(total, p, bound if rho < 1.0 else math.inf, False, method)
+            return SeriesResult(total, p, bound, False, method)
 
 
 def _outcome(summed, *args):
@@ -1162,13 +1239,17 @@ def test_numerator_first_stop_off_a_pole(x):
 
 @pytest.mark.parametrize("max_terms", [1, 2, 60])
 def test_numerator_first_stop_with_rho_at_least_one(max_terms):
-    # r_1 = (1 + 1/(3 * 1.5))^7 > 1/0.9 at alpha = 0, s = 8: rho >= 1 on the
-    # first terms.  With scale 0 the numerator is 0 <= tol from the first term
-    # on, yet the sum must go on until rho < 1 (or stop at max_terms).
-    for scale in (0.0, 1.0):
-        assert_same_stop(0.9, 0.0, 8, 1e-12, max_terms, scale, series._term_stream)
-    assert series._summed(0.9, 0.0, 8, 1e-12, 1, 0.0).error_bound == math.inf
-    assert series._summed(0.9, 0.0, 8, 1e-12, 60, 0.0).converged
+    # r_1 > 1/0.9 at alpha = 0.1j and at alpha = 0, s = 8 (about (1 + 1/(3 *
+    # 1.5))^7): rho >= 1 on the first terms.  With scale 0 the numerator is 0
+    # <= tol from the first term on, yet at the complex shift the sum must go
+    # on until rho < 1 (or stop at max_terms); at the real one the summation
+    # by parts bound, 0, needs no rho < 1.
+    for alpha in (0.1j, 0.0):
+        for scale in (0.0, 1.0):
+            assert_same_stop(0.9, alpha, 8, 1e-12, max_terms, scale, series._term_stream)
+    assert series._summed(0.9, 0.1j, 8, 1e-12, 1, 0.0).error_bound == math.inf
+    assert series._summed(0.9, 0.1j, 8, 1e-12, 60, 0.0).converged
+    assert series._summed(0.9, 0.0, 8, 1e-12, 1, 0.0)[1:] == (1, 0.0, True, "z")
 
 
 @pytest.mark.parametrize(
