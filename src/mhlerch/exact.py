@@ -46,6 +46,7 @@ return; `verify` compares the integers.
 from __future__ import annotations
 
 import math
+import threading
 from collections import namedtuple
 from fractions import Fraction
 from itertools import count
@@ -225,6 +226,28 @@ def coefficient_exact(p: int, alpha: RationalLike, s: int) -> Fraction:
     """
     _check_count(p, "p")
     return -lemma_rhs(LemmaParams(p - 1, s, Fraction(alpha) + 1))
+
+
+#: B_0, B_1, ... (B_1 = -1/2), grown by `_bernoulli` under `_bernoulli_lock`.
+_BERNOULLI = []
+_bernoulli_lock = threading.Lock()
+
+
+def _bernoulli(n: int) -> Fraction:
+    """The Bernoulli number B_n (B_1 = -1/2), exactly, by Hasse's formula
+
+        B_n = sum_{q<=n} L_n(q)/(q+1),  L_n(q) = sum_{m<=q} C(q, m) (-1)^m m^n,
+
+    each L_n(q) one `_alternating_sum` over the `_Weight`s m^n, so an int.
+    The table grows to n on first use and is kept, not built at import."""
+    with _bernoulli_lock:
+        while len(_BERNOULLI) <= n:
+            k = len(_BERNOULLI)
+            powers = [_Weight(m**k) for m in range(k + 1)]
+            denominator = math.lcm(*range(1, k + 2))
+            total = sum(_alternating_sum(powers, q) * (denominator // (q + 1)) for q in range(k + 1))
+            _BERNOULLI.append(Fraction(total, denominator))
+        return _BERNOULLI[n]
 
 
 def _paper_point_sum(s: int, p_max: int) -> Fraction:

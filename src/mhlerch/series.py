@@ -8,21 +8,29 @@ on the half-plane Re(w) < 1/2 via the power series in z = w/(w-1),
     c_p = -(p-1)!/(alpha+1)_p * S_1^p(s-1),  f_i = 1/(alpha + i),
 
 and via the defining series on the lens |w - 1| < 1, where it converges
-faster; plus, at alpha = 0, z = 1/2, the binomial double-sum form and the
-accelerated zeta(s) series.  The defining series at the boundary point
-w = -1 is read only by `cli.bench_rows`, as its slow baseline.
+faster; at a real alpha where |z| >= 0.8 and |Log w| <= pi, via the
+log-series in x = Log w about w = 1 (Erdelyi, HTF I, 1.11(8)), whose terms
+shrink like (|x|/(2 pi))^k; plus, at alpha = 0, z = 1/2, the binomial
+double-sum form and the accelerated zeta(s) series.  The defining series
+at the boundary point w = -1 is read only by `cli.bench_rows`, as its slow
+baseline.
 
 Every evaluator returns an a-posteriori error bound.  One loop, `_summed`,
-sums both series, from `_term_stream` and `_direct_stream`; one more,
-`_partial_sums`, yields unbounded partial sums.  The series in z
+sums the three series, from `_term_stream`, `_direct_stream` and
+`logseries._log_stream`; one more, `_partial_sums`, yields unbounded partial
+sums.  The log-series (module `logseries`, imported on first use) bounds its
+truncation by a Bernoulli majorant, its Euler-Maclaurin head by the first
+omitted term, and its rounding by u times a multiple of the sum of its
+terms' moduli.  The series in z
 is bounded through a coefficient majorant (see `_term_stream`): at a real
-alpha > -1, |c_p| itself, which does not increase in p; elsewhere
+alpha > -1, |c_p| itself (inflated by its rounding), which does not increase
+in p; elsewhere
 
     |c_p| <= B(p) = (p-1)!/(|alpha+1| ... |alpha+p|) * H_p^{s-1},
     H_p = sum_{i<=p} 1/|alpha+i|,
 
 where H_p grows like ln p.  At a real alpha > -1 `_summed` also bounds the
-tail by summation by parts.  The factorial/Pochhammer
+tail of the first two series by summation by parts.  The factorial/Pochhammer
 ratio is carried multiplicatively: both factors overflow binary64 near p ~ 170
 while their ratio stays O(1/p) for small shifts.  Negative shifts are summed
 at alpha + K, K = `_pole_terms(alpha)`, by the shift relation (Erdelyi, HTF I, 1.11)
@@ -55,6 +63,8 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 10000
 
 _FLOAT_MAX = sys.float_info.max
+_U = 2.0**-53  # the unit roundoff of binary64
+_EPS = 2.0**-52  # 2u, the spacing of binary64 numbers in [1, 2)
 
 
 def _require_finite(value, name: str) -> complex:
@@ -71,6 +81,20 @@ def _check_tolerance(tol: float) -> float:
     if tol < MIN_TOL:
         raise PrecisionError(f"tolerance {tol} is below the binary64 floor {MIN_TOL}")
     return tol
+
+
+def _checked(w, s: int, tol: float, max_terms: int) -> Tuple[complex, float]:
+    """The checks `lerch_direct` and `lerch_accelerated` share, in one order:
+    w finite (as `_require_finite` checks), s and max_terms integers >= 1,
+    tol as `_check_tolerance` takes it; returns w as a complex and tol as a
+    float."""
+    w = complex(w)
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+        raise ValueError(f"w must be finite, got {w}")
+    exact._check_count(s, "order s")
+    tol = _check_tolerance(tol)
+    exact._check_count(max_terms, "max_terms")
+    return w, tol
 
 
 def _tail_gap(alpha: complex, n_min: int) -> float:
@@ -99,7 +123,8 @@ class SeriesResult(NamedTuple):
 
     `converged` implies `error_bound <= ` the requested tolerance;
     `terms_used` never exceeds the configured max-terms.  `method` is the
-    series summed: "z" or "direct" (the defining series).
+    series summed: "z", "direct" (the defining series) or "log" (the
+    log-series in Log w).
     """
 
     value: complex
@@ -132,10 +157,7 @@ def lerch_direct(
     falls below `tol` (or, at a real alpha > -1, the summation-by-parts
     bound of `_summed`), or at `max_terms` with converged = False.
     """
-    w = _require_finite(w, "w")
-    exact._check_count(s, "order s")
-    tol = _check_tolerance(tol)
-    exact._check_count(max_terms, "max_terms")
+    w, tol = _checked(w, s, tol, max_terms)
     aw = abs(w)
     if aw >= 1.0:
         raise DomainError(f"|w| must be < 1 for the direct series, got |w| = {aw}")
@@ -183,11 +205,20 @@ def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float
     step each, with H_p and |alpha+p+1|, |alpha+p+2| carried, B(p+1) >= |c_m|
     for every m > p and r_p >= sup_{m > p} B(m+1)/B(m).
 
-    At a real alpha > -1, B(p+1) = |c_p|.  c_p = -R(p-1, alpha+1) and
-    R(q+1, beta) = R(q, beta) - R(q, beta+1) give c_{p+1} - c_p = R(p-1, alpha+2)
-    > 0, and c_p < 0 (every R at a shift > 0 is positive): |c_p| does not
-    increase in p.  A c_p too large for binary64 raises `OverflowError`, as
-    the H majorant's power does.  Elsewhere B(p+1) = |prefactor_p| * p/|alpha+p+1| *
+    At a real alpha > -1, B(p+1) = |c_p| (1 + 4(p+s) 2^-52).  c_p = -R(p-1, alpha+1)
+    and R(q+1, beta) = R(q, beta) - R(q, beta+1) give c_{p+1} - c_p = R(p-1, alpha+2)
+    > 0, and c_p < 0 (every R at a shift > 0 is positive): the exact |c_p| does
+    not increase in p.  The factor covers the rounding of the computed c_p,
+    with u = 2^-53: every f_i and every term of the column is positive, so
+    each rounding moves it relatively.  d = alpha + n, f_n = 1/d and
+    (n-1)/d take one rounding each and the prefactor's product one more, 3 a
+    step; the column entry of depth t after n steps carries at most
+    e(t, n) = n - 1 + 4t, as e(t, n) <= max(e(t, n-1), e(t-1, n) + 3) + 1
+    (f_n, its product, the sum); c_p = -prefactor * col[t] adds one.  So
+    |c_p| <= |computed c_p| / (1 - g u), g = 4p + 4t <= 4(p+s) - 4, and the
+    factor 1 + 2 * 4(p+s) u, exact in binary64, covers that and its own
+    product's rounding for p + s < 2^24.  A c_p too large for binary64 raises
+    `OverflowError`, as the H majorant's power does.  Elsewhere B(p+1) = |prefactor_p| * p/|alpha+p+1| *
     H_{p+1}^{s-1}, H_p = sum_{i<=p} |f_i|: every monomial of the complete
     homogeneous polynomial S_1^p(s-1) appears in H_p^{s-1}.
 
@@ -203,8 +234,10 @@ def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float
     h = 1.0 / abs(alpha + 1)
     abs_next = abs(alpha + 2)
     decreasing = alpha.imag == 0 and alpha.real > -1
+    inflate, step = 1.0 + 4 * s * _EPS, 4 * _EPS
+    base = alpha.real if decreasing else alpha  # |alpha + n| is then the float alpha + n, with no complex sum
     for p, prefactor, col in exact._depth_columns(alpha, t):
-        abs_after = abs(alpha + (p + 2))
+        abs_after = abs(base + (p + 2))
         h_next = h + 1.0 / abs_next
         try:
             ratio = (1.0 + 1.0 / (abs_after * h_next)) ** t
@@ -212,7 +245,8 @@ def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float
             ratio = math.inf
         c_p = -prefactor * col[t]
         if decreasing:
-            b_next = -c_p.real
+            inflate += step
+            b_next = -c_p.real * inflate
             if not b_next <= _FLOAT_MAX:  # inf, or nan past an inf
                 raise OverflowError(f"c_{p} overflows binary64 at alpha = {alpha}, s = {s}")
         else:
@@ -221,8 +255,14 @@ def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float
         h, abs_next = h_next, abs_after
 
 
-#: The series each stream sums, as `SeriesResult.method` names it.
-_METHODS = {_term_stream: "z", _direct_stream: "direct"}
+#: The series each stream sums, by the stream's name, as `SeriesResult.method`
+#: names it; `_log_stream` is in `logseries`, imported on the first call that
+#: tries the log-series.
+_METHODS = {"_term_stream": "z", "_direct_stream": "direct", "_log_stream": "log"}
+
+#: The streams whose terms are one-signed and do not increase in magnitude at
+#: a real alpha > -1, where `_summed` also takes the summation-by-parts bound.
+_ABEL_STREAMS = (_term_stream, _direct_stream)
 
 #: Bound on the keys `_kept_streams` records.  On `eval-scattered` only the 11
 #: zeta keys repeat, each once per 111-call pass; every call records at most
@@ -272,13 +312,14 @@ def _trim() -> None:
 
 def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_term_stream) -> SeriesResult:
     """Sum a_p x^p over the kept stream `factory(alpha, s)` of (a_p, B(p+1), r_p),
-    B(p+1) >= |a_m| for m > p and r_p >= sup_{m>p} B(m+1)/B(m), until `scale`
+    a majorant B(m) >= |a_m| and r_p >= sup_{m>p} B(m+1)/B(m), until `scale`
     times the tail bound B(P+1) |x|^{P+1} / (1 - |x| r_P) is <= tol; the value
     is unscaled.  x = z for `_term_stream` (at Re(alpha) >= -1, as its ratio
-    needs), x = w for `_direct_stream`.
+    needs), x = w for `_direct_stream`, x = Log w for `logseries._log_stream`.
 
-    At a real alpha > -1 the terms a_m of both streams are one-signed and
-    |a_m| does not increase, so summation by parts (Abel) also bounds the
+    At a real alpha > -1 the terms a_m of the first two streams
+    (`_ABEL_STREAMS`) are one-signed and |a_m| does not increase, and each
+    B(P+1) bounds every later |a_m|, so summation by parts (Abel) also bounds the
     tail: with X_m = sum_{P<k<=m} x^k, |X_m| <= |x|^{P+1} (1 + |x|)/|1 - x|,
     sum_{m>P} a_m x^m = sum_{m>P} (a_m - a_{m+1}) X_m (+ the limit of a_m
     times that of X_m), and the |differences| (and that limit) add up to
@@ -335,7 +376,8 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
                     if bound <= tol:
                         break
                     if abel is None:  # the first such stop; inf where the Abel bound does not hold
-                        abel = (1.0 + ax) / abs(1.0 - x) if alpha.imag == 0 and alpha.real > -1 else math.inf
+                        holds = alpha.imag == 0 and alpha.real > -1 and factory in _ABEL_STREAMS
+                        abel = (1.0 + ax) / abs(1.0 - x) if holds else math.inf
                         abel = abel if abel > 1.0 else 1.0
                     if y * abel < bound:
                         bound = y * abel
@@ -349,7 +391,7 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
             _kept_count[0] += len(entry[0]) - kept
         if len(_kept_streams) > _RECORDED_KEYS or _kept_count[0] > _KEPT_TERMS:
             _trim()
-    return SeriesResult(total, p, bound, bound <= tol, _METHODS[factory])
+    return SeriesResult(total, p, bound, bound <= tol, _METHODS[factory.__name__])
 
 
 def lerch_accelerated(
@@ -361,21 +403,23 @@ def lerch_accelerated(
 ) -> SeriesResult:
     """Evaluate Li(w; alpha, s) for Re(w) < 1/2: on the lens |w - 1| < 1 by
     the defining series, as `lerch_direct` sums it (a shift near a pole needs
-    no peeling there); elsewhere by the series in z = w/(w-1), `_z_series`.
+    no peeling there); elsewhere by `_z_series`: the series in z = w/(w-1),
+    or at a real alpha where |z| >= 0.8 and |Log w| <= pi the log-series in
+    x = Log w (`logseries._log_series`) when its bound meets tol.
 
     |z| = |w|/|w - 1|, so |w| < |z| exactly when |w - 1| < 1: the lens is
     where the defining series converges faster.  Every w <= 0 and every
-    |w| >= 1 lies off it.
+    |w| >= 1 lies off it.  The series in z converges like |z|^p, the
+    log-series like (|x|/(2 pi))^k.
     """
-    w = _require_finite(w, "w")
-    exact._check_count(s, "order s")
-    tol = _check_tolerance(tol)
-    exact._check_count(max_terms, "max_terms")
+    w, tol = _checked(w, s, tol, max_terms)
     if w.real >= 0.5:
         raise DomainError(f"Re(w) must be < 1/2, got Re(w) = {w.real}")
-    if abs(w - 1) < 1.0:
-        return _summed(w, shift.alpha, s, tol, max_terms, 1.0, _direct_stream)
-    return _z_series(w, shift.alpha, s, tol, max_terms)
+    alpha = shift.alpha
+    gap = abs(w - 1)
+    if gap < 1.0:
+        return _summed(w, alpha, s, tol, max_terms, 1.0, _direct_stream)
+    return _z_series(w, alpha, s, tol, max_terms, alpha.imag == 0 and abs(w) >= _LOG_MIN_Z * gap)
 
 
 def _pole_terms(alpha: complex) -> int:
@@ -384,9 +428,11 @@ def _pole_terms(alpha: complex) -> int:
     return math.floor(-alpha.real) + 1 if alpha.real < -0.5 else 0
 
 
-def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -> SeriesResult:
+def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int, log_route=False) -> SeriesResult:
     """Li(w; alpha, s) through the series in z = w/(w-1), at checked arguments
-    with Re(w) < 1/2 (|z| < 1 exactly on that half-plane).
+    with Re(w) < 1/2 (|z| < 1 exactly on that half-plane); with `log_route`,
+    at a real alpha, through the log-series first (`logseries._log_series`),
+    which returns None where |Log w| > pi or its bound cannot meet tol.
 
     Pole peeling: if Re(alpha) < -1/2, the K = `_pole_terms(alpha)` head terms
     w^n (1/(alpha+n))^s of the shift relation are the K-th partial sum of
@@ -405,16 +451,24 @@ def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int) ->
     unless the summation-by-parts bound meets tol.
     """
     z = w / (w - 1)
-    if k := _pole_terms(alpha):
-        w_pow, head = next(islice(_partial_sums(w, _direct_terms(alpha, s)), min(k, max_terms) - 1, None))
-        if k >= max_terms:
-            return SeriesResult(head, max_terms, math.inf, False, "z")
-        if not math.isfinite(abs(w_pow)):
-            raise OverflowError(f"|w|^K overflows binary64 at |w| = {abs(w)}, K = {k}")
-        inner = _summed(z, alpha + k, s, tol, max_terms - k, abs(w_pow))
-        return inner._replace(value=head + w_pow * inner.value, terms_used=k + inner.terms_used)
-    return _summed(z, alpha, s, tol, max_terms)
+    if log_route:
+        from .logseries import _log_series
+    if not (k := _pole_terms(alpha)):
+        logged = log_route and _log_series(w, z, alpha, s, tol, max_terms, 0, 1.0)
+        return logged or _summed(z, alpha, s, tol, max_terms)
+    w_pow, head = next(islice(_partial_sums(w, _direct_terms(alpha, s)), min(k, max_terms) - 1, None))
+    if k >= max_terms:
+        return SeriesResult(head, max_terms, math.inf, False, "z")
+    if not math.isfinite(scale := abs(w_pow)):
+        raise OverflowError(f"|w|^K overflows binary64 at |w| = {abs(w)}, K = {k}")
+    logged = log_route and _log_series(w, z, alpha, s, tol, max_terms, k, scale)
+    inner = logged or _summed(z, alpha + k, s, tol, max_terms - k, scale)
+    return inner._replace(value=head + w_pow * inner.value, terms_used=k + inner.terms_used)
 
+
+#: The log-series is tried at |z| >= _LOG_MIN_Z (and |Log w| <= pi), where the
+#: series in z converges like 0.8^p or slower: 62 terms to shrink by 1e-6.
+_LOG_MIN_Z = 0.8
 
 def _euler_partial_sums(s: int) -> Iterator[complex]:
     """Yield sum_{p<=P} 2^{-p} sum_{m<p} C(p-1, m) (-1)^{m+1}/(m+1)^s, P = 1, 2, ...:

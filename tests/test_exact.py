@@ -421,3 +421,27 @@ def test_paper_point_sum_tail_is_at_most_two_to_the_minus_p():
         assert tail <= F(1, 2**p_max) + F(2**-53)  # log(2) rounded once
     for s in (2, 8):  # the tails past 20 and 40 terms nest
         assert abs(exact._paper_point_sum(s, 40) - exact._paper_point_sum(s, 20)) <= F(1, 2**20)
+
+
+#: B_0 .. B_30 at even n (with B_1 = -1/2), from the standard tables.
+KNOWN_BERNOULLI = {
+    0: F(1), 1: F(-1, 2), 2: F(1, 6), 4: F(-1, 30), 6: F(1, 42), 8: F(-1, 30), 10: F(5, 66),
+    12: F(-691, 2730), 14: F(7, 6), 16: F(-3617, 510), 18: F(43867, 798), 20: F(-174611, 330),
+    22: F(854513, 138), 24: F(-236364091, 2730), 26: F(8553103, 6), 28: F(-23749461029, 870),
+    30: F(8615841276005, 14322),
+}
+
+
+def test_bernoulli_numbers_match_the_tables():
+    for n in range(31):
+        assert exact._bernoulli(n) == KNOWN_BERNOULLI.get(n, 0), n
+
+
+@pytest.mark.parametrize("a", [F(0), F(1, 3), F(-7, 4), F(5, 2), F(10**6 + 1, 10**6)])
+def test_bernoulli_polynomial_step(a):
+    # B_n(a) = sum_k C(n, k) B_k a^{n-k} satisfies B_n(a + 1) - B_n(a) = n a^{n-1}
+    def polynomial(n, y):
+        return sum(math.comb(n, k) * exact._bernoulli(k) * y ** (n - k) for k in range(n + 1))
+
+    for n in range(1, 25):
+        assert polynomial(n, a + 1) - polynomial(n, a) == n * a ** (n - 1)

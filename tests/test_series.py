@@ -14,12 +14,13 @@ from itertools import islice
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mhlerch import cli, exact, series
+from mhlerch import cli, exact, logseries, series
 from mhlerch.errors import DomainError, InvalidShiftError, PrecisionError
 from mhlerch.series import SeriesResult, ShiftParam
+from test_exact import KNOWN_BERNOULLI, kernel_coefficients
 
 mp.mp.dps = 30
 
@@ -398,6 +399,8 @@ def test_coefficient_bound_just_off_a_pole_at_large_s():
         assert next(islice(series._term_stream(alpha, 40), 2, None))[2] == math.inf
 
 
+@example(alpha=F(-99, 100), s=8, p=1)  # 58u below |c_m| at -99/100 itself, not at float(-99/100)
+@example(alpha=F(-993604, 1000000), s=9, p=21)  # |c_p| in floats was 3.5u below the exact |c_22|
 @settings(max_examples=100, deadline=None)
 @given(
     alpha=st.fractions(min_value=-1, max_value=60, max_denominator=100).filter(lambda a: a > -1),
@@ -405,11 +408,14 @@ def test_coefficient_bound_just_off_a_pole_at_large_s():
     p=st.integers(1, 80),
 )
 def test_real_shift_majorant_bounds_the_exact_coefficients(alpha, s, p):
-    # At a real alpha > -1, c_p < 0 and B(p+1) = |c_p| bounds every later |c_m|
+    # At a real alpha > -1, c_p < 0 and B(p+1), |c_p| inflated by its
+    # rounding, bounds every later exact |c_m| at the shift the stream is
+    # given, Fraction(float(alpha)); strictly, with no tolerance
     c_p, b_next, _ = next(islice(series._term_stream(complex(alpha), s), p - 1, None))
-    assert c_p.real < 0 and exact.coefficient_exact(p, alpha, s) < 0
+    exact_c = kernel_coefficients(F(float(alpha)), s, p + 5)  # c_1 .. c_{p+5}, one pass in Fraction
+    assert c_p.real < 0 and exact_c[p - 1] < 0
     for m in range(p + 1, p + 6):
-        assert F(b_next) >= abs(exact.coefficient_exact(m, alpha, s))
+        assert F(b_next) >= abs(exact_c[m - 1])
 
 
 def _majorant_ratios(alpha, s, stop):
@@ -446,9 +452,10 @@ def test_tail_ratio_sup_bounds_the_majorant_ratio(alpha, p, s):
         assert abs(c_p) <= b_p * (1 + 1e-12)
     sup = stream[p - 1][2]
     if alpha.imag == 0 and alpha.real > -1:
-        # bounds[m] = B(m+1) = |c_m|, which does not increase: every ratio is <= 1 <= sup
+        # bounds[m] = B(m+1) = |c_m| inflated by its rounding, 1 + 4(m+s) 2^-52;
+        # |c_m| does not increase: every ratio is <= 1 <= sup
         for m in range(1, 200):
-            assert bounds[m] == abs(stream[m - 1][0])
+            assert bounds[m] == abs(stream[m - 1][0]) * (1 + 4 * (m + s) * 2.0**-52)
             assert bounds[m] <= bounds[m - 1] * (1 + 1e-12)
         assert sup >= 1.0
         return
@@ -641,11 +648,16 @@ def test_route_rests_on_w_alone():
     # lens near its corners e^{+-i pi/3}, and on w <= 0 and |w| >= 1
     inside = [cmath.rect(0.999, t) for t in (math.pi / 3, -math.pi / 3)] + [0.49 + 0.86j, 0.49 - 0.86j, 1e-9]
     outside = [0.49 + 0.88j, 0.49 - 0.88j, 0j, -1e-9, -0.5, 0.3 + 2j, -1 + 0.2j]
-    shift = ShiftParam(0.5 + 0j)
-    for w in inside + outside:
-        assert (abs(w) < abs(w / (w - 1))) == (w in inside)
-        result = series.lerch_accelerated(w, shift, 2, 1e-6, 200)
-        assert result.method == ("direct" if w in inside else "z")
+    # Off the lens a real shift takes the log-series where |z| >= 0.8 and
+    # |Log w| <= pi (the first two and 0.3 + 2i here), a complex shift never
+    log_points = [0.49 + 0.88j, 0.49 - 0.88j, 0.3 + 2j]
+    for alpha in (0.5 + 0j, 0.5 + 1e-3j):
+        shift = ShiftParam(alpha)
+        for w in inside + outside:
+            assert (abs(w) < abs(w / (w - 1))) == (w in inside)
+            result = series.lerch_accelerated(w, shift, 2, 1e-6, 200)
+            off_lens = "log" if w in log_points and alpha.imag == 0 else "z"
+            assert result.method == ("direct" if w in inside else off_lens)
 
 
 def _direct_abs_terms(w, alpha, s, terms):
@@ -835,6 +847,150 @@ def test_max_terms_must_be_an_integer(evaluate):
         with pytest.raises(ValueError, match="max_terms"):
             evaluate(bad)
     assert evaluate(3).terms_used <= 3
+
+
+# ---------------------------------------------------------------------------
+# the log-series in x = Log w at real shifts, |z| >= 0.8, |Log w| <= pi
+# ---------------------------------------------------------------------------
+
+
+def _log_domain_point(rng):
+    # w off the lens with |z| in [0.8, 0.995] and |Log w| <= pi
+    while True:
+        z = cmath.rect(rng.uniform(0.8, 0.995), rng.uniform(-math.pi, math.pi))
+        w = z / (z - 1)
+        if abs(w - 1) >= 1 and abs(cmath.log(w)) <= math.pi:
+            return w
+
+
+def _log_grid():
+    # (w, alpha, s): real shifts with a = alpha + 1 in [0.5, 4), peeled
+    # negatives, and the inner sums of near-pole shifts, alpha + K with
+    # a = alpha + K + 1 within 1e-6 .. 1e-2 of 1 or 2
+    rng = random.Random(2029)
+    grid = []
+    for i in range(33):
+        if i % 3 == 0:
+            alpha = rng.uniform(-0.5, 3.0)
+        elif i % 3 == 1:
+            alpha = -rng.randint(1, 5) - rng.uniform(0.1, 0.9)
+        else:
+            alpha = _peeled(-rng.randint(1, 5) + rng.choice((-1, 1)) * 10 ** rng.uniform(-6, -2))
+        grid.append((_log_domain_point(rng), alpha, 1 + i % 8))
+    return grid
+
+
+def test_log_route_certificate_against_the_oracle():
+    # converged implies |error| <= error_bound, against mpmath.lerchphi at 30
+    # digits; a peeled call may add the rounding of its head, which neither
+    # route counts (ROADMAP item 1b): each term w^n (1/(alpha+n))^s within
+    # (4s + 3K + 4) u of its modulus, and their sum K u more.  Unpeeled calls
+    # take the route at tol 1e-6 and 1e-10; at 1e-13 and on peeled calls it
+    # may fall back to the series in z, where its rounding term or |w|^K
+    # keeps the bound above tol.
+    methods = {}
+    for w, alpha, s in _log_grid():
+        k = series._pole_terms(complex(alpha))
+        ref = mp.mpc(w) * mp.lerchphi(mp.mpc(w), s, mp.mpf(alpha) + 1)
+        head = sum(abs(w) ** n / abs(alpha + n) ** s for n in range(1, k + 1))
+        for tol in (1e-6, 1e-10, 1e-13):
+            result = series.lerch_accelerated(w, ShiftParam(alpha), s, tol)
+            methods[k > 0, result.method] = methods.get((k > 0, result.method), 0) + 1
+            assert result.converged
+            if not k and tol >= 1e-10:
+                assert result.method == "log"
+            if result.method == "log":
+                error = abs(mp.mpc(result.value) - ref)
+                assert error <= result.error_bound + (4 * (s + k) + 6) * U * head
+    assert methods[True, "log"] > methods[True, "z"]  # 22 and 11 of the 33 peeled calls
+
+
+@pytest.mark.parametrize("w, terms", [(0.49 + 1j, 16), (0.49 + 5j, 24)])
+def test_log_route_converges_at_the_open_defect_points(w, terms):
+    # The series in z took 2813 terms at w = 0.49 + 1i and did not converge in
+    # 10^4 at w = 0.49 + 5i (|z| = 0.9915 and 0.9995)
+    result = series.lerch_accelerated(w, ShiftParam(0.5), 2, 1e-12)
+    assert result.converged and result.method == "log" and result.terms_used == terms
+    assert abs(result.value - ref_lerch(w, 0.5, 2)) <= result.error_bound
+
+
+def _bernoulli_polynomial(n, a):
+    return sum(math.comb(n, k) * exact._bernoulli(k) * a ** (n - k) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("alpha", [-0.5, -0.3, -0.01, 0.0, 0.3, 0.5, 0.7, 1.0, 2.6, 3.9])
+@pytest.mark.parametrize("s", [1, 3, 8])
+def test_log_stream_majorant_and_rounding_bound_the_exact_coefficients(alpha, s):
+    # In Fraction at a = alpha + 1: a_m = -B_m(a)/m! Beta(m, s), Beta(m, s) =
+    # (s-1)!/(m)_s.  B(m+1) bounds |a_{m+1}|, the ratios of the yielded B stay
+    # within r_m, and each a_m is within (5m + J + 6) u (e^{pi/2} c_m + q_m)
+    # Beta(m, s) of its exact value
+    a = F(alpha) + 1
+    whole = math.floor(alpha) + 1 if alpha >= 0 else 0
+    bases = [F(alpha) - i for i in range(whole)]
+    stream = list(islice(logseries._log_stream(alpha, s), 60))
+    beta = [None] + [F(math.factorial(s - 1), math.prod(range(m, m + s))) for m in range(1, 62)]
+    exact_a = [None] + [-_bernoulli_polynomial(m, a) / math.factorial(m) * beta[m] for m in range(1, 62)]
+    for m, (a_m, b_next, ratio) in enumerate(stream, 1):
+        assert F(b_next) >= abs(exact_a[m + 1])
+        for later in range(m, 59):  # B(j+1)/B(j) for j > m
+            assert stream[later][1] <= stream[later - 1][1] * ratio * (1 + 1e-12)
+        q_m = sum(base ** (m - 1) for base in bases) / math.factorial(m - 1)
+        size = (F(4.82 * 3.3) / F(6.28) ** m + q_m) * beta[m]
+        assert abs(F(a_m) - exact_a[m]) <= (5 * m + whole + 6) * F(U) * size
+
+
+@pytest.mark.parametrize("alpha, s", [(-0.5, 2), (-0.4, 6), (0.0, 1), (0.5, 5), (2.7, 4), (1e-6, 8), (0.999999, 3)])
+def test_log_head_within_its_remainders_and_rounding(alpha, s):
+    # zeta(s - k, a)/k! and H_{s-1} - gamma - psi(a) at a = alpha + 1, against
+    # mpmath at 30 digits: within the Euler-Maclaurin remainder plus u times
+    # the stated rounding multiple
+    h, errors, remainders, d, d_error, d_remainder = logseries._log_head(alpha, s)
+    a = mp.mpf(alpha) + 1
+    for k, (h_k, error, remainder) in enumerate(zip(h, errors, remainders)):
+        assert abs(h_k - mp.zeta(s - k, a) / mp.factorial(k)) <= remainder + U * error
+    assert abs(d - (mp.harmonic(s - 1) - mp.euler - mp.digamma(a))) <= d_remainder + U * d_error
+
+
+def test_bernoulli_tables_grow_safely_across_threads(monkeypatch):
+    # Eight threads sum log-series at once from empty Bernoulli tables (the
+    # exact B_n and the b_{2i} read from them), each to about 40 terms at
+    # |Log w| = 3.11, so both tables grow under them; an entry lost or
+    # repeated would shift every later one.  Each result must be the serial
+    # one, and the exact table the tabulated values.
+    w = 0.49 + 15j
+    calls = [(0.1 * i, 1 + i % 4) for i in range(16)]
+    expected = [repr(series.lerch_accelerated(w, ShiftParam(alpha), s, 1e-12)) for alpha, s in calls]
+    assert all("method='log'" in result for result in expected)
+    monkeypatch.setattr(exact, "_BERNOULLI", [])
+    monkeypatch.setattr(logseries, "_even_b", [()])
+    monkeypatch.setattr(series, "_kept_streams", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(series.lerch_accelerated, w, ShiftParam(alpha), s, 1e-12) for alpha, s in calls * 3]
+            results = [repr(future.result(timeout=120)) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected * 3
+    assert exact._BERNOULLI[:31] == [KNOWN_BERNOULLI.get(n, 0) for n in range(31)]
+
+
+def test_log_route_falls_back_to_the_series_in_z():
+    # Where the route cannot meet tol (too few terms left, a shift so large
+    # that its rounding term alone passes tol), where the series in z needs
+    # no more than s terms (s = 100 at alpha = 1/2: 1 term; the log-series
+    # would take 101), where a^-s passes e^700 (alpha = -0.4, s = 1380), or
+    # where the route does not apply (a complex shift), the call is the
+    # series in z's, bit for bit
+    w = 0.3 + 2j  # |z| = 0.95, |Log w| = 1.59
+    cases = ((0.5, 2, 3), (0.5, 6, 10), (60.0, 2, 10000), (0.5 + 1e-9j, 2, 10000), (0.5, 100, 10000), (-0.4, 1380, 20))
+    for alpha, s, max_terms in cases:
+        result = series.lerch_accelerated(w, ShiftParam(alpha), s, 1e-12, max_terms)
+        assert result.method == "z"
+        assert repr(result) == repr(z_series(w, ShiftParam(alpha), s, 1e-12, max_terms))
+    assert series.lerch_accelerated(w, ShiftParam(0.5), 2, 1e-12, 30).method == "log"
 
 
 # ---------------------------------------------------------------------------
@@ -1160,8 +1316,8 @@ def summed_every_bound(x, alpha, s, tol, max_terms, scale, factory):
     bound formed in full on every term: the geometric bound where rho < 1,
     and where that is > tol at a real alpha > -1, the smaller of it and the
     summation-by-parts bound y (1 + |x|)/|1 - x|, its factor taken >= 1."""
-    method = series._METHODS[factory]
-    abel = alpha.imag == 0 and alpha.real > -1
+    method = series._METHODS[factory.__name__]
+    abel = factory in (series._term_stream, series._direct_stream) and alpha.imag == 0 and alpha.real > -1
     ax = abs(x)
     total = 0.0
     x_pow = 1.0
@@ -1228,6 +1384,21 @@ summed_shifts = st.one_of(
 )
 def test_numerator_first_stop_gives_every_bound_results(x, alpha, s, tol, max_terms, scale, factory):
     assert_same_stop(x, alpha, s, tol, max_terms, scale, factory)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.builds(cmath.rect, st.floats(math.log(2), math.pi), st.floats(-math.pi, math.pi)),
+    alpha=st.floats(-0.5, 4.0),
+    s=st.integers(1, 8),
+    tol=st.floats(series.MIN_TOL, 1.0),
+    max_terms=st.integers(1, 60),
+    scale=st.floats(0.0, 1e6),
+)
+def test_numerator_first_stop_on_the_log_stream(x, alpha, s, tol, max_terms, scale):
+    # x = Log w off the lens, |x| in [log 2, pi]; the log-series' terms are
+    # neither one-signed nor monotone, so no summation-by-parts bound is taken
+    assert_same_stop(x, alpha, s, tol, max_terms, scale, logseries._log_stream)
 
 
 @pytest.mark.parametrize("x", [0.5, 0j])
