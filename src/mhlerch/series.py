@@ -8,9 +8,10 @@ on the half-plane Re(w) < 1/2 via the power series in z = w/(w-1),
     c_p = -(p-1)!/(alpha+1)_p * S_1^p(s-1),  f_i = 1/(alpha + i),
 
 and via the defining series on the lens |w - 1| < 1, where it converges
-faster; at a real alpha where |z| >= 0.8 and |Log w| <= pi, via the
-log-series in x = Log w about w = 1 (Erdelyi, HTF I, 1.11(8)), whose terms
-shrink like (|x|/(2 pi))^k; plus, at alpha = 0, z = 1/2, the binomial
+faster; where |z| >= 0.8 and |Log w| <= pi, via the log-series in x =
+Log w about w = 1 (Erdelyi, HTF I, 1.11(8)), whose terms shrink like
+(|x|/(2 pi))^k, when its bound meets tol (at a complex shift its rounding
+bound grows like e^{|Im alpha| |x|}); plus, at alpha = 0, z = 1/2, the binomial
 double-sum form and the accelerated zeta(s) series.  The defining series
 at the boundary point w = -1 is read only by `cli.bench_rows`, as its slow
 baseline.
@@ -20,8 +21,8 @@ sums the three series, from `_term_stream`, `_direct_stream` and
 `logseries._log_stream`; one more, `_partial_sums`, yields unbounded partial
 sums.  The log-series (module `logseries`, imported on first use) bounds its
 truncation by a Bernoulli majorant, its Euler-Maclaurin head by the first
-omitted term, and its rounding by u times a multiple of the sum of its
-terms' moduli.  The series in z
+omitted term (twice it at a complex shift), and its rounding by u times a
+multiple of the sum of its terms' moduli.  The series in z
 is bounded through a coefficient majorant (see `_term_stream`): at a real
 alpha > -1, |c_p| itself (inflated by its rounding), which does not increase
 in p; elsewhere
@@ -404,8 +405,9 @@ def lerch_accelerated(
     """Evaluate Li(w; alpha, s) for Re(w) < 1/2: on the lens |w - 1| < 1 by
     the defining series, as `lerch_direct` sums it (a shift near a pole needs
     no peeling there); elsewhere by `_z_series`: the series in z = w/(w-1),
-    or at a real alpha where |z| >= 0.8 and |Log w| <= pi the log-series in
-    x = Log w (`logseries._log_series`) when its bound meets tol.
+    or where |z| >= 0.8 and |Log w| <= pi the log-series in x = Log w
+    (`logseries._log_series`) when its bound meets tol, at a real or a
+    complex shift.
 
     |z| = |w|/|w - 1|, so |w| < |z| exactly when |w - 1| < 1: the lens is
     where the defining series converges faster.  Every w <= 0 and every
@@ -419,7 +421,7 @@ def lerch_accelerated(
     gap = abs(w - 1)
     if gap < 1.0:
         return _summed(w, alpha, s, tol, max_terms, 1.0, _direct_stream)
-    return _z_series(w, alpha, s, tol, max_terms, alpha.imag == 0 and abs(w) >= _LOG_MIN_Z * gap)
+    return _z_series(w, alpha, s, tol, max_terms, abs(w) >= _LOG_MIN_Z * gap)
 
 
 def _pole_terms(alpha: complex) -> int:
@@ -431,8 +433,9 @@ def _pole_terms(alpha: complex) -> int:
 def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int, log_route=False) -> SeriesResult:
     """Li(w; alpha, s) through the series in z = w/(w-1), at checked arguments
     with Re(w) < 1/2 (|z| < 1 exactly on that half-plane); with `log_route`,
-    at a real alpha, through the log-series first (`logseries._log_series`),
-    which returns None where |Log w| > pi or its bound cannot meet tol.
+    through the log-series first (`logseries._log_series`), which returns
+    None where |Log w| > pi or its bound cannot meet tol; the series in z is
+    then summed as without it, bit for bit.
 
     Pole peeling: if Re(alpha) < -1/2, the K = `_pole_terms(alpha)` head terms
     w^n (1/(alpha+n))^s of the shift relation are the K-th partial sum of

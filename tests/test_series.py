@@ -648,15 +648,15 @@ def test_route_rests_on_w_alone():
     # lens near its corners e^{+-i pi/3}, and on w <= 0 and |w| >= 1
     inside = [cmath.rect(0.999, t) for t in (math.pi / 3, -math.pi / 3)] + [0.49 + 0.86j, 0.49 - 0.86j, 1e-9]
     outside = [0.49 + 0.88j, 0.49 - 0.88j, 0j, -1e-9, -0.5, 0.3 + 2j, -1 + 0.2j]
-    # Off the lens a real shift takes the log-series where |z| >= 0.8 and
-    # |Log w| <= pi (the first two and 0.3 + 2i here), a complex shift never
+    # Off the lens a real or a small complex shift takes the log-series where
+    # |z| >= 0.8 and |Log w| <= pi (the first two and 0.3 + 2i here)
     log_points = [0.49 + 0.88j, 0.49 - 0.88j, 0.3 + 2j]
     for alpha in (0.5 + 0j, 0.5 + 1e-3j):
         shift = ShiftParam(alpha)
         for w in inside + outside:
             assert (abs(w) < abs(w / (w - 1))) == (w in inside)
             result = series.lerch_accelerated(w, shift, 2, 1e-6, 200)
-            off_lens = "log" if w in log_points and alpha.imag == 0 else "z"
+            off_lens = "log" if w in log_points else "z"
             assert result.method == ("direct" if w in inside else off_lens)
 
 
@@ -905,6 +905,41 @@ def test_log_route_certificate_against_the_oracle():
     assert methods[True, "log"] > methods[True, "z"]  # 22 and 11 of the 33 peeled calls
 
 
+def _complex_log_grid():
+    # (w, alpha, s): for each |Im alpha| in {0.1, 0.5, 1, 2}, either sign, two
+    # unpeeled shifts (Re alpha in [-1/2, 3)) and a peeled one (Re alpha < -1/2)
+    rng = random.Random(2030)
+    grid = []
+    for b in (0.1, 0.5, 1.0, 2.0):
+        for i in range(3):
+            re = rng.uniform(-0.5, 3.0) if i < 2 else -rng.randint(1, 4) - rng.uniform(0.1, 0.9)
+            grid.append((_log_domain_point(rng), complex(re, rng.choice((-1, 1)) * b), rng.randint(1, 6)))
+    return grid
+
+
+def test_complex_log_route_certificate_against_the_oracle():
+    # As at real shifts: converged implies |error| <= error_bound against
+    # mpmath.lerchphi at 30 digits, a peeled call with the same allowance for
+    # its head.  The Bernoulli coefficients grow like e^{2 pi |Im alpha|}
+    # against their value, so the route takes every unpeeled call with
+    # |Im alpha| <= 1/2 at tol 1e-6 and 1e-10; elsewhere the call may fall
+    # back to the series in z.
+    methods = {}
+    for w, alpha, s in _complex_log_grid():
+        k = series._pole_terms(alpha)
+        ref = mp.mpc(w) * mp.lerchphi(mp.mpc(w), s, mp.mpc(alpha) + 1)
+        head = sum(abs(w) ** n / abs(alpha + n) ** s for n in range(1, k + 1))
+        for tol in (1e-6, 1e-10, 1e-13):
+            result = series.lerch_accelerated(w, ShiftParam(alpha), s, tol)
+            methods[result.method] = methods.get(result.method, 0) + 1
+            if not k and abs(alpha.imag) <= 0.5 and tol >= 1e-10:
+                assert result.method == "log"
+            if result.converged:
+                error = abs(mp.mpc(result.value) - ref)
+                assert error <= result.error_bound + (4 * (s + k) + 6) * U * head
+    assert methods["log"] > methods["z"]
+
+
 @pytest.mark.parametrize("w, terms", [(0.49 + 1j, 16), (0.49 + 5j, 24)])
 def test_log_route_converges_at_the_open_defect_points(w, terms):
     # The series in z took 2813 terms at w = 0.49 + 1i and did not converge in
@@ -918,38 +953,58 @@ def _bernoulli_polynomial(n, a):
     return sum(math.comb(n, k) * exact._bernoulli(k) * a ** (n - k) for k in range(n + 1))
 
 
-@pytest.mark.parametrize("alpha", [-0.5, -0.3, -0.01, 0.0, 0.3, 0.5, 0.7, 1.0, 2.6, 3.9])
+@pytest.mark.parametrize(
+    "alpha",
+    [-0.5, -0.3, -0.01, 0.0, 0.3, 0.5, 0.7, 1.0, 2.6, 3.9, -0.5 + 0.1j, -0.3 - 0.5j, 0.2 + 1j, 0.7 - 0.5j, 2.6 + 2j, 1e-6 - 0.1j],
+)
 @pytest.mark.parametrize("s", [1, 3, 8])
 def test_log_stream_majorant_and_rounding_bound_the_exact_coefficients(alpha, s):
-    # In Fraction at a = alpha + 1: a_m = -B_m(a)/m! Beta(m, s), Beta(m, s) =
-    # (s-1)!/(m)_s.  B(m+1) bounds |a_{m+1}|, the ratios of the yielded B stay
-    # within r_m, and each a_m is within (5m + J + 6) u (e^{pi/2} c_m + q_m)
-    # Beta(m, s) of its exact value
-    a = F(alpha) + 1
-    whole = math.floor(alpha) + 1 if alpha >= 0 else 0
-    bases = [F(alpha) - i for i in range(whole)]
+    # At a = alpha + 1: a_m = -B_m(a)/m! Beta(m, s), Beta(m, s) = (s-1)!/(m)_s,
+    # in Fraction at a real a and in mpmath at 40 digits at a complex one.
+    # B(m+1) bounds |a_{m+1}|, the ratios of the yielded B stay within r_m,
+    # and each a_m is within (5m + J + 6) u (e^{pi/2} KAPPA (2 pi)^-m + q_m)
+    # Beta(m, s) of its exact value; at a complex a within (6m + J + 7) u
+    # (KAPPA (2 pi)^-m E_m(2 pi |y|) + Q_m) Beta(m, s), E_m(t) = sum_{n<=m}
+    # t^n/n!, |y|^2 <= 1/16 + (Im a)^2, Q_m = sum_{j<J} |a0 + j|^{m-1}/(m-1)!
     stream = list(islice(logseries._log_stream(alpha, s), 60))
+    whole = math.floor(alpha.real) + 1 if alpha.real >= 0 else 0
     beta = [None] + [F(math.factorial(s - 1), math.prod(range(m, m + s))) for m in range(1, 62)]
-    exact_a = [None] + [-_bernoulli_polynomial(m, a) / math.factorial(m) * beta[m] for m in range(1, 62)]
-    for m, (a_m, b_next, ratio) in enumerate(stream, 1):
-        assert F(b_next) >= abs(exact_a[m + 1])
-        for later in range(m, 59):  # B(j+1)/B(j) for j > m
-            assert stream[later][1] <= stream[later - 1][1] * ratio * (1 + 1e-12)
-        q_m = sum(base ** (m - 1) for base in bases) / math.factorial(m - 1)
-        size = (F(4.82 * 3.3) / F(6.28) ** m + q_m) * beta[m]
-        assert abs(F(a_m) - exact_a[m]) <= (5 * m + whole + 6) * F(U) * size
+    with mp.workdps(40):
+        if isinstance(alpha, complex):
+            exact, a, slope, start = mp.mpmathify, mp.mpc(alpha) + 1, 6, 7
+            t = 2 * mp.pi * mp.sqrt(mp.mpf(1) / 16 + alpha.imag**2)
+            growth = [sum(t**n / mp.factorial(n) for n in range(m + 1)) for m in range(62)]
+            bernoulli = [mp.bernpoly(m, a) for m in range(62)]
+        else:
+            exact, a, slope, start, growth = F, F(alpha) + 1, 5, 6, [F(4.82)] * 62
+            bernoulli = [_bernoulli_polynomial(m, a) for m in range(62)]
+        bases = [exact(alpha) - i for i in range(whole)]
+        beta = [None] + [exact(b.numerator) / b.denominator for b in beta[1:]]
+        exact_a = [None] + [-bernoulli[m] / math.factorial(m) * beta[m] for m in range(1, 62)]
+        for m, (a_m, b_next, ratio) in enumerate(stream, 1):
+            assert exact(b_next) >= abs(exact_a[m + 1])
+            for later in range(m, 59):  # B(j+1)/B(j) for j > m
+                assert stream[later][1] <= stream[later - 1][1] * ratio * (1 + 1e-12)
+            q_m = sum(abs(base) ** (m - 1) for base in bases) / math.factorial(m - 1)
+            size = (exact(3.3) * growth[m] / exact(6.28) ** m + q_m) * beta[m]
+            assert abs(exact(a_m) - exact_a[m]) <= (slope * m + whole + start) * exact(U) * size
 
 
-@pytest.mark.parametrize("alpha, s", [(-0.5, 2), (-0.4, 6), (0.0, 1), (0.5, 5), (2.7, 4), (1e-6, 8), (0.999999, 3)])
+@pytest.mark.parametrize(
+    "alpha, s",
+    [(-0.5, 2), (-0.4, 6), (0.0, 1), (0.5, 5), (2.7, 4), (1e-6, 8), (0.999999, 3)]
+    + [(-0.5 + 0.1j, 2), (-0.4 - 0.5j, 6), (0.3 + 1j, 1), (0.5 + 2j, 5), (2.7 - 0.5j, 4), (1e-6 + 0.1j, 8), (-0.2 + 3j, 3)],
+)
 def test_log_head_within_its_remainders_and_rounding(alpha, s):
     # zeta(s - k, a)/k! and H_{s-1} - gamma - psi(a) at a = alpha + 1, against
-    # mpmath at 30 digits: within the Euler-Maclaurin remainder plus u times
-    # the stated rounding multiple
+    # mpmath at 40 digits: within the Euler-Maclaurin remainder plus u times
+    # the stated rounding multiple, at real and complex a
     h, errors, remainders, d, d_error, d_remainder = logseries._log_head(alpha, s)
-    a = mp.mpf(alpha) + 1
-    for k, (h_k, error, remainder) in enumerate(zip(h, errors, remainders)):
-        assert abs(h_k - mp.zeta(s - k, a) / mp.factorial(k)) <= remainder + U * error
-    assert abs(d - (mp.harmonic(s - 1) - mp.euler - mp.digamma(a))) <= d_remainder + U * d_error
+    with mp.workdps(40):
+        a = mp.mpmathify(alpha) + 1
+        for k, (h_k, error, remainder) in enumerate(zip(h, errors, remainders)):
+            assert abs(h_k - mp.zeta(s - k, a) / mp.factorial(k)) <= remainder + U * error
+        assert abs(d - (mp.harmonic(s - 1) - mp.euler - mp.digamma(a))) <= d_remainder + U * d_error
 
 
 def test_bernoulli_tables_grow_safely_across_threads(monkeypatch):
@@ -982,15 +1037,23 @@ def test_log_route_falls_back_to_the_series_in_z():
     # that its rounding term alone passes tol), where the series in z needs
     # no more than s terms (s = 100 at alpha = 1/2: 1 term; the log-series
     # would take 101), where a^-s passes e^700 (alpha = -0.4, s = 1380), or
-    # where the route does not apply (a complex shift), the call is the
-    # series in z's, bit for bit
+    # where the growth e^{2 pi |Im alpha|} of a complex shift's Bernoulli
+    # coefficients keeps the rounding bound above tol (|Im alpha| = 3: about
+    # 1.5e8 u), the call is the series in z's, bit for bit
     w = 0.3 + 2j  # |z| = 0.95, |Log w| = 1.59
-    cases = ((0.5, 2, 3), (0.5, 6, 10), (60.0, 2, 10000), (0.5 + 1e-9j, 2, 10000), (0.5, 100, 10000), (-0.4, 1380, 20))
+    cases = ((0.5, 2, 3), (0.5, 6, 10), (60.0, 2, 10000), (0.5 + 3j, 2, 10000), (0.5, 100, 10000), (-0.4, 1380, 20))
     for alpha, s, max_terms in cases:
         result = series.lerch_accelerated(w, ShiftParam(alpha), s, 1e-12, max_terms)
         assert result.method == "z"
         assert repr(result) == repr(z_series(w, ShiftParam(alpha), s, 1e-12, max_terms))
     assert series.lerch_accelerated(w, ShiftParam(0.5), 2, 1e-12, 30).method == "log"
+    # At a complex shift the series in z's own H majorant picks the route: at
+    # alpha = 9 + 4i, s = 3, tol 1e-6 it meets tol in 12 terms, where the
+    # log-series would take 44 (its q_m x^m peak near m = |alpha| |Log w| = 13)
+    w = 0.3 + 1.2j  # |z| = 0.89
+    result = series.lerch_accelerated(w, ShiftParam(9 + 4j), 3, 1e-6)
+    assert result.method == "z" and result.terms_used == 12
+    assert repr(result) == repr(z_series(w, ShiftParam(9 + 4j), 3, 1e-6))
 
 
 # ---------------------------------------------------------------------------
@@ -1073,7 +1136,7 @@ def test_lens_and_off_lens_calls_interleaved_on_one_pair_give_cold_bits():
     # from the second call of each kind on the terms are read from its entry.
     alpha, s = 1.3 + 0.7j, 3
     lens = [0.4, 0.3 + 0.5j, 0.45 - 0.1j, 0.1 - 0.2j]
-    off_lens = [-1, -0.3 + 0.4j, 0.3 + 2j, -5]
+    off_lens = [-1, -0.3 + 0.4j, -2 + 1j, -5]  # |z| < 0.8, or |Log w| > pi at -5: no log-series
     calls = [(w, alpha, s, tol, 10000) for pair in zip(lens, off_lens) for w in pair for tol in (1e-6, 1e-12)]
     expected = [_cold(call, series.lerch_accelerated) for call in calls]
     _forget_stream()
@@ -1389,15 +1452,16 @@ def test_numerator_first_stop_gives_every_bound_results(x, alpha, s, tol, max_te
 @settings(max_examples=200, deadline=None)
 @given(
     x=st.builds(cmath.rect, st.floats(math.log(2), math.pi), st.floats(-math.pi, math.pi)),
-    alpha=st.floats(-0.5, 4.0),
+    alpha=st.one_of(st.floats(-0.5, 4.0), st.builds(complex, st.floats(-0.5, 4.0), st.floats(0.01, 3.0))),
     s=st.integers(1, 8),
     tol=st.floats(series.MIN_TOL, 1.0),
     max_terms=st.integers(1, 60),
     scale=st.floats(0.0, 1e6),
 )
 def test_numerator_first_stop_on_the_log_stream(x, alpha, s, tol, max_terms, scale):
-    # x = Log w off the lens, |x| in [log 2, pi]; the log-series' terms are
-    # neither one-signed nor monotone, so no summation-by-parts bound is taken
+    # x = Log w off the lens, |x| in [log 2, pi], at real and complex shifts;
+    # the log-series' terms are neither one-signed nor monotone, so no
+    # summation-by-parts bound is taken
     assert_same_stop(x, alpha, s, tol, max_terms, scale, logseries._log_stream)
 
 
