@@ -8,8 +8,8 @@ Layers:
 - `exact`  - arbitrary-precision rational kernel: multiple harmonic sums,
   both sides of the binomial identity and the exact series coefficients.
 - `series` - complex binary64 evaluators with a-posteriori error bounds;
-  `logseries`, the log-series route near |z| = 1, is imported on its
-  first use.
+  `logseries`, the log-series route near |z| = 1, and `inversion`, the
+  inversion formula at |w| >= 3/2, are each imported on first use.
 - `verify` - grid sweeps of every identity, recurrence and bound, reported
   as `VerificationReport`s; imported when `run_suite` or one is first read.
 - `cli`    - `mhlerch eval|zeta|verify|bench` with JSON/CSV output.

@@ -8,7 +8,9 @@ on the half-plane Re(w) < 1/2 via the power series in z = w/(w-1),
     c_p = -(p-1)!/(alpha+1)_p * S_1^p(s-1),  f_i = 1/(alpha + i),
 
 and via the defining series on the lens |w - 1| < 1, where it converges
-faster; where |z| >= 0.8 and |Log w| <= pi, via the log-series in x =
+faster; where |w| >= 3/2, via the inversion formula (module `inversion`),
+whose sum in 1/w converges like |w|^-n, when its bound meets tol; where
+|z| >= 0.8 and |Log w| <= pi, via the log-series in x =
 Log w about w = 1 (Erdelyi, HTF I, 1.11(8)), whose terms shrink like
 (|x|/(2 pi))^k, when its bound meets tol (at a complex shift its rounding
 bound grows like e^{|Im alpha| |x|}); plus, at alpha = 0, z = 1/2, the binomial
@@ -17,12 +19,16 @@ at the boundary point w = -1 is read only by `cli.bench_rows`, as its slow
 baseline.
 
 Every evaluator returns an a-posteriori error bound.  One loop, `_summed`,
-sums the three series, from `_term_stream`, `_direct_stream` and
-`logseries._log_stream`; one more, `_partial_sums`, yields unbounded partial
-sums.  The log-series (module `logseries`, imported on first use) bounds its
-truncation by a Bernoulli majorant, its Euler-Maclaurin head by the first
-omitted term (twice it at a complex shift), and its rounding by u times a
-multiple of the sum of its terms' moduli.  The series in z
+sums the three series, from `_term_stream`, `_direct_stream` (in w, and in 1/w
+for the inversion formula) and `logseries._log_stream`; one more,
+`_partial_sums`, yields unbounded partial sums.  The inversion formula (module
+`inversion`, imported on first use) adds to its sum in 1/w a closed form, the
+derivative of pi e^{-alpha L}/sin(pi alpha), L = Log(-w), and bounds its
+rounding by u times multiples of the moduli of both.  The log-series (module
+`logseries`, imported on first use) bounds its truncation by a Bernoulli
+majorant, its Euler-Maclaurin head by the first omitted term (twice it at a
+complex shift), and its rounding by u times a multiple of the sum of its
+terms' moduli.  The series in z
 is bounded through a coefficient majorant (see `_term_stream`): at a real
 alpha > -1, |c_p| itself (inflated by its rounding), which does not increase
 in p; elsewhere
@@ -124,8 +130,9 @@ class SeriesResult(NamedTuple):
 
     `converged` implies `error_bound <= ` the requested tolerance;
     `terms_used` never exceeds the configured max-terms.  `method` is the
-    series summed: "z", "direct" (the defining series) or "log" (the
-    log-series in Log w).
+    series summed: "z", "direct" (the defining series), "log" (the
+    log-series in Log w) or "inversion" (the inversion formula, its sum in
+    1/w).
     """
 
     value: complex
@@ -258,7 +265,7 @@ def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float
 
 #: The series each stream sums, by the stream's name, as `SeriesResult.method`
 #: names it; `_log_stream` is in `logseries`, imported on the first call that
-#: tries the log-series.
+#: tries the log-series.  `inversion` names its results "inversion" itself.
 _METHODS = {"_term_stream": "z", "_direct_stream": "direct", "_log_stream": "log"}
 
 #: The streams whose terms are one-signed and do not increase in magnitude at
@@ -316,7 +323,8 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
     a majorant B(m) >= |a_m| and r_p >= sup_{m>p} B(m+1)/B(m), until `scale`
     times the tail bound B(P+1) |x|^{P+1} / (1 - |x| r_P) is <= tol; the value
     is unscaled.  x = z for `_term_stream` (at Re(alpha) >= -1, as its ratio
-    needs), x = w for `_direct_stream`, x = Log w for `logseries._log_stream`.
+    needs), x = w for `_direct_stream` (x = 1/w, at the shift -alpha, for
+    `inversion._inversion`), x = Log w for `logseries._log_stream`.
 
     At a real alpha > -1 the terms a_m of the first two streams
     (`_ABEL_STREAMS`) are one-signed and |a_m| does not increase, and each
@@ -402,17 +410,25 @@ def lerch_accelerated(
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
-    """Evaluate Li(w; alpha, s) for Re(w) < 1/2: on the lens |w - 1| < 1 by
-    the defining series, as `lerch_direct` sums it (a shift near a pole needs
-    no peeling there); elsewhere by `_z_series`: the series in z = w/(w-1),
-    or where |z| >= 0.8 and |Log w| <= pi the log-series in x = Log w
-    (`logseries._log_series`) when its bound meets tol, at a real or a
-    complex shift.
+    """Evaluate Li(w; alpha, s) for Re(w) < 1/2, by the first of these
+    routes that takes the call:
+
+    1. on the lens |w - 1| < 1, the defining series, as `lerch_direct` sums
+       it (a shift near a pole needs no peeling there);
+    2. where |w| >= `_INV_MIN_W` = 3/2, the inversion formula
+       (`inversion._inversion`), which returns None, and so passes the call
+       on, where alpha is within 1e-2 of an integer >= 0, |Im alpha| > 50,
+       s > 100, `max_terms` is reached or its bound cannot meet tol;
+    3. `_z_series`: the series in z = w/(w-1), or where |z| >= 0.8 and
+       |Log w| <= pi the log-series in x = Log w (`logseries._log_series`)
+       first, when its bound meets tol, at a real or a complex shift.
 
     |z| = |w|/|w - 1|, so |w| < |z| exactly when |w - 1| < 1: the lens is
     where the defining series converges faster.  Every w <= 0 and every
     |w| >= 1 lies off it.  The series in z converges like |z|^p, the
-    log-series like (|x|/(2 pi))^k.
+    log-series like (|x|/(2 pi))^k, and the inversion formula's sum in 1/w
+    like |w|^-n.  A call that route 2 passes on is bit for bit what route 3
+    alone returns.
     """
     w, tol = _checked(w, s, tol, max_terms)
     if w.real >= 0.5:
@@ -421,7 +437,12 @@ def lerch_accelerated(
     gap = abs(w - 1)
     if gap < 1.0:
         return _summed(w, alpha, s, tol, max_terms, 1.0, _direct_stream)
-    return _z_series(w, alpha, s, tol, max_terms, abs(w) >= _LOG_MIN_Z * gap)
+    if (aw := abs(w)) >= _INV_MIN_W:
+        from .inversion import _inversion
+
+        if inverted := _inversion(w, alpha, s, tol, max_terms):
+            return inverted
+    return _z_series(w, alpha, s, tol, max_terms, aw >= _LOG_MIN_Z * gap)
 
 
 def _pole_terms(alpha: complex) -> int:
@@ -468,6 +489,12 @@ def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int, lo
     inner = logged or _summed(z, alpha + k, s, tol, max_terms - k, scale)
     return inner._replace(value=head + w_pow * inner.value, terms_used=k + inner.terms_used)
 
+
+#: The inversion formula is tried at |w| >= _INV_MIN_W, where its sum in 1/w
+#: converges like |w|^-n.  On `eval-scattered` inputs it takes less time than
+#: the series in z or the log-series from |w| of about 1.25 on; at 3/2 every
+#: |z| <= 0.6 (|w| <= 1.5) stays on the series in z.
+_INV_MIN_W = 1.5
 
 #: The log-series is tried at |z| >= _LOG_MIN_Z (and |Log w| <= pi), where the
 #: series in z converges like 0.8^p or slower: 62 terms to shrink by 1e-6.

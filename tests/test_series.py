@@ -17,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mhlerch import cli, exact, logseries, series
+from mhlerch import cli, exact, inversion, logseries, series
 from mhlerch.errors import DomainError, InvalidShiftError, PrecisionError
 from mhlerch.series import SeriesResult, ShiftParam
+import _reference
 from test_exact import KNOWN_BERNOULLI, kernel_coefficients
 
 mp.mp.dps = 30
@@ -435,8 +436,10 @@ tail_shifts = st.one_of(
         st.complex_numbers(min_magnitude=1e-9, max_magnitude=1e-3),
     ),
     st.floats(min_value=-1e3, max_value=0.0).filter(lambda a: a != round(a) or a >= 0),
+    # off every pole -n by at least 1e-9, as the first branch: at alpha = -1 +
+    # 3.66e-292i the test's own B(1) = |alpha + 1|^-s overflowed
     st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False).filter(
-        lambda a: a.imag != 0 or a.real != round(a.real) or a.real >= 0
+        lambda a: round(a.real) >= 0 or abs(a - round(a.real)) >= 1e-9
     ),
     st.floats(min_value=10.0, max_value=1e3),
 )
@@ -647,16 +650,18 @@ def test_route_rests_on_w_alone():
     # |w| < |z| exactly when |w - 1| < 1; just inside and just outside the
     # lens near its corners e^{+-i pi/3}, and on w <= 0 and |w| >= 1
     inside = [cmath.rect(0.999, t) for t in (math.pi / 3, -math.pi / 3)] + [0.49 + 0.86j, 0.49 - 0.86j, 1e-9]
-    outside = [0.49 + 0.88j, 0.49 - 0.88j, 0j, -1e-9, -0.5, 0.3 + 2j, -1 + 0.2j]
-    # Off the lens a real or a small complex shift takes the log-series where
-    # |z| >= 0.8 and |Log w| <= pi (the first two and 0.3 + 2i here)
-    log_points = [0.49 + 0.88j, 0.49 - 0.88j, 0.3 + 2j]
+    outside = [0.49 + 0.88j, 0.49 - 0.88j, 0j, -1e-9, -0.5, 0.3 + 2j, -1 + 0.2j, -1.5]
+    # Off the lens a real or a small complex shift takes the inversion formula
+    # where |w| >= 3/2 (0.3 + 2i and -1.5 here), else the log-series where
+    # |z| >= 0.8 and |Log w| <= pi (the first two)
+    log_points = [0.49 + 0.88j, 0.49 - 0.88j]
+    inversion_points = [0.3 + 2j, -1.5]
     for alpha in (0.5 + 0j, 0.5 + 1e-3j):
         shift = ShiftParam(alpha)
         for w in inside + outside:
             assert (abs(w) < abs(w / (w - 1))) == (w in inside)
             result = series.lerch_accelerated(w, shift, 2, 1e-6, 200)
-            off_lens = "log" if w in log_points else "z"
+            off_lens = "log" if w in log_points else "inversion" if w in inversion_points else "z"
             assert result.method == ("direct" if w in inside else off_lens)
 
 
@@ -855,11 +860,12 @@ def test_max_terms_must_be_an_integer(evaluate):
 
 
 def _log_domain_point(rng):
-    # w off the lens with |z| in [0.8, 0.995] and |Log w| <= pi
+    # w off the lens with |z| in [0.8, 0.995], |Log w| <= pi and |w| < 3/2,
+    # where `lerch_accelerated` tries no inversion first
     while True:
         z = cmath.rect(rng.uniform(0.8, 0.995), rng.uniform(-math.pi, math.pi))
         w = z / (z - 1)
-        if abs(w - 1) >= 1 and abs(cmath.log(w)) <= math.pi:
+        if abs(w - 1) >= 1 and abs(cmath.log(w)) <= math.pi and abs(w) < series._INV_MIN_W:
             return w
 
 
@@ -943,10 +949,14 @@ def test_complex_log_route_certificate_against_the_oracle():
 @pytest.mark.parametrize("w, terms", [(0.49 + 1j, 16), (0.49 + 5j, 24)])
 def test_log_route_converges_at_the_open_defect_points(w, terms):
     # The series in z took 2813 terms at w = 0.49 + 1i and did not converge in
-    # 10^4 at w = 0.49 + 5i (|z| = 0.9915 and 0.9995)
-    result = series.lerch_accelerated(w, ShiftParam(0.5), 2, 1e-12)
+    # 10^4 at w = 0.49 + 5i (|z| = 0.9915 and 0.9995).  At 0.49 + 5i (|w| >=
+    # 3/2) `lerch_accelerated` now takes the inversion formula, so the log
+    # route is read through `_z_series` at both points.
+    result = series._z_series(w, 0.5 + 0j, 2, 1e-12, series.DEFAULT_MAX_TERMS, True)
     assert result.converged and result.method == "log" and result.terms_used == terms
     assert abs(result.value - ref_lerch(w, 0.5, 2)) <= result.error_bound
+    routed = series.lerch_accelerated(w, ShiftParam(0.5), 2, 1e-12)
+    assert routed.method == ("inversion" if abs(w) >= series._INV_MIN_W else "log")
 
 
 def _bernoulli_polynomial(n, a):
@@ -1012,10 +1022,16 @@ def test_bernoulli_tables_grow_safely_across_threads(monkeypatch):
     # exact B_n and the b_{2i} read from them), each to about 40 terms at
     # |Log w| = 3.11, so both tables grow under them; an entry lost or
     # repeated would shift every later one.  Each result must be the serial
-    # one, and the exact table the tabulated values.
+    # one, and the exact table the tabulated values.  At |w| = 15
+    # `lerch_accelerated` takes the inversion formula, so the calls are the
+    # log route of `_z_series`.
     w = 0.49 + 15j
+
+    def log_route(w, alpha, s, tol):
+        return series._z_series(w, complex(alpha), s, tol, series.DEFAULT_MAX_TERMS, True)
+
     calls = [(0.1 * i, 1 + i % 4) for i in range(16)]
-    expected = [repr(series.lerch_accelerated(w, ShiftParam(alpha), s, 1e-12)) for alpha, s in calls]
+    expected = [repr(log_route(w, alpha, s, 1e-12)) for alpha, s in calls]
     assert all("method='log'" in result for result in expected)
     monkeypatch.setattr(exact, "_BERNOULLI", [])
     monkeypatch.setattr(logseries, "_even_b", [()])
@@ -1024,7 +1040,7 @@ def test_bernoulli_tables_grow_safely_across_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(series.lerch_accelerated, w, ShiftParam(alpha), s, 1e-12) for alpha, s in calls * 3]
+            futures = [pool.submit(log_route, w, alpha, s, 1e-12) for alpha, s in calls * 3]
             results = [repr(future.result(timeout=120)) for future in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -1038,9 +1054,9 @@ def test_log_route_falls_back_to_the_series_in_z():
     # no more than s terms (s = 100 at alpha = 1/2: 1 term; the log-series
     # would take 101), where a^-s passes e^700 (alpha = -0.4, s = 1380), or
     # where the growth e^{2 pi |Im alpha|} of a complex shift's Bernoulli
-    # coefficients keeps the rounding bound above tol (|Im alpha| = 3: about
-    # 1.5e8 u), the call is the series in z's, bit for bit
-    w = 0.3 + 2j  # |z| = 0.95, |Log w| = 1.59
+    # coefficients keeps the rounding bound above tol (|Im alpha| = 3), the
+    # call is the series in z's, bit for bit
+    w = 0.49 + 0.88j  # |z| = 0.99, |Log w| = 1.07, |w| < 3/2: no inversion
     cases = ((0.5, 2, 3), (0.5, 6, 10), (60.0, 2, 10000), (0.5 + 3j, 2, 10000), (0.5, 100, 10000), (-0.4, 1380, 20))
     for alpha, s, max_terms in cases:
         result = series.lerch_accelerated(w, ShiftParam(alpha), s, 1e-12, max_terms)
@@ -1054,6 +1070,113 @@ def test_log_route_falls_back_to_the_series_in_z():
     result = series.lerch_accelerated(w, ShiftParam(9 + 4j), 3, 1e-6)
     assert result.method == "z" and result.terms_used == 12
     assert repr(result) == repr(z_series(w, ShiftParam(9 + 4j), 3, 1e-6))
+
+
+# ---------------------------------------------------------------------------
+# the inversion formula at |w| >= 3/2, against the two-method reference
+# ---------------------------------------------------------------------------
+
+
+def _inversion_grid():
+    # (kind, w, alpha, s): small-real (0), complex (1), negative (2), large (3)
+    # and near-pole (4) shifts, three of each, at |w| log-uniform in [3/2,
+    # 1e6] with Re w < 1/2; the large shifts keep |Im alpha| <= 5, where the
+    # quadrature needs few pieces
+    rng = random.Random(2031)
+    grid = []
+    for i in range(15):
+        kind = i % 5
+        if kind == 0:
+            alpha = complex(rng.uniform(-0.9, 3.0))
+        elif kind == 1:
+            alpha = complex(rng.uniform(-0.9, 3.0), rng.choice((-1, 1)) * rng.uniform(0.1, 2.0))
+        elif kind == 2:
+            alpha = complex(-rng.randint(1, 5) - rng.uniform(0.1, 0.9))
+        elif kind == 3:
+            alpha = 10 ** rng.uniform(1, 3) * cmath.exp(1j * rng.uniform(-0.005, 0.005))
+        else:
+            alpha = complex(-rng.randint(1, 5) + rng.choice((-1, 1)) * 10 ** rng.uniform(-6, -2))
+        while True:
+            w = cmath.rect(10 ** rng.uniform(math.log10(1.5), 6), rng.uniform(-math.pi, math.pi))
+            if w.real < 0.5:
+                break
+        grid.append((kind, w, alpha, rng.randint(1, 6)))
+    return grid
+
+
+def test_inversion_certificate_against_the_reference():
+    # converged implies |error| <= error_bound, against `_reference.lerch`
+    # (quadrature and inversion in mpmath, agreeing to 1e-25).  The defect
+    # points of the series in z (it did not converge in 10^4 terms at 100i,
+    # -1e3 and -1e6, and took 2269 at -100) and a point where mpmath's
+    # lerchphi is wrong must take the route; so must every grid call at tol
+    # 1e-6 and 1e-10 at a small-real, complex or large shift off the 1e-2
+    # neighbourhoods of the integers >= 0.  At negative and near-pole shifts
+    # the value grows like |w|^-Re(alpha) or 1/|alpha + K|^s, and the absolute
+    # rounding bound passes tol on most of them (ROADMAP item 1b).
+    defects = [(100j, 10), (-1e3, 10), (-1e6, 10), (-100, None)]
+    calls = [(w, 0.5 + 0j, 2, 1e-12, most) for w, most in defects]
+    calls += [(0.3 - 40j, 0.2 + 0.7j, s, tol, None) for s in (1, 2, 3) for tol in (1e-6, 1e-12)]
+    for w, alpha, s, tol, most in calls:
+        result = series.lerch_accelerated(w, ShiftParam(alpha), s, tol)
+        assert result.converged and result.method == "inversion"
+        assert most is None or result.terms_used <= most
+        assert abs(mp.mpc(result.value) - _reference.lerch(w, alpha, s)) <= result.error_bound
+    methods = {}
+    for kind, w, alpha, s in _inversion_grid():
+        reference = _reference.lerch(w, alpha, s)
+        off_integers = round(alpha.real) < 0 or abs(alpha - round(alpha.real)) >= 1e-2
+        for tol in (1e-6, 1e-10, 1e-12):
+            result = series.lerch_accelerated(w, ShiftParam(alpha), s, tol)
+            methods[result.method] = methods.get(result.method, 0) + 1
+            if kind in (0, 1, 3) and off_integers and tol >= 1e-10:
+                assert result.method == "inversion"
+            if result.method == "inversion":
+                assert result.converged
+                assert abs(mp.mpc(result.value) - reference) <= result.error_bound
+    assert methods["inversion"] == 25  # of 45; 18 of the rest are negative or near-pole
+
+
+@pytest.mark.parametrize(
+    "w, alpha, s, tol, max_terms",
+    [
+        (-3, 0j, 2, 1e-12, 10000),  # alpha = 0, 1, 2: sin(pi alpha) = 0
+        (0.3 + 2j, 1 + 0j, 3, 1e-10, 10000),
+        (-40 + 3j, 2 + 0j, 1, 1e-6, 10000),
+        (-2.5 + 1j, 2.005 + 0j, 2, 1e-12, 10000),  # within 1e-2 of an integer >= 0
+        (-3, 0.5 + 60j, 2, 1e-12, 10000),  # |Im alpha| > 50
+        (0.2 - 2.5j, -2.3 + 0j, 3, 1e-12, 10000),  # peeled negative shift, bound above tol
+        (-3, 500 + 1e-3j, 2, 1e-12, 10000),  # large shift near an integer
+        (-1e3, 0.5 + 0j, 2, 1e-12, 3),  # max_terms reached
+        (-3, 0.5 + 0j, 101, 1e-12, 10000),  # s > 100
+    ],
+)
+def test_inversion_falls_back_bit_for_bit(w, alpha, s, tol, max_terms):
+    # Where the route declines, `lerch_accelerated` returns what it returned
+    # before the route existed: `_z_series`, with the log-series first where
+    # |z| >= 0.8, bit for bit, and raises nothing the route could raise
+    w = complex(w)
+    assert abs(w) >= series._INV_MIN_W
+    assert inversion._inversion(w, alpha, s, tol, max_terms) is None
+    result = series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)
+    log_route = abs(w) >= series._LOG_MIN_Z * abs(w - 1)
+    assert repr(result) == repr(series._z_series(w, alpha, s, tol, max_terms, log_route))
+
+
+def test_inversion_bound_needs_every_coefficient_of_p_j_to_share_its_sign():
+    # The route bounds |p_j(c)| and its rounding by p_j at t >= |c| with the
+    # moduli of its coefficients, read as |p_j(t)| from the signed rows: every
+    # coefficient of p_j must have the sign (-1)^j.  The rows are checked
+    # against the j-th derivative of pi/sin(pi a), over j!, at a = 0.3 + 0.2i.
+    rows = inversion._rows(12)
+    a = mp.mpc(0.3, 0.2)
+    with mp.workdps(30):
+        c = mp.cot(mp.pi * a)
+        for j, row in enumerate(rows[:12]):
+            assert all(coefficient * (-1) ** j >= 0 for coefficient in row)
+            value = mp.polyval([mp.mpf(coefficient) for coefficient in row], c) * mp.pi / mp.sin(mp.pi * a)
+            derivative = mp.diff(lambda b: mp.pi / mp.sin(mp.pi * b), a, j) / mp.factorial(j)
+            assert abs(value - derivative) <= 1e-13 * abs(derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -1136,7 +1259,7 @@ def test_lens_and_off_lens_calls_interleaved_on_one_pair_give_cold_bits():
     # from the second call of each kind on the terms are read from its entry.
     alpha, s = 1.3 + 0.7j, 3
     lens = [0.4, 0.3 + 0.5j, 0.45 - 0.1j, 0.1 - 0.2j]
-    off_lens = [-1, -0.3 + 0.4j, -2 + 1j, -5]  # |z| < 0.8, or |Log w| > pi at -5: no log-series
+    off_lens = [-1, -0.3 + 0.4j, -1.2 + 0.5j, -1.4]  # |z| < 0.8 and |w| < 3/2: neither inversion nor log-series
     calls = [(w, alpha, s, tol, 10000) for pair in zip(lens, off_lens) for w in pair for tol in (1e-6, 1e-12)]
     expected = [_cold(call, series.lerch_accelerated) for call in calls]
     _forget_stream()
