@@ -26,7 +26,7 @@ import cmath
 import math
 from typing import Optional
 
-from .series import _U, SeriesResult, _direct_stream, _summed
+from .series import _U, SeriesResult, _direct_stream, _summed, _tail_gap
 
 #: A shift closer than this to a non-negative integer is declined: the n = 0
 #: term alpha^-s (at alpha = 0 a pole), or the term n = -alpha of the sum in
@@ -109,9 +109,12 @@ def _inversion(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -
 
     (i) 1/w, and the sum in 1/w: x within 5u, so x^n within 5n u; the n-1
         products forming x^n add 2.25(n-1) u, a term (1/(n - alpha))^s at
-        most (2.25 s + 4) u (sum, reciprocal, binary powering), its
-        product by x^n 2.25u, and the running sum N u: at most (8.25N +
-        2.25s + 6) u Z, and 2u Z more for the final sums below.
+        most 8.25s u at a complex alpha (`series._power_error`: its base
+        within 6u, so its power within 6s u, and s - 1 products of binary
+        powering) and (2s + 1) u at a real one (a real sum and quotient, and
+        pow), its product by x^n 2.25u, and the running sum N u: at most
+        (8.25N + P) u Z, P = 8.25s or 2.25s + 6, and 2u Z more for the final
+        sums below.
     (ii) alpha^-s: 1/alpha^s with alpha^s by binary powering, (2.25s + 3) u
         (a real power 2u), and 4u |alpha^-s| more for the final sums.
     (iii) E: the argument -alpha L is within 7u |alpha L| from L and 2.25u
@@ -135,10 +138,15 @@ def _inversion(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -
         An E that underflows moves T by at most 2^-1074 |S| A more, far
         below any tol accepted.
 
-    In all, error_bound = truncation + u ((8.25N + 2.25s + 8) Z + (2.25s +
+    In all, error_bound = truncation + u ((8.25N + P + 2) Z + (2.25s +
     7) |alpha^-s| + (15s + 16 + 9.25 |alpha L| + 1.36 |theta| |c|) |E S| A)
-    + dc |E S| A'.  The sum in 1/w gets half of what the rest leaves of
-    tol, and the bound must meet tol once Z is known.
+    + dc |E S| A'.  The bound must meet tol max(1, |value|).  Before the sum
+    in 1/w the rest is tested against tol max(1, |V0| - R), V0 the value
+    without that sum and R = (1/g)^s |x|/(1 - |x|) >= its modulus, g = min_{n
+    >= 1} |n - alpha|, so that the target is not above the one at the
+    value; the sum gets half of what the rest leaves of it; once Z and
+    the value are known, the bound is tested against the target at the
+    value.
     """
     n0 = round(alpha.real)
     f = alpha - n0
@@ -177,23 +185,29 @@ def _inversion(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -
     multiple = 15 * s + 16 + 9.25 * abs(alpha) * abs_l + 1.36 * abs_theta * abs_c
     fixed = abs(e * big_s) * (multiple * _U * size + dc * slope)
     fixed += (2.25 * s + 7) * _U * abs(pole)
-    if not fixed < tol:  # nan too
-        return None
     x = 1 / w
+    ax = abs(x)
+    closed = e * big_s * d  # (-1)^{s-1} T
+    reach = (1.0 / _tail_gap(-alpha, 1)) ** s * ax / (1.0 - ax)
+    target = tol * max(1.0, abs((closed if s % 2 else -closed) - pole) - reach)
+    if not fixed < target:  # nan too
+        return None
     try:
-        inner = _summed(x, -alpha, s, (tol - fixed) / 2, max_terms - 1, 1.0, _direct_stream)
+        inner = _summed(x, -alpha, s, (target - fixed) / 2, max_terms - 1, 1.0, _direct_stream, None)
     except OverflowError:
         return None
     if not inner.converged:
         return None
     terms = inner.terms_used
-    ax, power, z_size = abs(x), 1.0, 0.0
+    power, z_size = 1.0, 0.0
     for n in range(1, terms + 1):
         power *= ax
         z_size += power * (1.0 / abs(n - alpha)) ** s
-    value = e * big_s * d + inner.value  # (-1)^{s-1} times T + (-1)^{s-1} sum
+    value = closed + inner.value  # (-1)^{s-1} times T + (-1)^{s-1} sum
     value = (value if s % 2 else -value) - pole
-    bound = inner.error_bound + fixed + (8.25 * terms + 2.25 * s + 8) * _U * z_size
-    if not (bound <= tol and math.isfinite(value.real) and math.isfinite(value.imag)):
+    power = 2.25 * s + 6 if real else 8.25 * s
+    bound = inner.error_bound + fixed + (8.25 * terms + power + 2) * _U * z_size
+    modulus = abs(value)  # nan or inf where the value is not finite
+    if not (bound <= tol * max(1.0, modulus) and math.isfinite(modulus)):
         return None
     return SeriesResult(value, terms + 1, bound, True, "inversion")

@@ -281,7 +281,8 @@ def _z_meets(alpha: complex, s: int, az: float, target: float, n: int) -> bool:
 
 
 def _log_series(
-    w: complex, z: complex, alpha: complex, s: int, tol: float, max_terms: int, k: int, scale: float
+    w: complex, z: complex, alpha: complex, s: int, tol: float, max_terms: int,
+    k: int = 0, head: complex = 0.0, w_pow: complex = 1.0, head_error: float = 0.0,
 ) -> Optional[SeriesResult]:
     """Li(w; alpha + K, s), K = k the head terms `series._z_series` peeled, by the
     log-series in x = Log w (Erdelyi, HTF I, 1.11(8)) where |x| <= pi < 2 pi,
@@ -304,9 +305,18 @@ def _log_series(
     within N = s + 2 ceil(|alpha + K| |x|) terms, a few more than the
     log-series needs before its terms q_m x^m, which peak near m = |alpha +
     K| |x|, fall off; it only picks the route, and the certificate is the
-    route's own.  The caller then sums the series in z.  `scale` = |w^K| multiplies the bound, as in
-    `series._summed`; the rounding of the peeled head is not counted, as on
-    the series in z (ROADMAP item 1b).
+    route's own.  The caller then sums the series in z.  Both estimates
+    read the target tol max(1, |head|).  scale = |w^K| multiplies the bound,
+    as in `series._summed`, and `head_error`, the rounding of the peeled
+    head (`series._z_series` derives it), is added to it.
+
+    The call's value is V = head + w^K Li, `w_pow` = w^K.  The bound must
+    meet tol max(1, |V|).  Before the sum in x it is tested against tol
+    max(1, |V0| - R), V0 the value with T = 0 and R = |w^K e^{-(alpha+K) x}|
+    |x|^{s-1}/(s-1)! Q/s >= the modulus of the part of V that T gives (Q as
+    below, |a_m| <= (G_m + Q_m)/(m s)), so that the target is not above the
+    one at V; the sum gets half of what the rest leaves of it; after it, the
+    bound is tested against the target at V.
 
     error_bound, in units of |w^K e^{-(alpha+K) x}| times the bracket, is the
     sum of the truncation bound of `_summed` (at scale |x|^{s-1}/(s-1)!), the
@@ -357,10 +367,12 @@ def _log_series(
     reach = (abs(shift.real) + abs(shift.imag)) * ax  # >= |(alpha+K) x|, and the exponent of `bases`
     if ax > math.pi or max_terms <= k + s or reach > 700.0 or lift > 700.0:
         return None
+    scale = abs(w_pow)
+    target = tol * max(1.0, abs(head))
     if real:
-        if lift + (s + 1) * math.log(az) + math.log(scale * (1.0 + az) / abs(1.0 - z)) <= math.log(tol):
+        if lift + (s + 1) * math.log(az) + math.log(scale * (1.0 + az) / abs(1.0 - z)) <= math.log(target):
             return None
-    elif s > 100 or _z_meets(shift, s, az, tol * (1.0 - az) / scale, s + 2 * math.ceil(abs(shift) * ax)):
+    elif s > 100 or _z_meets(shift, s, az, target * (1.0 - az) / scale, s + 2 * math.ceil(abs(shift) * ax)):
         return None
     factor = cmath.exp(-shift * x)
     unit = scale * abs(factor)
@@ -376,8 +388,8 @@ def _log_series(
         bases = sum(math.exp(abs(shift - i) * ax) for i in range(whole))
         q_size = _KAPPA * (rho + math.expm1(math.sqrt(0.0625 + shift.imag**2) * ax)) / (1.0 - rho)
     q_size += ax * bases
-    fixed = _U * unit * x_top * (whole + (19 if real else 20)) * q_size / s
-    if not fixed < tol:
+    fixed = head_error + _U * unit * x_top * (whole + (19 if real else 20)) * q_size / s
+    if not fixed < target:
         return None
     h, errors, remainders, d, d_error, d_remainder = _log_head(shift, s)
     log_x = cmath.log(-x)
@@ -389,10 +401,14 @@ def _log_series(
         remainder += remainder_j * ax_j
         ax_j *= ax
     fixed += unit * (remainder + _U * error)
-    if not fixed < tol:
+    top = (d - log_x) * (1 / math.factorial(s - 1))
+    for coefficient in reversed(h):
+        top = top * x + coefficient
+    target = tol * max(1.0, abs(head + w_pow * (factor * top)) - unit * x_top * q_size / s)
+    if not fixed < target:
         return None
     # half the rest for the truncation, half for the rounding that grows with the terms
-    inner = _summed(x, shift, s, (tol - fixed) / 2, max_terms - k - s, unit * x_top, _log_stream)
+    inner = _summed(x, shift, s, (target - fixed) / 2, max_terms - k - s, unit * x_top, _log_stream, None)
     if not inner.converged:
         return None
     top = (d - log_x + inner.value) * (1 / math.factorial(s - 1))
@@ -403,6 +419,7 @@ def _log_series(
     rounding = unit * x_top * (terms + 7 * s) * abs(inner.value)
     rounding += ((4 if real else 5.25) * abs(shift * x) + 3 * k + 10) * scale * abs(value)
     bound = inner.error_bound + fixed + _U * rounding
-    if not bound <= tol:
+    modulus = abs(head + w_pow * value)  # nan or inf where the value is not finite
+    if not (bound <= tol * max(1.0, modulus) and math.isfinite(modulus)):
         return None
     return SeriesResult(value, s + terms, bound, True, "log")

@@ -18,7 +18,11 @@ double-sum form and the accelerated zeta(s) series.  The defining series
 at the boundary point w = -1 is read only by `cli.bench_rows`, as its slow
 baseline.
 
-Every evaluator returns an a-posteriori error bound.  One loop, `_summed`,
+Every evaluator returns an a-posteriori error bound, absolute, that counts
+the rounding of the value as well as the truncation of its series, and stops
+once that bound is at most tol max(1, |value|): relative to the value where
+|value| > 1, where an absolute tol would ask for digits binary64 does not
+hold.  One loop, `_summed`,
 sums the three series, from `_term_stream`, `_direct_stream` (in w, and in 1/w
 for the inversion formula) and `logseries._log_stream`; one more,
 `_partial_sums`, yields unbounded partial sums.  The inversion formula (module
@@ -44,7 +48,9 @@ at alpha + K, K = `_pole_terms(alpha)`, by the shift relation (Erdelyi, HTF I, 1
 
     Li(w; alpha, s) = sum_{n<=K} w^n/(alpha+n)^s + w^K Li(w; alpha+K, s).
 
-Contract: binary64 throughout; tolerances below 1e-13 are rejected.
+Contract: binary64 throughout; tolerances below 1e-13 are rejected;
+`converged` means error_bound <= tol max(1, |value|), and |true - value| <=
+error_bound holds on every result.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ import math
 import sys
 import threading
 from collections import namedtuple
+from functools import partial
 from itertools import chain, count, islice
 from typing import Iterable, Iterator, NamedTuple, Tuple
 
@@ -98,9 +105,13 @@ def _checked(w, s: int, tol: float, max_terms: int) -> Tuple[complex, float]:
     w = complex(w)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise ValueError(f"w must be finite, got {w}")
-    exact._check_count(s, "order s")
-    tol = _check_tolerance(tol)
-    exact._check_count(max_terms, "max_terms")
+    if not (type(s) is int and s >= 1):  # the common case without a call
+        exact._check_count(s, "order s")
+    tol = float(tol)
+    if not MIN_TOL <= tol < math.inf:  # nan too
+        _check_tolerance(tol)
+    if not (type(max_terms) is int and max_terms >= 1):
+        exact._check_count(max_terms, "max_terms")
     return w, tol
 
 
@@ -116,8 +127,11 @@ class ShiftParam(namedtuple("ShiftParam", "alpha")):
     __slots__ = ()
 
     def __new__(cls, alpha):
-        alpha = _require_finite(alpha, "alpha")
-        if _tail_gap(alpha, 1) <= SHIFT_TOL:
+        alpha = complex(alpha)  # as `_require_finite` checks it, without its call
+        if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+            raise ValueError(f"alpha must be finite, got {alpha}")
+        # every pole -n, n >= 1, is farther than 1/2 from Re(alpha) > -1/2
+        if alpha.real <= -0.5 and _tail_gap(alpha, 1) <= SHIFT_TOL:
             raise InvalidShiftError(f"alpha = {alpha} is within {SHIFT_TOL} of a negative integer")
         return tuple.__new__(cls, (alpha,))
 
@@ -128,7 +142,10 @@ class ShiftParam(namedtuple("ShiftParam", "alpha")):
 class SeriesResult(NamedTuple):
     """Value of a truncated series with its certificate.
 
-    `converged` implies `error_bound <= ` the requested tolerance;
+    `error_bound` is absolute: it bounds |true - value|, the truncation of
+    the series and the rounding of the value both.  `converged` means
+    `error_bound <= tol * max(1, |value|)` for the requested tol, so the
+    tolerance is absolute where |value| <= 1 and relative above;
     `terms_used` never exceeds the configured max-terms.  `method` is the
     series summed: "z", "direct" (the defining series), "log" (the
     log-series in Log w) or "inversion" (the inversion formula, its sum in
@@ -140,6 +157,11 @@ class SeriesResult(NamedTuple):
     error_bound: float
     converged: bool
     method: str
+
+
+#: Builds a `SeriesResult` from a tuple of its fields, without the Python frame
+#: of the NamedTuple's own __new__: the evaluators return one per call.
+_result = partial(tuple.__new__, SeriesResult)
 
 
 def disk_to_half_plane(z: complex) -> complex:
@@ -162,8 +184,10 @@ def lerch_direct(
 
         |w|^{N+1} (1/min_{n>N} |alpha + n|)^s / (1 - |w|)
 
-    falls below `tol` (or, at a real alpha > -1, the summation-by-parts
-    bound of `_summed`), or at `max_terms` with converged = False.
+    (or, at a real alpha > -1, the summation-by-parts bound of `_summed`)
+    plus the rounding `_summed` counts is at most tol max(1, |value|), or
+    with converged = False at `max_terms` or once the rounding alone passes
+    that target.
     """
     w, tol = _checked(w, s, tol, max_terms)
     aw = abs(w)
@@ -318,13 +342,53 @@ def _trim() -> None:
                     break
 
 
-def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_term_stream) -> SeriesResult:
+def _power_error(s: int) -> float:
+    """A multiple of u |a_n| that bounds the rounding of a_n = (1/(alpha+n))^s
+    as `_direct_terms` forms it: alpha + n rounds by u, the complex
+    reciprocal by 5u (CPython divides by Smith's method), so the base is
+    within 6u and its s-th power within 6s u of the exact one; for s <= 100
+    CPython powers by binary powering, s - 1 products of sqrt(5) u each:
+    8.25s in all.  Above 100 it takes exp(s log): the modulus is within (s +
+    2) u of the rounded one and the phase s arg within (3 pi s + 1) u, so
+    with the base's 6s, 23s covers it."""
+    return 8.25 * s if s <= 100 else 23.0 * s
+
+
+def _direct_size(alpha, s: int, ax: float, n: int) -> float:
+    """sum_{m<=n} (1/|alpha+m|)^s ax^m, the moduli of the first n terms of the
+    defining series at |w| = ax; inf where a modulus overflows binary64."""
+    total, power = 0.0, 1.0
+    try:
+        for m in range(1, n + 1):
+            power *= ax
+            total += (1.0 / abs(alpha + m)) ** s * power
+    except OverflowError:
+        return math.inf
+    return total
+
+
+#: `_summed` reads |V| and closes a block of its index-weighted size sum at
+#: _CHECKPOINT terms and at every doubling of the term count after it.
+_CHECKPOINT = 64
+
+
+def _summed(
+    x, alpha, s: int, tol: float, max_terms: int, mult=1.0, factory=_term_stream,
+    head=0.0, fixed=0.0, carried=0.0, x_error=0.0,
+) -> SeriesResult:
     """Sum a_p x^p over the kept stream `factory(alpha, s)` of (a_p, B(p+1), r_p),
-    a majorant B(m) >= |a_m| and r_p >= sup_{m>p} B(m+1)/B(m), until `scale`
-    times the tail bound B(P+1) |x|^{P+1} / (1 - |x| r_P) is <= tol; the value
-    is unscaled.  x = z for `_term_stream` (at Re(alpha) >= -1, as its ratio
-    needs), x = w for `_direct_stream` (x = 1/w, at the shift -alpha, for
-    `inversion._inversion`), x = Log w for `logseries._log_stream`.
+    a majorant B(m) >= |a_m| and r_p >= sup_{m>p} B(m+1)/B(m), until the
+    bound meets the target; the value returned is the sum itself.  x = z for
+    `_term_stream` (at Re(alpha) >= -1, as its ratio needs), x = w for
+    `_direct_stream` (x = 1/w, at the shift -alpha, for `inversion._inversion`),
+    x = Log w for `logseries._log_stream`.
+
+    The sum enters the caller's value V = head + mult * sum, and the bound is
+    |mult| times the tail bound B(P+1) |x|^{P+1} / (1 - |x| r_P), plus the
+    rounding, against the target tol max(1, |V|).  With `head` None (the
+    log-series and the inversion formula, which bound their own rounding and
+    pass their share of an absolute tolerance) the target is tol and no
+    rounding is counted.
 
     At a real alpha > -1 the terms a_m of the first two streams
     (`_ABEL_STREAMS`) are one-signed and |a_m| does not increase, and each
@@ -333,6 +397,57 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
     sum_{m>P} a_m x^m = sum_{m>P} (a_m - a_{m+1}) X_m (+ the limit of a_m
     times that of X_m), and the |differences| (and that limit) add up to
     |a_{P+1}| <= B(P+1).  The smaller of the two bounds is taken.
+
+    Rounding (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    3.3), to first order in u = 2^-53; each multiple is rounded up, which
+    covers the second order.  A complex product rounds by sqrt(5) u, a sum
+    by u.  Term m is within (k_a (m + s) + 2.25 m + x_error m) u of its
+    majorant: x^m by m - 1 products and a_m x^m by one, 2.25m; x within
+    x_error u of the caller's exact point moves x^m by x_error m u; and a_m:
+
+    - on `_term_stream` within 9.25(m + s) u of |prefactor_m| h_{s-1}(|f_1|,
+      .., |f_m|) <= B(m), k_a = 9.25: alpha + n rounds by u, f_n and (n -
+      1)/d by 5u more, so the prefactor takes 8.25u a step; the depth-t
+      column entry after n steps is within e(t, n) = n - 1 + 9.25t, as
+      e(t, n) <= max(e(t, n-1), e(t-1, n) + 8.25) + 1 (f_n, its product,
+      the sum); c_m = -prefactor col[t] adds 2.25.  At a real alpha > -1,
+      4(m + s) u of |c_m|, k_a = 4 (derived in `_term_stream`).
+    - on `_direct_stream` within `_power_error(s)` u |a_m|, m-free.
+
+    The running sum adds u |T_i| at its i-th term, T_i the partial sum, and
+    |T_i| <= |T_P| + sum_{i<m<=P} |a_m x^m|: at most u (P |T_P| + sum_m (m -
+    1) |a_m x^m|) in all.  So the rounding is at most u (slope W + intercept
+    S + P |mult T_P| + |V|) + fixed, with S = |mult| sum_{m<=P} B(m) |x|^m
+    and W >= |mult| sum_{m<=P} m B(m) |x|^m; slope = k_a + 3.25 + x_error on
+    `_term_stream` and 3.25 + x_error on `_direct_stream`; intercept = k_a s
+    or `_power_error(s)`, plus `carried` (the caller's rounding of mult and
+    of its product with the sum, in units of S); `fixed` the caller's other
+    rounding (absolute); and u |V| for the sum with head.  S is one running
+    sum of the numerators y = |mult| B(p+1) |x|^{p+1} the loop forms anyway
+    (one add a term), started at the first term's modulus |mult| |alpha +
+    1|^-s |x| (a_1 = (alpha+1)^-s on both streams).  W closes a block of S
+    at each checkpoint (p = 64, 128, ...), weighted by the block's last index
+    + 1, and weighs the open block by P + 1: W <= |mult| sum_m (2m + 1)
+    B(m) |x|^m + 64 S, and W = (P + 1) S below 64 terms.  On
+    `_direct_stream`, B(p+1) is the
+    size of the pole term on every p + 1 < -Re(alpha), where the min in it
+    is taken over a pole that lies ahead; so at `first` = ceil(-Re(alpha)),
+    from where B(m) = (1/|alpha + m|)^s, and at any stop before it, S reads
+    the moduli of the terms up to there from `_direct_size` instead.  The
+    loop stops with converged = False once the rounding alone passes the
+    target.
+
+    The target starts at tol max(1, |head| + |mult a_1 x|), an estimate of
+    |V|, and reads |V| at the checkpoints and wherever the bound is formed.
+    Each term forms only the numerator y and tests it against the last
+    target; y / (1 - rho) and, where that is above the target, the Abel
+    bound are formed only once y <= target or p = max_terms, and the
+    rounding only once the smaller meets the target; the Abel factor (1 +
+    |x|)/|1 - x| (inf where it does not hold) is formed once, at the first
+    such stop.  At 0 <= rho < 1 the rounded quotient is >= y, the Abel
+    factor is taken >= 1, and a nan y fails both tests, so no bound below
+    the target is skipped while the target is read.  An infinite |V| never
+    converges.
 
     The stream depends on (factory, alpha, s) only, and `_kept_streams` keeps
     the streams of the recently repeated keys, least recently used first, so
@@ -352,19 +467,34 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
     own entry may grow to `max_terms` terms.  Anything raised under
     `_kept_lock` (an `OverflowError` of a term, an interrupt) drops the key.
     Every result is bit for bit a first call's.
-
-    Each term forms only the bound's numerator y = scale B(p+1) |x|^{p+1}, and
-    y / (1 - rho), then the Abel bound while that is > tol, only once y <= tol
-    or p = max_terms; the Abel factor (1 + |x|)/|1 - x| (inf where it does not
-    hold) is formed once, at the first such stop.  No stop moves: at 0 <= rho
-    < 1 the rounded quotient is >= y, the Abel factor is taken >= 1, and a nan
-    y fails both tests.
     """
     ax = abs(x)
     total = 0.0
     x_pow = 1.0
-    ax_pow = ax
+    scale = abs(mult)
+    ax_pow = scale * ax  # scale |x|^p
     abel = None
+    size = moment = last = rounding = 0.0
+    if head is None:
+        target = tol
+        first = check = max_terms
+    else:
+        try:  # |a_1 x| = |alpha + 1|^-s |x| on both streams, the first size
+            size = scale * abs(alpha + 1) ** -s * ax
+        except (OverflowError, ZeroDivisionError):
+            size = math.inf
+        modulus = abs(head) + size if head else size  # the first target reads this estimate of |V|
+        target = tol * modulus if modulus > 1.0 else tol
+        if factory is _direct_stream:
+            slope, intercept = 3.25 + x_error, _power_error(s) + carried
+            first = math.ceil(-alpha.real)
+        else:
+            k_a = 4.0 if alpha.imag == 0 and alpha.real > -1 else 9.25
+            slope, intercept = k_a + 3.25 + x_error, k_a * s + carried
+            first = 1
+        check = first if first > 1 else _CHECKPOINT
+        if check > max_terms:
+            check = max_terms
     key = (factory, alpha, s, type(alpha))  # 0.0 == 0j; their terms differ in type
     with _kept_lock:
         entry = _kept_streams.pop(key, False)
@@ -376,21 +506,42 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
         try:
             for p, (a_p, b_next, ratio) in enumerate(chain(*entry) if entry else factory(alpha, s), 1):
                 x_pow *= x
-                ax_pow *= ax
                 total += a_p * x_pow
-                y = scale * b_next * ax_pow
-                if y <= tol or p >= max_terms:
+                ax_pow *= ax
+                y = b_next * ax_pow
+                size += y
+                if y <= target or p >= check:
+                    if head is not None:
+                        if p >= check:
+                            if p == first:
+                                size = y + scale * _direct_size(alpha, s, ax, p)
+                            moment += (p + 1) * (size - last)
+                            last = size
+                            check = min(max(2 * p, _CHECKPOINT), max_terms)
+                        partial = scale * abs(total)
+                        modulus = abs(head + mult * total) if head else partial
+                        target = tol * modulus if modulus > 1.0 else tol
+                        if y > target and p < max_terms:
+                            continue
                     rho = ax * ratio
                     bound = y / (1.0 - rho) if rho < 1.0 else math.inf
-                    if bound <= tol:
-                        break
-                    if abel is None:  # the first such stop; inf where the Abel bound does not hold
-                        holds = alpha.imag == 0 and alpha.real > -1 and factory in _ABEL_STREAMS
-                        abel = (1.0 + ax) / abs(1.0 - x) if holds else math.inf
-                        abel = abel if abel > 1.0 else 1.0
-                    if y * abel < bound:
-                        bound = y * abel
-                    if bound <= tol or p >= max_terms:
+                    if bound > target:
+                        if abel is None:  # the first such stop; inf where the Abel bound does not hold
+                            holds = alpha.imag == 0 and alpha.real > -1 and factory in _ABEL_STREAMS
+                            abel = (1.0 + ax) / abs(1.0 - x) if holds else math.inf
+                            abel = abel if abel > 1.0 else 1.0
+                        if y * abel < bound:
+                            bound = y * abel
+                        if bound > target and p < max_terms:
+                            continue
+                    if head is not None:
+                        if p < first:  # sizes past `first` are not read yet
+                            size = y + scale * _direct_size(alpha, s, ax, p)
+                            moment = last = 0.0
+                        weighted = moment + (p + 1) * (size - last)  # >= the sum of index times term size
+                        rounding = _U * (slope * weighted + intercept * size + p * partial + modulus) + fixed
+                        bound += rounding
+                    if bound <= target or p >= max_terms or rounding > target:
                         break
         except BaseException:
             del _kept_streams[key]
@@ -400,7 +551,7 @@ def _summed(x, alpha, s: int, tol: float, max_terms: int, scale=1.0, factory=_te
             _kept_count[0] += len(entry[0]) - kept
         if len(_kept_streams) > _RECORDED_KEYS or _kept_count[0] > _KEPT_TERMS:
             _trim()
-    return SeriesResult(total, p, bound, bound <= tol, _METHODS[factory.__name__])
+    return _result((total, p, bound, bound <= target < math.inf, _METHODS[factory.__name__]))
 
 
 def lerch_accelerated(
@@ -429,6 +580,12 @@ def lerch_accelerated(
     log-series like (|x|/(2 pi))^k, and the inversion formula's sum in 1/w
     like |w|^-n.  A call that route 2 passes on is bit for bit what route 3
     alone returns.
+
+    Every route bounds the truncation and the rounding of its value in
+    `error_bound` (absolute), and converges once that bound is at most tol
+    max(1, |value|).  Near a pole, where the value reaches 1e33, the
+    tolerance is then relative to it; a tol below what binary64 can certify
+    for a call returns converged = False, not an exception.
     """
     w, tol = _checked(w, s, tol, max_terms)
     if w.real >= 0.5:
@@ -470,25 +627,38 @@ def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int, lo
     `_term_stream` yields (|c_{p-1}| at a real shift, where the summation by
     parts bound of `_summed` may be the smaller, else (p-1)!/prod_{j<=p}
     |alpha+j| * H_p^{s-1}, H_p = sum_{i<=p} 1/|alpha+i|) and the sup bounded
-    as in `_term_stream`.  Convergence is declared once this bound, times
-    |w|^K for a peeled call, is <= tol; while rho >= 1 more terms are added,
-    unless the summation-by-parts bound meets tol.
+    as in `_term_stream`.  The bound is this one, times |w|^K for a peeled
+    call, plus the rounding that `_summed` counts (z = w/(w-1) is within
+    `_Z_ERROR` u of its exact value: w - 1 rounds by u, the quotient by 5u),
+    and convergence is declared once it is <= tol max(1, |value|); while rho
+    >= 1 more terms are added, unless the summation-by-parts bound meets it.
+    A peeled call's head adds its own rounding, at most (3.25K +
+    `_power_error(s)`) u times the sum of the moduli of its terms (each w^n
+    by n - 1 products, a_n, its product and the running sum), and w^K, by K -
+    1 products, and its product with the sum in z 2.25K u times |w^K| times
+    the moduli of that sum's terms; both enter `_summed`'s test, as the log
+    route's bound does.
     """
     z = w / (w - 1)
     if log_route:
         from .logseries import _log_series
     if not (k := _pole_terms(alpha)):
-        logged = log_route and _log_series(w, z, alpha, s, tol, max_terms, 0, 1.0)
-        return logged or _summed(z, alpha, s, tol, max_terms)
+        logged = log_route and _log_series(w, z, alpha, s, tol, max_terms)
+        return logged or _summed(z, alpha, s, tol, max_terms, 1.0, _term_stream, 0.0, 0.0, 0.0, _Z_ERROR)
     w_pow, head = next(islice(_partial_sums(w, _direct_terms(alpha, s)), min(k, max_terms) - 1, None))
     if k >= max_terms:
         return SeriesResult(head, max_terms, math.inf, False, "z")
-    if not math.isfinite(scale := abs(w_pow)):
+    if not math.isfinite(abs(w_pow)):
         raise OverflowError(f"|w|^K overflows binary64 at |w| = {abs(w)}, K = {k}")
-    logged = log_route and _log_series(w, z, alpha, s, tol, max_terms, k, scale)
-    inner = logged or _summed(z, alpha + k, s, tol, max_terms - k, scale)
-    return inner._replace(value=head + w_pow * inner.value, terms_used=k + inner.terms_used)
+    fixed = _U * (3.25 * k + _power_error(s)) * _direct_size(alpha, s, abs(w), k)
+    logged = log_route and _log_series(w, z, alpha, s, tol, max_terms, k, head, w_pow, fixed)
+    inner = logged or _summed(z, alpha + k, s, tol, max_terms - k, w_pow, _term_stream, head, fixed, 2.25 * k, _Z_ERROR)
+    value, terms, bound, converged, method = inner
+    return _result((head + w_pow * value, k + terms, bound, converged, method))
 
+
+#: z = w/(w-1) is within _Z_ERROR u of its exact value, relative.
+_Z_ERROR = 6.0
 
 #: The inversion formula is tried at |w| >= _INV_MIN_W, where its sum in 1/w
 #: converges like |w|^-n.  On `eval-scattered` inputs it takes less time than
@@ -517,12 +687,14 @@ def zeta_accelerated(
         zeta(s) = 1/(1 - 2^{1-s}) * sum_{p>=1} a_p / (p 2^p),
 
     the alpha = 0 (a float), w = -1 sum of `_z_series` (c_p = -a_p/p)
-    times -1/(1 - 2^{1-s}), with its bound times 1/(1 - 2^{1-s}).
+    times -1/(1 - 2^{1-s}), with its bound times 1/(1 - 2^{1-s}), plus the
+    rounding of that factor and of its product with the sum, and stopped at
+    tol max(1, zeta(s)) as `_summed` stops.
     """
     if not isinstance(s, int) or s < 2:
         raise DomainError(f"zeta series needs integer s >= 2, got {s!r} (s = 1 is the pole)")
     tol = _check_tolerance(tol)
     exact._check_count(max_terms, "max_terms")
-    factor = 1.0 / (1.0 - 2.0 ** (1 - s))
-    result = _summed(0.5, 0.0, s, tol, max_terms, factor)
-    return result._replace(value=complex(-factor * result.value.real))
+    factor = 1.0 / (1.0 - 2.0 ** (1 - s))  # within 2u: 1 - 2^{1-s} and the quotient
+    value, terms, bound, converged, method = _summed(0.5, 0.0, s, tol, max_terms, -factor, _term_stream, 0.0, 0.0, 3.0)
+    return _result((complex(-factor * value.real), terms, bound, converged, method))
