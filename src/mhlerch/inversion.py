@@ -14,7 +14,8 @@ the sum in 1/w taken out: its shift -alpha, like the argument of e^{-alpha L},
 is then exact, and no product by w is formed.  It holds for every alpha off
 the integers, Re alpha < 0 included, so nothing is peeled.
 
-`_inversion` gives the value with a certified bound, or None where it cannot
+`_inversion` gives the value with the certified bound of `series._summed`,
+which stops the sum in 1/w as it stops every route, or None where it cannot
 (see there) and the caller sums the series in z or the log-series instead.
 `series.lerch_accelerated` imports this module on the first call at |w| >= 3/2,
 so `import mhlerch.cli` does not load it.
@@ -90,11 +91,12 @@ def _inversion(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -
         T_s = (-1)^{s-1} E S D,  E = e^{-alpha L},
         D = sum_{j<s} [pi^j p_j(c)/j!] (-L)^{s-1-j}/(s-1-j)!,
 
-    each bracket by Horner's rule from `_rows`.  The sum in 1/w is
-    `series._summed` over `series._direct_stream` at x = 1/w and the shift
-    -alpha, with its truncation bound.
+    each bracket by Horner's rule from `_rows`.  The value is V = H + (-1)^{s-1}
+    sum, H = T_s - alpha^-s, and the sum in 1/w is `series._summed` over
+    `series._direct_stream` at x = 1/w and the shift -alpha, with head H and
+    multiplier (-1)^{s-1}, exact: its bound and `converged` are the route's.
 
-    error_bound is that truncation bound plus the rounding, to first order in
+    error_bound is `_summed`'s truncation bound plus the rounding, to first order in
     u = 2^-53 (each constant is rounded up, which covers the second order and
     the rounding of the bound itself).  A sum rounds by u, a product of
     complex numbers by sqrt(5) u, a complex reciprocal or quotient by 5u,
@@ -104,17 +106,14 @@ def _inversion(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -
     2u ln |w| and ln |w| >= 0.405, arg(-w) within 2u.  pi in binary64 is
     within 0.36u of pi, so theta is within 1.36u |theta|.  With A the sum
     D formed at t = |c| + 2 dc (dc below) and |L|, with the moduli of the
-    coefficients, A' the same with the derivative of each polynomial, and Z
-    the sum of the moduli of the N terms of the sum in 1/w:
+    coefficients, and A' the same with the derivative of each polynomial:
 
-    (i) 1/w, and the sum in 1/w: x within 5u, so x^n within 5n u; the n-1
-        products forming x^n add 2.25(n-1) u, a term (1/(n - alpha))^s at
-        most 8.25s u at a complex alpha (`series._power_error`: its base
-        within 6u, so its power within 6s u, and s - 1 products of binary
-        powering) and (2s + 1) u at a real one (a real sum and quotient, and
-        pow), its product by x^n 2.25u, and the running sum N u: at most
-        (8.25N + P) u Z, P = 8.25s or 2.25s + 6, and 2u Z more for the final
-        sums below.
+    (i) 1/w, and the sum in 1/w: x within 5u (`_summed`'s `x_error`), so
+        x^n within 5n u; `_summed` counts the rest as on every
+        `_direct_stream`: x^n, a term (1/(n - alpha))^s within
+        `series._power_error(s)` u (8.25s at s <= 100, which also covers
+        the (2s + 1) u of a real alpha), its product, the running sum and
+        the final sum with H, u |V|.
     (ii) alpha^-s: 1/alpha^s with alpha^s by binary powering, (2.25s + 3) u
         (a real power 2u), and 4u |alpha^-s| more for the final sums.
     (iii) E: the argument -alpha L is within 7u |alpha L| from L and 2.25u
@@ -133,20 +132,16 @@ def _inversion(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -
         c moves each p_j by at most sum_k |p_jk| ((|c| + dc)^k - |c|^k) <=
         dc p~_j'(t), t = |c| + 2 dc >= |c| + dc, p~_j the polynomial of the
         |p_jk|, whose derivative does not decrease on t >= 0: dc A'.
-    (vi) T = (-1)^{s-1} E S D: two products, 4.5u, and |D| <= A; the final
-        value T - (alpha^-s + (-1)^s sum) two sums, 2u |T| <= 2u |E S| A.
-        An E that underflows moves T by at most 2^-1074 |S| A more, far
-        below any tol accepted.
+    (vi) T = (-1)^{s-1} E S D: two products, 4.5u, and |D| <= A; H = T -
+        alpha^-s one sum, within the 2u |T| <= 2u |E S| A and 4u
+        |alpha^-s| counted.  An E that underflows moves T by at most
+        2^-1074 |S| A more, far below any tol accepted.
 
-    In all, error_bound = truncation + u ((8.25N + P + 2) Z + (2.25s +
-    7) |alpha^-s| + (15s + 16 + 9.25 |alpha L| + 1.36 |theta| |c|) |E S| A)
-    + dc |E S| A'.  The bound must meet tol max(1, |value|).  Before the sum
-    in 1/w the rest is tested against tol max(1, |V0| - R), V0 the value
-    without that sum and R = (1/g)^s |x|/(1 - |x|) >= its modulus, g = min_{n
-    >= 1} |n - alpha|, so that the target is not above the one at the
-    value; the sum gets half of what the rest leaves of it; once Z and
-    the value are known, the bound is tested against the target at the
-    value.
+    So H is within `fixed` = u ((2.25s + 7) |alpha^-s| + (15s + 16 + 9.25
+    |alpha L| + 1.36 |theta| |c|) |E S| A) + dc |E S| A', which `_summed`
+    adds to its bound.  The sum is tried only where `fixed` is below tol
+    max(1, |H| - R), R = (1/g)^s |x|/(1 - |x|) >= the sum's modulus, g =
+    min_{n >= 1} |n - alpha|, so that the target is not above the one at V.
     """
     n0 = round(alpha.real)
     f = alpha - n0
@@ -187,27 +182,15 @@ def _inversion(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -
     fixed += (2.25 * s + 7) * _U * abs(pole)
     x = 1 / w
     ax = abs(x)
-    closed = e * big_s * d  # (-1)^{s-1} T
+    sign = 1.0 if s % 2 else -1.0
+    head = sign * (e * big_s * d) - pole  # T - alpha^-s
     reach = (1.0 / _tail_gap(-alpha, 1)) ** s * ax / (1.0 - ax)
-    target = tol * max(1.0, abs((closed if s % 2 else -closed) - pole) - reach)
-    if not fixed < target:  # nan too
+    if not fixed < tol * max(1.0, abs(head) - reach):  # nan too
         return None
     try:
-        inner = _summed(x, -alpha, s, (target - fixed) / 2, max_terms - 1, 1.0, _direct_stream, None)
+        inner = _summed(x, -alpha, s, tol, max_terms - 1, sign, _direct_stream, head, fixed, 0.0, 5.0)
     except OverflowError:
         return None
     if not inner.converged:
         return None
-    terms = inner.terms_used
-    power, z_size = 1.0, 0.0
-    for n in range(1, terms + 1):
-        power *= ax
-        z_size += power * (1.0 / abs(n - alpha)) ** s
-    value = closed + inner.value  # (-1)^{s-1} times T + (-1)^{s-1} sum
-    value = (value if s % 2 else -value) - pole
-    power = 2.25 * s + 6 if real else 8.25 * s
-    bound = inner.error_bound + fixed + (8.25 * terms + power + 2) * _U * z_size
-    modulus = abs(value)  # nan or inf where the value is not finite
-    if not (bound <= tol * max(1.0, modulus) and math.isfinite(modulus)):
-        return None
-    return SeriesResult(value, terms + 1, bound, True, "inversion")
+    return SeriesResult(head + sign * inner.value, inner.terms_used + 1, inner.error_bound, True, "inversion")

@@ -8,9 +8,10 @@ with x = Log w and a = alpha + 1 (Erdelyi, HTF I, 1.11(8))
 
 whose terms shrink like (|x|/(2 pi))^k, zeta(-n, a) = -B_{n+1}(a)/(n+1).
 `_log_head` gives the first s coefficients by Euler-Maclaurin, the third
-term stream `_log_stream` the rest, summed in x by `series._summed`, and
-`_log_series` the value with a certified bound, or None where that bound
-cannot meet tol and the series in z is summed instead.  a may be complex,
+term stream `_log_stream` the rest, summed in x by `series._summed`, whose
+counted loop stops it as it stops every route, and `_log_series` the value
+with that loop's certified bound, or None where the bound cannot meet tol and
+the series in z is summed instead.  a may be complex,
 of imaginary part b: the bound on B_m(a)/m! then carries the partial
 exponential sum_{j<=m} (2 pi |b|)^j/j!, and the route's rounding bound
 grows like e^{|b| |x|}, so it meets tol only at moderate |b|.  Where a
@@ -103,7 +104,9 @@ def _log_stream(alpha, s: int) -> Iterator[Tuple[complex, float, float]]:
     which decreases in j: r_m = max((1 + TWO_PI_HIGH |b|/(m+2))/TWO_PI_LOW,
     |alpha|/(m+s)) (no second term where J = 0).  The terms are neither
     one-signed nor monotone, so `series._summed` takes no summation-by-parts
-    bound on them.
+    bound on them; it counts no rounding per term either (`_log_series`
+    counts it a priori), and its first size |alpha + 1|^-s |x| is here only
+    the first target's estimate.
     """
     b = alpha.imag
     if alpha.real < 0:
@@ -284,9 +287,10 @@ def _log_series(
     w: complex, z: complex, alpha: complex, s: int, tol: float, max_terms: int,
     k: int = 0, head: complex = 0.0, w_pow: complex = 1.0, head_error: float = 0.0,
 ) -> Optional[SeriesResult]:
-    """Li(w; alpha + K, s), K = k the head terms `series._z_series` peeled, by the
-    log-series in x = Log w (Erdelyi, HTF I, 1.11(8)) where |x| <= pi < 2 pi,
-    at a = alpha + K + 1 (Re a >= 1/2), real or complex:
+    """The call's value V = head + w^K Li(w; alpha + K, s), K = k the head
+    terms `series._z_series` peeled and `w_pow` = w^K, by the log-series in x
+    = Log w (Erdelyi, HTF I, 1.11(8)) where |x| <= pi < 2 pi, at a = alpha +
+    K + 1 (Re a >= 1/2), real or complex:
 
         Li = w^{1-a} [sum_{j<=s-2} zeta(s-j, a) x^j/j!
                       + x^{s-1} (H_{s-1} - gamma - psi(a) - log(-x) + T)/(s-1)!],
@@ -306,55 +310,59 @@ def _log_series(
     log-series needs before its terms q_m x^m, which peak near m = |alpha +
     K| |x|, fall off; it only picks the route, and the certificate is the
     route's own.  The caller then sums the series in z.  Both estimates
-    read the target tol max(1, |head|).  scale = |w^K| multiplies the bound,
-    as in `series._summed`, and `head_error`, the rounding of the peeled
-    head (`series._z_series` derives it), is added to it.
+    read the target tol max(1, |head|).
 
-    The call's value is V = head + w^K Li, `w_pow` = w^K.  The bound must
-    meet tol max(1, |V|).  Before the sum in x it is tested against tol
-    max(1, |V0| - R), V0 the value with T = 0 and R = |w^K e^{-(alpha+K) x}|
-    |x|^{s-1}/(s-1)! Q/s >= the modulus of the part of V that T gives (Q as
-    below, |a_m| <= (G_m + Q_m)/(m s)), so that the target is not above the
-    one at V; the sum gets half of what the rest leaves of it; after it, the
-    bound is tested against the target at V.
+    V = H + M T, with H = head + w^K e^{-(alpha+K) x} times the bracket at T
+    = 0 (by Horner's rule) and M = w^K e^{-(alpha+K) x} x^{s-1}/(s-1)!:
+    `series._summed` sums T with that head and multiplier, and its bound and
+    `converged` are the route's.  It is handed the rounding of everything
+    but T's running sum and M T as `fixed`: `head_error`, the rounding of the
+    peeled head (`series._z_series` derives it), the Euler-Maclaurin
+    remainders, the rounding of H, and the a-priori count (ii) of the terms
+    of T.  The sum is tried only where `fixed` is below tol max(1, |H| -
+    R), R = |M| Q/s >= |M T| (Q as below, |a_m| <= (G_m + Q_m)/(m s)),
+    so that the target is not above the one at V.
 
-    error_bound, in units of |w^K e^{-(alpha+K) x}| times the bracket, is the
-    sum of the truncation bound of `_summed` (at scale |x|^{s-1}/(s-1)!), the
-    Euler-Maclaurin remainders of `_log_head` times |x|^j, and u = 2^-53 times
+    `fixed`, in units of U = |w^K e^{-(alpha+K) x}| (`unit`), is
+    `head_error`/U plus the Euler-Maclaurin remainders of `_log_head` times
+    |x|^j, plus u = 2^-53 times
 
-        sum_j e_j |x|^j + |x|^{s-1}/(s-1)! ((J + 19) Q/s + (P + 7s) |T|)
-        + (4 |(alpha+K) x| + 3K + 10) |value| / |w^K e^{-(alpha+K) x}|,
+        sum_j e_j |x|^j + |x|^{s-1}/(s-1)! (J + 19) Q/s
+        + (4 |(alpha+K) x| + 2.25K + 5.25) |h0| + |H|/U,
 
-    at a real a, and J + 20 and 5.25 for J + 19 and 4 at a complex a, with
-    P the stream's terms, J and G_m, Q_m, M_m as in `_log_stream`, and Q =
+    h0 the bracket at T = 0, at a real a, and J + 20 and 5.25 for J + 19 and
+    4 at a complex a, with J and G_m, Q_m, M_m as in `_log_stream`, and Q =
     sum_m (G_m + Q_m) |x|^m, rho = |x|/(2 pi): Q = e^{pi/2} KAPPA rho/(1 -
     rho) + |x| sum_{j<J} e^{(a0+j)|x|} at a real a, and at a complex one
     KAPPA (rho + e^{Y|x|} - 1)/(1 - rho) + |x| sum_{j<J} e^{|a0+j| |x|}, Y
     = (1/16 + b^2)^{1/2} >= |y|, b = Im a, as sum_{m>=1} rho^m E_m(2 pi Y)
-    = (rho + e^{Y|x|} - 1)/(1 - rho).  The
-    multiples, to first order in u (each constant is rounded up, which
-    covers the second order): a complex product rounds by at most sqrt(5) u,
-    a sum by u, cmath.log and cmath.exp by 3u, so x = Log w is within 3u |x|
-    and moves the j-th term by 3j u.
+    = (rho + e^{Y|x|} - 1)/(1 - rho).  `_summed` adds u (P + `carried`) |M
+    T| and u |V|, with `carried` = 4 |(alpha+K) x| + 2.25K + 6.25s + 3 (5.25
+    for 4 at a complex a).  The multiples, to first order in u (each
+    constant is rounded up, which covers the second order): a complex
+    product rounds by at most sqrt(5) u, a sum by u, cmath.log and cmath.exp
+    by 3u, so x = Log w is within 3u |x| and moves the j-th term by 3j u.
     (i) e_j = `_log_head`'s error of the coefficient of x^j plus 6.25j + 3.25
         times its modulus: Horner's rule carries it through j products and
         sums, 3.25(j+1), and x's rounding adds 3j.  At j = s-1 the
-        coefficient is (d - log(-x) + T)/(s-1)!, whose log, sums and
-        division, Horner's rule and the derivative of x^{s-1} log(-x) give
-        (7s + 6)(|d| + |log(-x)| + 1) more.
+        coefficient is (d - log(-x))/(s-1)!, whose log, sums and division,
+        Horner's rule and the derivative of x^{s-1} log(-x) give (7s +
+        6)(|d| + |log(-x)| + 1) more.
     (ii) a_m is within (5m + J + 6) u (G_m + Q_m) Beta(m, s) (the
         convolution 3m + 4 roundings, q 2m + J, Beta 2m - 1); at a complex a
         within (6m + J + 7) u: t_n takes a complex product and a division a
         step, so the convolution is within 3.75m + 6, q 3.25m + J.  x^m adds
         sqrt(5) m u |a_m x^m|, the product u, x's rounding 3m u; the partial
         sums T_1 .. T_P add u sum_i |T_i| <= u (P |T| + sum_m (m-1) |a_m x^m|).
-        As Beta(m, s) <= 1/(m s), these add to at most (J + 19) Q/s (J + 20
-        at a complex a) and P |T|.  Horner's rule carries T through s - 1
-        products: 7s |T|.
-    (iii) e^{-(alpha+K) x}: the rounding of its argument and of x give
-        4 |(alpha+K) x| u (5.25, with the complex product, at a complex a),
-        exp 3u, the products by it and by w^K (with the sqrt(5)(K - 1) u of
-        w^K) and the sum with the head the rest.
+        As Beta(m, s) <= 1/(m s), all but P |T| add to at most (J + 19) Q/s
+        (J + 20 at a complex a); `_summed` counts P |M T|.
+    (iii) e^{-(alpha+K) x}: the rounding of its argument and of x give 4
+        |(alpha+K) x| u (5.25, with the complex product, at a complex a),
+        exp 3u; w^K (K - 1) sqrt(5) u and its product with e^{-(alpha+K) x}
+        one more: 4 |(alpha+K) x| + 2.25K + 3 in all.  H adds the product by
+        h0, 2.25, and the sum with the head, u |H|.  x^{s-1}/(s-1)! takes a
+        product, a division and x's 3u a step, 6.25(s - 1), and M and M T one
+        product each: `carried`.
     """
     x = cmath.log(w)
     shift = alpha + k
@@ -376,9 +384,10 @@ def _log_series(
         return None
     factor = cmath.exp(-shift * x)
     unit = scale * abs(factor)
-    x_top = 1.0  # |x|^{s-1}/(s-1)!
+    x_top, x_power = 1.0, 1.0  # |x|^{s-1}/(s-1)! and x^{s-1}/(s-1)!
     for i in range(1, s):
         x_top *= ax / i
+        x_power *= x / i
     whole = math.floor(shift.real) + 1 if shift.real >= 0 else 0
     rho = ax / _TWO_PI_LOW
     if real:  # sum_{j<J} e^{(a0+j)|x|}
@@ -400,26 +409,17 @@ def _log_series(
         error += (error_j + (6.25 * j + 3.25) * abs(h_j)) * ax_j
         remainder += remainder_j * ax_j
         ax_j *= ax
-    fixed += unit * (remainder + _U * error)
     top = (d - log_x) * (1 / math.factorial(s - 1))
     for coefficient in reversed(h):
         top = top * x + coefficient
-    target = tol * max(1.0, abs(head + w_pow * (factor * top)) - unit * x_top * q_size / s)
-    if not fixed < target:
+    outer = w_pow * factor
+    outer_error = (4 if real else 5.25) * abs(shift * x) + 2.25 * k + 3  # in u, relative
+    head += outer * top
+    fixed += unit * (remainder + _U * (error + (outer_error + 2.25) * abs(top))) + _U * abs(head)
+    if not fixed < tol * max(1.0, abs(head) - unit * x_top * q_size / s):
         return None
-    # half the rest for the truncation, half for the rounding that grows with the terms
-    inner = _summed(x, shift, s, (target - fixed) / 2, max_terms - k - s, unit * x_top, _log_stream, None)
+    mult = outer * x_power
+    inner = _summed(x, shift, s, tol, max_terms - k - s, mult, _log_stream, head, fixed, outer_error + 6.25 * s)
     if not inner.converged:
         return None
-    top = (d - log_x + inner.value) * (1 / math.factorial(s - 1))
-    for coefficient in reversed(h):
-        top = top * x + coefficient
-    value = factor * top
-    terms = inner.terms_used
-    rounding = unit * x_top * (terms + 7 * s) * abs(inner.value)
-    rounding += ((4 if real else 5.25) * abs(shift * x) + 3 * k + 10) * scale * abs(value)
-    bound = inner.error_bound + fixed + _U * rounding
-    modulus = abs(head + w_pow * value)  # nan or inf where the value is not finite
-    if not (bound <= tol * max(1.0, modulus) and math.isfinite(modulus)):
-        return None
-    return SeriesResult(value, s + terms, bound, True, "log")
+    return SeriesResult(head + mult * inner.value, k + s + inner.terms_used, inner.error_bound, True, "log")

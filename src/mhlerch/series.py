@@ -24,15 +24,17 @@ once that bound is at most tol max(1, |value|): relative to the value where
 |value| > 1, where an absolute tol would ask for digits binary64 does not
 hold.  One loop, `_summed`,
 sums the three series, from `_term_stream`, `_direct_stream` (in w, and in 1/w
-for the inversion formula) and `logseries._log_stream`; one more,
+for the inversion formula) and `logseries._log_stream`, and is the one
+stopping rule of every route: each caller hands it the rest of its value as a
+head, the multiplier of the sum and the rounding of its own parts; one more,
 `_partial_sums`, yields unbounded partial sums.  The inversion formula (module
 `inversion`, imported on first use) adds to its sum in 1/w a closed form, the
-derivative of pi e^{-alpha L}/sin(pi alpha), L = Log(-w), and bounds its
-rounding by u times multiples of the moduli of both.  The log-series (module
+derivative of pi e^{-alpha L}/sin(pi alpha), L = Log(-w), whose rounding it
+bounds by u times multiples of its moduli.  The log-series (module
 `logseries`, imported on first use) bounds its truncation by a Bernoulli
 majorant, its Euler-Maclaurin head by the first omitted term (twice it at a
-complex shift), and its rounding by u times a multiple of the sum of its
-terms' moduli.  The series in z
+complex shift), and the rounding of its terms a priori by u times a multiple
+of the sum of their majorants.  The series in z
 is bounded through a coefficient majorant (see `_term_stream`): at a real
 alpha > -1, |c_p| itself (inflated by its rounding), which does not increase
 in p; elsewhere
@@ -385,10 +387,9 @@ def _summed(
 
     The sum enters the caller's value V = head + mult * sum, and the bound is
     |mult| times the tail bound B(P+1) |x|^{P+1} / (1 - |x| r_P), plus the
-    rounding, against the target tol max(1, |V|).  With `head` None (the
-    log-series and the inversion formula, which bound their own rounding and
-    pass their share of an absolute tolerance) the target is tol and no
-    rounding is counted.
+    rounding, against the target tol max(1, |V|).  That is the one stopping
+    rule: every route (the lens, the series in z, zeta, the log-series and
+    the inversion formula) returns the bound and `converged` this loop gives.
 
     At a real alpha > -1 the terms a_m of the first two streams
     (`_ABEL_STREAMS`) are one-signed and |a_m| does not increase, and each
@@ -413,19 +414,25 @@ def _summed(
       the sum); c_m = -prefactor col[t] adds 2.25.  At a real alpha > -1,
       4(m + s) u of |c_m|, k_a = 4 (derived in `_term_stream`).
     - on `_direct_stream` within `_power_error(s)` u |a_m|, m-free.
+    - on `logseries._log_stream` the caller counts the rounding of a_m x^m,
+      and the (m - 1) |a_m x^m| of the running sum below, a priori in
+      `fixed`: slope = intercept = 0.
 
     The running sum adds u |T_i| at its i-th term, T_i the partial sum, and
     |T_i| <= |T_P| + sum_{i<m<=P} |a_m x^m|: at most u (P |T_P| + sum_m (m -
     1) |a_m x^m|) in all.  So the rounding is at most u (slope W + intercept
-    S + P |mult T_P| + |V|) + fixed, with S = |mult| sum_{m<=P} B(m) |x|^m
-    and W >= |mult| sum_{m<=P} m B(m) |x|^m; slope = k_a + 3.25 + x_error on
-    `_term_stream` and 3.25 + x_error on `_direct_stream`; intercept = k_a s
-    or `_power_error(s)`, plus `carried` (the caller's rounding of mult and
-    of its product with the sum, in units of S); `fixed` the caller's other
-    rounding (absolute); and u |V| for the sum with head.  S is one running
-    sum of the numerators y = |mult| B(p+1) |x|^{p+1} the loop forms anyway
-    (one add a term), started at the first term's modulus |mult| |alpha +
-    1|^-s |x| (a_1 = (alpha+1)^-s on both streams).  W closes a block of S
+    S + (P + carried) |mult T_P| + |V|) + fixed, with S = |mult| sum_{m<=P}
+    B(m) |x|^m and W >= |mult| sum_{m<=P} m B(m) |x|^m; slope = k_a + 3.25 +
+    x_error on `_term_stream` and 3.25 + x_error on `_direct_stream`;
+    intercept = k_a s or `_power_error(s)`; `carried` the caller's rounding
+    of mult and of its product with the sum, relative, so that it moves the
+    computed mult * T_P by at most carried u |mult T_P| to first order;
+    `fixed` the caller's other rounding (absolute); and u |V| for the sum
+    with head.  S is one running sum of the numerators y = |mult| B(p+1)
+    |x|^{p+1} the loop forms anyway (one add a term), started at |mult|
+    |alpha + 1|^-s |x|: the first term's modulus on the first two streams
+    (a_1 = (alpha+1)^-s), and on the log stream, where S is not read, only
+    the first target's estimate.  W closes a block of S
     at each checkpoint (p = 64, 128, ...), weighted by the block's last index
     + 1, and weighs the open block by P + 1: W <= |mult| sum_m (2m + 1)
     B(m) |x|^m + 64 S, and W = (P + 1) S below 64 terms.  On
@@ -474,27 +481,24 @@ def _summed(
     scale = abs(mult)
     ax_pow = scale * ax  # scale |x|^p
     abel = None
-    size = moment = last = rounding = 0.0
-    if head is None:
-        target = tol
-        first = check = max_terms
-    else:
-        try:  # |a_1 x| = |alpha + 1|^-s |x| on both streams, the first size
-            size = scale * abs(alpha + 1) ** -s * ax
-        except (OverflowError, ZeroDivisionError):
-            size = math.inf
-        modulus = abs(head) + size if head else size  # the first target reads this estimate of |V|
-        target = tol * modulus if modulus > 1.0 else tol
-        if factory is _direct_stream:
-            slope, intercept = 3.25 + x_error, _power_error(s) + carried
-            first = math.ceil(-alpha.real)
-        else:
-            k_a = 4.0 if alpha.imag == 0 and alpha.real > -1 else 9.25
-            slope, intercept = k_a + 3.25 + x_error, k_a * s + carried
-            first = 1
-        check = first if first > 1 else _CHECKPOINT
-        if check > max_terms:
-            check = max_terms
+    moment = last = 0.0
+    try:  # |a_1 x| = |alpha + 1|^-s |x| on the first two streams; on the log stream only an estimate
+        size = scale * abs(alpha + 1) ** -s * ax
+    except (OverflowError, ZeroDivisionError):
+        size = math.inf
+    modulus = abs(head) + size if head else size  # the first target reads this estimate of |V|
+    target = tol * modulus if modulus > 1.0 else tol
+    if factory is _term_stream:
+        k_a = 4.0 if alpha.imag == 0 and alpha.real > -1 else 9.25
+        slope, intercept, first = k_a + 3.25 + x_error, k_a * s, 1
+    elif factory is _direct_stream:
+        slope, intercept, first = 3.25 + x_error, _power_error(s), math.ceil(-alpha.real)
+    else:  # `logseries._log_stream`: its caller counts the rounding of its terms in `fixed`
+        slope = intercept = 0.0
+        first = 1
+    check = first if first > 1 else _CHECKPOINT
+    if check > max_terms:
+        check = max_terms
     key = (factory, alpha, s, type(alpha))  # 0.0 == 0j; their terms differ in type
     with _kept_lock:
         entry = _kept_streams.pop(key, False)
@@ -511,18 +515,17 @@ def _summed(
                 y = b_next * ax_pow
                 size += y
                 if y <= target or p >= check:
-                    if head is not None:
-                        if p >= check:
-                            if p == first:
-                                size = y + scale * _direct_size(alpha, s, ax, p)
-                            moment += (p + 1) * (size - last)
-                            last = size
-                            check = min(max(2 * p, _CHECKPOINT), max_terms)
-                        partial = scale * abs(total)
-                        modulus = abs(head + mult * total) if head else partial
-                        target = tol * modulus if modulus > 1.0 else tol
-                        if y > target and p < max_terms:
-                            continue
+                    if p >= check:
+                        if p == first:
+                            size = y + scale * _direct_size(alpha, s, ax, p)
+                        moment += (p + 1) * (size - last)
+                        last = size
+                        check = min(max(2 * p, _CHECKPOINT), max_terms)
+                    partial = scale * abs(total)
+                    modulus = abs(head + mult * total) if head else partial
+                    target = tol * modulus if modulus > 1.0 else tol
+                    if y > target and p < max_terms:
+                        continue
                     rho = ax * ratio
                     bound = y / (1.0 - rho) if rho < 1.0 else math.inf
                     if bound > target:
@@ -534,13 +537,12 @@ def _summed(
                             bound = y * abel
                         if bound > target and p < max_terms:
                             continue
-                    if head is not None:
-                        if p < first:  # sizes past `first` are not read yet
-                            size = y + scale * _direct_size(alpha, s, ax, p)
-                            moment = last = 0.0
-                        weighted = moment + (p + 1) * (size - last)  # >= the sum of index times term size
-                        rounding = _U * (slope * weighted + intercept * size + p * partial + modulus) + fixed
-                        bound += rounding
+                    if p < first:  # sizes past `first` are not read yet
+                        size = y + scale * _direct_size(alpha, s, ax, p)
+                        moment = last = 0.0
+                    weighted = moment + (p + 1) * (size - last)  # >= the sum of index times term size
+                    rounding = _U * (slope * weighted + intercept * size + (p + carried) * partial + modulus) + fixed
+                    bound += rounding
                     if bound <= target or p >= max_terms or rounding > target:
                         break
         except BaseException:
@@ -612,8 +614,9 @@ def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int, lo
     """Li(w; alpha, s) through the series in z = w/(w-1), at checked arguments
     with Re(w) < 1/2 (|z| < 1 exactly on that half-plane); with `log_route`,
     through the log-series first (`logseries._log_series`), which returns
-    None where |Log w| > pi or its bound cannot meet tol; the series in z is
-    then summed as without it, bit for bit.
+    the whole value, or None where |Log w| > pi or its bound cannot meet
+    tol; the series in z is then summed as without it, bit for bit.  Both
+    take the same peeled head.
 
     Pole peeling: if Re(alpha) < -1/2, the K = `_pole_terms(alpha)` head terms
     w^n (1/(alpha+n))^s of the shift relation are the K-th partial sum of
@@ -635,24 +638,26 @@ def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int, lo
     A peeled call's head adds its own rounding, at most (3.25K +
     `_power_error(s)`) u times the sum of the moduli of its terms (each w^n
     by n - 1 products, a_n, its product and the running sum), and w^K, by K -
-    1 products, and its product with the sum in z 2.25K u times |w^K| times
-    the moduli of that sum's terms; both enter `_summed`'s test, as the log
-    route's bound does.
+    1 products, and its product with the sum in z 2.25K u times |w^K T|, T
+    that sum (`_summed`'s `carried`); both enter `_summed`'s test.
     """
     z = w / (w - 1)
+    head, w_pow, fixed = 0.0, 1.0, 0.0
+    if k := _pole_terms(alpha):
+        w_pow, head = next(islice(_partial_sums(w, _direct_terms(alpha, s)), min(k, max_terms) - 1, None))
+        if k >= max_terms:
+            return SeriesResult(head, max_terms, math.inf, False, "z")
+        if not math.isfinite(abs(w_pow)):
+            raise OverflowError(f"|w|^K overflows binary64 at |w| = {abs(w)}, K = {k}")
+        fixed = _U * (3.25 * k + _power_error(s)) * _direct_size(alpha, s, abs(w), k)
     if log_route:
         from .logseries import _log_series
-    if not (k := _pole_terms(alpha)):
-        logged = log_route and _log_series(w, z, alpha, s, tol, max_terms)
-        return logged or _summed(z, alpha, s, tol, max_terms, 1.0, _term_stream, 0.0, 0.0, 0.0, _Z_ERROR)
-    w_pow, head = next(islice(_partial_sums(w, _direct_terms(alpha, s)), min(k, max_terms) - 1, None))
-    if k >= max_terms:
-        return SeriesResult(head, max_terms, math.inf, False, "z")
-    if not math.isfinite(abs(w_pow)):
-        raise OverflowError(f"|w|^K overflows binary64 at |w| = {abs(w)}, K = {k}")
-    fixed = _U * (3.25 * k + _power_error(s)) * _direct_size(alpha, s, abs(w), k)
-    logged = log_route and _log_series(w, z, alpha, s, tol, max_terms, k, head, w_pow, fixed)
-    inner = logged or _summed(z, alpha + k, s, tol, max_terms - k, w_pow, _term_stream, head, fixed, 2.25 * k, _Z_ERROR)
+
+        if logged := _log_series(w, z, alpha, s, tol, max_terms, k, head, w_pow, fixed):
+            return logged
+    inner = _summed(z, alpha + k if k else alpha, s, tol, max_terms - k, w_pow, _term_stream, head, fixed, 2.25 * k, _Z_ERROR)
+    if not k:
+        return inner
     value, terms, bound, converged, method = inner
     return _result((head + w_pow * value, k + terms, bound, converged, method))
 

@@ -937,21 +937,23 @@ def _log_grid():
 
 def test_log_route_certificate_against_the_oracle():
     # converged implies |error| <= error_bound <= tol max(1, |value|),
-    # against mpmath.lerchphi at 30 digits, with no allowance: a peeled call's
-    # bound counts its head's rounding.  Unpeeled calls take the route at tol
-    # 1e-6 and 1e-10, and every call converges there; at 1e-13 a call may
-    # fall back to the series in z, whose rounding can pass the target after
-    # a hundred terms or more, and is then not converged.
+    # against `_reference.lerch` (quadrature and log-series in mpmath,
+    # agreeing to 1e-25), one reference per point, with no allowance: a
+    # peeled call's bound counts its head's rounding.  Unpeeled calls take
+    # the route at tol 1e-6 and 1e-10, and every call converges there; at
+    # 1e-13 a call may fall back to the series in z, whose rounding can pass
+    # the target after a hundred terms or more, and is then not converged.
     methods = {}
     for w, alpha, s in _log_grid():
         k = series._pole_terms(complex(alpha))
+        reference = _reference.lerch(w, alpha, s)
         for tol in (1e-6, 1e-10, 1e-13):
             result = series.lerch_accelerated(w, ShiftParam(alpha), s, tol)
             methods[k > 0, result.method] = methods.get((k > 0, result.method), 0) + 1
             if not k and tol >= 1e-10:
                 assert result.method == "log"
             if result.converged or tol >= 1e-10:
-                assert_certified(result, tol, oracle_error(result.value, w, alpha, s))
+                assert_certified(result, tol, float(abs(mp.mpc(result.value) - reference)))
     # 32 and 1 of the 33 peeled calls (22 and 11 while the target was tol
     # itself, which |w|^K times the log-series' bound could not meet)
     assert methods[True, "log"] > methods[True, "z"]
@@ -971,30 +973,35 @@ def _complex_log_grid():
 
 def test_complex_log_route_certificate_against_the_oracle():
     # As at real shifts: converged implies |error| <= error_bound <= tol
-    # max(1, |value|) against mpmath.lerchphi at 30 digits, with no allowance
-    # for a peeled call's head.  The Bernoulli coefficients grow like
+    # max(1, |value|) against `_reference.lerch`, one reference per point,
+    # with no allowance for a peeled call's head (mpmath.lerchphi is wrong at
+    # some complex shifts).  The Bernoulli coefficients grow like
     # e^{2 pi |Im alpha|} against their value, so the route takes every
     # unpeeled call with |Im alpha| <= 1/2 at tol 1e-6 and 1e-10; elsewhere
     # the call may fall back to the series in z.
     methods = {}
     for w, alpha, s in _complex_log_grid():
         k = series._pole_terms(alpha)
+        reference = _reference.lerch(w, alpha, s)
         for tol in (1e-6, 1e-10, 1e-13):
             result = series.lerch_accelerated(w, ShiftParam(alpha), s, tol)
             methods[result.method] = methods.get(result.method, 0) + 1
             if not k and abs(alpha.imag) <= 0.5 and tol >= 1e-10:
                 assert result.method == "log"
             if result.converged:
-                assert_certified(result, tol, oracle_error(result.value, w, alpha, s))
+                assert_certified(result, tol, float(abs(mp.mpc(result.value) - reference)))
     assert methods["log"] > methods["z"]
 
 
-@pytest.mark.parametrize("w, terms", [(0.49 + 1j, 16), (0.49 + 5j, 24)])
+@pytest.mark.parametrize("w, terms", [(0.49 + 1j, 15), (0.49 + 5j, 23)])
 def test_log_route_converges_at_the_open_defect_points(w, terms):
     # The series in z took 2813 terms at w = 0.49 + 1i and did not converge in
     # 10^4 at w = 0.49 + 5i (|z| = 0.9915 and 0.9995).  At 0.49 + 5i (|w| >=
     # 3/2) `lerch_accelerated` now takes the inversion formula, so the log
-    # route is read through `_z_series` at both points.
+    # route is read through `_z_series` at both points.  15 and 23 terms, s
+    # of them the head's: `_summed` stops the sum in x at tol max(1, |value|)
+    # of the whole value, with the rounding it counts, and gives no share of
+    # tol to the rounding in advance.
     result = series._z_series(w, 0.5 + 0j, 2, 1e-12, series.DEFAULT_MAX_TERMS, True)
     assert result.converged and result.method == "log" and result.terms_used == terms
     assert abs(result.value - ref_lerch(w, 0.5, 2)) <= result.error_bound
@@ -1089,6 +1096,20 @@ def test_bernoulli_tables_grow_safely_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert results == expected * 3
     assert exact._BERNOULLI[:31] == [KNOWN_BERNOULLI.get(n, 0) for n in range(31)]
+
+
+@pytest.mark.parametrize("grid, index", [(_complex_log_grid, 1), (_log_grid, 5)], ids=["complex", "real"])
+def test_reference_quadrature_at_w_inside_the_unit_circle(grid, index):
+    # |w| = 0.917 and 0.969: ln |w| < 0 is no break point of the integral,
+    # whose path starts at 0 (as the lower limit it moved the value by 2.7e-7
+    # and 1.1e-12 relative).  Both reference methods of `_reference.lerch` at
+    # |Log w| <= pi against a 40-digit `mpmath.nsum` of the defining series.
+    w, alpha, s = grid()[index]
+    assert abs(w) < 1
+    with mp.workdps(_reference.DPS):
+        expected = mp.nsum(lambda n: mp.mpc(w) ** n / (mp.mpmathify(alpha) + n) ** s, [1, mp.inf])
+        for method in (_reference.quadrature, _reference.log_series):
+            assert abs(method(w, alpha, s) - expected) <= _reference.AGREE * abs(expected)
 
 
 def test_log_route_falls_back_to_the_series_in_z():
@@ -1546,11 +1567,11 @@ def summed_every_bound(x, alpha, s, tol, max_terms, mult=1.0, factory=series._te
     loop reads it: the geometric bound where rho < 1, and where that is above
     the target at a real alpha > -1, the smaller of it and the
     summation-by-parts bound y (1 + |x|)/|1 - x|, its factor taken >= 1.
-    With `head` given, |V| = |head + mult * sum| is read at the checkpoints
-    and wherever the numerator meets the last target, the rounding is added
-    once the truncation bound meets the target, and the sum stops
-    unconverged where the rounding alone passes it; with `head` None the
-    target is tol."""
+    |V| = |head + mult * sum| is read at the checkpoints and wherever the
+    numerator meets the last target, the rounding is added once the
+    truncation bound meets the target, with `carried` in units of |mult *
+    sum| and no per-term multiples on the log stream, and the sum stops
+    unconverged where the rounding alone passes it."""
     method = series._METHODS[factory.__name__]
     abel = factory in (series._term_stream, series._direct_stream) and alpha.imag == 0 and alpha.real > -1
     direct = factory is series._direct_stream
@@ -1559,29 +1580,27 @@ def summed_every_bound(x, alpha, s, tol, max_terms, mult=1.0, factory=series._te
     total = 0.0
     x_pow = 1.0
     ax_pow = scale * ax
-    counted = head is not None
-    size = moment = last = 0.0
-    target = tol
-    first = check = max_terms
-    if counted:
-        try:
-            size = scale * abs(alpha + 1) ** -s * ax
-        except (OverflowError, ZeroDivisionError):
-            size = math.inf
-        modulus = abs(head) + size
-        target = tol * max(1.0, modulus)
-        first = math.ceil(-alpha.real) if direct else 1
-        check = min(first if first > 1 else series._CHECKPOINT, max_terms)
+    moment = last = 0.0
+    try:
+        size = scale * abs(alpha + 1) ** -s * ax
+    except (OverflowError, ZeroDivisionError):
+        size = math.inf
+    modulus = abs(head) + size
+    target = tol * max(1.0, modulus)
+    first = math.ceil(-alpha.real) if direct else 1
+    check = min(first if first > 1 else series._CHECKPOINT, max_terms)
     k_a = 4.0 if alpha.imag == 0 and alpha.real > -1 else 9.25
     slope = 3.25 + x_error + (0.0 if direct else k_a)
-    intercept = (series._power_error(s) if direct else k_a * s) + carried
+    intercept = series._power_error(s) if direct else k_a * s
+    if factory is logseries._log_stream:
+        slope = intercept = 0.0
     for p, (a_p, b_next, ratio) in enumerate(factory(alpha, s), 1):
         x_pow *= x
         total += a_p * x_pow
         ax_pow *= ax
         y = b_next * ax_pow
         size += y
-        if counted and (y <= target or p >= check):
+        if y <= target or p >= check:
             if p >= check:
                 if p == first:
                     size = y + scale * series._direct_size(alpha, s, ax, p)
@@ -1595,16 +1614,12 @@ def summed_every_bound(x, alpha, s, tol, max_terms, mult=1.0, factory=series._te
         if abel and bound > target:
             bound = min(bound, y * max(1.0, (1.0 + ax) / abs(1.0 - x)))
         rounding = 0.0
-        if counted and bound <= target:
+        if bound <= target or p >= max_terms:
             sizes, weighted = size, moment + (p + 1) * (size - last)
             if p < first:
                 sizes = y + scale * series._direct_size(alpha, s, ax, p)
                 weighted = (p + 1) * sizes
-            rounding = series._U * (slope * weighted + intercept * sizes + p * scale * abs(total) + modulus) + fixed
-        elif counted and p >= max_terms:
-            sizes = y + scale * series._direct_size(alpha, s, ax, p) if p < first else size
-            weighted = (p + 1) * sizes if p < first else moment + (p + 1) * (size - last)
-            rounding = series._U * (slope * weighted + intercept * sizes + p * scale * abs(total) + modulus) + fixed
+            rounding = series._U * (slope * weighted + intercept * sizes + (p + carried) * (scale * abs(total)) + modulus) + fixed
         bound += rounding
         if bound <= target or p >= max_terms or rounding > target:
             return SeriesResult(total, p, bound, bound <= target < math.inf, method)
@@ -1645,42 +1660,41 @@ summed_shifts = st.one_of(
 )
 
 
-@settings(max_examples=400)
+summed_streams = st.one_of(
+    st.tuples(st.sampled_from([series._term_stream, series._direct_stream]), summed_points, summed_shifts),
+    # x = Log w off the lens, |x| in [log 2, pi], at real and complex shifts
+    st.tuples(
+        st.just(logseries._log_stream),
+        st.builds(cmath.rect, st.floats(math.log(2), math.pi), st.floats(-math.pi, math.pi)),
+        st.one_of(
+            st.floats(-0.5, 4.0),
+            st.builds(complex, st.floats(-0.5, 4.0), st.one_of(st.floats(-3.0, -0.01), st.floats(0.01, 3.0))),
+        ),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
 @given(
-    x=summed_points,
-    alpha=summed_shifts,
+    stream=summed_streams,
     s=st.integers(1, 8),
     tol=st.floats(series.MIN_TOL, 1.0),
     max_terms=st.integers(1, 60),
-    scale=st.one_of(st.sampled_from([0.0, 1.0, 1e300]), st.floats(0.0, 1e300)),
-    factory=st.sampled_from([series._term_stream, series._direct_stream]),
-    head=st.one_of(st.none(), st.just(0.0), st.complex_numbers(max_magnitude=1e20)),
+    mult=st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0, 1e300]), st.floats(0.0, 1e300), st.complex_numbers(max_magnitude=1e6)
+    ),
+    head=st.one_of(st.just(0.0), st.complex_numbers(max_magnitude=1e20)),
     fixed=st.one_of(st.just(0.0), st.floats(0.0, 1e-6)),
     carried=st.floats(0.0, 100.0),
-    x_error=st.sampled_from([0.0, series._Z_ERROR]),
+    x_error=st.sampled_from([0.0, series._Z_ERROR, 5.0]),
 )
-def test_numerator_first_stop_gives_every_bound_results(x, alpha, s, tol, max_terms, scale, factory, head, fixed, carried, x_error):
-    # `head` None: the absolute target of the log-series and the inversion
-    # formula; else the target tol max(1, |head + scale * sum|) and the
-    # rounding counted
-    assert_same_stop(x, alpha, s, tol, max_terms, scale, factory, head, fixed, carried, x_error)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    x=st.builds(cmath.rect, st.floats(math.log(2), math.pi), st.floats(-math.pi, math.pi)),
-    alpha=st.one_of(st.floats(-0.5, 4.0), st.builds(complex, st.floats(-0.5, 4.0), st.floats(0.01, 3.0))),
-    s=st.integers(1, 8),
-    tol=st.floats(series.MIN_TOL, 1.0),
-    max_terms=st.integers(1, 60),
-    scale=st.floats(0.0, 1e6),
-)
-def test_numerator_first_stop_on_the_log_stream(x, alpha, s, tol, max_terms, scale):
-    # x = Log w off the lens, |x| in [log 2, pi], at real and complex shifts;
-    # the log-series' terms are neither one-signed nor monotone, so no
-    # summation-by-parts bound is taken; the target is absolute, as the
-    # log-series passes it
-    assert_same_stop(x, alpha, s, tol, max_terms, scale, logseries._log_stream, None)
+def test_numerator_first_stop_gives_every_bound_results(stream, s, tol, max_terms, mult, head, fixed, carried, x_error):
+    # the target tol max(1, |head + mult * sum|) and the rounding counted, on
+    # the series in z, the defining series and the log-series, whose terms
+    # are neither one-signed nor monotone, so no summation-by-parts bound is
+    # taken there
+    factory, x, alpha = stream
+    assert_same_stop(x, alpha, s, tol, max_terms, mult, factory, head, fixed, carried, x_error)
 
 
 @pytest.mark.parametrize("x", [0.5, 0j])
