@@ -1660,41 +1660,53 @@ summed_shifts = st.one_of(
 )
 
 
-summed_streams = st.one_of(
-    st.tuples(st.sampled_from([series._term_stream, series._direct_stream]), summed_points, summed_shifts),
-    # x = Log w off the lens, |x| in [log 2, pi], at real and complex shifts
-    st.tuples(
-        st.just(logseries._log_stream),
-        st.builds(cmath.rect, st.floats(math.log(2), math.pi), st.floats(-math.pi, math.pi)),
-        st.one_of(
-            st.floats(-0.5, 4.0),
-            st.builds(complex, st.floats(-0.5, 4.0), st.one_of(st.floats(-3.0, -0.01), st.floats(0.01, 3.0))),
-        ),
-    ),
+summed_mults = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 1e300]), st.floats(0.0, 1e300), st.complex_numbers(max_magnitude=1e6)
 )
+summed_heads = st.one_of(st.just(0.0), st.complex_numbers(max_magnitude=1e20))
+summed_fixed = st.one_of(st.just(0.0), st.floats(0.0, 1e-6))
 
 
 @settings(max_examples=400, deadline=None)
 @given(
-    stream=summed_streams,
+    x=summed_points,
+    alpha=summed_shifts,
     s=st.integers(1, 8),
     tol=st.floats(series.MIN_TOL, 1.0),
     max_terms=st.integers(1, 60),
-    mult=st.one_of(
-        st.sampled_from([0.0, 1.0, -1.0, 1e300]), st.floats(0.0, 1e300), st.complex_numbers(max_magnitude=1e6)
-    ),
-    head=st.one_of(st.just(0.0), st.complex_numbers(max_magnitude=1e20)),
-    fixed=st.one_of(st.just(0.0), st.floats(0.0, 1e-6)),
+    mult=summed_mults,
+    factory=st.sampled_from([series._term_stream, series._direct_stream]),
+    head=summed_heads,
+    fixed=summed_fixed,
     carried=st.floats(0.0, 100.0),
     x_error=st.sampled_from([0.0, series._Z_ERROR, 5.0]),
 )
-def test_numerator_first_stop_gives_every_bound_results(stream, s, tol, max_terms, mult, head, fixed, carried, x_error):
+def test_numerator_first_stop_gives_every_bound_results(x, alpha, s, tol, max_terms, mult, factory, head, fixed, carried, x_error):
     # the target tol max(1, |head + mult * sum|) and the rounding counted, on
-    # the series in z, the defining series and the log-series, whose terms
-    # are neither one-signed nor monotone, so no summation-by-parts bound is
-    # taken there
-    factory, x, alpha = stream
+    # the series in z and the defining series
     assert_same_stop(x, alpha, s, tol, max_terms, mult, factory, head, fixed, carried, x_error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.builds(cmath.rect, st.floats(math.log(2), math.pi), st.floats(-math.pi, math.pi)),
+    alpha=st.one_of(
+        st.floats(-0.5, 4.0),
+        st.builds(complex, st.floats(-0.5, 4.0), st.one_of(st.floats(-3.0, -0.01), st.floats(0.01, 3.0))),
+    ),
+    s=st.integers(1, 8),
+    tol=st.floats(series.MIN_TOL, 1.0),
+    max_terms=st.integers(1, 60),
+    mult=summed_mults,
+    head=summed_heads,
+    fixed=summed_fixed,
+    carried=st.floats(0.0, 100.0),
+)
+def test_numerator_first_stop_on_the_log_stream(x, alpha, s, tol, max_terms, mult, head, fixed, carried):
+    # x = Log w off the lens, |x| in [log 2, pi], at real and complex shifts,
+    # with the log-series' head, multiplier and rounding; its terms are
+    # neither one-signed nor monotone, so no summation-by-parts bound is taken
+    assert_same_stop(x, alpha, s, tol, max_terms, mult, logseries._log_stream, head, fixed, carried, 0.0)
 
 
 @pytest.mark.parametrize("x", [0.5, 0j])
