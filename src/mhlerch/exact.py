@@ -31,7 +31,11 @@ them, with exact integers, float or complex numbers (the tests also with
 `verify`.  One depth-column pass to q holds S_0^n(t) for every n <= q and
 t <= depth, so it gives R at every (n, s <= depth + 1); `_alternating_sum`
 takes the powers (beta + m)^s from its caller, and `_alternating_sums` yields
-L at q = 0, 1, ... from one list of them.
+L at q = 0, 1, ... from one list of them.  Each L is summed directly, one
+left-to-right fold of the signed binomial row (-1)^m C(q, m) over the powers,
+never through its recurrence.  The rows come from `math.comb`, not from
+Pascal's rule, and are kept for q < `_KEPT_ROWS`, past every grid of the
+package; a longer row is built per call.
 
 The exact values are computed in Python integers over one denominator per
 shift.  For beta = num/den and indices lo .. hi, `_Scaled` holds
@@ -49,7 +53,9 @@ import math
 import threading
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 from itertools import count
+from operator import add, truediv
 from typing import Iterator, Optional, Union
 
 from .errors import InvalidShiftError
@@ -167,17 +173,38 @@ def _depth_columns(x0, depth: int, n0: int = 1, stop: Optional[int] = None):
         yield n, prefactor, col
 
 
+#: The signed rows (-1)^m C(q, m), m = 0 .. q, kept for q < `_KEPT_ROWS`,
+#: grown in place by `_signed_row` under `_rows_lock`.
+_SIGNED_ROWS = []
+_rows_lock = threading.Lock()
+#: Past the largest q of the package's grids (`verify.SONDOW_P` - 1 = 59), so
+#: that only a long stream, as `mhlerch bench` runs at a tol it cannot meet,
+#: builds its rows per call instead of keeping a table of them.
+_KEPT_ROWS = 64
+
+
+def _signed_row(q: int) -> list:
+    """[(-1)^m C(q, m) for m = 0 .. q], each entry from `math.comb`, never by
+    Pascal's rule: that rule on the rows is the recurrence of L that
+    `verify.verify_recurrence_L` checks.  Kept for q < `_KEPT_ROWS`."""
+    if q >= _KEPT_ROWS:
+        return [(-1) ** m * math.comb(q, m) for m in range(q + 1)]
+    with _rows_lock:
+        while len(_SIGNED_ROWS) <= q:
+            k = len(_SIGNED_ROWS)
+            _SIGNED_ROWS.append([(-1) ** m * math.comb(k, m) for m in range(k + 1)])
+    return _SIGNED_ROWS[q]
+
+
 def _alternating_sum(powers, q: int):
     """L(q, x0) = sum_{m=0}^{q} C(q, m) (-1)^m / powers[m], where powers[m] is
     (x0 + m)^s in the number type of x0 for m = 0 .. q, as `_alternating_sums`
     grows it and `lemma_lhs` builds it.  `series` sums it at x0 = 1 + 0j only:
-    complex, as a float or int x0 rounds otherwise past 2^53."""
-    total = 0
-    sign = 1
-    for m in range(q + 1):
-        total += sign * math.comb(q, m) / powers[m]
-        sign = -sign
-    return total
+    complex, as a float or int x0 rounds otherwise past 2^53.  One fold from
+    m = 0 up, from the int 0, the order of a loop of `total += ...`; not
+    `sum()`, which compensates float sums from Python 3.12 on."""
+    row = _SIGNED_ROWS[q] if q < len(_SIGNED_ROWS) else _signed_row(q)
+    return reduce(add, map(truediv, row, powers), 0)
 
 
 def _alternating_sums(x0, s: int) -> Iterator:

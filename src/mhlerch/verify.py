@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
+from operator import mul
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import exact, series
@@ -122,10 +123,11 @@ def _exact_report(name: str, grid: str, cases: Iterable[tuple]) -> VerificationR
 
 def _float_report(name: str, grid: str, tol: float, cases: Iterable[tuple]) -> VerificationReport:
     """The report of float cases (params, residual), each passing when
-    residual <= tol, so a nan fails; every residual moves the worst."""
+    residual <= tol, so a nan fails; every residual but a nan moves the worst."""
     failing, worst, run = [], 0.0, 0
     for run, (params, residual) in enumerate(cases, 1):
-        worst = max(worst, residual)
+        if residual > worst:
+            worst = residual
         if not residual <= tol:
             failing.append(params)
     return VerificationReport(name, grid, run, len(failing), worst, failing)
@@ -285,9 +287,12 @@ def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> Verification
 
     Each beta gets one table of S_a^b(t) for 0 <= a <= b <= b_max = `DEFAULT_B_MAX`,
     t <= t_max = `DEFAULT_T_MAX`, one depth column per start a, in integers over
-    the G of beta on 0 .. b_max; f_n^u = 1/(beta + n)^u is its entry S_n^n(u).
-    Both sides of each identity at depth t are scaled by G^t.  ZeroDivisionError
-    names an n in [0, b_max] at which beta + n vanishes.
+    the G of beta on 0 .. b_max: S[a][b] is the tuple of S_a^b(t) over t
+    (S[a][b] for b < a is unused), and f_n^u = 1/(beta + n)^u is its entry
+    S[n][n][u].  Each sum over u + v = k is one dot product of a column with
+    the reversed head of another.  Both sides of each identity at depth t are
+    scaled by G^t.  ZeroDivisionError names an n in [0, b_max] at which
+    beta + n vanishes.
     """
     b_max, t_max = DEFAULT_B_MAX, DEFAULT_T_MAX
     betas = _rationals(betas, DEFAULT_BETAS)
@@ -296,26 +301,27 @@ def verify_splitting(betas: Optional[Iterable[Fraction]] = None) -> Verification
         for beta in betas:
             exact.MultiSumSpec(0, b_max, t_max, beta)  # rejects a pole before any table work
             x0 = exact._Scaled(beta, 0, b_max)
-            S = {
-                (a, b): tuple(col)
+            S = [
+                [()] * a + [tuple(col) for _, _, col in exact._depth_columns(x0, t_max, a, b_max)]
                 for a in range(b_max + 1)
-                for b, _, col in exact._depth_columns(x0, t_max, a, b_max)
-            }
+            ]
             for t in range(t_max + 1):
                 scale = x0.G**t
                 for a in range(b_max):
+                    S_a = S[a]
                     for b in range(a, b_max):
+                        S_ab, S_next = S_a[b], S[b + 1]
                         for c in range(b + 1, b_max + 1):
-                            rhs = sum(S[a, b][u] * S[b + 1, c][t - u] for u in range(t + 1))
-                            yield ("two", a, b, c, t, beta), S[a, c][t], rhs, scale
+                            rhs = sum(map(mul, S_ab, S_next[c][t::-1]))
+                            yield ("two", a, b, c, t, beta), S_a[c][t], rhs, scale
                 for a in range(1, b_max):
+                    f_lo = S[a - 1][a - 1]
                     for b in range(a, b_max):
-                        f_lo, f_hi = S[a - 1, a - 1], S[b + 1, b + 1]
+                        inner, f_hi = S[a][b], S[b + 1][b + 1]
                         rhs = 0
                         for u in range(t + 1):
-                            for v in range(t + 1 - u):
-                                rhs += f_lo[u] * S[a, b][v] * f_hi[t - u - v]
-                        yield ("three", a, b, t, beta), S[a - 1, b + 1][t], rhs, scale
+                            rhs += f_lo[u] * sum(map(mul, inner, f_hi[t - u :: -1]))
+                        yield ("three", a, b, t, beta), S[a - 1][b + 1][t], rhs, scale
 
     grid = f"0 <= a <= b < c <= {b_max}, t <= {t_max}, {len(betas)} betas"
     return _exact_report("splitting", grid, cases())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhlerch import exact
+from mhlerch import exact, verify
 from mhlerch.errors import InvalidShiftError
 
 BETAS = [F(1), F(1, 2), F(3, 2), F(2), F(7, 3), F(5)]
@@ -396,6 +396,33 @@ def test_integer_path_matches_the_fraction_kernels(beta, q, s, t, a, width):
 
     alpha = beta - 1
     assert exact.coefficient_exact(q + 1, alpha, s) == kernel_coefficients(alpha, s, q + 1)[q]
+
+
+def _alternating_loop(powers, q):
+    """L(q, x0) term by term from m = 0, each term (-1)^m C(q, m) / powers[m]."""
+    total = 0
+    for m in range(q + 1):
+        total = total + (-1) ** m * math.comb(q, m) / powers[m]
+    return total
+
+
+def test_alternating_sum_is_the_term_by_term_loop_bit_for_bit(monkeypatch):
+    # The fold over the signed rows against the loop, in every number type the
+    # package sums it in, for q past the kept rows; the rows grow from empty.
+    monkeypatch.setattr(exact, "_SIGNED_ROWS", [])
+    q_top = 70
+    assert verify.SONDOW_P - 1 < exact._KEPT_ROWS <= q_top
+    x0s = [0.5, 1 + 0j, *verify.LEMMA_COMPLEX_BETAS, F(7, 3), exact._Scaled(F(7, 3), 0, q_top)]
+    power_lists = [[(x0 + m) ** s for m in range(q_top + 1)] for x0 in x0s for s in (1, 3)]
+    power_lists += [[exact._Weight(m**k) for m in range(q_top + 1)] for k in (0, 5)]  # _bernoulli's
+    for powers in power_lists:
+        for q in range(q_top + 1):
+            value, expected = exact._alternating_sum(powers, q), _alternating_loop(powers, q)
+            assert (type(value), repr(value)) == (type(expected), repr(expected)), (q, powers[1])
+    assert len(exact._SIGNED_ROWS) == exact._KEPT_ROWS
+    powers = [(1 + 0j + m) ** 2 for m in range(201)]
+    assert repr(exact._alternating_sum(powers, 200)) == repr(_alternating_loop(powers, 200))
+    assert len(exact._SIGNED_ROWS) == exact._KEPT_ROWS
 
 
 def test_coefficient_exact_at_p_130():

@@ -1069,10 +1069,11 @@ def test_log_head_within_its_remainders_and_rounding(alpha, s):
 
 def test_bernoulli_tables_grow_safely_across_threads(monkeypatch):
     # Eight threads sum log-series at once from empty Bernoulli tables (the
-    # exact B_n and the b_{2i} read from them), each to about 40 terms at
-    # |Log w| = 3.11, so both tables grow under them; an entry lost or
+    # exact B_n and the b_{2i} read from them) and an empty table of the
+    # signed binomial rows that sum the B_n, each to about 40 terms at
+    # |Log w| = 3.11, so all three tables grow under them; an entry lost or
     # repeated would shift every later one.  Each result must be the serial
-    # one, and the exact table the tabulated values.  At |w| = 15
+    # one, and the exact tables the tabulated values.  At |w| = 15
     # `lerch_accelerated` takes the inversion formula, so the calls are the
     # log route of `_z_series`.
     w = 0.49 + 15j
@@ -1084,6 +1085,7 @@ def test_bernoulli_tables_grow_safely_across_threads(monkeypatch):
     expected = [repr(log_route(w, alpha, s, 1e-12)) for alpha, s in calls]
     assert all("method='log'" in result for result in expected)
     monkeypatch.setattr(exact, "_BERNOULLI", [])
+    monkeypatch.setattr(exact, "_SIGNED_ROWS", [])
     monkeypatch.setattr(logseries, "_even_b", [()])
     monkeypatch.setattr(series, "_kept_streams", {})
     interval = sys.getswitchinterval()
@@ -1096,6 +1098,8 @@ def test_bernoulli_tables_grow_safely_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert results == expected * 3
     assert exact._BERNOULLI[:31] == [KNOWN_BERNOULLI.get(n, 0) for n in range(31)]
+    rows = exact._SIGNED_ROWS
+    assert len(rows) > 40 and rows == [[(-1) ** m * math.comb(q, m) for m in range(q + 1)] for q in range(len(rows))]
 
 
 @pytest.mark.parametrize("grid, index", [(_complex_log_grid, 1), (_log_grid, 5)], ids=["complex", "real"])

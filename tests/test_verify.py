@@ -303,6 +303,56 @@ def test_a_corrupted_table_entry_reports_its_residual_in_true_units(monkeypatch)
     assert G > 1 and report.worst_residual != float(rhs * G ** (q + s))
 
 
+def test_a_corrupted_splitting_entry_fails_exactly_the_cases_that_read_it(monkeypatch):
+    # S_2^5(2) doubled in the depth column of start a = 2.  Every entry at
+    # beta = 7/3 is positive, and no side reads an entry twice, so a case
+    # fails iff one of its sides reads that entry.
+    a0, n0, t0, beta = 2, 5, 2, F(7, 3)
+    b_max, t_max = verify.DEFAULT_B_MAX, verify.DEFAULT_T_MAX
+    S = {
+        (a, b, t): exact.multi_sum(exact.MultiSumSpec(a, b, t, beta))
+        for a in range(b_max + 1) for b in range(a, b_max + 1) for t in range(t_max + 1)
+    }
+    S[a0, n0, t0] *= 2
+    expected, worst = [], 0
+    for t in range(t_max + 1):
+        for a in range(b_max):
+            for b in range(a, b_max):
+                for c in range(b + 1, b_max + 1):
+                    reads = {(a, c, t)} | {(a, b, u) for u in range(t + 1)} | {(b + 1, c, u) for u in range(t + 1)}
+                    if (a0, n0, t0) in reads:
+                        expected.append(("two", a, b, c, t, beta))
+                        rhs = sum(S[a, b, u] * S[b + 1, c, t - u] for u in range(t + 1))
+                        worst = max(worst, abs(S[a, c, t] - rhs))
+        for a in range(1, b_max):
+            for b in range(a, b_max):
+                reads = {(a - 1, b + 1, t)} | {(n, m, u) for n, m in ((a - 1, a - 1), (a, b), (b + 1, b + 1)) for u in range(t + 1)}
+                if (a0, n0, t0) in reads:
+                    expected.append(("three", a, b, t, beta))
+                    rhs = sum(
+                        S[a - 1, a - 1, u] * S[a, b, v] * S[b + 1, b + 1, t - u - v]
+                        for u in range(t + 1) for v in range(t + 1 - u)
+                    )
+                    worst = max(worst, abs(S[a - 1, b + 1, t] - rhs))
+    depth_columns = exact._depth_columns
+
+    def corrupted(x0, depth, start, stop):
+        for n, prefactor, col in depth_columns(x0, depth, start, stop):
+            if (start, n) == (a0, n0):
+                col = col[:]
+                col[t0] *= 2
+            yield n, prefactor, col
+
+    monkeypatch.setattr(exact, "_depth_columns", corrupted)
+    report = verify.verify_splitting(betas=[beta])
+    assert report.cases_run == 740 and report.failing_cases == expected
+    assert {case[0] for case in expected} == {"two", "three"}
+    # in true units: the table entries are scaled by G^t
+    assert report.worst_residual == float(worst) > 0
+    G = exact._Scaled(beta, 0, b_max).G
+    assert G > 1 and report.worst_residual != float(worst * G**t0)
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
@@ -360,7 +410,7 @@ def test_a_nan_float_case_fails_and_is_listed():
     cases = [((1,), 0.0), ((2,), math.nan), ((3,), 0.5e-10)]
     report = verify._float_report("demo", "grid", 1e-10, iter(cases))
     assert (report.cases_run, report.cases_failed, report.failing_cases) == (3, 1, [(2,)])
-    assert report.worst_residual == 0.5e-10  # a nan does not enter the worst: max() keeps what it holds
+    assert report.worst_residual == 0.5e-10  # a nan is never above the worst, so it never enters it
     assert not report.passed
 
 
