@@ -50,10 +50,9 @@ return; `verify` compares the integers.
 from __future__ import annotations
 
 import math
-import threading
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import count
 from operator import add, truediv
 from typing import Iterator, Optional, Union
@@ -173,10 +172,6 @@ def _depth_columns(x0, depth: int, n0: int = 1, stop: Optional[int] = None):
         yield n, prefactor, col
 
 
-#: The signed rows (-1)^m C(q, m), m = 0 .. q, kept for q < `_KEPT_ROWS`,
-#: grown in place by `_signed_row` under `_rows_lock`.
-_SIGNED_ROWS = []
-_rows_lock = threading.Lock()
 #: Past the largest q of the package's grids (`verify.SONDOW_P` - 1 = 59), so
 #: that only a long stream, as `mhlerch bench` runs at a tol it cannot meet,
 #: builds its rows per call instead of keeping a table of them.
@@ -186,14 +181,12 @@ _KEPT_ROWS = 64
 def _signed_row(q: int) -> list:
     """[(-1)^m C(q, m) for m = 0 .. q], each entry from `math.comb`, never by
     Pascal's rule: that rule on the rows is the recurrence of L that
-    `verify.verify_recurrence_L` checks.  Kept for q < `_KEPT_ROWS`."""
-    if q >= _KEPT_ROWS:
-        return [(-1) ** m * math.comb(q, m) for m in range(q + 1)]
-    with _rows_lock:
-        while len(_SIGNED_ROWS) <= q:
-            k = len(_SIGNED_ROWS)
-            _SIGNED_ROWS.append([(-1) ** m * math.comb(k, m) for m in range(k + 1)])
-    return _SIGNED_ROWS[q]
+    `verify.verify_recurrence_L` checks."""
+    return [(-1) ** m * math.comb(q, m) for m in range(q + 1)]
+
+
+#: The rows for q < `_KEPT_ROWS`, kept from their first use.
+_kept_row = cache(_signed_row)
 
 
 def _alternating_sum(powers, q: int):
@@ -203,7 +196,7 @@ def _alternating_sum(powers, q: int):
     complex, as a float or int x0 rounds otherwise past 2^53.  One fold from
     m = 0 up, from the int 0, the order of a loop of `total += ...`; not
     `sum()`, which compensates float sums from Python 3.12 on."""
-    row = _SIGNED_ROWS[q] if q < len(_SIGNED_ROWS) else _signed_row(q)
+    row = _kept_row(q) if q < _KEPT_ROWS else _signed_row(q)
     return reduce(add, map(truediv, row, powers), 0)
 
 
@@ -255,26 +248,18 @@ def coefficient_exact(p: int, alpha: RationalLike, s: int) -> Fraction:
     return -lemma_rhs(LemmaParams(p - 1, s, Fraction(alpha) + 1))
 
 
-#: B_0, B_1, ... (B_1 = -1/2), grown by `_bernoulli` under `_bernoulli_lock`.
-_BERNOULLI = []
-_bernoulli_lock = threading.Lock()
-
-
+@cache
 def _bernoulli(n: int) -> Fraction:
     """The Bernoulli number B_n (B_1 = -1/2), exactly, by Hasse's formula
 
         B_n = sum_{q<=n} L_n(q)/(q+1),  L_n(q) = sum_{m<=q} C(q, m) (-1)^m m^n,
 
     each L_n(q) one `_alternating_sum` over the `_Weight`s m^n, so an int.
-    The table grows to n on first use and is kept, not built at import."""
-    with _bernoulli_lock:
-        while len(_BERNOULLI) <= n:
-            k = len(_BERNOULLI)
-            powers = [_Weight(m**k) for m in range(k + 1)]
-            denominator = math.lcm(*range(1, k + 2))
-            total = sum(_alternating_sum(powers, q) * (denominator // (q + 1)) for q in range(k + 1))
-            _BERNOULLI.append(Fraction(total, denominator))
-        return _BERNOULLI[n]
+    Kept from its first use, not built at import."""
+    powers = [_Weight(m**n) for m in range(n + 1)]
+    denominator = math.lcm(*range(1, n + 2))
+    total = sum(_alternating_sum(powers, q) * (denominator // (q + 1)) for q in range(n + 1))
+    return Fraction(total, denominator)
 
 
 def _paper_point_sum(s: int, p_max: int) -> Fraction:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import cache
 from typing import Optional
 
 from .series import _U, SeriesResult, _direct_stream, _summed, _tail_gap
@@ -42,35 +43,27 @@ _MAX_IMAG = 50.0
 #: CPython, and the polynomials' coefficients grow past what is tabulated.
 _MAX_ORDER = 100
 
-#: One tuple of rows, j = 0, 1, ...: row j holds the coefficients of
-#: pi^j p_j(c)/j!, highest power first, each a float; `_rows` replaces the
-#: tuple as it grows.
-_table = [()]
 
-
-def _rows(n: int) -> tuple:
-    """The first n rows of the coefficients of pi^j p_j(c)/j!, where the j-th
+@cache
+def _polynomial(j: int) -> tuple:
+    """The integer coefficients of p_j, lowest power first, where the j-th
     derivative of pi/sin(pi alpha) is pi/sin(pi alpha) * pi^j p_j(cot(pi alpha)):
-    p_0 = 1, p_{j+1} = -c p_j - (1 + c^2) p_j', integer polynomials in which
-    every coefficient has the sign (-1)^j.  Each is an exact integer times
-    pi^j/j! formed in binary64, within (0.4j + 6) u (see `_inversion`); the
-    table grows 4 rows past n.
-    Each caller reads the tuple it got, so a thread that stores a shorter one
-    later costs only a rebuild."""
-    table = _table[0]
-    if len(table) < n:
-        rows, p = [], [1]  # p_j, lowest power first
-        for j in range(n + 4):
-            weight = math.pi**j / math.factorial(j)
-            rows.append(tuple(weight * coefficient for coefficient in reversed(p)))
-            following = [0] * (len(p) + 1)
-            for k, coefficient in enumerate(p):
-                following[k + 1] -= (k + 1) * coefficient  # -c p_j - c^2 p_j'
-                if k:
-                    following[k - 1] -= k * coefficient  # -p_j'
-            p = following
-        table = _table[0] = tuple(rows)
-    return table
+    p_0 = 1, p_{j+1} = -c p_j - (1 + c^2) p_j', and every coefficient of p_j
+    has the sign (-1)^j."""
+    if not j:
+        return (1,)
+    p = (0, *_polynomial(j - 1), 0, 0)  # the coefficient of c^k at p[k + 1]
+    # c^k of p_j: -k times c^{k-1} of p_{j-1} (-c p - c^2 p'), -(k + 1) times c^{k+1} (-p')
+    return tuple(-k * p[k] - (k + 1) * p[k + 2] for k in range(len(p) - 2))
+
+
+@cache
+def _row(j: int) -> tuple:
+    """The coefficients of pi^j p_j(c)/j!, highest power first: each an exact
+    integer times pi^j/j! formed in binary64, within (0.4j + 6) u (see
+    `_inversion`)."""
+    weight = math.pi**j / math.factorial(j)
+    return tuple(weight * coefficient for coefficient in reversed(_polynomial(j)))
 
 
 def _inversion(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -> Optional[SeriesResult]:
@@ -86,12 +79,12 @@ def _inversion(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -
     cot(pi alpha) = cot(theta) = c.  With S = (-1)^{n0} pi/sin(theta) and C =
     pi c, the j-th derivative of pi/sin(pi alpha) is S P_j(C), P_0 = 1,
     P_{j+1} = -C P_j - (pi^2 + C^2) P_j' (as S' = -S C and C' = -(pi^2 +
-    C^2)), and P_j(C) = pi^j p_j(c) with p_j from `_rows`.  By Leibniz,
+    C^2)), and P_j(C) = pi^j p_j(c) with p_j from `_row`.  By Leibniz,
 
         T_s = (-1)^{s-1} E S D,  E = e^{-alpha L},
         D = sum_{j<s} [pi^j p_j(c)/j!] (-L)^{s-1-j}/(s-1-j)!,
 
-    each bracket by Horner's rule from `_rows`.  The value is V = H + (-1)^{s-1}
+    each bracket by Horner's rule from `_row`.  The value is V = H + (-1)^{s-1}
     sum, H = T_s - alpha^-s, and the sum in 1/w is `series._summed` over
     `series._direct_stream` at x = 1/w and the shift -alpha, with head H and
     multiplier (-1)^{s-1}, exact: its bound and `converged` are the route's.
@@ -168,9 +161,9 @@ def _inversion(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -
         ell.append(ell[-1] * -log_w / k)
         ell_size.append(ell_size[-1] * abs_l / k)
     d = size = slope = 0.0
-    for j, row in enumerate(_rows(s)[:s]):
+    for j in range(s):
         value = at_t = slope_t = 0.0
-        for coefficient in row:
+        for coefficient in _row(j):
             value = value * c + coefficient
             slope_t = slope_t * t + at_t
             at_t = at_t * t + coefficient

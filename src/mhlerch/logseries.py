@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from functools import cache
 from itertools import count
 from typing import Iterator, Optional, Tuple
 
@@ -42,20 +43,10 @@ _TWO_PI_HIGH = 6.2832
 #: Bernoulli convolution at a real a, in units of KAPPA (2 pi)^-m.
 _CONVOLUTION_GROWTH = 4.82
 
-#: One tuple of b_{2i} = B_{2i}/(2i)! in binary64, i = 0, 1, ..., which
-#: `_even_bernoulli` replaces in place as it grows.
-_even_b = [()]
-
-
-def _even_bernoulli(n: int) -> tuple:
-    """At least n + 1 values b_{2i} = B_{2i}/(2i)!, i = 0, 1, ..., each
-    `exact._bernoulli` rounded once; the table grows 8 values past n.  Each
-    caller reads the tuple it got, so a thread that stores a shorter one
-    later costs only a rebuild."""
-    table = _even_b[0]
-    if len(table) <= n:
-        table = _even_b[0] = tuple(float(exact._bernoulli(2 * i) / math.factorial(2 * i)) for i in range(n + 8))
-    return table
+@cache
+def _even_b(i: int) -> float:
+    """b_{2i} = B_{2i}/(2i)!, `exact._bernoulli` rounded once to binary64."""
+    return float(exact._bernoulli(2 * i) / math.factorial(2 * i))
 
 
 def _log_stream(alpha, s: int) -> Iterator[Tuple[complex, float, float]]:
@@ -119,7 +110,7 @@ def _log_stream(alpha, s: int) -> Iterator[Tuple[complex, float, float]]:
         y0 = 1.0 - a0 if reflect else a0
     centred = y0.real > 0.25
     y, b_odd = (y0 - 0.5, 0.0) if centred else (y0, -0.5)
-    evens = ()
+    evens = []  # b_{2i} about the centre, i = 0, 1, ...
     powers = [1.0]  # t_n = y^n/n!
     ratio_c = 1.0 / _TWO_PI_LOW
     c = _KAPPA * ratio_c  # KAPPA (2 pi)^-m
@@ -132,10 +123,9 @@ def _log_stream(alpha, s: int) -> Iterator[Tuple[complex, float, float]]:
     beta_ms = 1.0 / s  # Beta(m, s)
     slack, step = 1.0 + (len(bases) + 2) * _EPS, (9 if b else 4) * _EPS
     for m in count(1):
-        if len(evens) <= m // 2:
-            evens = _even_bernoulli(m // 2)
-            if centred:
-                evens = [(2.0 ** (1 - 2 * i) - 1.0) * b_i for i, b_i in enumerate(evens)]
+        i = m // 2
+        if len(evens) == i:
+            evens.append((2.0 ** (1 - 2 * i) - 1.0) * _even_b(i) if centred else _even_b(i))
         powers.append(powers[-1] * y / m)
         beta_m = sum(map(operator.mul, evens, powers[m::-2])) + b_odd * powers[m - 1]  # beta_m(y0)
         if reflect and m % 2:
@@ -215,7 +205,7 @@ def _log_head(alpha, s: int):
     big = alpha + (n + 1)
     inv = 1.0 / big
     inv2 = inv * inv
-    b = _even_bernoulli(_EM_TERMS + 1)
+    b = [_even_b(j) for j in range(_EM_TERMS + 2)]
     bases = [alpha + i for i in range(1, n + 1)]  # a + j, j < N
     reciprocals = [1.0 / base for base in bases]
     direct = sum(reciprocals)

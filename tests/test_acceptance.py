@@ -11,15 +11,17 @@ by f = 1/(1 - 2^{1-s}).  The test derives three counts from closed forms:
 * Baseline bracket [n_lo, n_hi].  The terms 1/n^s are convex and decreasing,
   so the baseline's zeta error after n terms lies between f/(2(n+1)^s) and
   f/(2n^s).  `cli.bench_rows` measures that error against a reference within
-  2^-63 of zeta(s) and rounded once to binary64, and sums the baseline in
-  binary64, whose rounding, scaled by f, reaches 3.8e-14 at s = 2 near n = 1e5
-  (checked against mpmath at 40 digits).  With r = `BASELINE_SLACK` = 1e-13
-  covering both, its count N satisfies f/(2(N+1)^s) <= tol + r and is at most
-  the first n with f/(2n^s) <= tol - r:
+  2^-63 of zeta(s) and rounded once to binary64, and sums the baseline by
+  compensated summation, whose rounding, scaled by f, stays near 1e-16 at
+  s = 2 near n = 1e5, where a plain binary64 running sum drifted by 3.8e-14
+  (both checked against mpmath at 40 digits).  With r = `BASELINE_SLACK` =
+  1e-13 covering both, its count N satisfies f/(2(N+1)^s) <= tol + r and is
+  at most the first n with f/(2n^s) <= tol - r:
       n_lo = ceil((f / (2(tol + r)))^(1/s)) - 1,
       n_hi = ceil((f / (2(tol - r)))^(1/s)).
-  The measured count at s = 2, 99981, lies inside; the rounding alone takes
-  it below the true count, which is above 99999.
+  The measured count at s = 2, 100000, lies inside, and is the true first n
+  with error <= tol (at 40 digits, n = 99999 misses tol by 1.0e-15); the
+  plain running sum stopped at 99981.
 * Accelerated ceiling n_acc: the smallest P at which the tail bound built
   on the paper's majorant a_p <= (1 + ln p)^{s-1},
       f (1 + ln(P+1))^{s-1} 2^{1-P} / (P+1),
@@ -183,6 +185,14 @@ def test_criterion_7_acceleration_at_s3(bench_1e10):
     )
     assert accelerated.terms <= 45
     assert direct.terms >= 1000
+
+
+def test_criterion_7_baseline_count_at_s2_is_the_true_first_n(bench_1e10):
+    # the first n whose error 2 |eta_n(2) - eta(2)| is <= 1e-10, at 40 digits;
+    # n = 99999 misses tol by 1.0e-15, far above the summed baseline's rounding
+    direct = bench_1e10[("direct_alternating", 2)].terms
+    report_line(7, "s=2 @ 1e-10: baseline count is the true first n", direct == 100000, f"direct {direct}")
+    assert direct == 100000
 
 
 def zeta_factor(s):

@@ -428,16 +428,19 @@ def test_bench_rows_carry_series_points(capsys):
 
 
 def test_bench_direct_row_matches_alternating_series():
-    # the baseline rows are partial sums of the boundary series at w = -1
+    # the baseline rows are partial sums of the boundary series at w = -1,
+    # here summed exactly: the row's error is the exact one, and its count the
+    # first n whose exact error meets tol
     from mhlerch import exact
-    from test_series import alternating
 
     rows, _ = cli.bench_rows([3], [1e-8])
     row = next(r for r in rows if r.method == "direct_alternating")
-    reference = float(exact._paper_point_sum(3, cli.REFERENCE_TERMS) / (F(1, 4) - 1))
-    partial = alternating(0j, 3, row.terms).real
-    recomputed = abs(-partial / (1 - 2.0 ** (1 - 3)) - reference)
-    assert recomputed == pytest.approx(row.achieved_error, rel=1e-12, abs=1e-15)
+    reference = F(float(exact._paper_point_sum(3, cli.REFERENCE_TERMS) / (F(1, 4) - 1)))
+    partial = sum(F((-1) ** n, n**3) for n in range(1, row.terms + 1))
+    recomputed = abs(-partial / (1 - F(1, 4)) - reference)
+    assert float(recomputed) == pytest.approx(row.achieved_error, rel=1e-12, abs=1e-15)
+    last = partial - F((-1) ** row.terms, row.terms**3)
+    assert abs(-last / (1 - F(1, 4)) - reference) > F(1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -406,10 +406,10 @@ def _alternating_loop(powers, q):
     return total
 
 
-def test_alternating_sum_is_the_term_by_term_loop_bit_for_bit(monkeypatch):
+def test_alternating_sum_is_the_term_by_term_loop_bit_for_bit():
     # The fold over the signed rows against the loop, in every number type the
-    # package sums it in, for q past the kept rows; the rows grow from empty.
-    monkeypatch.setattr(exact, "_SIGNED_ROWS", [])
+    # package sums it in, for q past the kept rows; the rows grow from none.
+    exact._kept_row.cache_clear()
     q_top = 70
     assert verify.SONDOW_P - 1 < exact._KEPT_ROWS <= q_top
     x0s = [0.5, 1 + 0j, *verify.LEMMA_COMPLEX_BETAS, F(7, 3), exact._Scaled(F(7, 3), 0, q_top)]
@@ -419,10 +419,10 @@ def test_alternating_sum_is_the_term_by_term_loop_bit_for_bit(monkeypatch):
         for q in range(q_top + 1):
             value, expected = exact._alternating_sum(powers, q), _alternating_loop(powers, q)
             assert (type(value), repr(value)) == (type(expected), repr(expected)), (q, powers[1])
-    assert len(exact._SIGNED_ROWS) == exact._KEPT_ROWS
+    assert exact._kept_row.cache_info().currsize == exact._KEPT_ROWS
     powers = [(1 + 0j + m) ** 2 for m in range(201)]
     assert repr(exact._alternating_sum(powers, 200)) == repr(_alternating_loop(powers, 200))
-    assert len(exact._SIGNED_ROWS) == exact._KEPT_ROWS
+    assert exact._kept_row.cache_info().currsize == exact._KEPT_ROWS
 
 
 def test_coefficient_exact_at_p_130():

@@ -1068,14 +1068,15 @@ def test_log_head_within_its_remainders_and_rounding(alpha, s):
 
 
 def test_bernoulli_tables_grow_safely_across_threads(monkeypatch):
-    # Eight threads sum log-series at once from empty Bernoulli tables (the
-    # exact B_n and the b_{2i} read from them) and an empty table of the
+    # Eight threads sum log-series at once from cleared Bernoulli caches (the
+    # exact B_n and the b_{2i} read from them) and a cleared cache of the
     # signed binomial rows that sum the B_n, each to about 40 terms at
-    # |Log w| = 3.11, so all three tables grow under them; an entry lost or
-    # repeated would shift every later one.  Each result must be the serial
-    # one, and the exact tables the tabulated values.  At |w| = 15
-    # `lerch_accelerated` takes the inversion formula, so the calls are the
-    # log route of `_z_series`.
+    # |Log w| = 3.11, so all three fill under them.  Each result must be the
+    # serial one, the exact B_n the tabulated values, and the kept rows those
+    # of `math.comb`, exactly the rows q <= n of the largest B_n read (only
+    # even n are read, b_{2i} for i below the count of cached b_{2i}).  At
+    # |w| = 15 `lerch_accelerated` takes the inversion formula, so the calls
+    # are the log route of `_z_series`.
     w = 0.49 + 15j
 
     def log_route(w, alpha, s, tol):
@@ -1084,9 +1085,8 @@ def test_bernoulli_tables_grow_safely_across_threads(monkeypatch):
     calls = [(0.1 * i, 1 + i % 4) for i in range(16)]
     expected = [repr(log_route(w, alpha, s, 1e-12)) for alpha, s in calls]
     assert all("method='log'" in result for result in expected)
-    monkeypatch.setattr(exact, "_BERNOULLI", [])
-    monkeypatch.setattr(exact, "_SIGNED_ROWS", [])
-    monkeypatch.setattr(logseries, "_even_b", [()])
+    for kept in (exact._bernoulli, exact._kept_row, logseries._even_b):
+        kept.cache_clear()
     monkeypatch.setattr(series, "_kept_streams", {})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1097,9 +1097,14 @@ def test_bernoulli_tables_grow_safely_across_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results == expected * 3
-    assert exact._BERNOULLI[:31] == [KNOWN_BERNOULLI.get(n, 0) for n in range(31)]
-    rows = exact._SIGNED_ROWS
-    assert len(rows) > 40 and rows == [[(-1) ** m * math.comb(q, m) for m in range(q + 1)] for q in range(len(rows))]
+    largest = 2 * (logseries._even_b.cache_info().currsize - 1)
+    assert largest > 30 and exact._bernoulli.cache_info().currsize == largest // 2 + 1
+    assert [exact._bernoulli(n) for n in range(31)] == [KNOWN_BERNOULLI.get(n, 0) for n in range(31)]
+    kept = min(largest + 1, exact._KEPT_ROWS)
+    assert exact._kept_row.cache_info().currsize == kept
+    rows = [exact._kept_row(q) for q in range(kept)]
+    assert rows == [[(-1) ** m * math.comb(q, m) for m in range(q + 1)] for q in range(kept)]
+    assert exact._kept_row.cache_info().currsize == kept
 
 
 @pytest.mark.parametrize("grid, index", [(_complex_log_grid, 1), (_log_grid, 5)], ids=["complex", "real"])
@@ -1236,11 +1241,11 @@ def test_inversion_bound_needs_every_coefficient_of_p_j_to_share_its_sign():
     # moduli of its coefficients, read as |p_j(t)| from the signed rows: every
     # coefficient of p_j must have the sign (-1)^j.  The rows are checked
     # against the j-th derivative of pi/sin(pi a), over j!, at a = 0.3 + 0.2i.
-    rows = inversion._rows(12)
     a = mp.mpc(0.3, 0.2)
     with mp.workdps(30):
         c = mp.cot(mp.pi * a)
-        for j, row in enumerate(rows[:12]):
+        for j in range(12):
+            row = inversion._row(j)
             assert all(coefficient * (-1) ** j >= 0 for coefficient in row)
             value = mp.polyval([mp.mpf(coefficient) for coefficient in row], c) * mp.pi / mp.sin(mp.pi * a)
             derivative = mp.diff(lambda b: mp.pi / mp.sin(mp.pi * b), a, j) / mp.factorial(j)
