@@ -87,7 +87,8 @@ def _inversion(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -
     each bracket by Horner's rule from `_row`.  The value is V = H + (-1)^{s-1}
     sum, H = T_s - alpha^-s, and the sum in 1/w is `series._summed` over
     `series._direct_stream` at x = 1/w and the shift -alpha, with head H and
-    multiplier (-1)^{s-1}, exact: its bound and `converged` are the route's.
+    multiplier (-1)^{s-1}, exact: its result, V with its terms, bound and
+    `converged`, is the route's, its method renamed.
 
     error_bound is `_summed`'s truncation bound plus the rounding, to first order in
     u = 2^-53 (each constant is rounded up, which covers the second order and
@@ -181,9 +182,7 @@ def _inversion(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -
     if not fixed < tol * max(1.0, abs(head) - reach):  # nan too
         return None
     try:
-        inner = _summed(x, -alpha, s, tol, max_terms - 1, sign, _direct_stream, head, fixed, 0.0, 5.0)
+        result = _summed(x, -alpha, s, tol, max_terms, sign, _direct_stream, head, fixed, 0.0, 5.0, used=1)
     except OverflowError:
         return None
-    if not inner.converged:
-        return None
-    return SeriesResult(head + sign * inner.value, inner.terms_used + 1, inner.error_bound, True, "inversion")
+    return result._replace(method="inversion") if result.converged else None

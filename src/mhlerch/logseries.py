@@ -304,8 +304,9 @@ def _log_series(
 
     V = H + M T, with H = head + w^K e^{-(alpha+K) x} times the bracket at T
     = 0 (by Horner's rule) and M = w^K e^{-(alpha+K) x} x^{s-1}/(s-1)!:
-    `series._summed` sums T with that head and multiplier, and its bound and
-    `converged` are the route's.  It is handed the rounding of everything
+    `series._summed` sums T with that head and multiplier, and returns the
+    route's result: V, its terms (the K and the s head coefficients first),
+    bound and `converged`.  It is handed the rounding of everything
     but T's running sum and M T as `fixed`: `head_error`, the rounding of the
     peeled head (`series._z_series` derives it), the Euler-Maclaurin
     remainders, the rounding of H, and the a-priori count (ii) of the terms
@@ -409,7 +410,5 @@ def _log_series(
     if not fixed < tol * max(1.0, abs(head) - unit * x_top * q_size / s):
         return None
     mult = outer * x_power
-    inner = _summed(x, shift, s, tol, max_terms - k - s, mult, _log_stream, head, fixed, outer_error + 6.25 * s)
-    if not inner.converged:
-        return None
-    return SeriesResult(head + mult * inner.value, k + s + inner.terms_used, inner.error_bound, True, "log")
+    result = _summed(x, shift, s, tol, max_terms, mult, _log_stream, head, fixed, outer_error + 6.25 * s, used=k + s)
+    return result if result.converged else None

@@ -26,7 +26,8 @@ hold.  One loop, `_summed`,
 sums the three series, from `_term_stream`, `_direct_stream` (in w, and in 1/w
 for the inversion formula) and `logseries._log_stream`, and is the one
 stopping rule of every route: each caller hands it the rest of its value as a
-head, the multiplier of the sum and the rounding of its own parts; one more,
+head, the multiplier of the sum and the rounding of its own parts, and gets
+back its whole result, the one place a `SeriesResult` is built; one more,
 `_partial_sums`, yields unbounded partial sums.  The inversion formula (module
 `inversion`, imported on first use) adds to its sum in 1/w a closed form, the
 derivative of pi e^{-alpha L}/sin(pi alpha), L = Log(-w), whose rounding it
@@ -83,13 +84,6 @@ _U = 2.0**-53  # the unit roundoff of binary64
 _EPS = 2.0**-52  # 2u, the spacing of binary64 numbers in [1, 2)
 
 
-def _require_finite(value, name: str) -> complex:
-    z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{name} must be finite, got {z}")
-    return z
-
-
 def _check_tolerance(tol: float) -> float:
     tol = float(tol)
     if not math.isfinite(tol) or tol <= 0.0:
@@ -101,7 +95,7 @@ def _check_tolerance(tol: float) -> float:
 
 def _checked(w, s: int, tol: float, max_terms: int) -> Tuple[complex, float]:
     """The checks `lerch_direct` and `lerch_accelerated` share, in one order:
-    w finite (as `_require_finite` checks), s and max_terms integers >= 1,
+    w finite (as `disk_to_half_plane` checks z), s and max_terms integers >= 1,
     tol as `_check_tolerance` takes it; returns w as a complex and tol as a
     float."""
     w = complex(w)
@@ -129,7 +123,7 @@ class ShiftParam(namedtuple("ShiftParam", "alpha")):
     __slots__ = ()
 
     def __new__(cls, alpha):
-        alpha = complex(alpha)  # as `_require_finite` checks it, without its call
+        alpha = complex(alpha)  # finite, as `_checked` checks w
         if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
             raise ValueError(f"alpha must be finite, got {alpha}")
         # every pole -n, n >= 1, is farther than 1/2 from Re(alpha) > -1/2
@@ -168,7 +162,9 @@ _result = partial(tuple.__new__, SeriesResult)
 
 def disk_to_half_plane(z: complex) -> complex:
     """w = -z/(1-z), the inverse of z = w/(w-1): the unit disk onto Re(w) < 1/2."""
-    z = _require_finite(z, "z")
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"z must be finite, got {z}")
     if z == 1:
         raise DomainError("z = 1 is the pole of w = -z/(1-z)")
     return -z / (1 - z)
@@ -376,20 +372,24 @@ _CHECKPOINT = 64
 
 def _summed(
     x, alpha, s: int, tol: float, max_terms: int, mult=1.0, factory=_term_stream,
-    head=0.0, fixed=0.0, carried=0.0, x_error=0.0,
+    head=0.0, fixed=0.0, carried=0.0, x_error=0.0, used=0,
 ) -> SeriesResult:
     """Sum a_p x^p over the kept stream `factory(alpha, s)` of (a_p, B(p+1), r_p),
     a majorant B(m) >= |a_m| and r_p >= sup_{m>p} B(m+1)/B(m), until the
-    bound meets the target; the value returned is the sum itself.  x = z for
+    bound meets the target, and return the route's result: its value V
+    below, its terms (the `used` it spent before the sum, within
+    `max_terms`, plus the sum's own), the bound, `converged` and the method
+    the stream names.  x = z for
     `_term_stream` (at Re(alpha) >= -1, as its ratio needs), x = w for
     `_direct_stream` (x = 1/w, at the shift -alpha, for `inversion._inversion`),
     x = Log w for `logseries._log_stream`.
 
-    The sum enters the caller's value V = head + mult * sum, and the bound is
+    The sum enters the caller's value V = head + mult * sum (the sum itself
+    where head is 0 and mult is 1.0), and the bound is
     |mult| times the tail bound B(P+1) |x|^{P+1} / (1 - |x| r_P), plus the
     rounding, against the target tol max(1, |V|).  That is the one stopping
     rule: every route (the lens, the series in z, zeta, the log-series and
-    the inversion formula) returns the bound and `converged` this loop gives.
+    the inversion formula) returns the result this loop builds.
 
     At a real alpha > -1 the terms a_m of the first two streams
     (`_ABEL_STREAMS`) are one-signed and |a_m| does not increase, and each
@@ -471,10 +471,12 @@ def _summed(
     256 keys at about 155 bytes (40 kB), 2048 terms at about 155 bytes (317
     kB), and the generators of each kept entry (at most 256), about 1.5 kB
     plus 40 bytes per unit of s: 0.85 MB in all at s <= 10.  During a call its
-    own entry may grow to `max_terms` terms.  Anything raised under
-    `_kept_lock` (an `OverflowError` of a term, an interrupt) drops the key.
-    Every result is bit for bit a first call's.
+    own entry may grow to `max_terms` terms.  The entry is taken out of the
+    dict for the sum and put back after it, so anything raised under
+    `_kept_lock` (an `OverflowError` of a term, an interrupt) leaves the key
+    out.  Every result is bit for bit a first call's.
     """
+    max_terms -= used
     ax = abs(x)
     total = 0.0
     x_pow = 1.0
@@ -502,58 +504,55 @@ def _summed(
     key = (factory, alpha, s, type(alpha))  # 0.0 == 0j; their terms differ in type
     with _kept_lock:
         entry = _kept_streams.pop(key, False)
-        if entry is None:  # recorded: keep the terms from this call on
+        if entry:
+            _kept_count[0] -= len(entry[0])
+        elif entry is None:  # recorded: keep the terms from this call on
             terms = []
             entry = terms, _appended(terms, factory(alpha, s))
-        _kept_streams[key] = entry or None  # a first call (False) records the key only
-        kept = len(entry[0]) if entry else 0
-        try:
-            for p, (a_p, b_next, ratio) in enumerate(chain(*entry) if entry else factory(alpha, s), 1):
-                x_pow *= x
-                total += a_p * x_pow
-                ax_pow *= ax
-                y = b_next * ax_pow
-                size += y
-                if y <= target or p >= check:
-                    if p >= check:
-                        if p == first:
-                            size = y + scale * _direct_size(alpha, s, ax, p)
-                        moment += (p + 1) * (size - last)
-                        last = size
-                        check = min(max(2 * p, _CHECKPOINT), max_terms)
-                    partial = scale * abs(total)
-                    modulus = abs(head + mult * total) if head else partial
-                    target = tol * modulus if modulus > 1.0 else tol
-                    if y > target and p < max_terms:
-                        continue
-                    rho = ax * ratio
-                    bound = y / (1.0 - rho) if rho < 1.0 else math.inf
-                    if bound > target:
-                        if abel is None:  # the first such stop; inf where the Abel bound does not hold
-                            holds = alpha.imag == 0 and alpha.real > -1 and factory in _ABEL_STREAMS
-                            abel = (1.0 + ax) / abs(1.0 - x) if holds else math.inf
-                            abel = abel if abel > 1.0 else 1.0
-                        if y * abel < bound:
-                            bound = y * abel
-                        if bound > target and p < max_terms:
-                            continue
-                    if p < first:  # sizes past `first` are not read yet
+        for p, (a_p, b_next, ratio) in enumerate(chain(*entry) if entry else factory(alpha, s), 1):
+            x_pow *= x
+            total += a_p * x_pow
+            ax_pow *= ax
+            y = b_next * ax_pow
+            size += y
+            if y <= target or p >= check:
+                if p >= check:
+                    if p == first:
                         size = y + scale * _direct_size(alpha, s, ax, p)
-                        moment = last = 0.0
-                    weighted = moment + (p + 1) * (size - last)  # >= the sum of index times term size
-                    rounding = _U * (slope * weighted + intercept * size + (p + carried) * partial + modulus) + fixed
-                    bound += rounding
-                    if bound <= target or p >= max_terms or rounding > target:
-                        break
-        except BaseException:
-            del _kept_streams[key]
-            _kept_count[0] -= kept
-            raise
+                    moment += (p + 1) * (size - last)
+                    last = size
+                    check = min(max(2 * p, _CHECKPOINT), max_terms)
+                partial = scale * abs(total)
+                modulus = abs(head + mult * total) if head else partial
+                target = tol * modulus if modulus > 1.0 else tol
+                if y > target and p < max_terms:
+                    continue
+                rho = ax * ratio
+                bound = y / (1.0 - rho) if rho < 1.0 else math.inf
+                if bound > target:
+                    if abel is None:  # the first such stop; inf where the Abel bound does not hold
+                        holds = alpha.imag == 0 and alpha.real > -1 and factory in _ABEL_STREAMS
+                        abel = (1.0 + ax) / abs(1.0 - x) if holds else math.inf
+                        abel = abel if abel > 1.0 else 1.0
+                    if y * abel < bound:
+                        bound = y * abel
+                    if bound > target and p < max_terms:
+                        continue
+                if p < first:  # sizes past `first` are not read yet
+                    size = y + scale * _direct_size(alpha, s, ax, p)
+                    moment = last = 0.0
+                weighted = moment + (p + 1) * (size - last)  # >= the sum of index times term size
+                rounding = _U * (slope * weighted + intercept * size + (p + carried) * partial + modulus) + fixed
+                bound += rounding
+                if bound <= target or p >= max_terms or rounding > target:
+                    break
+        _kept_streams[key] = entry or None  # a first call (False) records the key only
         if entry:
-            _kept_count[0] += len(entry[0]) - kept
+            _kept_count[0] += len(entry[0])
         if len(_kept_streams) > _RECORDED_KEYS or _kept_count[0] > _KEPT_TERMS:
             _trim()
-    return _result((total, p, bound, bound <= target < math.inf, _METHODS[factory.__name__]))
+    value = head + mult * total if head or mult != 1.0 else total
+    return _result((value, used + p, bound, bound <= target < math.inf, _METHODS[factory.__name__]))
 
 
 def lerch_accelerated(
@@ -655,11 +654,7 @@ def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int, lo
 
         if logged := _log_series(w, z, alpha, s, tol, max_terms, k, head, w_pow, fixed):
             return logged
-    inner = _summed(z, alpha + k if k else alpha, s, tol, max_terms - k, w_pow, _term_stream, head, fixed, 2.25 * k, _Z_ERROR)
-    if not k:
-        return inner
-    value, terms, bound, converged, method = inner
-    return _result((head + w_pow * value, k + terms, bound, converged, method))
+    return _summed(z, alpha + k if k else alpha, s, tol, max_terms, w_pow, _term_stream, head, fixed, 2.25 * k, _Z_ERROR, used=k)
 
 
 #: z = w/(w-1) is within _Z_ERROR u of its exact value, relative.
@@ -701,5 +696,4 @@ def zeta_accelerated(
     tol = _check_tolerance(tol)
     exact._check_count(max_terms, "max_terms")
     factor = 1.0 / (1.0 - 2.0 ** (1 - s))  # within 2u: 1 - 2^{1-s} and the quotient
-    value, terms, bound, converged, method = _summed(0.5, 0.0, s, tol, max_terms, -factor, _term_stream, 0.0, 0.0, 3.0)
-    return _result((complex(-factor * value.real), terms, bound, converged, method))
+    return _summed(0.5, 0.0, s, tol, max_terms, -factor, _term_stream, 0j, 0.0, 3.0)

@@ -590,6 +590,54 @@ def test_converged_bound_covers_the_rounding_of_the_value():
     assert result.error_bound <= 1e-13 * abs(result.value)
 
 
+#: (alpha, w, s): complex shifts at large orders off the lens, where
+#: `lerch_accelerated` sums the series in z (|z| = 1/2 and 1/5).  The golden
+#: grid has s <= 5 only.
+LARGE_ORDER_CELLS = [
+    (alpha, w, s) for alpha in (0.5j, 0.3 + 0.4j, -0.5 + 0.2j, 2 + 1j) for w in (-1.0, -0.25) for s in (30, 50, 150)
+]
+
+
+def defining_sum(w, alpha, s):
+    """sum_{n>=1} w^n/(alpha+n)^s at the working precision, up to the first
+    term below 1e-45 max(1, |sum|): at |w| <= 1, Re(alpha) >= -1/2 and s >=
+    30 each later term is at most about 0.4 times the one before it within
+    the terms summed here (w = -1 takes 32 at most), so the tail is below
+    1e-44 max(1, |sum|)."""
+    w, alpha = mp.mpc(w), mp.mpc(alpha)
+    total = mp.mpc(0)
+    for n in range(1, 1000):
+        term = w**n / (alpha + n) ** s
+        total += term
+        if abs(term) < mp.mpf(10) ** -45 * max(1, abs(total)):
+            return total
+    raise AssertionError("the defining series did not reach its stop")
+
+
+def test_complex_shifts_at_large_orders_bound_the_error():
+    # |true - value| <= error_bound on every cell, converged or not; the
+    # reference is the defining series at 40 digits, cheap here as its terms
+    # fall like n^-30 at w = -1 and like 4^-n at w = -0.25
+    for alpha, w, s in LARGE_ORDER_CELLS:
+        result = series.lerch_accelerated(w, ShiftParam(alpha), s)
+        with mp.workdps(40):
+            error = abs(mp.mpc(result.value) - defining_sum(w, alpha, s))
+        assert error <= result.error_bound, (alpha, w, s)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+@pytest.mark.parametrize(
+    "alpha, w, s",
+    [cell for cell in LARGE_ORDER_CELLS if cell not in ((2 + 1j, -0.25, 30), (2 + 1j, -0.25, 50))],
+    ids=lambda value: str(value),
+)
+def test_complex_shifts_at_large_orders_converge(alpha, w, s):
+    # The rounding bound of the H majorant passes tol on these cells, though
+    # the values are right (see the test above); only 2 + i at w = -0.25, s =
+    # 30 and 50 converge today.
+    assert series.lerch_accelerated(w, ShiftParam(alpha), s).converged
+
+
 #: Shifts of the certificate property: near a pole, negative, large (nearly
 #: real, so that the reference stays cheap) and complex.
 certificate_shifts = st.one_of(
@@ -1386,8 +1434,11 @@ def test_kept_stream_steps_the_kernel_once_per_term(monkeypatch):
 
 
 def test_kept_stream_is_dropped_when_an_extension_raises(monkeypatch):
-    # A raise in the kernel step of term 20 ends the kept generator after the
-    # last kept term; the entry must be dropped, not read by the next call.
+    # A raise in the kernel step of term 20, in a first call on its key, in a
+    # call on a key only recorded and in a call that extends the 5 kept terms
+    # of its key: the key must be left out, not read by the next call, and
+    # the count of kept terms must stay that of the entries still kept (the
+    # terms of another key, kept before).
     call = (-0.7 + 0.3j, 1.3 + 0.7j, 3, 1e-12, 10000)
     expected = _cold(call)
     depth_columns = exact._depth_columns
@@ -1398,16 +1449,23 @@ def test_kept_stream_is_dropped_when_an_extension_raises(monkeypatch):
                 raise KeyboardInterrupt
             yield item
 
-    _forget_stream()
-    z_series(-4 + 2j, ShiftParam(1.3 + 0.7j), 3)
-    monkeypatch.setattr(exact, "_depth_columns", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        z_series(-4 + 2j, ShiftParam(1.3 + 0.7j), 3)
-    monkeypatch.undo()
-    assert kept_key(1.3 + 0.7j, 3) not in series._kept_streams
-    assert series._kept_count == [0]
-    w, alpha, s, tol, max_terms = call
-    assert repr(z_series(w, ShiftParam(alpha), s, tol, max_terms)) == expected
+    for earlier_calls in (0, 1, 2):
+        _forget_stream()
+        for _ in range(2):
+            z_series(-0.5, ShiftParam(0.5 + 0.1j), 3)
+        monkeypatch.setattr(exact, "_depth_columns", interrupted)
+        for _ in range(earlier_calls):  # 5 terms each, all before the raise
+            assert z_series(-0.2, ShiftParam(1.3 + 0.7j), 3, 1e-6).terms_used == 5
+        if earlier_calls == 2:
+            assert len(kept(1.3 + 0.7j, 3)[0]) == 5
+        with pytest.raises(KeyboardInterrupt):
+            z_series(-4 + 2j, ShiftParam(1.3 + 0.7j), 3)
+        monkeypatch.undo()
+        assert kept_key(1.3 + 0.7j, 3) not in series._kept_streams
+        kept_terms = sum(len(entry[0]) for entry in series._kept_streams.values() if entry)
+        assert series._kept_count == [kept_terms] and kept_terms == len(kept(0.5 + 0.1j, 3)[0]) > 0
+        w, alpha, s, tol, max_terms = call
+        assert repr(z_series(w, ShiftParam(alpha), s, tol, max_terms)) == expected
 
 
 @pytest.mark.parametrize("factory", [series._term_stream, series._direct_stream], ids=["z", "direct"])
@@ -1570,7 +1628,7 @@ def test_recorded_keys_and_kept_terms_stay_within_their_bounds():
 # ---------------------------------------------------------------------------
 
 
-def summed_every_bound(x, alpha, s, tol, max_terms, mult=1.0, factory=series._term_stream, head=0.0, fixed=0.0, carried=0.0, x_error=0.0):
+def summed_every_bound(x, alpha, s, tol, max_terms, mult=1.0, factory=series._term_stream, head=0.0, fixed=0.0, carried=0.0, x_error=0.0, used=0):
     """Oracle for `series._summed`: its loop over an unkept stream, with the
     truncation bound formed in full on every term against the target as the
     loop reads it: the geometric bound where rho < 1, and where that is above
@@ -1580,8 +1638,11 @@ def summed_every_bound(x, alpha, s, tol, max_terms, mult=1.0, factory=series._te
     numerator meets the last target, the rounding is added once the
     truncation bound meets the target, with `carried` in units of |mult *
     sum| and no per-term multiples on the log stream, and the sum stops
-    unconverged where the rounding alone passes it."""
+    unconverged where the rounding alone passes it.  It returns the route's
+    value head + mult * sum (the sum itself at head 0 and mult 1.0) and its
+    terms, the `used` before the sum plus the sum's own."""
     method = series._METHODS[factory.__name__]
+    max_terms -= used
     abel = factory in (series._term_stream, series._direct_stream) and alpha.imag == 0 and alpha.real > -1
     direct = factory is series._direct_stream
     ax = abs(x)
@@ -1631,7 +1692,8 @@ def summed_every_bound(x, alpha, s, tol, max_terms, mult=1.0, factory=series._te
             rounding = series._U * (slope * weighted + intercept * sizes + (p + carried) * (scale * abs(total)) + modulus) + fixed
         bound += rounding
         if bound <= target or p >= max_terms or rounding > target:
-            return SeriesResult(total, p, bound, bound <= target < math.inf, method)
+            value = head + mult * total if head or mult != 1.0 else total
+            return SeriesResult(value, used + p, bound, bound <= target < math.inf, method)
 
 
 def _outcome(summed, *args):
@@ -1750,6 +1812,18 @@ def test_numerator_first_stop_at_a_tol_equal_to_the_bound(x, alpha, s, factory):
     tol = result.error_bound
     assert_same_stop(x, alpha, s, tol, 10000, 1.0, factory)
     assert series._summed(x, alpha, s, tol, 10000, 1.0, factory) == result
+
+
+@pytest.mark.parametrize("used", [0, 1, 7])
+def test_numerator_first_stop_counts_the_terms_used_before_the_sum(used):
+    # A route that spent `used` of its max_terms before the sum leaves the
+    # sum the rest (30 - used: the sum at x = 0.9 stops there, unconverged),
+    # and the result counts both
+    args = (0.9, 0.5 + 0.1j, 3, 1e-12, 30, 2.0 - 1j, series._term_stream, 0.5j, 1e-15, 3.0, 6.0)
+    result = series._summed(*args, used=used)
+    assert repr(result) == repr(summed_every_bound(*args, used=used))
+    rest = series._summed(*args[:4], 30 - used, *args[5:])
+    assert result == rest._replace(terms_used=used + rest.terms_used) and result.terms_used == 30
 
 
 # ---------------------------------------------------------------------------
