@@ -290,10 +290,6 @@ def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float
 #: tries the log-series.  `inversion` names its results "inversion" itself.
 _METHODS = {"_term_stream": "z", "_direct_stream": "direct", "_log_stream": "log"}
 
-#: The streams whose terms are one-signed and do not increase in magnitude at
-#: a real alpha > -1, where `_summed` also takes the summation-by-parts bound.
-_ABEL_STREAMS = (_term_stream, _direct_stream)
-
 #: Bound on the keys `_kept_streams` records.  On `eval-scattered` only the 11
 #: zeta keys repeat, each once per 111-call pass; every call records at most
 #: one key, so at most 2 * 110 others come between two calls on one of them,
@@ -307,10 +303,11 @@ _RECORDED_KEYS = 256
 #: `verify-all` repeats 1225; 2048 holds each of them with room to spare.
 _KEPT_TERMS = 2048
 
-#: (factory, alpha, s, type(alpha)) -> None (recorded) or (terms, extension)
-#: (kept), least recently used first, with `extension` =
-#: `_appended(terms, factory(alpha, s))`, len(terms) items on; and the number
-#: of terms kept in all.  Both are changed in place, under `_kept_lock`.
+#: (factory, alpha, s, type(alpha)) -> None (recorded) or (terms, extension,
+#: setup) (kept), least recently used first, with `extension` =
+#: `_appended(terms, factory(alpha, s))`, len(terms) items on, and `setup` the
+#: key's set-up in `_summed`; and the number of terms kept in all.  Both are
+#: changed in place, under `_kept_lock`.
 _kept_streams = {}
 _kept_count = [0]
 _kept_lock = threading.Lock()
@@ -391,10 +388,11 @@ def _summed(
     rule: every route (the lens, the series in z, zeta, the log-series and
     the inversion formula) returns the result this loop builds.
 
-    At a real alpha > -1 the terms a_m of the first two streams
-    (`_ABEL_STREAMS`) are one-signed and |a_m| does not increase, and each
-    B(P+1) bounds every later |a_m|, so summation by parts (Abel) also bounds the
-    tail: with X_m = sum_{P<k<=m} x^k, |X_m| <= |x|^{P+1} (1 + |x|)/|1 - x|,
+    At a real alpha > -1 the terms a_m of the first two streams (the Abel
+    test of the set-up below) are one-signed and |a_m| does not increase,
+    and each B(P+1) bounds every later |a_m|, so summation by parts (Abel)
+    also bounds the tail: with X_m = sum_{P<k<=m} x^k,
+    |X_m| <= |x|^{P+1} (1 + |x|)/|1 - x|,
     sum_{m>P} a_m x^m = sum_{m>P} (a_m - a_{m+1}) X_m (+ the limit of a_m
     times that of X_m), and the |differences| (and that limit) add up to
     |a_{P+1}| <= B(P+1).  The smaller of the two bounds is taken.
@@ -416,7 +414,7 @@ def _summed(
     - on `_direct_stream` within `_power_error(s)` u |a_m|, m-free.
     - on `logseries._log_stream` the caller counts the rounding of a_m x^m,
       and the (m - 1) |a_m x^m| of the running sum below, a priori in
-      `fixed`: slope = intercept = 0.
+      `fixed`: slope = intercept = 0 (its caller passes no x_error).
 
     The running sum adds u |T_i| at its i-th term, T_i the partial sum, and
     |T_i| <= |T_P| + sum_{i<m<=P} |a_m x^m|: at most u (P |T_P| + sum_m (m -
@@ -456,21 +454,27 @@ def _summed(
     the target is skipped while the target is read.  An infinite |V| never
     converges.
 
-    The stream depends on (factory, alpha, s) only, and `_kept_streams` keeps
-    the streams of the recently repeated keys, least recently used first, so
-    rows of points at several shifts, and lens and off-lens calls on one pair,
-    do not evict each other.  A first call on a key records it and keeps
-    nothing: on `eval-scattered`, a new pair almost every call, keeping them
-    added 7.5-9.2% to peak memory and took 1.3-5.0% off op/s.  A later call
-    on a key still recorded keeps its terms and the generator that computed
-    them; from then on each call sums the kept terms, and past them steps the
-    kept generator and appends: no term is computed twice.  After each call
-    `_trim` bounds the keys by `_RECORDED_KEYS` and the kept terms by
-    `_KEPT_TERMS`, so an entry of more terms than that is dropped after its
-    call.  Worst-case memory between calls, measured on CPython 3.11 x86-64:
-    256 keys at about 155 bytes (40 kB), 2048 terms at about 155 bytes (317
-    kB), and the generators of each kept entry (at most 256), about 1.5 kB
-    plus 40 bytes per unit of s: 0.85 MB in all at s <= 10.  During a call its
+    The stream depends on (factory, alpha, s) only, and so does the set-up
+    of a call: the first term's size |alpha + 1|^-s (inf where the float
+    power raises), the stream's rounding multiples (slope less x_error, and
+    intercept), `first`, the Abel test (a real alpha > -1 on the first two
+    streams) and the method.  `_kept_streams` keeps the streams of the
+    recently repeated keys, least recently used first, so rows of points at
+    several shifts, and lens and off-lens calls on one pair, do not evict
+    each other.  A first call on a key computes its set-up, records the key
+    and keeps nothing: on `eval-scattered`, a new pair almost every call,
+    keeping them added 7.5-9.2% to peak memory and took 1.3-5.0% off op/s.
+    A later call on a key still recorded keeps (terms, extension, set-up):
+    its terms, the generator that computed them and the set-up it computed;
+    from then on each call reads the set-up there, sums the kept terms, and
+    past them steps the kept generator and appends: no term is computed
+    twice.  After each call `_trim` bounds the keys by `_RECORDED_KEYS` and
+    the kept terms by `_KEPT_TERMS`, so an entry of more terms than that is
+    dropped, set-up and all, after its call.  Worst-case memory between
+    calls, measured on CPython 3.11 x86-64: 256 keys at about 155 bytes (40
+    kB), 2048 terms at about 155 bytes (317 kB), and for each kept entry (at
+    most 256) its set-up, about 170 bytes, and its generators, about 1.5 kB
+    plus 40 bytes per unit of s: 0.89 MB in all at s <= 10.  During a call its
     own entry may grow to `max_terms` terms.  The entry is taken out of the
     dict for the sum and put back after it, so anything raised under
     `_kept_lock` (an `OverflowError` of a term, an interrupt) leaves the key
@@ -484,32 +488,43 @@ def _summed(
     ax_pow = scale * ax  # scale |x|^p
     abel = None
     moment = last = 0.0
-    try:  # |a_1 x| = |alpha + 1|^-s |x| on the first two streams; on the log stream only an estimate
-        size = scale * abs(alpha + 1) ** -s * ax
-    except (OverflowError, ZeroDivisionError):
-        size = math.inf
-    modulus = abs(head) + size if head else size  # the first target reads this estimate of |V|
-    target = tol * modulus if modulus > 1.0 else tol
-    if factory is _term_stream:
-        k_a = 4.0 if alpha.imag == 0 and alpha.real > -1 else 9.25
-        slope, intercept, first = k_a + 3.25 + x_error, k_a * s, 1
-    elif factory is _direct_stream:
-        slope, intercept, first = 3.25 + x_error, _power_error(s), math.ceil(-alpha.real)
-    else:  # `logseries._log_stream`: its caller counts the rounding of its terms in `fixed`
-        slope = intercept = 0.0
-        first = 1
-    check = first if first > 1 else _CHECKPOINT
-    if check > max_terms:
-        check = max_terms
     key = (factory, alpha, s, type(alpha))  # 0.0 == 0j; their terms differ in type
     with _kept_lock:
         entry = _kept_streams.pop(key, False)
         if entry:
-            _kept_count[0] -= len(entry[0])
-        elif entry is None:  # recorded: keep the terms from this call on
-            terms = []
-            entry = terms, _appended(terms, factory(alpha, s))
-        for p, (a_p, b_next, ratio) in enumerate(chain(*entry) if entry else factory(alpha, s), 1):
+            terms, extension, (first_size, base, intercept, first, holds, method) = entry
+            _kept_count[0] -= len(terms)
+            stream = chain(terms, extension)
+        else:  # the set-up of the key, which a kept entry holds
+            try:  # |a_1| = |alpha + 1|^-s on the first two streams; on the log stream only an estimate
+                first_size = abs(alpha + 1) ** -s
+            except (OverflowError, ZeroDivisionError):
+                first_size = math.inf
+            if factory is _term_stream:
+                holds = alpha.imag == 0 and alpha.real > -1  # the Abel test
+                k_a = 4.0 if holds else 9.25
+                base, intercept, first = k_a + 3.25, k_a * s, 1
+            elif factory is _direct_stream:
+                holds = alpha.imag == 0 and alpha.real > -1
+                base, intercept, first = 3.25, _power_error(s), math.ceil(-alpha.real)
+            else:  # `logseries._log_stream`: its caller counts the rounding of its terms in `fixed`
+                holds = False
+                base = intercept = 0.0
+                first = 1
+            method = _METHODS[factory.__name__]
+            stream = factory(alpha, s)
+            if entry is None:  # recorded: keep the terms and the set-up from this call on
+                terms = []
+                stream = _appended(terms, stream)
+                entry = terms, stream, (first_size, base, intercept, first, holds, method)
+        size = scale * first_size * ax if first_size < math.inf else first_size  # inf, where inf * 0 is nan
+        modulus = abs(head) + size if head else size  # the first target reads this estimate of |V|
+        target = tol * modulus if modulus > 1.0 else tol
+        slope = base + x_error
+        check = first if first > 1 else _CHECKPOINT
+        if check > max_terms:
+            check = max_terms
+        for p, (a_p, b_next, ratio) in enumerate(stream, 1):
             x_pow *= x
             total += a_p * x_pow
             ax_pow *= ax
@@ -531,7 +546,6 @@ def _summed(
                 bound = y / (1.0 - rho) if rho < 1.0 else math.inf
                 if bound > target:
                     if abel is None:  # the first such stop; inf where the Abel bound does not hold
-                        holds = alpha.imag == 0 and alpha.real > -1 and factory in _ABEL_STREAMS
                         abel = (1.0 + ax) / abs(1.0 - x) if holds else math.inf
                         abel = abel if abel > 1.0 else 1.0
                     if y * abel < bound:
@@ -552,7 +566,7 @@ def _summed(
         if len(_kept_streams) > _RECORDED_KEYS or _kept_count[0] > _KEPT_TERMS:
             _trim()
     value = head + mult * total if head or mult != 1.0 else total
-    return _result((value, used + p, bound, bound <= target < math.inf, _METHODS[factory.__name__]))
+    return _result((value, used + p, bound, bound <= target < math.inf, method))
 
 
 def lerch_accelerated(

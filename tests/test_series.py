@@ -74,7 +74,8 @@ def kept_key(alpha, s, factory=series._term_stream):
 
 def kept(alpha, s, factory=series._term_stream):
     """The `_kept_streams` entry of (alpha, s): None while the key is only
-    recorded, else (terms, extension); KeyError if it is not recorded."""
+    recorded, else (terms, extension, setup), `setup` the key's set-up in
+    `_summed`; KeyError if it is not recorded."""
     return series._kept_streams[kept_key(alpha, s, factory)]
 
 
@@ -1341,7 +1342,7 @@ def test_kept_stream_gives_cold_bits(earlier, later):
     for _ in range(2):  # the second call on the recorded key keeps its terms
         kept_by = z_series(w, ShiftParam(alpha), s, tol, max_terms)
     k = series._pole_terms(alpha)
-    terms, _ = kept(alpha + k, s)
+    terms = kept(alpha + k, s)[0]
     assert len(terms) == kept_by.terms_used - k
     assert all(math.isfinite(ratio) for *_, ratio in terms)
     w, alpha, s, tol, max_terms = later
@@ -1356,7 +1357,7 @@ def test_peeled_call_keeps_the_stream_of_the_shifted_pair():
     _forget_stream()
     for _ in range(2):
         peeled = z_series(-0.5, ShiftParam(-50.5 + 0j), 2)
-    terms, _ = kept(0.5 + 0j, 2)
+    terms = kept(0.5 + 0j, 2)[0]
     assert len(terms) == peeled.terms_used - 51
     w, alpha, s, tol, max_terms = later
     assert repr(z_series(w, ShiftParam(alpha), s, tol, max_terms)) == expected
@@ -1388,7 +1389,7 @@ def test_lens_and_off_lens_calls_interleaved_on_one_pair_give_cold_bits():
     assert [repr(result) for result in got] == expected
     assert [result.method for result in got] == ["direct", "direct", "z", "z"] * len(lens)
     for factory, method in ((series._direct_stream, "direct"), (series._term_stream, "z")):
-        terms, _ = kept(alpha, s, factory)
+        terms = kept(alpha, s, factory)[0]
         assert len(terms) == max(r.terms_used for r in got if r.method == method)
 
 
@@ -1479,6 +1480,81 @@ def test_a_float_shift_does_not_read_the_terms_kept_for_an_equal_complex_one(fac
         assert repr(series._summed(0.5, 0.0, 6, 1e-12, 40, 1.0, factory)) == cold
     assert {type(a_p) for a_p, _, _ in kept(0.0, 6, factory)[0]} == {float}
     assert {type(a_p) for a_p, _, _ in kept(0j, 6, factory)[0]} == {complex}
+
+
+def first_call_setup(factory, alpha, s):
+    """The set-up `_summed` computes on a first call on (factory, alpha, s),
+    restated as `summed_every_bound` forms it: |alpha + 1|^-s (inf where the
+    power raises), the rounding slope less x_error, the intercept, `first`,
+    the Abel test and the method."""
+    try:
+        first_size = abs(alpha + 1) ** -s
+    except (OverflowError, ZeroDivisionError):
+        first_size = math.inf
+    abel = factory in (series._term_stream, series._direct_stream) and alpha.imag == 0 and alpha.real > -1
+    k_a = 4.0 if alpha.imag == 0 and alpha.real > -1 else 9.25
+    if factory is series._term_stream:
+        rounding = k_a + 3.25, k_a * s, 1
+    elif factory is series._direct_stream:
+        rounding = 3.25, series._power_error(s), math.ceil(-alpha.real)
+    else:
+        rounding = 0.0, 0.0, 1
+    return (first_size, *rounding, abel, series._METHODS[factory.__name__])
+
+
+def _evaluate(w, alpha, s):  # w None: zeta(s)
+    if w is None:
+        return series.zeta_accelerated(s)
+    return series.lerch_accelerated(w, ShiftParam(alpha), s)
+
+
+def test_kept_call_reads_the_set_up_of_its_entry():
+    # A set-up whose method is a sentinel, put on a kept entry, is what the
+    # next call on that key returns; a first call on another key computes its
+    # own.
+    _forget_stream()
+    alpha, s = 1.2 + 0.8j, 3
+    for _ in range(2):
+        assert _evaluate(-1, alpha, s).method == "z"
+    terms, extension, setup = kept(alpha, s)
+    series._kept_streams[kept_key(alpha, s)] = terms, extension, setup[:-1] + ("sentinel",)
+    assert _evaluate(-1, alpha, s).method == "sentinel"
+    assert _evaluate(-1, alpha + 1, s).method == "z"
+
+
+def test_kept_set_up_is_the_one_a_first_call_computes():
+    # Each call records its key, the second keeps the set-up it computed,
+    # and the third reads it there: the entry holds the first call's set-up
+    # and the third call gives a first call's bits.  The keys live side by
+    # side, zeta's float 0.0 next to 0j among them.
+    calls = [
+        # (w, alpha, s, method, the stream and the shift of the kept key)
+        (-1, 0.5 + 0j, 2, "z", series._term_stream, 0.5 + 0j),  # a real alpha > -1
+        (-0.6 + 0.9j, 1.2 + 0.8j, 3, "z", series._term_stream, 1.2 + 0.8j),
+        (-1, -2.7 + 0j, 3, "z", series._term_stream, -2.7 + 0j + 3),  # peeled: K = 3
+        (None, 0.0, 4, "z", series._term_stream, 0.0),
+        (-1, 0j, 4, "z", series._term_stream, 0j),
+        (0.4 + 0.1j, -2.5 + 0.1j, 3, "direct", series._direct_stream, -2.5 + 0.1j),  # the lens: first = 3
+        (0.3 - 0.2j, 0.5 + 0j, 2, "direct", series._direct_stream, 0.5 + 0j),
+        (-3 + 1j, 0.3 + 0j, 2, "inversion", series._direct_stream, -0.3),  # the shift -alpha, a float
+        (-3 + 1j, -1.4 + 0.4j, 2, "inversion", series._direct_stream, 1.4 - 0.4j),
+        (0.3 + 1.2j, 0.6 + 0j, 2, "log", logseries._log_stream, 0.6),  # |z| = 0.89; a real shift as a float
+        (0.3 + 1.2j, 0.6 + 0.3j, 3, "log", logseries._log_stream, 0.6 + 0.3j),
+    ]
+    cold = []
+    for w, alpha, s, *_ in calls:
+        _forget_stream()
+        cold.append(repr(_evaluate(w, alpha, s)))
+    _forget_stream()
+    for _ in range(2):
+        for w, alpha, s, *_ in calls:
+            _evaluate(w, alpha, s)
+    for w, alpha, s, method, factory, shift in calls:
+        assert kept(shift, s, factory)[2] == first_call_setup(factory, shift, s)
+    got = [_evaluate(w, alpha, s) for w, alpha, s, *_ in calls]
+    assert [repr(result) for result in got] == cold
+    assert [result.method for result in got] == [method for _, _, _, method, *_ in calls]
+    assert kept(0.0, 4)[2] == kept(0j, 4)[2] and kept(0.0, 4) is not kept(0j, 4)
 
 
 def test_kept_stream_is_safe_across_threads():
