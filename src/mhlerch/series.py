@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from collections import namedtuple
 from functools import partial
 from itertools import chain, count, islice
@@ -290,27 +289,30 @@ def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float
 #: tries the log-series.  `inversion` names its results "inversion" itself.
 _METHODS = {"_term_stream": "z", "_direct_stream": "direct", "_log_stream": "log"}
 
-#: Bound on the keys `_kept_streams` records.  On `eval-scattered` only the 11
-#: zeta keys repeat, each once per 111-call pass; every call records at most
-#: one key, so at most 2 * 110 others come between two calls on one of them,
-#: and 256 keeps each recorded while the ~100 keys a pass never repeats age
-#: out.  `eval-shared-shift` has 16 live keys: 8 pairs, each on two routes.
+#: Bound on the keys `_recorded` holds.  On `eval-scattered` only the 11 zeta
+#: keys repeat, each once per 111-call pass; every call records at most one
+#: key, so at most 2 * 110 others come between two calls on one of them, and
+#: 256 keeps each recorded while the ~100 keys a pass never repeats age out.
 _RECORDED_KEYS = 256
 
-#: Bound on the terms the kept entries hold between calls, in all.  Warm, the
-#: 16 keys of `eval-shared-shift` hold 578 terms, the 11 zeta keys of
-#: `eval-scattered` 530 (38 at s = 2 to 59 at s = 12), and the 30 keys that
-#: `verify-all` repeats 1225; 2048 holds each of them with room to spare.
-_KEPT_TERMS = 2048
+#: Bound on the entries `_kept` holds.  The keys each workload repeats, as
+#: measured: 16 on `eval-shared-shift` (8 pairs, each on two routes), the 11
+#: zeta keys of `eval-scattered` and 30 on `verify-all`; 32 holds each.
+_KEPT_KEYS = 32
 
-#: (factory, alpha, s, type(alpha)) -> None (recorded) or (terms, extension,
-#: setup) (kept), least recently used first, with `extension` =
-#: `_appended(terms, factory(alpha, s))`, len(terms) items on, and `setup` the
-#: key's set-up in `_summed`; and the number of terms kept in all.  Both are
-#: changed in place, under `_kept_lock`.
-_kept_streams = {}
-_kept_count = [0]
-_kept_lock = threading.Lock()
+#: Bound on the terms a kept entry holds after its call.  The most terms a key
+#: of those workloads keeps is 46 on `eval-shared-shift`, 41 on
+#: `eval-scattered` (zeta at s = 12) and 60 on `verify-all`; 128 holds each.
+_KEPT_TERMS = 128
+
+#: Keys (factory, alpha, s, type(alpha)) seen once, oldest first, -> True.
+_recorded = {}
+
+#: Kept keys -> (terms, extension, setup), least recently used first, with
+#: `extension` = `_appended(terms, factory(alpha, s))`, len(terms) items on,
+#: and `setup` the key's set-up in `_summed`.  Both tables are changed in
+#: place, each change one dict operation, which the GIL makes atomic.
+_kept = {}
 
 
 def _appended(terms: list, stream: Iterator) -> Iterator:
@@ -320,21 +322,15 @@ def _appended(terms: list, stream: Iterator) -> Iterator:
         yield term
 
 
-def _trim() -> None:
-    """Forget the least recently used key past `_RECORDED_KEYS`, then drop the
-    terms of the least recently used kept entries, their keys still recorded,
-    until at most `_KEPT_TERMS` terms are kept.  `_summed` calls it past either bound."""
-    if len(_kept_streams) > _RECORDED_KEYS:  # a call records at most one key
-        entry = _kept_streams.pop(next(iter(_kept_streams)))
-        if entry:
-            _kept_count[0] -= len(entry[0])
-    if _kept_count[0] > _KEPT_TERMS:
-        for key, entry in _kept_streams.items():
-            if entry:
-                _kept_streams[key] = None
-                _kept_count[0] -= len(entry[0])
-                if _kept_count[0] <= _KEPT_TERMS:
-                    break
+def _evict(table: dict, bound: int) -> None:
+    """Delete the oldest keys of `table` until it holds at most `bound`.  Another
+    thread may change the table meanwhile: a step that finds it changed
+    (`RuntimeError`) or its key gone (`KeyError`) is tried again."""
+    while len(table) > bound:
+        try:
+            del table[next(iter(table), None)]
+        except (RuntimeError, KeyError):
+            pass
 
 
 def _power_error(s: int) -> float:
@@ -448,37 +444,45 @@ def _summed(
     target; y / (1 - rho) and, where that is above the target, the Abel
     bound are formed only once y <= target or p = max_terms, and the
     rounding only once the smaller meets the target; the Abel factor (1 +
-    |x|)/|1 - x| (inf where it does not hold) is formed once, at the first
-    such stop.  At 0 <= rho < 1 the rounded quotient is >= y, the Abel
-    factor is taken >= 1, and a nan y fails both tests, so no bound below
-    the target is skipped while the target is read.  An infinite |V| never
-    converges.
+    |x|)/|1 - x| (inf where it does not hold, and where x rounds to 1, as z
+    does at |w| >= 2^53) is formed once, at the first such stop.  At 0 <=
+    rho < 1 the rounded quotient is >= y, the Abel factor is taken >= 1, and
+    a nan y fails both tests, so no bound below the target is skipped while
+    the target is read.  An infinite |V| never converges.
 
     The stream depends on (factory, alpha, s) only, and so does the set-up
     of a call: the first term's size |alpha + 1|^-s (inf where the float
     power raises), the stream's rounding multiples (slope less x_error, and
     intercept), `first`, the Abel test (a real alpha > -1 on the first two
-    streams) and the method.  `_kept_streams` keeps the streams of the
-    recently repeated keys, least recently used first, so rows of points at
-    several shifts, and lens and off-lens calls on one pair, do not evict
-    each other.  A first call on a key computes its set-up, records the key
-    and keeps nothing: on `eval-scattered`, a new pair almost every call,
+    streams) and the method.  Two tables keep the streams of the recently
+    repeated keys: `_recorded` the keys seen once, and `_kept` the kept
+    entries, least recently used first, so rows of points at several shifts,
+    and lens and off-lens calls on one pair, do not evict each other.  A
+    first call on a key computes its set-up, keeps nothing and records the
+    key after its sum: on `eval-scattered`, a new pair almost every call,
     keeping them added 7.5-9.2% to peak memory and took 1.3-5.0% off op/s.
-    A later call on a key still recorded keeps (terms, extension, set-up):
-    its terms, the generator that computed them and the set-up it computed;
-    from then on each call reads the set-up there, sums the kept terms, and
-    past them steps the kept generator and appends: no term is computed
-    twice.  After each call `_trim` bounds the keys by `_RECORDED_KEYS` and
-    the kept terms by `_KEPT_TERMS`, so an entry of more terms than that is
-    dropped, set-up and all, after its call.  Worst-case memory between
-    calls, measured on CPython 3.11 x86-64: 256 keys at about 155 bytes (40
-    kB), 2048 terms at about 155 bytes (317 kB), and for each kept entry (at
-    most 256) its set-up, about 170 bytes, and its generators, about 1.5 kB
-    plus 40 bytes per unit of s: 0.89 MB in all at s <= 10.  During a call its
-    own entry may grow to `max_terms` terms.  The entry is taken out of the
-    dict for the sum and put back after it, so anything raised under
-    `_kept_lock` (an `OverflowError` of a term, an interrupt) leaves the key
-    out.  Every result is bit for bit a first call's.
+    A call on a recorded key takes it out of `_recorded` and keeps (terms,
+    extension, set-up): its terms, the generator that computed them and the
+    set-up it computed; from then on each call reads the set-up there, sums
+    the kept terms, and past them steps the kept generator and appends: no
+    term is computed twice.  A call owns its entry: it pops the entry from
+    `_kept`, so no other call reads or steps it, and puts it back after the
+    sum, unless the entry then holds more than `_KEPT_TERMS` terms; anything
+    raised in the sum (an `OverflowError` of a term, an interrupt) leaves
+    the key out of both tables.  Past `_RECORDED_KEYS` or `_KEPT_KEYS`,
+    `_evict` deletes the oldest keys.  Every change is one dict operation,
+    atomic under the GIL, so calls in several threads need no lock.  A race
+    can only lose an entry: two calls on one key at once find it kept in one
+    of them and not in the other, which sums a fresh stream, and the later
+    put-back wins; an eviction can delete an entry just put back.  A lost
+    entry's terms are computed again by a later call, never read by two
+    calls at once, and each is a function of the key alone, so every result
+    is bit for bit a first call's.  Worst-case memory between calls,
+    measured with `tracemalloc` on CPython 3.11 x86-64: 256 recorded keys at
+    about 140 bytes (35 kB), and 32 kept entries, each 128 terms at about
+    155 bytes, its set-up, about 170 bytes, and its generators, about 1.5 kB
+    plus 40 bytes per unit of s: 0.73 MB in all at s <= 10.  During a call
+    its own entry may grow to `max_terms` terms.
     """
     max_terms -= used
     ax = abs(x)
@@ -489,82 +493,84 @@ def _summed(
     abel = None
     moment = last = 0.0
     key = (factory, alpha, s, type(alpha))  # 0.0 == 0j; their terms differ in type
-    with _kept_lock:
-        entry = _kept_streams.pop(key, False)
-        if entry:
-            terms, extension, (first_size, base, intercept, first, holds, method) = entry
-            _kept_count[0] -= len(terms)
-            stream = chain(terms, extension)
-        else:  # the set-up of the key, which a kept entry holds
-            try:  # |a_1| = |alpha + 1|^-s on the first two streams; on the log stream only an estimate
-                first_size = abs(alpha + 1) ** -s
-            except (OverflowError, ZeroDivisionError):
-                first_size = math.inf
-            if factory is _term_stream:
-                holds = alpha.imag == 0 and alpha.real > -1  # the Abel test
-                k_a = 4.0 if holds else 9.25
-                base, intercept, first = k_a + 3.25, k_a * s, 1
-            elif factory is _direct_stream:
-                holds = alpha.imag == 0 and alpha.real > -1
-                base, intercept, first = 3.25, _power_error(s), math.ceil(-alpha.real)
-            else:  # `logseries._log_stream`: its caller counts the rounding of its terms in `fixed`
-                holds = False
-                base = intercept = 0.0
-                first = 1
-            method = _METHODS[factory.__name__]
-            stream = factory(alpha, s)
-            if entry is None:  # recorded: keep the terms and the set-up from this call on
-                terms = []
-                stream = _appended(terms, stream)
-                entry = terms, stream, (first_size, base, intercept, first, holds, method)
-        size = scale * first_size * ax if first_size < math.inf else first_size  # inf, where inf * 0 is nan
-        modulus = abs(head) + size if head else size  # the first target reads this estimate of |V|
-        target = tol * modulus if modulus > 1.0 else tol
-        slope = base + x_error
-        check = first if first > 1 else _CHECKPOINT
-        if check > max_terms:
-            check = max_terms
-        for p, (a_p, b_next, ratio) in enumerate(stream, 1):
-            x_pow *= x
-            total += a_p * x_pow
-            ax_pow *= ax
-            y = b_next * ax_pow
-            size += y
-            if y <= target or p >= check:
-                if p >= check:
-                    if p == first:
-                        size = y + scale * _direct_size(alpha, s, ax, p)
-                    moment += (p + 1) * (size - last)
-                    last = size
-                    check = min(max(2 * p, _CHECKPOINT), max_terms)
-                partial = scale * abs(total)
-                modulus = abs(head + mult * total) if head else partial
-                target = tol * modulus if modulus > 1.0 else tol
-                if y > target and p < max_terms:
-                    continue
-                rho = ax * ratio
-                bound = y / (1.0 - rho) if rho < 1.0 else math.inf
-                if bound > target:
-                    if abel is None:  # the first such stop; inf where the Abel bound does not hold
-                        abel = (1.0 + ax) / abs(1.0 - x) if holds else math.inf
-                        abel = abel if abel > 1.0 else 1.0
-                    if y * abel < bound:
-                        bound = y * abel
-                    if bound > target and p < max_terms:
-                        continue
-                if p < first:  # sizes past `first` are not read yet
+    entry = _kept.pop(key, None)  # the call owns a kept entry until it puts it back
+    if entry:
+        terms, extension, (first_size, base, intercept, first, holds, method) = entry
+        stream = chain(terms, extension)
+    else:  # the set-up of the key, which a kept entry holds
+        try:  # |a_1| = |alpha + 1|^-s on the first two streams; on the log stream only an estimate
+            first_size = abs(alpha + 1) ** -s
+        except (OverflowError, ZeroDivisionError):
+            first_size = math.inf
+        if factory is _term_stream:
+            holds = alpha.imag == 0 and alpha.real > -1  # the Abel test
+            k_a = 4.0 if holds else 9.25
+            base, intercept, first = k_a + 3.25, k_a * s, 1
+        elif factory is _direct_stream:
+            holds = alpha.imag == 0 and alpha.real > -1
+            base, intercept, first = 3.25, _power_error(s), math.ceil(-alpha.real)
+        else:  # `logseries._log_stream`: its caller counts the rounding of its terms in `fixed`
+            holds = False
+            base = intercept = 0.0
+            first = 1
+        method = _METHODS[factory.__name__]
+        stream = factory(alpha, s)
+        if _recorded.pop(key, False):  # seen once: keep the terms and the set-up from this call on
+            terms = []
+            stream = _appended(terms, stream)
+            entry = terms, stream, (first_size, base, intercept, first, holds, method)
+    size = scale * first_size * ax if first_size < math.inf else first_size  # inf, where inf * 0 is nan
+    modulus = abs(head) + size if head else size  # the first target reads this estimate of |V|
+    target = tol * modulus if modulus > 1.0 else tol
+    slope = base + x_error
+    check = first if first > 1 else _CHECKPOINT
+    if check > max_terms:
+        check = max_terms
+    for p, (a_p, b_next, ratio) in enumerate(stream, 1):
+        x_pow *= x
+        total += a_p * x_pow
+        ax_pow *= ax
+        y = b_next * ax_pow
+        size += y
+        if y <= target or p >= check:
+            if p >= check:
+                if p == first:
                     size = y + scale * _direct_size(alpha, s, ax, p)
-                    moment = last = 0.0
-                weighted = moment + (p + 1) * (size - last)  # >= the sum of index times term size
-                rounding = _U * (slope * weighted + intercept * size + (p + carried) * partial + modulus) + fixed
-                bound += rounding
-                if bound <= target or p >= max_terms or rounding > target:
-                    break
-        _kept_streams[key] = entry or None  # a first call (False) records the key only
-        if entry:
-            _kept_count[0] += len(entry[0])
-        if len(_kept_streams) > _RECORDED_KEYS or _kept_count[0] > _KEPT_TERMS:
-            _trim()
+                moment += (p + 1) * (size - last)
+                last = size
+                check = min(max(2 * p, _CHECKPOINT), max_terms)
+            partial = scale * abs(total)
+            modulus = abs(head + mult * total) if head else partial
+            target = tol * modulus if modulus > 1.0 else tol
+            if y > target and p < max_terms:
+                continue
+            rho = ax * ratio
+            bound = y / (1.0 - rho) if rho < 1.0 else math.inf
+            if bound > target:
+                if abel is None:  # the first such stop; inf where the Abel bound does not hold or x rounds to 1
+                    gap = abs(1.0 - x)
+                    abel = (1.0 + ax) / gap if holds and gap else math.inf
+                    abel = abel if abel > 1.0 else 1.0
+                if y * abel < bound:
+                    bound = y * abel
+                if bound > target and p < max_terms:
+                    continue
+            if p < first:  # sizes past `first` are not read yet
+                size = y + scale * _direct_size(alpha, s, ax, p)
+                moment = last = 0.0
+            weighted = moment + (p + 1) * (size - last)  # >= the sum of index times term size
+            rounding = _U * (slope * weighted + intercept * size + (p + carried) * partial + modulus) + fixed
+            bound += rounding
+            if bound <= target or p >= max_terms or rounding > target:
+                break
+    if entry is None:  # a first call records its key after the sum, so a raise leaves it out
+        _recorded[key] = True
+        if len(_recorded) > _RECORDED_KEYS:
+            _evict(_recorded, _RECORDED_KEYS)
+    elif len(terms) <= _KEPT_TERMS:
+        _kept[key] = entry
+        if len(_kept) > _KEPT_KEYS:
+            _evict(_kept, _KEPT_KEYS)
     value = head + mult * total if head or mult != 1.0 else total
     return _result((value, used + p, bound, bound <= target < math.inf, method))
 

@@ -200,6 +200,14 @@ def test_eval_nonconvergence_exits_2(capsys):
     assert data["converged"] is False
 
 
+def test_eval_where_z_rounds_to_one_exits_2(capsys):
+    # z = w/(w - 1) is 1.0 in binary64 at w = -1e300: the call printed
+    # "error: float division by zero" and exited 1
+    code, data, _ = run_json(capsys, "eval", "--s", "2", "--w=-1e300")
+    assert code == 2
+    assert data["converged"] is False and data["error_bound"] is None
+
+
 def test_eval_invalid_shift(capsys):
     code, _, err = run_cli(capsys, "eval", "--s", "2", "--w", "-1", "--alpha", "-2")
     assert code == 1

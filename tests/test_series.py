@@ -68,15 +68,14 @@ def z_series(w, shift, s, tol=series.DEFAULT_TOL, max_terms=series.DEFAULT_MAX_T
 
 
 def kept_key(alpha, s, factory=series._term_stream):
-    """The key of (alpha, s) in `series._kept_streams`."""
+    """The key of (alpha, s) in `series._recorded` and `series._kept`."""
     return (factory, alpha, s, type(alpha))
 
 
 def kept(alpha, s, factory=series._term_stream):
-    """The `_kept_streams` entry of (alpha, s): None while the key is only
-    recorded, else (terms, extension, setup), `setup` the key's set-up in
-    `_summed`; KeyError if it is not recorded."""
-    return series._kept_streams[kept_key(alpha, s, factory)]
+    """The `series._kept` entry of (alpha, s): (terms, extension, setup),
+    `setup` the key's set-up in `_summed`; KeyError if it is not kept."""
+    return series._kept[kept_key(alpha, s, factory)]
 
 
 def coefficient(p, alpha, s):
@@ -833,10 +832,10 @@ def test_negative_shifts_are_peeled_at_every_w(w, alpha, max_terms):
         assert result.terms_used == max_terms and result.error_bound == math.inf
         assert not result.converged
         assert result.value == pytest.approx(head, rel=1e-14)
-        assert series._kept_streams == {}  # the series in z was not summed
+        assert series._recorded == series._kept == {}  # the series in z was not summed
         return
     assert result.converged
-    assert list(series._kept_streams) == [kept_key(alpha + k, 3)]
+    assert list(series._recorded) == [kept_key(alpha + k, 3)] and series._kept == {}
     if w == 0:
         assert (result.value, result.terms_used, result.error_bound) == (0, k + 1, 0.0)
     assert_certified(result, 1e-12, oracle_error(result.value, w, alpha, 3))
@@ -1136,7 +1135,7 @@ def test_bernoulli_tables_grow_safely_across_threads(monkeypatch):
     assert all("method='log'" in result for result in expected)
     for kept in (exact._bernoulli, exact._kept_row, logseries._even_b):
         kept.cache_clear()
-    monkeypatch.setattr(series, "_kept_streams", {})
+    _forget_stream()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1285,6 +1284,30 @@ def test_inversion_falls_back_bit_for_bit(w, alpha, s, tol, max_terms):
     assert repr(result) == repr(series._z_series(w, alpha, s, tol, max_terms, log_route))
 
 
+@pytest.mark.parametrize(
+    "w, alpha, s",
+    [
+        (-(2.0**53), 0j, 2),
+        (-1e300, 1.0, 3),  # an integer shift: the inversion formula declines
+        (-1e300, 0.3, 150),  # s > 100: the inversion formula declines
+        (-1e300 + 1e300j, 1.0, 3),
+        (-1e300 + 1e300j, 0.3, 150),
+    ],
+)
+def test_z_that_rounds_to_one_returns_unconverged(w, alpha, s):
+    # z = w/(w - 1) rounds to exactly 1.0 at |w| >= 2^53.  At a real shift
+    # > -1 the series in z then formed its Abel factor (1 + |z|)/|1 - z| and
+    # raised ZeroDivisionError; the factor is inf there, so the call runs
+    # out of terms with an infinite bound, as at a complex shift.
+    w = complex(w)
+    assert w / (w - 1) == 1
+    result = series.lerch_accelerated(w, ShiftParam(alpha), s)
+    assert (result.terms_used, result.error_bound, result.converged, result.method) == (
+        series.DEFAULT_MAX_TERMS, math.inf, False, "z"
+    )
+    assert math.isfinite(abs(result.value))
+
+
 def test_inversion_bound_needs_every_coefficient_of_p_j_to_share_its_sign():
     # The route bounds |p_j(c)| and its rounding by p_j at t >= |c| with the
     # moduli of its coefficients, read as |p_j(t)| from the signed rows: every
@@ -1308,9 +1331,8 @@ def test_inversion_bound_needs_every_coefficient_of_p_j_to_share_its_sign():
 
 
 def _forget_stream():
-    with series._kept_lock:
-        series._kept_streams.clear()
-        series._kept_count[0] = 0
+    series._recorded.clear()
+    series._kept.clear()
 
 
 def _cold(call, evaluate=z_series):
@@ -1437,9 +1459,9 @@ def test_kept_stream_steps_the_kernel_once_per_term(monkeypatch):
 def test_kept_stream_is_dropped_when_an_extension_raises(monkeypatch):
     # A raise in the kernel step of term 20, in a first call on its key, in a
     # call on a key only recorded and in a call that extends the 5 kept terms
-    # of its key: the key must be left out, not read by the next call, and
-    # the count of kept terms must stay that of the entries still kept (the
-    # terms of another key, kept before).
+    # of its key: the key must be left out of both tables, not read by the
+    # next call, and the entry of another key, kept before, must stay as it
+    # was.
     call = (-0.7 + 0.3j, 1.3 + 0.7j, 3, 1e-12, 10000)
     expected = _cold(call)
     depth_columns = exact._depth_columns
@@ -1454,17 +1476,20 @@ def test_kept_stream_is_dropped_when_an_extension_raises(monkeypatch):
         _forget_stream()
         for _ in range(2):
             z_series(-0.5, ShiftParam(0.5 + 0.1j), 3)
+        other = kept(0.5 + 0.1j, 3)
+        other_terms = list(other[0])
         monkeypatch.setattr(exact, "_depth_columns", interrupted)
         for _ in range(earlier_calls):  # 5 terms each, all before the raise
             assert z_series(-0.2, ShiftParam(1.3 + 0.7j), 3, 1e-6).terms_used == 5
+        key = kept_key(1.3 + 0.7j, 3)
+        assert (key in series._recorded, key in series._kept) == (earlier_calls == 1, earlier_calls == 2)
         if earlier_calls == 2:
             assert len(kept(1.3 + 0.7j, 3)[0]) == 5
         with pytest.raises(KeyboardInterrupt):
             z_series(-4 + 2j, ShiftParam(1.3 + 0.7j), 3)
         monkeypatch.undo()
-        assert kept_key(1.3 + 0.7j, 3) not in series._kept_streams
-        kept_terms = sum(len(entry[0]) for entry in series._kept_streams.values() if entry)
-        assert series._kept_count == [kept_terms] and kept_terms == len(kept(0.5 + 0.1j, 3)[0]) > 0
+        assert key not in series._recorded and key not in series._kept
+        assert series._kept == {kept_key(0.5 + 0.1j, 3): other} and other[0] == other_terms != []
         w, alpha, s, tol, max_terms = call
         assert repr(z_series(w, ShiftParam(alpha), s, tol, max_terms)) == expected
 
@@ -1517,7 +1542,7 @@ def test_kept_call_reads_the_set_up_of_its_entry():
     for _ in range(2):
         assert _evaluate(-1, alpha, s).method == "z"
     terms, extension, setup = kept(alpha, s)
-    series._kept_streams[kept_key(alpha, s)] = terms, extension, setup[:-1] + ("sentinel",)
+    series._kept[kept_key(alpha, s)] = terms, extension, setup[:-1] + ("sentinel",)
     assert _evaluate(-1, alpha, s).method == "sentinel"
     assert _evaluate(-1, alpha + 1, s).method == "z"
 
@@ -1557,15 +1582,15 @@ def test_kept_set_up_is_the_one_a_first_call_computes():
     assert kept(0.0, 4)[2] == kept(0j, 4)[2] and kept(0.0, 4) is not kept(0j, 4)
 
 
-def test_kept_stream_is_safe_across_threads():
-    # Four threads tabulate the same row of points at the same time, each in
-    # its own shuffled order, one pair after another, so they keep recording,
-    # reading and extending the kept entries under each other: a row holds
-    # points in the lens and off it.  Besides the short switch interval, a
-    # tracer makes a thread nap at random byte codes of `lerch_accelerated`,
-    # `_z_series` and the summation loop `_summed`, so that it can lose the
-    # interpreter lock between any two of them.  Every result must be the
-    # serial cold one.
+def _rows_across_threads_give_cold_bits():
+    """Four threads tabulate the same row of points at the same time, each in
+    its own shuffled order, one pair after another, so they keep recording,
+    reading, extending and evicting the kept entries under each other: a row
+    holds points in the lens and off it.  Besides the short switch interval,
+    a tracer makes a thread nap at random byte codes of `lerch_accelerated`,
+    `_z_series`, the summation loop `_summed` and `_evict`, so that it can
+    lose the interpreter lock between any two of them.  Every result must be
+    the serial cold one, and both tables must end within their bounds."""
     rows = []
     for alpha, s in ((0.5 + 0j, 2), (1.3 + 0.7j, 3), (-0.5 + 0.5j, 4)):
         zs = [cmath.rect(0.09 * k, 0.9 * k) for k in range(1, 11)]
@@ -1574,17 +1599,20 @@ def test_kept_stream_is_safe_across_threads():
     expected = {call: _cold(call, series.lerch_accelerated) for row in rows for call in row}
     barrier = threading.Barrier(4, timeout=60)
     naps = random.Random(0)
-    codes = (series.lerch_accelerated.__code__, series._z_series.__code__, series._summed.__code__)
+    # the nap rate at each byte code: `_evict`, short and called on a few
+    # calls only, naps more often, so that the table it deletes from changes
+    rates = {f.__code__: 0.003 for f in (series.lerch_accelerated, series._z_series, series._summed)}
+    rates[series._evict.__code__] = 0.1
 
     def tracer(frame, event, arg):
-        if frame.f_code not in codes:
+        if frame.f_code not in rates:
             return None
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
         return nap
 
     def nap(frame, event, arg):
-        if event == "opcode" and naps.random() < 0.003:
+        if event == "opcode" and naps.random() < rates[frame.f_code]:
             time.sleep(1e-4)
         return nap
 
@@ -1617,6 +1645,22 @@ def test_kept_stream_is_safe_across_threads():
         assert len(result) == 6 * sum(map(len, rows))
         for call, got in result:
             assert got == expected[call], call
+    assert len(series._recorded) <= series._RECORDED_KEYS and len(series._kept) <= series._KEPT_KEYS
+    assert max((len(terms) for terms, _, _ in series._kept.values()), default=0) <= series._KEPT_TERMS
+
+
+def test_kept_stream_is_safe_across_threads():
+    # Three pairs, each on two routes: 6 keys, all kept within the bounds.
+    _rows_across_threads_give_cold_bits()
+
+
+def test_evictions_racing_across_threads_give_cold_bits(monkeypatch):
+    # With both bounds at 2, the 6 keys evict each other on almost every
+    # call, so evictions race each other and the calls that pop and put back
+    # the entries they delete.
+    monkeypatch.setattr(series, "_RECORDED_KEYS", 2)
+    monkeypatch.setattr(series, "_KEPT_KEYS", 2)
+    _rows_across_threads_give_cold_bits()
 
 
 def _count_kernel_steps(monkeypatch):
@@ -1683,20 +1727,24 @@ def test_zeta_between_distinct_pairs_sums_its_kept_terms(monkeypatch):
 
 
 def test_recorded_keys_and_kept_terms_stay_within_their_bounds():
-    # 1,000 distinct pairs, each called twice so that its terms are kept:
-    # the oldest keys are forgotten, and the oldest kept terms dropped.
+    # 1,000 distinct pairs, each called twice so that its terms are kept, and
+    # 1,000 more keys seen once: the oldest keys are forgotten, and an entry
+    # of more than `_KEPT_TERMS` terms (every tenth pair, at z = 0.95) is not
+    # put back.
     _forget_stream()
     for i in range(1000):
         alpha = complex(0.5 + 0.003 * i, 0.2)
-        first, later = (z_series(-1, ShiftParam(alpha), 3) for _ in range(2))
+        w = -19 if i % 10 == 0 else -1
+        first, later = (z_series(w, ShiftParam(alpha), 3) for _ in range(2))
+        z_series(-1, ShiftParam(alpha), 4)  # seen once
         assert repr(first) == repr(later)
-        entries = list(series._kept_streams.values())
-        kept_terms = sum(len(entry[0]) for entry in entries if entry)
-        assert len(entries) <= series._RECORDED_KEYS
-        assert series._kept_count == [kept_terms] and kept_terms <= series._KEPT_TERMS
-        assert len(kept(alpha, 3)[0]) == later.terms_used  # the latest pair stays kept
-    assert len(series._kept_streams) == series._RECORDED_KEYS
-    assert series._KEPT_TERMS - later.terms_used < series._kept_count[0]
+        assert len(series._recorded) <= series._RECORDED_KEYS and len(series._kept) <= series._KEPT_KEYS
+        assert max((len(terms) for terms, _, _ in series._kept.values()), default=0) <= series._KEPT_TERMS
+        if w == -1:
+            assert len(kept(alpha, 3)[0]) == later.terms_used  # the latest pair stays kept
+        else:
+            assert later.terms_used > series._KEPT_TERMS and kept_key(alpha, 3) not in series._kept
+    assert len(series._recorded) == series._RECORDED_KEYS and len(series._kept) == series._KEPT_KEYS
 
 # ---------------------------------------------------------------------------
 # stopping rule: `_summed` tests the numerator of its bound first, which must
