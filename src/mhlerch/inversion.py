@@ -16,9 +16,10 @@ the integers, Re alpha < 0 included, so nothing is peeled.
 
 `_inversion` gives the value with the certified bound of `series._summed`,
 which stops the sum in 1/w as it stops every route, or None where it cannot
-(see there) and the caller sums the series in z or the log-series instead.
-`series.lerch_accelerated` imports this module on the first call at |w| >= 3/2,
-so `import mhlerch.cli` does not load it.
+(see there) and the caller tries the log-series, then the series in z.
+`series.lerch_accelerated`, the one place that orders the routes, imports
+this module on the first call at |w| >= 3/2, so `import mhlerch.cli` does
+not load it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from functools import cache
 from typing import Optional
 
-from .series import _U, SeriesResult, _direct_stream, _summed, _tail_gap
+from .series import _POWI_MAX, _U, SeriesResult, _direct_stream, _summed, _tail_gap
 
 #: A shift closer than this to a non-negative integer is declined: the n = 0
 #: term alpha^-s (at alpha = 0 a pole), or the term n = -alpha of the sum in
@@ -38,10 +39,6 @@ _NEAR_INTEGER = 1e-2
 #: A shift with |Im alpha| above this is declined: pi/sin(pi alpha) and
 #: e^{-alpha L} stay finite only to |Im alpha| of a few hundred.
 _MAX_IMAG = 50.0
-
-#: Above this order the complex power alpha ** -s leaves binary powering in
-#: CPython, and the polynomials' coefficients grow past what is tabulated.
-_MAX_ORDER = 100
 
 
 @cache
@@ -70,9 +67,12 @@ def _inversion(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -
     """Li(w; alpha, s) by the inversion formula, at checked arguments with
     Re w < 1/2 and |w| >= 3/2 (so |L| >= ln 3/2), and `method` "inversion";
     None where alpha is within `_NEAR_INTEGER` of a non-negative integer,
-    where |Im alpha| > `_MAX_IMAG` or s > `_MAX_ORDER`, where any part is not
-    finite or overflows, where the sum in 1/w reaches `max_terms` (alpha^-s
-    counts as its first term), or where the bound cannot meet tol.
+    where |Im alpha| > `_MAX_IMAG`, where s > `series._POWI_MAX` (the
+    complex power alpha ** -s then leaves binary powering, and the
+    coefficients of the polynomials below grow past what is tabulated),
+    where any part is not finite or overflows, where the sum in 1/w reaches
+    `max_terms` (alpha^-s counts as its first term), or where the bound
+    cannot meet tol.
 
     T_s is formed exactly at f = alpha - n0, n0 = round(Re alpha) (exact by
     Sterbenz), theta = pi f: sin(pi alpha) = (-1)^{n0} sin(theta) and
@@ -105,9 +105,9 @@ def _inversion(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -
     (i) 1/w, and the sum in 1/w: x within 5u (`_summed`'s `x_error`), so
         x^n within 5n u; `_summed` counts the rest as on every
         `_direct_stream`: x^n, a term (1/(n - alpha))^s within
-        `series._power_error(s)` u (8.25s at s <= 100, which also covers
-        the (2s + 1) u of a real alpha), its product, the running sum and
-        the final sum with H, u |V|.
+        `series._power_error(s)` u (8.25s at s <= `_POWI_MAX`, which also
+        covers the (2s + 1) u of a real alpha), its product, the running sum
+        and the final sum with H, u |V|.
     (ii) alpha^-s: 1/alpha^s with alpha^s by binary powering, (2.25s + 3) u
         (a real power 2u), and 4u |alpha^-s| more for the final sums.
     (iii) E: the argument -alpha L is within 7u |alpha L| from L and 2.25u
@@ -139,7 +139,7 @@ def _inversion(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -
     """
     n0 = round(alpha.real)
     f = alpha - n0
-    if n0 >= 0 and abs(f) < _NEAR_INTEGER or abs(alpha.imag) > _MAX_IMAG or s > _MAX_ORDER or max_terms < 2:
+    if n0 >= 0 and abs(f) < _NEAR_INTEGER or abs(alpha.imag) > _MAX_IMAG or s > _POWI_MAX or max_terms < 2:
         return None
     real = not alpha.imag
     if real:

@@ -16,9 +16,10 @@ of imaginary part b: the bound on B_m(a)/m! then carries the partial
 exponential sum_{j<=m} (2 pi |b|)^j/j!, and the route's rounding bound
 grows like e^{|b| |x|}, so it meets tol only at moderate |b|.  Where a
 real and a complex a need different rounding multiples, each docstring
-states both; a real a is summed in real arithmetic.  `series._z_series`
-imports this module on the first call that tries the log-series, so
-`import mhlerch.cli` does not load it.
+states both; a real a is summed in real arithmetic.
+`series.lerch_accelerated`, the one place that orders the routes, imports
+this module on the first call that tries the log-series, so `import
+mhlerch.cli` does not load it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import count
 from typing import Iterator, Optional, Tuple
 
 from . import exact
-from .series import _EPS, _U, SeriesResult, _summed
+from .series import _EPS, _POWI_MAX, _U, SeriesResult, _peeled, _pole_terms, _summed
 
 #: |B_m(y)| <= 2 zeta(m) m!/(2 pi)^m <= KAPPA m!/(2 pi)^m on [0, 1] for every
 #: m >= 1 (at m = 1, |y - 1/2| <= 1/2 <= KAPPA/(2 pi)); KAPPA > pi^2/3 and
@@ -155,9 +156,10 @@ _EULER_GAMMA = 0.5772156649015329
 
 def _log_head(alpha, s: int):
     """The x-free part of the log-series at a = alpha + 1, Re alpha >= -1/2,
-    alpha a float or a complex of nonzero imaginary part (then s <= 100):
-    (h, errors, remainders, d, d_error, d_remainder), with h[k] = zeta(s-k, a)/k!
-    for k = 0 .. s-2 and d = psi(s) - psi(a) = H_{s-1} - gamma - psi(a).
+    alpha a float or a complex of nonzero imaginary part (then s <=
+    `series._POWI_MAX`): (h, errors, remainders, d, d_error, d_remainder),
+    with h[k] = zeta(s-k, a)/k! for k = 0 .. s-2 and d = psi(s) - psi(a) =
+    H_{s-1} - gamma - psi(a).
 
     By Euler-Maclaurin at X = a + N, Re X >= 10, J = 6:
 
@@ -190,10 +192,10 @@ def _log_head(alpha, s: int):
     d_error = (N + 8J + s + 10) times the sum of their moduli, plus 1 for
     log X's absolute error.  At a complex a, a sum or a product by a real
     rounds by u, a complex product by sqrt(5) u, a reciprocal (CPython
-    divides by Smith's method) by 5u, cmath.log by 3u, and c^-m, m <= 100,
-    is 1/c^m with c^m by binary powering: (m-1) sqrt(5) u, m u from the
-    base's rounding and 5u, at most 3.25m + 3.  Then 1/X is within 6u, 1/X^2
-    14.25u; X^{1-m}/(m-1) is within 3.25m + 7.25, a correction starts at
+    divides by Smith's method) by 5u, cmath.log by 3u, and c^-m, m <=
+    `_POWI_MAX`, is 1/c^m with c^m by binary powering: (m-1) sqrt(5) u, m u
+    from the base's rounding and 5u, at most 3.25m + 3.  Then 1/X is within
+    6u, 1/X^2 14.25u; X^{1-m}/(m-1) is within 3.25m + 7.25, a correction starts at
     3.25m + 14.25 and takes 17.5 a step: errors[k] = (3.25m + N + J + 10 +
     k) (size + corrections) + 17.5J corrections, over k!.  In d a
     correction is within 16.5J + 1 roundings and every other part within 6
@@ -273,14 +275,12 @@ def _z_meets(alpha: complex, s: int, az: float, target: float, n: int) -> bool:
     return False
 
 
-def _log_series(
-    w: complex, z: complex, alpha: complex, s: int, tol: float, max_terms: int,
-    k: int = 0, head: complex = 0.0, w_pow: complex = 1.0, head_error: float = 0.0,
-) -> Optional[SeriesResult]:
-    """The call's value V = head + w^K Li(w; alpha + K, s), K = k the head
-    terms `series._z_series` peeled and `w_pow` = w^K, by the log-series in x
-    = Log w (Erdelyi, HTF I, 1.11(8)) where |x| <= pi < 2 pi, at a = alpha +
-    K + 1 (Re a >= 1/2), real or complex:
+def _log_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -> Optional[SeriesResult]:
+    """Li(w; alpha, s) = head + w^K Li(w; alpha + K, s), the third route of
+    `series.lerch_accelerated`, with the K = `series._pole_terms(alpha)` head
+    terms, w^K and their rounding from `series._peeled`, by the log-series
+    in x = Log w (Erdelyi, HTF I, 1.11(8)) where |x| <= pi < 2 pi, at a =
+    alpha + K + 1 (Re a >= 1/2), real or complex:
 
         Li = w^{1-a} [sum_{j<=s-2} zeta(s-j, a) x^j/j!
                       + x^{s-1} (H_{s-1} - gamma - psi(a) - log(-x) + T)/(s-1)!],
@@ -288,19 +288,21 @@ def _log_series(
 
     a_m from `_log_stream` (zeta(1-m, a) = -B_m(a)/m), summed by
     `series._summed`, the rest from `_log_head`, and w^{1-a} =
-    e^{-(alpha+K) x}.  Returns None where |x| > pi, where the bound cannot
-    meet tol or `max_terms` is reached (the s head coefficients count as
-    terms, after the K of the head), at a complex a where s > 100 (see
-    `_log_head`), and where the series in z (at z) likely needs at most s
-    terms.  At a real a its coefficients do not increase from |c_1| = a^-s,
-    and summation by parts bounds its tail after s terms by |c_1| |z|^{s+1}
-    (1 + |z|)/|1 - z|.  At a complex a, where that bound does not hold,
-    `_z_meets` estimates by the H majorant whether the series in z meets tol
-    within N = s + 2 ceil(|alpha + K| |x|) terms, a few more than the
-    log-series needs before its terms q_m x^m, which peak near m = |alpha +
-    K| |x|, fall off; it only picks the route, and the certificate is the
-    route's own.  The caller then sums the series in z.  Both estimates
-    read the target tol max(1, |head|).
+    e^{-(alpha+K) x}.  Returns None, and the caller sums the series in z,
+    where |x| > pi, where `max_terms` is reached (the s head coefficients
+    count as terms, after the K of the head), where an exponent passes 700
+    (a^-s or the e^{|(alpha+K) x|} of the bound), at a complex a where s >
+    `series._POWI_MAX` (see `_log_head`): these tests come before the peel.
+    After it, None where the bound cannot meet tol and where the series in z
+    (at z = w/(w-1)) likely needs at most s terms.  At a real a its
+    coefficients do not increase from |c_1| = a^-s, and summation by parts
+    bounds its tail after s terms by |c_1| |z|^{s+1} (1 + |z|)/|1 - z|.  At a
+    complex a, where that bound does not hold, `_z_meets` estimates by the H
+    majorant whether the series in z meets tol within N = s + 2 ceil(|alpha
+    + K| |x|) terms, a few more than the log-series needs before its terms
+    q_m x^m, which peak near m = |alpha + K| |x|, fall off; it only picks
+    the route, and the certificate is the route's own.  Both estimates read
+    the target tol max(1, |head|).
 
     V = H + M T, with H = head + w^K e^{-(alpha+K) x} times the bracket at T
     = 0 (by Horner's rule) and M = w^K e^{-(alpha+K) x} x^{s-1}/(s-1)!:
@@ -308,7 +310,7 @@ def _log_series(
     route's result: V, its terms (the K and the s head coefficients first),
     bound and `converged`.  It is handed the rounding of everything
     but T's running sum and M T as `fixed`: `head_error`, the rounding of the
-    peeled head (`series._z_series` derives it), the Euler-Maclaurin
+    peeled head (`series._peeled` derives it), the Euler-Maclaurin
     remainders, the rounding of H, and the a-priori count (ii) of the terms
     of T.  The sum is tried only where `fixed` is below tol max(1, |H| -
     R), R = |M| Q/s >= |M T| (Q as below, |a_m| <= (G_m + Q_m)/(m s)),
@@ -356,22 +358,26 @@ def _log_series(
         product each: `carried`.
     """
     x = cmath.log(w)
+    k = _pole_terms(alpha)
     shift = alpha + k
     real = not shift.imag
     if real:
         shift = shift.real
-    ax, az = abs(x), abs(z)
+    ax = abs(x)
     # log |c_1| = log |a|^-s; below 700, no a^-m in `_log_head` overflows
     lift = -s * (math.log1p(shift) if real else math.log(abs(shift + 1)))
     reach = (abs(shift.real) + abs(shift.imag)) * ax  # >= |(alpha+K) x|, and the exponent of `bases`
-    if ax > math.pi or max_terms <= k + s or reach > 700.0 or lift > 700.0:
+    if ax > math.pi or max_terms <= k + s or reach > 700.0 or lift > 700.0 or s > _POWI_MAX and not real:
         return None
+    head, w_pow, head_error = _peeled(w, alpha, s, k, max_terms) if k else (0.0, 1.0, 0.0)
+    z = w / (w - 1)
+    az = abs(z)
     scale = abs(w_pow)
     target = tol * max(1.0, abs(head))
     if real:
         if lift + (s + 1) * math.log(az) + math.log(scale * (1.0 + az) / abs(1.0 - z)) <= math.log(target):
             return None
-    elif s > 100 or _z_meets(shift, s, az, target * (1.0 - az) / scale, s + 2 * math.ceil(abs(shift) * ax)):
+    elif _z_meets(shift, s, az, target * (1.0 - az) / scale, s + 2 * math.ceil(abs(shift) * ax)):
         return None
     factor = cmath.exp(-shift * x)
     unit = scale * abs(factor)

@@ -7,16 +7,18 @@ on the half-plane Re(w) < 1/2 via the power series in z = w/(w-1),
     Li(w; alpha, s) = sum_{p>=1} c_p z^p,
     c_p = -(p-1)!/(alpha+1)_p * S_1^p(s-1),  f_i = 1/(alpha + i),
 
-and via the defining series on the lens |w - 1| < 1, where it converges
-faster; where |w| >= 3/2, via the inversion formula (module `inversion`),
-whose sum in 1/w converges like |w|^-n, when its bound meets tol; where
-|z| >= 0.8 and |Log w| <= pi, via the log-series in x =
-Log w about w = 1 (Erdelyi, HTF I, 1.11(8)), whose terms shrink like
-(|x|/(2 pi))^k, when its bound meets tol (at a complex shift its rounding
-bound grows like e^{|Im alpha| |x|}); plus, at alpha = 0, z = 1/2, the binomial
-double-sum form and the accelerated zeta(s) series.  The defining series
-at the boundary point w = -1 is read only by `cli.bench_rows`, as its slow
-baseline.
+which `lerch_accelerated` sums as the last of four routes; it returns the
+result of the first route that takes the call, in this order: the defining
+series on the lens |w-1| < 1, where it converges faster; the inversion
+formula (module `inversion`) where |w| >= 3/2, whose sum in 1/w converges
+like |w|^-n; the log-series in x = Log w about w = 1 (module `logseries`;
+Erdelyi, HTF I, 1.11(8)) where |z| >= 0.8 and |Log w| <= pi, whose terms
+shrink like (|x|/(2 pi))^k (at a complex shift its rounding bound grows like
+e^{|Im alpha| |x|}); and the series in z (`_z_series`), which takes every
+call the others pass on, each of them where its bound cannot meet tol.
+Plus, at alpha = 0, z = 1/2, the binomial double-sum form and the
+accelerated zeta(s) series.  The defining series at the boundary point w=-1
+is read only by `cli.bench_rows`, as its slow baseline.
 
 Every evaluator returns an a-posteriori error bound, absolute, that counts
 the rounding of the value as well as the truncation of its series, and stops
@@ -46,8 +48,9 @@ in p; elsewhere
 where H_p grows like ln p.  At a real alpha > -1 `_summed` also bounds the
 tail of the first two series by summation by parts.  The factorial/Pochhammer
 ratio is carried multiplicatively: both factors overflow binary64 near p ~ 170
-while their ratio stays O(1/p) for small shifts.  Negative shifts are summed
-at alpha + K, K = `_pole_terms(alpha)`, by the shift relation (Erdelyi, HTF I, 1.11)
+while their ratio stays O(1/p) for small shifts.  The series in z and the
+log-series sum a negative shift at alpha + K, K = `_pole_terms(alpha)`, after
+the K head terms `_peeled` sums, by the shift relation (Erdelyi, HTF I, 1.11)
 
     Li(w; alpha, s) = sum_{n<=K} w^n/(alpha+n)^s + w^K Li(w; alpha+K, s).
 
@@ -82,21 +85,16 @@ _FLOAT_MAX = sys.float_info.max
 _U = 2.0**-53  # the unit roundoff of binary64
 _EPS = 2.0**-52  # 2u, the spacing of binary64 numbers in [1, 2)
 
-
-def _check_tolerance(tol: float) -> float:
-    tol = float(tol)
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    if tol < MIN_TOL:
-        raise PrecisionError(f"tolerance {tol} is below the binary64 floor {MIN_TOL}")
-    return tol
+#: CPython raises a complex number to an integer power n with |n| <= _POWI_MAX
+#: by binary powering, and to a larger one by exp(n log).
+_POWI_MAX = 100
 
 
 def _checked(w, s: int, tol: float, max_terms: int) -> Tuple[complex, float]:
-    """The checks `lerch_direct` and `lerch_accelerated` share, in one order:
-    w finite (as `disk_to_half_plane` checks z), s and max_terms integers >= 1,
-    tol as `_check_tolerance` takes it; returns w as a complex and tol as a
-    float."""
+    """The argument checks of every evaluator, in one order: w finite (as
+    `disk_to_half_plane` checks z), s an integer >= 1, tol positive and finite
+    (`ValueError`) and at least `MIN_TOL` (`PrecisionError`), and max_terms an
+    integer >= 1; returns w as a complex and tol as a float."""
     w = complex(w)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise ValueError(f"w must be finite, got {w}")
@@ -104,7 +102,9 @@ def _checked(w, s: int, tol: float, max_terms: int) -> Tuple[complex, float]:
         exact._check_count(s, "order s")
     tol = float(tol)
     if not MIN_TOL <= tol < math.inf:  # nan too
-        _check_tolerance(tol)
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {tol}")
+        raise PrecisionError(f"tolerance {tol} is below the binary64 floor {MIN_TOL}")
     if not (type(max_terms) is int and max_terms >= 1):
         exact._check_count(max_terms, "max_terms")
     return w, tol
@@ -337,12 +337,12 @@ def _power_error(s: int) -> float:
     """A multiple of u |a_n| that bounds the rounding of a_n = (1/(alpha+n))^s
     as `_direct_terms` forms it: alpha + n rounds by u, the complex
     reciprocal by 5u (CPython divides by Smith's method), so the base is
-    within 6u and its s-th power within 6s u of the exact one; for s <= 100
-    CPython powers by binary powering, s - 1 products of sqrt(5) u each:
-    8.25s in all.  Above 100 it takes exp(s log): the modulus is within (s +
-    2) u of the rounded one and the phase s arg within (3 pi s + 1) u, so
-    with the base's 6s, 23s covers it."""
-    return 8.25 * s if s <= 100 else 23.0 * s
+    within 6u and its s-th power within 6s u of the exact one; for s <=
+    `_POWI_MAX` CPython powers by binary powering, s - 1 products of
+    sqrt(5) u each: 8.25s in all.  Above it takes exp(s log): the modulus
+    is within (s + 2) u of the rounded one and the phase s arg within (3 pi
+    s + 1) u, so with the base's 6s, 23s covers it."""
+    return 8.25 * s if s <= _POWI_MAX else 23.0 * s
 
 
 def _direct_size(alpha, s: int, ax: float, n: int) -> float:
@@ -582,25 +582,33 @@ def lerch_accelerated(
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
-    """Evaluate Li(w; alpha, s) for Re(w) < 1/2, by the first of these
-    routes that takes the call:
+    """Evaluate Li(w; alpha, s) for Re(w) < 1/2 by the first of these four
+    routes that takes the call, tried in this order, which only this
+    function states:
 
     1. on the lens |w - 1| < 1, the defining series, as `lerch_direct` sums
        it (a shift near a pole needs no peeling there);
     2. where |w| >= `_INV_MIN_W` = 3/2, the inversion formula
        (`inversion._inversion`), which returns None, and so passes the call
        on, where alpha is within 1e-2 of an integer >= 0, |Im alpha| > 50,
-       s > 100, `max_terms` is reached or its bound cannot meet tol;
-    3. `_z_series`: the series in z = w/(w-1), or where |z| >= 0.8 and
-       |Log w| <= pi the log-series in x = Log w (`logseries._log_series`)
-       first, when its bound meets tol, at a real or a complex shift.
+       s > `_POWI_MAX`, `max_terms` is reached or its bound cannot meet tol;
+    3. where |z| >= `_LOG_MIN_Z` = 0.8, the log-series in x = Log w
+       (`logseries._log_series`), which passes the call on where |Log w| >
+       pi, `max_terms` is reached or its bound cannot meet tol, and where
+       the series in z likely needs few terms;
+    4. the series in z = w/(w-1) (`_z_series`), which takes every call left.
+
+    Each route module is imported after its route's domain test, on the
+    first call that gets there, so `import mhlerch.cli` loads neither.
+    Routes 3 and 4 each peel the same K = `_pole_terms(alpha)` head terms
+    (`_peeled`) at Re(alpha) < -1/2.  A call that routes 2 and 3 pass on is
+    bit for bit what route 4 alone returns.
 
     |z| = |w|/|w - 1|, so |w| < |z| exactly when |w - 1| < 1: the lens is
     where the defining series converges faster.  Every w <= 0 and every
     |w| >= 1 lies off it.  The series in z converges like |z|^p, the
     log-series like (|x|/(2 pi))^k, and the inversion formula's sum in 1/w
-    like |w|^-n.  A call that route 2 passes on is bit for bit what route 3
-    alone returns.
+    like |w|^-n.
 
     Every route bounds the truncation and the rounding of its value in
     `error_bound` (absolute), and converges once that bound is at most tol
@@ -620,29 +628,54 @@ def lerch_accelerated(
 
         if inverted := _inversion(w, alpha, s, tol, max_terms):
             return inverted
-    return _z_series(w, alpha, s, tol, max_terms, aw >= _LOG_MIN_Z * gap)
+    if aw >= _LOG_MIN_Z * gap:
+        from .logseries import _log_series
+
+        if logged := _log_series(w, alpha, s, tol, max_terms):
+            return logged
+    return _z_series(w, alpha, s, tol, max_terms)
 
 
 def _pole_terms(alpha: complex) -> int:
-    """K = floor(-Re alpha) + 1, the head terms `_z_series` peels so that the
-    series in z runs at Re(alpha + K) > 0; 0 where Re(alpha) >= -1/2."""
+    """K = floor(-Re alpha) + 1, the head terms `_peeled` peels so that the
+    series in z and the log-series run at Re(alpha + K) > 0; 0 where
+    Re(alpha) >= -1/2."""
     return math.floor(-alpha.real) + 1 if alpha.real < -0.5 else 0
 
 
-def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int, log_route=False) -> SeriesResult:
-    """Li(w; alpha, s) through the series in z = w/(w-1), at checked arguments
-    with Re(w) < 1/2 (|z| < 1 exactly on that half-plane); with `log_route`,
-    through the log-series first (`logseries._log_series`), which returns
-    the whole value, or None where |Log w| > pi or its bound cannot meet
-    tol; the series in z is then summed as without it, bit for bit.  Both
-    take the same peeled head.
+def _peeled(w: complex, alpha: complex, s: int, k: int, max_terms: int) -> Tuple[complex, complex, float]:
+    """(head, w^K, its rounding) for the K = k >= 1 head terms of the shift
+    relation, which `_z_series` and `logseries._log_series` both read: head
+    = sum_{n<=K} w^n (1/(alpha+n))^s, the K-th partial sum of
+    `_partial_sums` over `_direct_terms`, and a bound on its rounding, (3.25K
+    + `_power_error(s)`) u times the sum of the moduli of its terms (each
+    w^n by n - 1 products, a_n, its product and the running sum).  Where K
+    >= `max_terms`, the first `max_terms` head terms, their power of w and
+    an infinite rounding: no term is left for a bound.  Where |w|^K
+    overflows binary64, `OverflowError`."""
+    w_pow, head = next(islice(_partial_sums(w, _direct_terms(alpha, s)), min(k, max_terms) - 1, None))
+    if k >= max_terms:
+        return head, w_pow, math.inf
+    if not math.isfinite(abs(w_pow)):
+        raise OverflowError(f"|w|^K overflows binary64 at |w| = {abs(w)}, K = {k}")
+    return head, w_pow, _U * (3.25 * k + _power_error(s)) * _direct_size(alpha, s, abs(w), k)
 
-    Pole peeling: if Re(alpha) < -1/2, the K = `_pole_terms(alpha)` head terms
-    w^n (1/(alpha+n))^s of the shift relation are the K-th partial sum of
-    `_partial_sums` over `_direct_terms`, then the series in z at alpha+K is
-    summed, where Re(alpha+K) > 0 and no f_i is near a pole.  `terms_used`
-    counts both; the stream is kept under (alpha+K, s).  If K >= `max_terms`,
-    the first `max_terms` head terms are returned with bound inf.
+
+def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int) -> SeriesResult:
+    """Li(w; alpha, s) through the series in z = w/(w-1) alone, at checked
+    arguments with Re(w) < 1/2 (|z| < 1 exactly on that half-plane): the
+    last route of `lerch_accelerated`, and the series that `verify`'s
+    `proposition` check sums directly.
+
+    Pole peeling: if Re(alpha) < -1/2, the K = `_pole_terms(alpha)` head
+    terms of the shift relation come from `_peeled`, then the series in z
+    at alpha+K is summed, where Re(alpha+K) > 0 and no f_i is near a pole.
+    `terms_used` counts both; the stream is kept under (alpha+K, s).  If K
+    >= `max_terms`, the first `max_terms` head terms are returned with bound
+    inf.  Where z rounds to 1 (|w| >= 2^53) no bound can be finite: r_p >= 1
+    makes rho >= 1 below, and the summation-by-parts factor (1 + |z|)/|1 -
+    z| is inf; so `_summed` is given K + 1 terms, and the call returns
+    converged = False after one term of the series in z.
 
     Stopping rule: after P terms the tail is at most B(P+1) |z|^{P+1} /
     (1 - rho), rho = |z| * sup_{p > P} B(p+1)/B(p), with B the majorant
@@ -654,26 +687,16 @@ def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int, lo
     `_Z_ERROR` u of its exact value: w - 1 rounds by u, the quotient by 5u),
     and convergence is declared once it is <= tol max(1, |value|); while rho
     >= 1 more terms are added, unless the summation-by-parts bound meets it.
-    A peeled call's head adds its own rounding, at most (3.25K +
-    `_power_error(s)`) u times the sum of the moduli of its terms (each w^n
-    by n - 1 products, a_n, its product and the running sum), and w^K, by K -
+    A peeled call's head adds the rounding `_peeled` bounds, and w^K, by K -
     1 products, and its product with the sum in z 2.25K u times |w^K T|, T
     that sum (`_summed`'s `carried`); both enter `_summed`'s test.
     """
     z = w / (w - 1)
-    head, w_pow, fixed = 0.0, 1.0, 0.0
-    if k := _pole_terms(alpha):
-        w_pow, head = next(islice(_partial_sums(w, _direct_terms(alpha, s)), min(k, max_terms) - 1, None))
-        if k >= max_terms:
-            return SeriesResult(head, max_terms, math.inf, False, "z")
-        if not math.isfinite(abs(w_pow)):
-            raise OverflowError(f"|w|^K overflows binary64 at |w| = {abs(w)}, K = {k}")
-        fixed = _U * (3.25 * k + _power_error(s)) * _direct_size(alpha, s, abs(w), k)
-    if log_route:
-        from .logseries import _log_series
-
-        if logged := _log_series(w, z, alpha, s, tol, max_terms, k, head, w_pow, fixed):
-            return logged
+    head, w_pow, fixed = _peeled(w, alpha, s, k, max_terms) if (k := _pole_terms(alpha)) else (0.0, 1.0, 0.0)
+    if k >= max_terms:
+        return SeriesResult(head, max_terms, fixed, False, "z")
+    if z == 1:
+        max_terms = k + 1
     return _summed(z, alpha + k if k else alpha, s, tol, max_terms, w_pow, _term_stream, head, fixed, 2.25 * k, _Z_ERROR, used=k)
 
 
@@ -686,8 +709,9 @@ _Z_ERROR = 6.0
 #: |z| <= 0.6 (|w| <= 1.5) stays on the series in z.
 _INV_MIN_W = 1.5
 
-#: The log-series is tried at |z| >= _LOG_MIN_Z (and |Log w| <= pi), where the
-#: series in z converges like 0.8^p or slower: 62 terms to shrink by 1e-6.
+#: The log-series is tried at |z| >= _LOG_MIN_Z (|w| >= _LOG_MIN_Z |w - 1|),
+#: where the series in z converges like 0.8^p or slower: 62 terms to shrink
+#: by 1e-6.
 _LOG_MIN_Z = 0.8
 
 def _euler_partial_sums(s: int) -> Iterator[complex]:
@@ -713,7 +737,6 @@ def zeta_accelerated(
     """
     if not isinstance(s, int) or s < 2:
         raise DomainError(f"zeta series needs integer s >= 2, got {s!r} (s = 1 is the pole)")
-    tol = _check_tolerance(tol)
-    exact._check_count(max_terms, "max_terms")
+    _, tol = _checked(0.5, s, tol, max_terms)
     factor = 1.0 / (1.0 - 2.0 ** (1 - s))  # within 2u: 1 - 2^{1-s} and the quotient
     return _summed(0.5, 0.0, s, tol, max_terms, -factor, _term_stream, 0j, 0.0, 3.0)

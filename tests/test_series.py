@@ -1046,11 +1046,11 @@ def test_log_route_converges_at_the_open_defect_points(w, terms):
     # The series in z took 2813 terms at w = 0.49 + 1i and did not converge in
     # 10^4 at w = 0.49 + 5i (|z| = 0.9915 and 0.9995).  At 0.49 + 5i (|w| >=
     # 3/2) `lerch_accelerated` now takes the inversion formula, so the log
-    # route is read through `_z_series` at both points.  15 and 23 terms, s
+    # route is read through `_log_series` at both points.  15 and 23 terms, s
     # of them the head's: `_summed` stops the sum in x at tol max(1, |value|)
     # of the whole value, with the rounding it counts, and gives no share of
     # tol to the rounding in advance.
-    result = series._z_series(w, 0.5 + 0j, 2, 1e-12, series.DEFAULT_MAX_TERMS, True)
+    result = logseries._log_series(w, 0.5 + 0j, 2, 1e-12, series.DEFAULT_MAX_TERMS)
     assert result.converged and result.method == "log" and result.terms_used == terms
     assert abs(result.value - ref_lerch(w, 0.5, 2)) <= result.error_bound
     routed = series.lerch_accelerated(w, ShiftParam(0.5), 2, 1e-12)
@@ -1124,11 +1124,11 @@ def test_bernoulli_tables_grow_safely_across_threads(monkeypatch):
     # of `math.comb`, exactly the rows q <= n of the largest B_n read (only
     # even n are read, b_{2i} for i below the count of cached b_{2i}).  At
     # |w| = 15 `lerch_accelerated` takes the inversion formula, so the calls
-    # are the log route of `_z_series`.
+    # are `_log_series`'s own.
     w = 0.49 + 15j
 
     def log_route(w, alpha, s, tol):
-        return series._z_series(w, complex(alpha), s, tol, series.DEFAULT_MAX_TERMS, True)
+        return logseries._log_series(w, complex(alpha), s, tol, series.DEFAULT_MAX_TERMS)
 
     calls = [(0.1 * i, 1 + i % 4) for i in range(16)]
     expected = [repr(log_route(w, alpha, s, 1e-12)) for alpha, s in calls]
@@ -1167,6 +1167,41 @@ def test_reference_quadrature_at_w_inside_the_unit_circle(grid, index):
         expected = mp.nsum(lambda n: mp.mpc(w) ** n / (mp.mpmathify(alpha) + n) ** s, [1, mp.inf])
         for method in (_reference.quadrature, _reference.log_series):
             assert abs(method(w, alpha, s) - expected) <= _reference.AGREE * abs(expected)
+
+
+def test_z_series_sums_the_series_in_z_alone():
+    # `lerch_accelerated` orders the routes; `_z_series` takes no route
+    # argument and sums the series in z even where the chain takes the
+    # log-series.  The repr is the one the series in z returned when
+    # `_z_series` still chose between the two.
+    w = 0.49 + 0.88j  # |z| = 0.99, |Log w| = 1.07, |w| < 3/2: no inversion
+    assert series.lerch_accelerated(w, ShiftParam(0.5), 2, 1e-12).method == "log"
+    assert repr(z_series(w, ShiftParam(0.5), 2, 1e-12)) == (
+        "SeriesResult(value=(0.062367602825632557+0.47198722924500885j), terms_used=1985,"
+        " error_bound=9.99931680827018e-13, converged=True, method='z')"
+    )
+
+
+@pytest.mark.parametrize(
+    "s, expected",
+    [
+        (2, "SeriesResult(value=(-7.747420986905535+9.625737664698866j), terms_used=17,"
+            " error_bound=2.7801694449263204e-12, converged=True, method='log')"),
+        (3, "SeriesResult(value=(16.54508448856528-32.69822560544323j), terms_used=16,"
+            " error_bound=2.1126720207440696e-11, converged=True, method='log')"),
+    ],
+    ids=["2", "3"],
+)
+def test_log_series_peels_its_own_head(s, expected):
+    # At alpha = -2.3 the log-series sums alpha + 3 after the K = 3 head
+    # terms, which it now peels itself through `series._peeled`, the peel
+    # the series in z reads.  The reprs are those the log route returned
+    # when `_z_series` peeled the head and passed it in; the chain gives the
+    # same.
+    w = 0.49 + 0.88j
+    assert series._pole_terms(-2.3 + 0j) == 3
+    assert repr(logseries._log_series(w, -2.3 + 0j, s, 1e-12, series.DEFAULT_MAX_TERMS)) == expected
+    assert repr(series.lerch_accelerated(w, ShiftParam(-2.3), s, 1e-12)) == expected
 
 
 def test_log_route_falls_back_to_the_series_in_z():
@@ -1274,14 +1309,15 @@ def test_inversion_certificate_against_the_reference():
 )
 def test_inversion_falls_back_bit_for_bit(w, alpha, s, tol, max_terms):
     # Where the route declines, `lerch_accelerated` returns what it returned
-    # before the route existed: `_z_series`, with the log-series first where
-    # |z| >= 0.8, bit for bit, and raises nothing the route could raise
+    # before the route existed: the log-series where |z| >= 0.8 and it takes
+    # the call, else `_z_series`, bit for bit, and raises nothing the route
+    # could raise
     w = complex(w)
     assert abs(w) >= series._INV_MIN_W
     assert inversion._inversion(w, alpha, s, tol, max_terms) is None
     result = series.lerch_accelerated(w, ShiftParam(alpha), s, tol, max_terms)
-    log_route = abs(w) >= series._LOG_MIN_Z * abs(w - 1)
-    assert repr(result) == repr(series._z_series(w, alpha, s, tol, max_terms, log_route))
+    logged = abs(w) >= series._LOG_MIN_Z * abs(w - 1) and logseries._log_series(w, alpha, s, tol, max_terms)
+    assert repr(result) == repr(logged or series._z_series(w, alpha, s, tol, max_terms))
 
 
 @pytest.mark.parametrize(
@@ -1292,18 +1328,21 @@ def test_inversion_falls_back_bit_for_bit(w, alpha, s, tol, max_terms):
         (-1e300, 0.3, 150),  # s > 100: the inversion formula declines
         (-1e300 + 1e300j, 1.0, 3),
         (-1e300 + 1e300j, 0.3, 150),
+        (-(2.0**53), -2.3, 150),  # K = 3 head terms
     ],
 )
 def test_z_that_rounds_to_one_returns_unconverged(w, alpha, s):
     # z = w/(w - 1) rounds to exactly 1.0 at |w| >= 2^53.  At a real shift
     # > -1 the series in z then formed its Abel factor (1 + |z|)/|1 - z| and
-    # raised ZeroDivisionError; the factor is inf there, so the call runs
-    # out of terms with an infinite bound, as at a complex shift.
+    # raised ZeroDivisionError; the factor is inf there, as at a complex
+    # shift.  No bound of the series in z can be finite at z = 1 (r_p >= 1),
+    # so the call stops after the K head terms and one term of the series,
+    # with an infinite bound.
     w = complex(w)
     assert w / (w - 1) == 1
     result = series.lerch_accelerated(w, ShiftParam(alpha), s)
     assert (result.terms_used, result.error_bound, result.converged, result.method) == (
-        series.DEFAULT_MAX_TERMS, math.inf, False, "z"
+        series._pole_terms(complex(alpha)) + 1, math.inf, False, "z"
     )
     assert math.isfinite(abs(result.value))
 
