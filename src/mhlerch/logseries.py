@@ -28,11 +28,11 @@ import cmath
 import math
 import operator
 from functools import cache
-from itertools import count
+from itertools import count, islice
 from typing import Iterator, Optional, Tuple
 
 from . import exact
-from .series import _EPS, _POWI_MAX, _U, SeriesResult, _peeled, _pole_terms, _summed
+from .series import _EPS, _POWI_MAX, _U, SeriesResult, _peeled, _pole_terms, _summed, _term_stream
 
 #: |B_m(y)| <= 2 zeta(m) m!/(2 pi)^m <= KAPPA m!/(2 pi)^m on [0, 1] for every
 #: m >= 1 (at m = 1, |y - 1/2| <= 1/2 <= KAPPA/(2 pi)); KAPPA > pi^2/3 and
@@ -259,18 +259,14 @@ def _log_head(alpha, s: int):
 
 
 def _z_meets(alpha: complex, s: int, az: float, target: float, n: int) -> bool:
-    """Whether the H majorant of the series in z at alpha (`series._term_stream`)
-    times |z|^{p+1} falls to `target` within n terms: B(p+1) = p!/prod_{j<=p+1}
-    |alpha + j| H_{p+1}^{s-1}, H_p = sum_{i<=p} 1/|alpha + i|, for p < n.  An
-    estimate that picks the route at a complex shift, not a bound."""
-    h = prod = 1.0 / abs(alpha + 1)
+    """Whether the majorant B(p+1) of the series in z at alpha, as
+    `series._term_stream` yields it, times |z|^{p+1} falls to `target` for
+    some p < n.  An estimate that picks the route at a complex shift, not a
+    bound."""
     power = az
-    for j in range(2, n + 1):
-        d = abs(alpha + j)
-        prod *= (j - 1) / d
-        h += 1.0 / d
+    for _, b_next, _ in islice(_term_stream(alpha, s), n - 1):
         power *= az
-        if prod * h ** (s - 1) * power <= target:
+        if b_next * power <= target:
             return True
     return False
 
@@ -297,11 +293,12 @@ def _log_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int) 
     (at z = w/(w-1)) likely needs at most s terms.  At a real a its
     coefficients do not increase from |c_1| = a^-s, and summation by parts
     bounds its tail after s terms by |c_1| |z|^{s+1} (1 + |z|)/|1 - z|.  At a
-    complex a, where that bound does not hold, `_z_meets` estimates by the H
-    majorant whether the series in z meets tol within N = s + 2 ceil(|alpha
-    + K| |x|) terms, a few more than the log-series needs before its terms
-    q_m x^m, which peak near m = |alpha + K| |x|, fall off; it only picks
-    the route, and the certificate is the route's own.  Both estimates read
+    complex a, where that bound does not hold, `_z_meets` estimates by the
+    majorant that `series._term_stream` yields whether the series in z meets
+    tol within N = s + 2 ceil(|alpha + K| |x|) terms, a few more than the
+    log-series needs before its terms q_m x^m, which peak near m = |alpha +
+    K| |x|, fall off; it only picks the route, and the certificate is the
+    route's own.  Both estimates read
     the target tol max(1, |head|).
 
     V = H + M T, with H = head + w^K e^{-(alpha+K) x} times the bracket at T

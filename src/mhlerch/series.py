@@ -38,19 +38,20 @@ bounds by u times multiples of its moduli.  The log-series (module
 majorant, its Euler-Maclaurin head by the first omitted term (twice it at a
 complex shift), and the rounding of its terms a priori by u times a multiple
 of the sum of their majorants.  The series in z
-is bounded through a coefficient majorant (see `_term_stream`): at a real
-alpha > -1, |c_p| itself (inflated by its rounding), which does not increase
-in p; elsewhere
+is bounded through a coefficient majorant B that does not increase in p (see
+`_term_stream`), each inflated by its rounding: at a real alpha > -1, B(p+1)
+= |c_p| itself; at a complex one, with a = Re(alpha) > -1,
 
-    |c_p| <= B(p) = (p-1)!/(|alpha+1| ... |alpha+p|) * H_p^{s-1},
-    H_p = sum_{i<=p} 1/|alpha+i|,
+    |c_m| <= B(p+1) = |p!/(alpha+1)_{p+1}| h_{s-1}(1/(a+1), .., 1/(a+p+1))
 
-where H_p grows like ln p.  At a real alpha > -1 `_summed` also bounds the
-tail of the first two series by summation by parts.  The factorial/Pochhammer
-ratio is carried multiplicatively: both factors overflow binary64 near p ~ 170
-while their ratio stays O(1/p) for small shifts.  The series in z and the
-log-series sum a negative shift at alpha + K, K = `_pole_terms(alpha)`, after
-the K head terms `_peeled` sums, by the shift relation (Erdelyi, HTF I, 1.11)
+for every m > p, h_{s-1} the complete homogeneous polynomial: |c_{p+1}| at
+the real shift a, with the modulus of the complex prefactor for the real one.
+At a real alpha > -1 `_summed` also bounds the tail of the first two series by
+summation by parts.  The factorial/Pochhammer ratio is carried
+multiplicatively: both factors overflow binary64 near p ~ 170 while their
+ratio stays O(1/p) for small shifts.  The series in z and the log-series sum a
+negative shift at alpha + K, K = `_pole_terms(alpha)`, after the K head terms
+`_peeled` sums, by the shift relation (Erdelyi, HTF I, 1.11)
 
     Li(w; alpha, s) = sum_{n<=K} w^n/(alpha+n)^s + w^K Li(w; alpha+K, s).
 
@@ -65,7 +66,7 @@ import math
 import sys
 from collections import namedtuple
 from functools import partial
-from itertools import chain, count, islice
+from itertools import chain, count, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Tuple
 
 from . import exact
@@ -230,9 +231,13 @@ def _partial_sums(x, terms: Iterable[complex]) -> Iterator[Tuple[complex, comple
 
 
 def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float]]:
-    """Yield (c_p, B(p+1), r_p) for p = 1, 2, ..., one `exact._depth_columns`
-    step each, with H_p and |alpha+p+1|, |alpha+p+2| carried, B(p+1) >= |c_m|
-    for every m > p and r_p >= sup_{m > p} B(m+1)/B(m).
+    """Yield (c_p, B(p+1), 1.0) for p = 1, 2, ..., at Re(alpha) > -1, one
+    `exact._depth_columns` step each, with B(p+1) >= |c_m| for every m > p
+    and B(p+1) <= B(p), so that 1.0 bounds every ratio B(m+1)/B(m).  Where
+    rounding would make the computed B increase, the previous B is yielded
+    again: it bounds every later |c_m| as well.  A B too large for binary64
+    raises `OverflowError` (at a real shift, where B is |c_p|, a c_p too large
+    raises); at Re(alpha) >= 0, where every complex shift is summed, B <= 1.
 
     At a real alpha > -1, B(p+1) = |c_p| (1 + 4(p+s) 2^-52).  c_p = -R(p-1, alpha+1)
     and R(q+1, beta) = R(q, beta) - R(q, beta+1) give c_{p+1} - c_p = R(p-1, alpha+2)
@@ -246,42 +251,46 @@ def _term_stream(alpha: complex, s: int) -> Iterator[Tuple[complex, float, float
     (f_n, its product, the sum); c_p = -prefactor * col[t] adds one.  So
     |c_p| <= |computed c_p| / (1 - g u), g = 4p + 4t <= 4(p+s) - 4, and the
     factor 1 + 2 * 4(p+s) u, exact in binary64, covers that and its own
-    product's rounding for p + s < 2^24.  A c_p too large for binary64 raises
-    `OverflowError`, as the H majorant's power does.  Elsewhere B(p+1) = |prefactor_p| * p/|alpha+p+1| *
-    H_{p+1}^{s-1}, H_p = sum_{i<=p} |f_i|: every monomial of the complete
-    homogeneous polynomial S_1^p(s-1) appears in H_p^{s-1}.
+    product's rounding for p + s < 2^24.
 
-    For Re(alpha) >= -1, r_p = (1 + 1/(|alpha+p+2| H_{p+1}))^{s-1} bounds the
-    ratio of the H majorant, (m/|alpha+m+1|) * (1 + |f_{m+1}|/H_m)^{s-1}.  As
-    |alpha+m+1| >= m+1+Re(alpha) >= m, the first factor is <= 1.  |alpha+n|^2
-    = (n+Re(alpha))^2 + Im(alpha)^2 increases in n >= p+2 > -Re(alpha), so
-    |f_{m+1}| <= 1/|alpha+p+2|, and H_m >= H_{p+1}.  It is >= 1, so it bounds
-    the ratios |c_m|/|c_{m-1}| <= 1 at a real alpha > -1 too, with room for
-    their rounding.
+    At a complex alpha, with a = Re(alpha) > -1 and t = s - 1,
+
+        B(p+1) = |P_{p+1}| h_t(1/(a+1), .., 1/(a+p+1)),  P_{p+1} = P_p p/(alpha+p+1),
+
+    P_p = (p-1)!/(alpha+1)_p the prefactor of the p-th step and h_t the
+    complete homogeneous polynomial, whose value is the depth-t entry of a
+    second `_depth_columns` pass at a, in real arithmetic and one index
+    ahead.  As |f_i| = 1/|alpha+i| <= 1/(a+i), B(m) >= |P_m| h_t(|f_1|, ..,
+    |f_m|) >= |c_m|, the first of these the quantity against which `_summed`
+    counts the rounding of c_m.  And as |alpha+m+1| >= a+m+1, B(m+1)/B(m) =
+    m/|alpha+m+1| h_t(..m+1)/h_t(..m) <= |c_{m+1}(a)|/|c_m(a)| <= 1, the
+    real case at a: B does not increase, so B(p+1) bounds every later |c_m|.
+    Its rounding, derived as at a real shift: the complex P_p is within
+    8.25p u of its value (see `_summed`); its modulus, alpha + p + 1, that
+    modulus, the quotient p/|alpha+p+1| and their product add 5u; the real
+    column entry after p + 1 steps carries p + 4t; the product B one more.
+    So g = 9.25p + 4s + 2, and the factor 1 + 2(9.25p + 4s + 3) u covers g
+    and its own product's rounding; 1 + (10p + 4s + 3) 2^-52, taken instead,
+    is larger and exact in binary64.
     """
     t = s - 1
-    h = 1.0 / abs(alpha + 1)
-    abs_next = abs(alpha + 2)
-    decreasing = alpha.imag == 0 and alpha.real > -1
-    inflate, step = 1.0 + 4 * s * _EPS, 4 * _EPS
-    base = alpha.real if decreasing else alpha  # |alpha + n| is then the float alpha + n, with no complex sum
-    for p, prefactor, col in exact._depth_columns(alpha, t):
-        abs_after = abs(base + (p + 2))
-        h_next = h + 1.0 / abs_next
-        try:
-            ratio = (1.0 + 1.0 / (abs_after * h_next)) ** t
-        except OverflowError:  # near the pole -(p+2); only `_summed` reads r_p, at Re(alpha) >= -1/2
-            ratio = math.inf
+    real = alpha.imag == 0 and alpha.real > -1
+    if real:
+        inflate, step, ahead = 1.0 + 4 * s * _EPS, 4 * _EPS, repeat(None)
+    else:
+        inflate, step = 1.0 + (4 * s + 3) * _EPS, 10 * _EPS
+        ahead = islice(exact._depth_columns(alpha.real, t), 1, None)
+    last = _FLOAT_MAX
+    for (p, prefactor, col), later in zip(exact._depth_columns(alpha, t), ahead):
         c_p = -prefactor * col[t]
-        if decreasing:
-            inflate += step
-            b_next = -c_p.real * inflate
+        inflate += step
+        b_next = (-c_p.real if real else abs(prefactor) * p / abs(alpha + (p + 1)) * later[2][t]) * inflate
+        if not b_next <= last:  # rounding, or an overflow
             if not b_next <= _FLOAT_MAX:  # inf, or nan past an inf
                 raise OverflowError(f"c_{p} overflows binary64 at alpha = {alpha}, s = {s}")
-        else:
-            b_next = abs(prefactor) * p / abs_next * h_next**t
-        yield c_p, b_next, ratio
-        h, abs_next = h_next, abs_after
+            b_next = last
+        last = b_next
+        yield c_p, b_next, 1.0
 
 
 #: The series each stream sums, by the stream's name, as `SeriesResult.method`
@@ -373,7 +382,7 @@ def _summed(
     below, its terms (the `used` it spent before the sum, within
     `max_terms`, plus the sum's own), the bound, `converged` and the method
     the stream names.  x = z for
-    `_term_stream` (at Re(alpha) >= -1, as its ratio needs), x = w for
+    `_term_stream` (at Re(alpha) > -1, as its majorant needs), x = w for
     `_direct_stream` (x = 1/w, at the shift -alpha, for `inversion._inversion`),
     x = Log w for `logseries._log_stream`.
 
@@ -601,7 +610,7 @@ def lerch_accelerated(
     Each route module is imported after its route's domain test, on the
     first call that gets there, so `import mhlerch.cli` loads neither.
     Routes 3 and 4 each peel the same K = `_pole_terms(alpha)` head terms
-    (`_peeled`) at Re(alpha) < -1/2.  A call that routes 2 and 3 pass on is
+    (`_peeled`) where K > 0.  A call that routes 2 and 3 pass on is
     bit for bit what route 4 alone returns.
 
     |z| = |w|/|w - 1|, so |w| < |z| exactly when |w - 1| < 1: the lens is
@@ -639,8 +648,12 @@ def lerch_accelerated(
 def _pole_terms(alpha: complex) -> int:
     """K = floor(-Re alpha) + 1, the head terms `_peeled` peels so that the
     series in z and the log-series run at Re(alpha + K) > 0; 0 where
-    Re(alpha) >= -1/2."""
-    return math.floor(-alpha.real) + 1 if alpha.real < -0.5 else 0
+    Re(alpha) >= -1/2 at a real shift and where Re(alpha) >= 0 at a complex
+    one.  A complex shift with -1/2 <= Re(alpha) < 0 is peeled too: the
+    majorant of `_term_stream` there reads 1/(Re(alpha) + 1) for |f_1|, too
+    large by the factor |alpha + 1|/(Re(alpha) + 1) at each of the s - 1
+    depths."""
+    return math.floor(-alpha.real) + 1 if alpha.real < -0.5 or alpha.real < 0 and alpha.imag else 0
 
 
 def _peeled(w: complex, alpha: complex, s: int, k: int, max_terms: int) -> Tuple[complex, complex, float]:
@@ -667,26 +680,26 @@ def _z_series(w: complex, alpha: complex, s: int, tol: float, max_terms: int) ->
     last route of `lerch_accelerated`, and the series that `verify`'s
     `proposition` check sums directly.
 
-    Pole peeling: if Re(alpha) < -1/2, the K = `_pole_terms(alpha)` head
-    terms of the shift relation come from `_peeled`, then the series in z
-    at alpha+K is summed, where Re(alpha+K) > 0 and no f_i is near a pole.
-    `terms_used` counts both; the stream is kept under (alpha+K, s).  If K
-    >= `max_terms`, the first `max_terms` head terms are returned with bound
-    inf.  Where z rounds to 1 (|w| >= 2^53) no bound can be finite: r_p >= 1
-    makes rho >= 1 below, and the summation-by-parts factor (1 + |z|)/|1 -
-    z| is inf; so `_summed` is given K + 1 terms, and the call returns
-    converged = False after one term of the series in z.
+    Pole peeling: where `_pole_terms(alpha)` = K > 0 (Re(alpha) < -1/2, or
+    Re(alpha) < 0 at a complex shift), the K head terms of the shift
+    relation come from `_peeled`, then the series in z at alpha+K is summed,
+    where Re(alpha+K) > 0 and no f_i is near a pole.  `terms_used` counts
+    both; the stream is kept under (alpha+K, s).  If K >= `max_terms`, the
+    first `max_terms` head terms are returned with bound inf.  Where z
+    rounds to 1 (|w| >= 2^53) no bound can be finite: rho = |z| = 1 below,
+    and the summation-by-parts factor (1 + |z|)/|1 - z| is inf; so `_summed`
+    is given K + 1 terms, and the call returns converged = False after one
+    term of the series in z.
 
     Stopping rule: after P terms the tail is at most B(P+1) |z|^{P+1} /
-    (1 - rho), rho = |z| * sup_{p > P} B(p+1)/B(p), with B the majorant
-    `_term_stream` yields (|c_{p-1}| at a real shift, where the summation by
-    parts bound of `_summed` may be the smaller, else (p-1)!/prod_{j<=p}
-    |alpha+j| * H_p^{s-1}, H_p = sum_{i<=p} 1/|alpha+i|) and the sup bounded
-    as in `_term_stream`.  The bound is this one, times |w|^K for a peeled
-    call, plus the rounding that `_summed` counts (z = w/(w-1) is within
-    `_Z_ERROR` u of its exact value: w - 1 rounds by u, the quotient by 5u),
-    and convergence is declared once it is <= tol max(1, |value|); while rho
-    >= 1 more terms are added, unless the summation-by-parts bound meets it.
+    (1 - rho), rho = |z|, with B the majorant `_term_stream` yields, which
+    bounds every later |c_p| (|c_P| at a real shift, where the summation by
+    parts bound of `_summed` may be the smaller; at a complex one the
+    modulus of the prefactor times h_{s-1} at Re(alpha)).  The bound is this
+    one, times |w|^K for a peeled call, plus the rounding that `_summed`
+    counts (z = w/(w-1) is within `_Z_ERROR` u of its exact value: w - 1
+    rounds by u, the quotient by 5u), and convergence is declared once it is
+    <= tol max(1, |value|).
     A peeled call's head adds the rounding `_peeled` bounds, and w^K, by K -
     1 products, and its product with the sum in z 2.25K u times |w^K T|, T
     that sum (`_summed`'s `carried`); both enter `_summed`'s test.

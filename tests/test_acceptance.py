@@ -26,8 +26,8 @@ by f = 1/(1 - 2^{1-s}).  The test derives three counts from closed forms:
   on the paper's majorant a_p <= (1 + ln p)^{s-1},
       f (1 + ln(P+1))^{s-1} 2^{1-P} / (P+1),
   meets tol.  `series.zeta_accelerated` stops through the majorant
-  |c_P| = a_P/P, which does not increase in P, and its own tail ratio; the
-  test asserts that its count is at most n_acc.
+  |c_P| = a_P/P, which does not increase in P, so that its tail ratio is
+  |z| = 1/2; the test asserts that its count is at most n_acc.
 * Series floor n_min: every coefficient satisfies a_p >= 1, so the error after
   N terms is at least the first omitted term f / ((N+1) 2^{N+1}), and no
   stopping rule can stop before the first N at which that meets tol.

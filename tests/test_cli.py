@@ -489,7 +489,7 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
     "argv",
     [
         ("eval", "--s", "2", "--w", "-1", "--alpha-rat", "1e400"),
-        ("eval", "--s", "400", "--w", "-1", "--alpha=0,0.5"),
+        ("eval", "--s", "1100", "--w", "-1", "--alpha=-0.5"),
         ("eval", "--s", "100", "--w=-0.5", "--alpha=-2.9999"),
         ("eval", "--s", "2", "--w=-1000", "--alpha=-120.5"),
         ("eval", "--s", "100", "--w", "0.5", "--alpha=-1.99999", "--method", "direct"),
@@ -497,11 +497,11 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
     ids=["alpha-rat", "eval-s", "eval-peeled-s", "eval-peeled-w", "eval-direct-s"],
 )
 def test_overflow_is_an_error_exit(capsys, argv):
-    # float(1e400 as a Fraction), the majorant's float powers at a complex
-    # shift and s = 400, the
-    # peeled head term (1/(alpha+3))^100, about 1e400, |w|^K = 1000^121 and
-    # the direct series' tail bound 1/|alpha+2|^100, about 1e500, overflow
-    # binary64; none of them divides by a power that underflowed to 0
+    # float(1e400 as a Fraction), the coefficient c_1 = -2^1100 at alpha =
+    # -1/2 and s = 1100, the peeled head term (1/(alpha+3))^100, about 1e400,
+    # |w|^K = 1000^121 and the direct series' tail bound 1/|alpha+2|^100,
+    # about 1e500, overflow binary64; none of them divides by a power that
+    # underflowed to 0
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith(f"mhlerch {argv[0]}: error: ")
@@ -516,6 +516,14 @@ def test_eval_at_large_order(capsys):
     assert code == 0
     assert data["converged"] is True
     assert data["value_re"] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_eval_at_a_complex_shift_and_large_order(capsys):
+    # the H majorant's float power overflowed binary64 here (exit 1); the
+    # majorant at Re(alpha) = 0 is at most 1
+    code, data, _ = run_json(capsys, "eval", "--s", "400", "--w", "-1", "--alpha=0,0.5")
+    assert code == 0
+    assert data["converged"] is True and data["terms_used"] <= 45
 
 
 def test_zeta_at_large_order_converges(capsys):

@@ -118,12 +118,15 @@ def _series_layer():
         out[f"shift_gap {alpha}"] = series._tail_gap(complex(alpha), 1)
     for alpha in SHIFTS:
         shift = ShiftParam(alpha)
+        in_domain = shift.alpha.real > -1  # of `_term_stream`, which the majorant keys read
         for s in range(1, 6):
-            stream = series._term_stream(shift.alpha, s)
-            out[f"_term_stream {alpha} {s}"] = [next(stream) for _ in range(30)]
+            if in_domain:
+                stream = series._term_stream(shift.alpha, s)
+                out[f"_term_stream {alpha} {s}"] = [next(stream) for _ in range(30)]
             for p in (1, 2, 5, 17, 60):
                 out[f"coefficient_float {p} {alpha} {s}"] = coefficient(p, alpha, s)
-                out[f"coefficient_bound {p} {alpha} {s}"] = majorant(p, alpha, s)
+                if in_domain:
+                    out[f"coefficient_bound {p} {alpha} {s}"] = majorant(p, alpha, s)
             for w in W_GRID:
                 for tol, max_terms in ((1e-8, 10000), (1e-12, 10000), (1e-13, 15)):
                     out[f"lerch_accelerated {w} {alpha} {s} {tol} {max_terms}"] = (
