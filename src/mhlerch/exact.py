@@ -30,21 +30,23 @@ them, with exact integers, float or complex numbers (the tests also with
 `Fraction`, as an oracle), and `cli` reaches them through `series` and
 `verify`.  One depth-column pass to q holds S_0^n(t) for every n <= q and
 t <= depth, so it gives R at every (n, s <= depth + 1); `_alternating_sum`
-takes the powers (beta + m)^s from its caller, and `_alternating_sums` yields
-L at q = 0, 1, ... from one list of them.  Each L is summed directly, one
-left-to-right fold of the signed binomial row (-1)^m C(q, m) over the powers,
-never through its recurrence.  The rows come from `math.comb`, not from
-Pascal's rule, and are kept for q < `_KEPT_ROWS`, past every grid of the
-package; a longer row is built per call.
+takes the powers (beta + m)^s, or the int weights below, from its caller, and
+`_alternating_sums` yields L at q = 0, 1, ... from one list of them.  Each L
+is summed directly, one left-to-right fold of the signed binomial row
+(-1)^m C(q, m) over that list, never through its recurrence: floats divide
+the row by the powers, ints multiply it by the weights.  The rows come from
+`math.comb`, not from Pascal's rule, and are kept for q < `_KEPT_ROWS`, past
+every grid of the package; a longer row is built per call.
 
 The exact values are computed in Python integers over one denominator per
 shift.  For beta = num/den and indices lo .. hi, `_Scaled` holds
 G = lcm_{lo <= n <= hi} |num + n den| and the integer weights
 w_n = G/(beta + n) = den G/(num + n den).  Run on it, `_depth_columns` yields
-col[t] = S_lo^n(t) G^t and a prefactor scaled by G^{n-lo+1}, and
-`_alternating_sum` yields L(q, beta) G^s, all as ints, with the code of both
-kernels unchanged.  The public functions build one `Fraction` per value they
-return; `verify` compares the integers.
+col[t] = S_lo^n(t) G^t and a prefactor scaled by G^{n-lo+1}, with its code
+unchanged, as it divides by w_n wrapped in a `_Weight`; `_alternating_sum`
+yields L(q, beta) G^s by multiplying the row by the ints w_m^s.  The public
+functions build one `Fraction` per value they return; `verify` compares the
+integers.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import count
-from operator import add, truediv
+from operator import add, mul, truediv
 from typing import Iterator, Optional, Union
 
 from .errors import InvalidShiftError
@@ -107,8 +109,9 @@ class MultiSumSpec(namedtuple("MultiSumSpec", "a b t beta")):
 
 
 class _Weight:
-    """The int (G/(beta + n))^e: `c / self` is c/(beta + n)^e scaled by G^e,
-    and `self ** s` is the weight of (beta + n)^(e s)."""
+    """The int w = G/(beta + n): `c / self` is c/(beta + n) scaled by G, as
+    `_depth_columns` divides by it.  The alternating sums take the ints w^s
+    themselves and multiply the row by them (see `_alternating_sum`)."""
 
     __slots__ = ("value",)
 
@@ -118,27 +121,25 @@ class _Weight:
     def __rtruediv__(self, c: int) -> int:
         return c * self.value
 
-    def __pow__(self, s: int) -> "_Weight":
-        return _Weight(self.value**s)
-
 
 class _Scaled:
     """The shift beta = num/den on the indices lo .. hi, scaled by
-    G = lcm_{lo <= n <= hi} |num + n den|: `self + n` is the `_Weight`
-    w_n = G/(beta + n) = den G/(num + n den), so the kernels run on it in
+    G = lcm_{lo <= n <= hi} |num + n den|: `weights[n]` is the int
+    w_n = G/(beta + n) = den G/(num + n den), and `self + n` is w_n as the
+    `_Weight` that `_depth_columns` divides by, so the kernels run on it in
     integers.  An index outside lo .. hi is a KeyError, as G need not be a
     multiple of its factor; beta + n = 0 in range raises ZeroDivisionError."""
 
-    __slots__ = ("G", "_weights")
+    __slots__ = ("G", "weights")
 
     def __init__(self, beta: Fraction, lo: int, hi: int):
         num, den = beta.numerator, beta.denominator
         factors = {n: num + n * den for n in range(lo, hi + 1)}
         self.G = math.lcm(*factors.values())
-        self._weights = {n: _Weight(den * self.G // f) for n, f in factors.items()}
+        self.weights = {n: den * self.G // f for n, f in factors.items()}
 
     def __add__(self, n: int) -> _Weight:
-        return self._weights[n]
+        return _Weight(self.weights[n])
 
 
 def _depth_columns(x0, depth: int, n0: int = 1, stop: Optional[int] = None):
@@ -189,24 +190,32 @@ def _signed_row(q: int) -> list:
 _kept_row = cache(_signed_row)
 
 
-def _alternating_sum(powers, q: int):
+def _alternating_sum(powers, q: int, combine=truediv):
     """L(q, x0) = sum_{m=0}^{q} C(q, m) (-1)^m / powers[m], where powers[m] is
     (x0 + m)^s in the number type of x0 for m = 0 .. q, as `_alternating_sums`
-    grows it and `lemma_lhs` builds it.  `series` sums it at x0 = 1 + 0j only:
+    grows it and `lemma_lhs` builds it.  Floats, complex numbers and
+    `Fraction`s fold by dividing the row by the powers; ints fold with
+    `combine` = `operator.mul`, multiplying it by the weights
+    w_m^s = (G/(x0 + m))^s of a `_Scaled` x0, which gives L G^s, or by the
+    powers m^n of `_bernoulli`.  `series` sums it at x0 = 1 + 0j only:
     complex, as a float or int x0 rounds otherwise past 2^53.  One fold from
     m = 0 up, from the int 0, the order of a loop of `total += ...`; not
     `sum()`, which compensates float sums from Python 3.12 on."""
     row = _kept_row(q) if q < _KEPT_ROWS else _signed_row(q)
-    return reduce(add, map(truediv, row, powers), 0)
+    return reduce(add, map(combine, row, powers), 0)
 
 
 def _alternating_sums(x0, s: int) -> Iterator:
     """Yield L(q, x0) = `_alternating_sum(powers, q)` for q = 0, 1, ..., from
-    one power list grown by (x0 + q)^s per item."""
+    one list grown by one entry per item: for a `_Scaled` x0 the int weight
+    w_q^s, folded by multiplying, so the items are L(q, beta) G^s; otherwise
+    the power (x0 + q)^s, folded by dividing."""
+    scaled = isinstance(x0, _Scaled)
+    combine = mul if scaled else truediv
     powers = []
     for q in count():
-        powers.append((x0 + q) ** s)
-        yield _alternating_sum(powers, q)
+        powers.append(x0.weights[q] ** s if scaled else (x0 + q) ** s)
+        yield _alternating_sum(powers, q, combine)
 
 
 def multi_sum(spec: MultiSumSpec) -> Fraction:
@@ -219,8 +228,8 @@ def multi_sum(spec: MultiSumSpec) -> Fraction:
 def lemma_lhs(params: LemmaParams) -> Fraction:
     """L(q, beta) = sum_{m=0}^{q} C(q, m) (-1)^m / (beta + m)^s."""
     x0 = _Scaled(params.beta, 0, params.q)
-    powers = [(x0 + m) ** params.s for m in range(params.q + 1)]
-    return Fraction(_alternating_sum(powers, params.q), x0.G**params.s)
+    weights = [x0.weights[m] ** params.s for m in range(params.q + 1)]
+    return Fraction(_alternating_sum(weights, params.q, mul), x0.G**params.s)
 
 
 def lemma_rhs(params: LemmaParams) -> Fraction:
@@ -254,11 +263,11 @@ def _bernoulli(n: int) -> Fraction:
 
         B_n = sum_{q<=n} L_n(q)/(q+1),  L_n(q) = sum_{m<=q} C(q, m) (-1)^m m^n,
 
-    each L_n(q) one `_alternating_sum` over the `_Weight`s m^n, so an int.
+    each L_n(q) one `_alternating_sum` multiplying the row by the ints m^n.
     Kept from its first use, not built at import."""
-    powers = [_Weight(m**n) for m in range(n + 1)]
+    powers = [m**n for m in range(n + 1)]
     denominator = math.lcm(*range(1, n + 2))
-    total = sum(_alternating_sum(powers, q) * (denominator // (q + 1)) for q in range(n + 1))
+    total = sum(_alternating_sum(powers, q, mul) * (denominator // (q + 1)) for q in range(n + 1))
     return Fraction(total, denominator)
 
 

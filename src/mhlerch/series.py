@@ -85,6 +85,8 @@ DEFAULT_MAX_TERMS = 10000
 _FLOAT_MAX = sys.float_info.max
 _U = 2.0**-53  # the unit roundoff of binary64
 _EPS = 2.0**-52  # 2u, the spacing of binary64 numbers in [1, 2)
+_ETA = 2.0**-1072  # four subnormal units 2^-1074: `_summed`'s absolute rounding per unit of its counts
+_FLOOR_AT = 2.0**-900  # times |mult| + 1: where `_summed`'s bound numerator lies below it, the floor is added
 
 #: CPython raises a complex number to an integer power n with |n| <= _POWI_MAX
 #: by binary powering, and to a larger one by exp(n log).
@@ -372,6 +374,15 @@ def _direct_size(alpha, s: int, ax: float, n: int) -> float:
 _CHECKPOINT = 64
 
 
+def _abel_factor(x, ax: float, holds: bool) -> float:
+    """(1 + |x|)/|1 - x|, at least 1: the factor of `_summed`'s Abel bound;
+    inf where that bound does not hold or x rounds to 1, as z does at
+    |w| >= 2^53."""
+    gap = abs(1.0 - x)
+    abel = (1.0 + ax) / gap if holds and gap else math.inf
+    return abel if abel > 1.0 else 1.0
+
+
 def _summed(
     x, alpha, s: int, tol: float, max_terms: int, mult=1.0, factory=_term_stream,
     head=0.0, fixed=0.0, carried=0.0, x_error=0.0, used=0,
@@ -447,17 +458,45 @@ def _summed(
     loop stops with converged = False once the rounding alone passes the
     target.
 
+    These counts are relative, and hold while every result lies in the
+    normal range, above 2^-1022.  Below it, gradual underflow rounds a real
+    product or quotient by an absolute error of at most 2^-1075, half a
+    subnormal unit, and a sum or difference not at all, as it is exact there
+    (Higham, 2nd ed., ch. 2): a complex product, one difference of two real
+    products per part, by at most sqrt(2) 2^-1074, so each unit of the
+    counts by at most eta = 4 * 2^-1074 = `_ETA`.  To first order, and where the factors that
+    carry such an error on into a term have modulus at most 1 (x^m at |x| <=
+    1; on `_term_stream` the steps (n - 1)/|alpha + n| and |f_n| past n = 1 at
+    Re(alpha) > -1, while the entries f_1^t at n = 1 lie below the normal
+    range only where |f_1| < 1), term m is off by at most eta (slope m +
+    intercept) past an underflow, the P terms summed by eta P (slope P +
+    intercept), and the product with mult and the sum with head by 2 eta.
+    The numerator y = B(P+1) |x|^{P+1} is off by at most eta |mult| (slope
+    (P + 1) + intercept), so it is raised by that before the tail bound is
+    formed, and the rounding by eta (|mult| P (slope P + intercept) + 2);
+    neither where x = 0 or mult = 0, as every term or the product is then an
+    exact 0.  Both are added only where y < (|mult| + 1) 2^-900
+    (`_FLOOR_AT`): at a larger y, with fewer than 2^118 units, each is under
+    2^-54 of y and of the bound, under the rounding of the bound itself, so
+    a call away from the subnormal range pays one comparison a stop (forming
+    the floor at every stop took 6% off `eval-shared-shift` op/s, CPython
+    3.11 on a 2-core x86-64 host).  So the floor moves only a bound near the
+    subnormal range: at alpha = 2 and 2 + i, w = -1, s = 1000, where
+    c_1 = -(alpha + 1)^-1000 rounds to 0, the bound is about 2^-1058
+    instead of 0, and |V| itself is below 2^-1500.
+
     The target starts at tol max(1, |head| + |mult a_1 x|), an estimate of
     |V|, and reads |V| at the checkpoints and wherever the bound is formed.
     Each term forms only the numerator y and tests it against the last
     target; y / (1 - rho) and, where that is above the target, the Abel
     bound are formed only once y <= target or p = max_terms, and the
-    rounding only once the smaller meets the target; the Abel factor (1 +
-    |x|)/|1 - x| (inf where it does not hold, and where x rounds to 1, as z
-    does at |w| >= 2^53) is formed once, at the first such stop.  At 0 <=
-    rho < 1 the rounded quotient is >= y, the Abel factor is taken >= 1, and
-    a nan y fails both tests, so no bound below the target is skipped while
-    the target is read.  An infinite |V| never converges.
+    rounding only once the smaller meets the target (or p = max_terms);
+    where the rounding then tips a geometric bound at or below the target
+    above it, the Abel bound is formed there too, and the smaller taken.  The
+    Abel factor (`_abel_factor`) is formed once, at the first stop that reads
+    it.  At 0 <= rho < 1 the rounded quotient is >= y, the Abel factor is
+    taken >= 1, and a nan y fails both tests, so no bound below the target is
+    skipped while the target is read.  An infinite |V| never converges.
 
     The stream depends on (factory, alpha, s) only, and so does the set-up
     of a call: the first term's size |alpha + 1|^-s (inf where the float
@@ -499,7 +538,8 @@ def _summed(
     x_pow = 1.0
     scale = abs(mult)
     ax_pow = scale * ax  # scale |x|^p
-    abel = None
+    floor_at = (scale + 1.0) * _FLOOR_AT if ax and scale else 0.0  # x = 0 or mult = 0: an exact 0
+    abel = None  # formed at the first stop that reads it
     moment = last = 0.0
     key = (factory, alpha, s, type(alpha))  # 0.0 == 0j; their terms differ in type
     entry = _kept.pop(key, None)  # the call owns a kept entry until it puts it back
@@ -553,13 +593,12 @@ def _summed(
             target = tol * modulus if modulus > 1.0 else tol
             if y > target and p < max_terms:
                 continue
+            if y < floor_at:  # B(p+1) |x|^{p+1} past an underflow
+                y += _ETA * scale * (slope * (p + 1) + intercept)
             rho = ax * ratio
             bound = y / (1.0 - rho) if rho < 1.0 else math.inf
             if bound > target:
-                if abel is None:  # the first such stop; inf where the Abel bound does not hold or x rounds to 1
-                    gap = abs(1.0 - x)
-                    abel = (1.0 + ax) / gap if holds and gap else math.inf
-                    abel = abel if abel > 1.0 else 1.0
+                abel = abel or _abel_factor(x, ax, holds)
                 if y * abel < bound:
                     bound = y * abel
                 if bound > target and p < max_terms:
@@ -569,6 +608,12 @@ def _summed(
                 moment = last = 0.0
             weighted = moment + (p + 1) * (size - last)  # >= the sum of index times term size
             rounding = _U * (slope * weighted + intercept * size + (p + carried) * partial + modulus) + fixed
+            if y < floor_at:
+                rounding += _ETA * (scale * p * (slope * p + intercept) + 2)
+            if bound + rounding > target:  # the rounding tips the geometric bound: the Abel bound may not
+                abel = abel or _abel_factor(x, ax, holds)
+                if y * abel < bound:
+                    bound = y * abel
             bound += rounding
             if bound <= target or p >= max_terms or rounding > target:
                 break

@@ -146,7 +146,9 @@ def _rationals(values: Optional[Iterable], default: Tuple[Fraction, ...]) -> Tup
 
 def _lhs_values(x0: exact._Scaled, q_max: int, s_max: int) -> Dict[Tuple[int, int], int]:
     """{(q, s): L(q, beta) G^{q+s}} for q <= q_max, 1 <= s <= s_max, where x0
-    is beta with its G, every q summed from one power list (x0 + m)^s per s."""
+    is beta with its G: per s, `exact._alternating_sums` folds every q by
+    multiplying the signed rows by one list of the int weights (G/(beta + m))^s,
+    as floats fold by dividing by the powers (beta + m)^s."""
     G_powers = [x0.G**q for q in range(q_max + 1)]
     return {
         (q, s): lhs * G_powers[q]

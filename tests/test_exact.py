@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
+from operator import mul, truediv
 
 import pytest
 from hypothesis import given, settings
@@ -398,26 +399,30 @@ def test_integer_path_matches_the_fraction_kernels(beta, q, s, t, a, width):
     assert exact.coefficient_exact(q + 1, alpha, s) == kernel_coefficients(alpha, s, q + 1)[q]
 
 
-def _alternating_loop(powers, q):
-    """L(q, x0) term by term from m = 0, each term (-1)^m C(q, m) / powers[m]."""
+def _alternating_loop(powers, q, combine=truediv):
+    """L(q, x0) term by term from m = 0, each term combine((-1)^m C(q, m), powers[m])."""
     total = 0
     for m in range(q + 1):
-        total = total + (-1) ** m * math.comb(q, m) / powers[m]
+        total = total + combine((-1) ** m * math.comb(q, m), powers[m])
     return total
 
 
 def test_alternating_sum_is_the_term_by_term_loop_bit_for_bit():
     # The fold over the signed rows against the loop, in every number type the
     # package sums it in, for q past the kept rows; the rows grow from none.
+    # Floats, complex numbers and Fractions divide by the powers; ints
+    # multiply by the weights of a _Scaled x0 and by _bernoulli's m^n.
     exact._kept_row.cache_clear()
     q_top = 70
     assert verify.SONDOW_P - 1 < exact._KEPT_ROWS <= q_top
-    x0s = [0.5, 1 + 0j, *verify.LEMMA_COMPLEX_BETAS, F(7, 3), exact._Scaled(F(7, 3), 0, q_top)]
-    power_lists = [[(x0 + m) ** s for m in range(q_top + 1)] for x0 in x0s for s in (1, 3)]
-    power_lists += [[exact._Weight(m**k) for m in range(q_top + 1)] for k in (0, 5)]  # _bernoulli's
-    for powers in power_lists:
+    x0s = [0.5, 1 + 0j, *verify.LEMMA_COMPLEX_BETAS, F(7, 3)]
+    folds = [([(x0 + m) ** s for m in range(q_top + 1)], truediv) for x0 in x0s for s in (1, 3)]
+    weights = exact._Scaled(F(7, 3), 0, q_top).weights
+    folds += [([weights[m] ** s for m in range(q_top + 1)], mul) for s in (1, 3)]
+    folds += [([m**k for m in range(q_top + 1)], mul) for k in (0, 5)]  # _bernoulli's
+    for powers, combine in folds:
         for q in range(q_top + 1):
-            value, expected = exact._alternating_sum(powers, q), _alternating_loop(powers, q)
+            value, expected = exact._alternating_sum(powers, q, combine), _alternating_loop(powers, q, combine)
             assert (type(value), repr(value)) == (type(expected), repr(expected)), (q, powers[1])
     assert exact._kept_row.cache_info().currsize == exact._KEPT_ROWS
     powers = [(1 + 0j + m) ** 2 for m in range(201)]

@@ -567,12 +567,12 @@ def test_converged_bound_covers_the_rounding_of_the_value():
 #: `lerch_accelerated` sums the series in z (|z| = 1/2 and 1/5).  The golden
 #: grid has s <= 5 only.  At s = 400, where the H majorant overflowed, -0.5 +
 #: 0.2i is left out: the rounding of its peeled head term, `_power_error(s)`
-#: = 23s u above `_POWI_MAX`, passes tol alone (ROADMAP item 1b).  2 + i at s
-#: = 1000 is left out too: its value, about 3.2^-1000, underflows binary64,
-#: and no bound counts an underflow.
+#: = 23s u above `_POWI_MAX`, passes tol alone (ROADMAP item 1b).  At 2 and
+#: 2 + i at s = 1000 the value, about 3^-1000 and 3.2^-1000, underflows
+#: binary64 to 0, and only the bound's floor of subnormal units counts it.
 LARGE_ORDER_CELLS = [
     (alpha, w, s) for alpha in (0.5j, 0.3 + 0.4j, -0.5 + 0.2j, 2 + 1j) for w in (-1.0, -0.25) for s in (30, 50, 150)
-] + [(0.5j, -1.0, 400), (0.5j, -1.0, 1000), (2 + 1j, -1.0, 400)]
+] + [(0.5j, -1.0, 400), (0.5j, -1.0, 1000), (2 + 1j, -1.0, 400), (2 + 0j, -1.0, 1000), (2 + 1j, -1.0, 1000)]
 
 
 def defining_sum(w, alpha, s):
@@ -1324,6 +1324,17 @@ def test_z_that_rounds_to_one_returns_unconverged(w, alpha, s):
     assert math.isfinite(abs(result.value))
 
 
+def test_abel_bound_is_formed_where_the_rounding_tips_the_geometric_bound():
+    # At max_terms = 100 the geometric bound 5.11e-8 meets the target 5.2e-8
+    # and the rounding 1.67e-8 tips it above; the Abel bound 3.05e-8 plus the
+    # same rounding meets it.  It returned converged: false, bound 6.78e-8.
+    w, alpha = 0.091944125502747 - 1.0212059906867295j, -0.38896056895857073
+    result = series.lerch_accelerated(w, ShiftParam(alpha), 22, 1e-12, 100)
+    assert result.terms_used == 100 and result.error_bound < 5e-8
+    error = float(abs(mp.mpc(result.value) - _reference.lerch(w, alpha, 22)))
+    assert_certified(result, 1e-12, error)
+
+
 def test_inversion_bound_needs_every_coefficient_of_p_j_to_share_its_sign():
     # The route bounds |p_j(c)| and its rounding by p_j at t >= |c| with the
     # moduli of its coefficients, read as |p_j(t)| from the signed rows: every
@@ -1782,9 +1793,11 @@ def summed_every_bound(x, alpha, s, tol, max_terms, mult=1.0, factory=series._te
     |V| = |head + mult * sum| is read at the checkpoints and wherever the
     numerator meets the last target, the rounding is added once the
     truncation bound meets the target, with `carried` in units of |mult *
-    sum| and no per-term multiples on the log stream, and the sum stops
-    unconverged where the rounding alone passes it.  It returns the route's
-    value head + mult * sum (the sum itself at head 0 and mult 1.0) and its
+    sum|, no per-term multiples on the log stream and, where y < (|mult| +
+    1) `_FLOOR_AT` at x != 0 and mult != 0, the floor of `_ETA`s (y raised by
+    its own share first), the Abel bound taken too where the rounding tips
+    the geometric bound past the target, and the sum stops unconverged where
+    the rounding alone passes it.  It returns the route's value head + mult * sum (the sum itself at head 0 and mult 1.0) and its
     terms, the `used` before the sum plus the sum's own."""
     method = series._METHODS[factory.__name__]
     max_terms -= used
@@ -1824,6 +1837,9 @@ def summed_every_bound(x, alpha, s, tol, max_terms, mult=1.0, factory=series._te
                 check = min(max(2 * p, series._CHECKPOINT), max_terms)
             modulus = abs(head + mult * total) if head else scale * abs(total)
             target = tol * max(1.0, modulus)
+        floor_at = (scale + 1.0) * series._FLOOR_AT if ax and scale else 0.0
+        if y < floor_at:
+            y += series._ETA * scale * (slope * (p + 1) + intercept)
         rho = ax * ratio
         bound = y / (1.0 - rho) if rho < 1.0 else math.inf
         if abel and bound > target:
@@ -1835,6 +1851,10 @@ def summed_every_bound(x, alpha, s, tol, max_terms, mult=1.0, factory=series._te
                 sizes = y + scale * series._direct_size(alpha, s, ax, p)
                 weighted = (p + 1) * sizes
             rounding = series._U * (slope * weighted + intercept * sizes + (p + carried) * (scale * abs(total)) + modulus) + fixed
+            if y < floor_at:
+                rounding += series._ETA * (scale * p * (slope * p + intercept) + 2)
+            if abel and bound + rounding > target:
+                bound = min(bound, y * max(1.0, (1.0 + ax) / abs(1.0 - x)))
         bound += rounding
         if bound <= target or p >= max_terms or rounding > target:
             value = head + mult * total if head or mult != 1.0 else total

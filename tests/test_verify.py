@@ -216,6 +216,29 @@ def test_inner_sums_match_alternating_coefficient_sum():
                 assert item == exact._alternating_sum(powers, q), (q, x0, s)
 
 
+def test_the_integer_l_tables_call_no_weight_method_per_term(monkeypatch):
+    # The int tables fold the signed rows by multiplying by the int weights,
+    # in C: no fold term dispatches to a method of exact._Weight.
+    calls = []
+
+    def counted(method):
+        def wrapper(*args):
+            calls.append(method.__name__)
+            return method(*args)
+        return wrapper
+
+    x0 = exact._Scaled(F(7, 3), 0, 29)
+    expected = exact.lemma_lhs(exact.LemmaParams(29, 5, F(7, 3))) * x0.G ** (29 + 5)
+    for name, method in list(vars(exact._Weight).items()):
+        if callable(method):
+            monkeypatch.setattr(exact._Weight, name, counted(method))
+    table = verify._lhs_values(x0, 29, 5)
+    assert len(table) == 30 * 5 and calls == []
+    assert table[29, 5] == expected
+    next(exact._depth_columns(x0, 1))  # the counter sees a depth-column step: its weight, two divisions
+    assert calls == ["__init__", "__rtruediv__", "__rtruediv__"]
+
+
 # ---------------------------------------------------------------------------
 # fault injection: L and R come from independent routes, aligned by index
 # ---------------------------------------------------------------------------
@@ -236,8 +259,8 @@ def _step_cases_at(*qs):
 def _perturb_L_at_q5(monkeypatch):
     alternating_sum = exact._alternating_sum
 
-    def perturbed(powers, q):
-        value = alternating_sum(powers, q)
+    def perturbed(powers, q, *combine):
+        value = alternating_sum(powers, q, *combine)
         return value * PERTURBATION if q == 5 else value
 
     monkeypatch.setattr(exact, "_alternating_sum", perturbed)
